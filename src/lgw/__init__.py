@@ -66,6 +66,7 @@ from .survey import (
     SurveyRow,
     SurveySummary,
     correspondence_table,
+    iter_summary_json,
     records_to_csv,
     row_records,
     scan_imaginary,

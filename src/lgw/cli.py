@@ -293,9 +293,10 @@ def _cmd_scan(ns) -> int:
         for rec in survey.row_records(summary.rows, ns.log_branch):
             print("  ".join(f"{k}={rec[k]}" for k in survey.CSV_COLUMNS if rec[k] is not None))
         return 0
-    obj = json.loads(survey.summary_to_json(summary, ns.log_branch))
-    obj["conventions"] = _conventions(ns)
-    print(json.dumps(obj))
+    sys.stdout.writelines(
+        survey.iter_summary_json(summary, ns.log_branch, {"conventions": _conventions(ns)})
+    )
+    sys.stdout.write("\n")
     return 0
 
 

@@ -37,7 +37,7 @@ class DomainError(LgwDomainError):
 
 
 class TermLimitExceeded(LgwDomainError):
-    """Series truncation order outside the supported range."""
+    """Series order or expansion length outside the supported range."""
 
 
 class NoConvergence(LgwNumericalError):

@@ -27,6 +27,7 @@ from .errors import (
     OddDegree,
     PrecisionLoss,
     SquareDiscriminant,
+    TermLimitExceeded,
 )
 
 __all__ = [
@@ -99,11 +100,47 @@ def _check_fundamental(D: int) -> None:
 
 def fundamental_discriminants(lo: int, hi: int) -> list[int]:
     """All fundamental discriminants D with lo <= D <= hi, ascending."""
-    out = []
-    for D in range(lo, hi + 1):
-        if D != 0 and is_fundamental_discriminant(D):
-            out.append(D)
-    return out
+    return _fundamental_discriminant_array(lo, hi).tolist()
+
+
+# -- sieves over discriminant ranges ---------------------------------------------
+
+def _squarefree_mask(lo: int, hi: int) -> np.ndarray:
+    """mask[i] is True when lo + i is squarefree, for 1 <= lo <= hi."""
+    sf = np.ones(hi - lo + 1, dtype=bool)
+    q = 2
+    while q * q <= hi:
+        qq = q * q
+        sf[-lo % qq :: qq] = False
+        q += 1
+    return sf
+
+
+def _fundamental_magnitudes(lo: int, hi: int, negative: bool) -> np.ndarray:
+    """Ascending n in [lo, hi], 2 <= lo, with -n (negative) or n fundamental."""
+    if hi < lo:
+        return np.empty(0, dtype=np.int64)
+    n = np.arange(lo, hi + 1, dtype=np.int64)
+    # D = 1 mod 4 and squarefree; -n = 1 mod 4 means n = 3 mod 4
+    keep = (n % 4 == (3 if negative else 1)) & _squarefree_mask(lo, hi)
+    # D = 4m with m = 2, 3 mod 4 squarefree; for D = -n, n/4 = -m is 1, 2 mod 4
+    m_lo, m_hi = -(-lo // 4), hi // 4
+    if m_lo <= m_hi:
+        m = np.arange(m_lo, m_hi + 1, dtype=np.int64) % 4
+        good = (m == 1) | (m == 2) if negative else (m == 2) | (m == 3)
+        keep[4 * m_lo - lo :: 4] = good & _squarefree_mask(m_lo, m_hi)
+    return n[keep]
+
+
+def _fundamental_discriminant_array(lo: int, hi: int) -> np.ndarray:
+    """Fundamental discriminants D with lo <= D <= hi, ascending, as int64.
+
+    Sieves squarefree parts over the range instead of trial-dividing each D;
+    agrees with is_fundamental_discriminant term by term.
+    """
+    neg = _fundamental_magnitudes(max(-hi, 2), -lo, negative=True)
+    pos = _fundamental_magnitudes(max(lo, 2), hi, negative=False)
+    return np.concatenate((-neg[::-1], pos))
 
 
 # -- Dirichlet signature bookkeeping ------------------------------------------
@@ -230,6 +267,11 @@ def _log_half_sum(x: int, y: int, d: int, halves: int) -> float:
     return hi + math.log1p(math.exp(lo - hi)) - halves * math.log(2.0)
 
 
+# Step cap on the continued-fraction sweep: a radicand whose period is
+# longer fails with a domain error instead of running on.
+_CF_STEP_LIMIT = 10_000_000
+
+
 def _cf_unit(d: int) -> tuple[int, int, int]:
     """Continued-fraction sweep; returns (x, y, norm) with x^2 - d*y^2 = 4*norm.
 
@@ -250,8 +292,10 @@ def _cf_unit(d: int) -> tuple[int, int, int]:
     steps = 0
     while True:
         steps += 1
-        if steps > 10_000_000:
-            raise NotSquarefree(f"period overflow for d={d}; input not squarefree?")
+        if steps > _CF_STEP_LIMIT:
+            raise TermLimitExceeded(
+                f"continued fraction of d={d} did not close within {_CF_STEP_LIMIT} steps"
+            )
         p_state = a * q_state - p_state
         q_state = (d - p_state * p_state) // q_state
         a = (p_state + s) // q_state
@@ -447,10 +491,14 @@ def class_number(D: int, narrow: bool = False) -> int:
     _check_fundamental(D)
     if D < 0:
         return len(_reduced_forms_negative(D))
-    h_plus = _narrow_class_number_positive(D)
     if narrow:
-        return h_plus
-    unit = fundamental_unit(radicand_of_discriminant(D))
+        return _narrow_class_number_positive(D)
+    return _wide_class_number(D, fundamental_unit(radicand_of_discriminant(D)))
+
+
+def _wide_class_number(D: int, unit: FundamentalUnit) -> int:
+    """Wide h of the real field with fundamental discriminant D and unit `unit`."""
+    h_plus = _narrow_class_number_positive(D)
     if unit.norm == -1:
         return h_plus
     assert h_plus % 2 == 0

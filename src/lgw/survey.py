@@ -15,17 +15,15 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable
-
-import numpy as np
+from typing import Iterable, Iterator
 
 from .fields import (
     FundamentalUnit,
     RootsOfUnity,
-    class_number,
+    _fundamental_discriminant_array,
+    _wide_class_number,
     class_numbers_imaginary_batch,
     fundamental_unit,
-    is_fundamental_discriminant,
     is_squarefree,
     radicand_of_discriminant,
     roots_of_unity,
@@ -41,6 +39,7 @@ __all__ = [
     "correspondence_table",
     "row_records",
     "summary_to_json",
+    "iter_summary_json",
     "records_to_csv",
     "CSV_COLUMNS",
 ]
@@ -142,10 +141,8 @@ def _alpha_stats(rows: Iterable[SurveyRow]) -> tuple[int, float | None]:
 # -- imaginary scan ---------------------------------------------------------------
 
 def _imaginary_row(args: tuple[int, int, int, int]) -> SurveyRow:
-    D, h, branch, log_branch = args
-    d = radicand_of_discriminant(D)
-    if h != 1:
-        return SurveyRow(D=D, d=d, h=h, case=Case.COMPLEX, unit=None, alphas=())
+    """The h = 1 row of discriminant D, radicand d, with its torsion roots."""
+    D, d, branch, log_branch = args
     mu = roots_of_unity(D)
     alphas = []
     for eps in mu.elements:
@@ -158,7 +155,7 @@ def _imaginary_row(args: tuple[int, int, int, int]) -> SurveyRow:
         rep = alpha_complex_case(u, j=branch, beta=0.0)
         log_eps = cmath.log(eps) + 2j * math.pi * log_branch
         alphas.append(UnitAlpha(label, eps, log_eps, None, None, rep))
-    return SurveyRow(D=D, d=d, h=h, case=Case.COMPLEX, unit=mu, alphas=tuple(alphas))
+    return SurveyRow(D=D, d=d, h=1, case=Case.COMPLEX, unit=mu, alphas=tuple(alphas))
 
 
 def scan_imaginary(
@@ -166,51 +163,42 @@ def scan_imaginary(
 ) -> SurveySummary:
     """Scan fundamental D in [-limit, -3]; attach alpha to every h = 1 field.
 
-    Class numbers come from the batched form sieve; torsion units with a
+    Discriminants and radicands come from the fundamental-discriminant
+    sieve, class numbers from the batched form sieve; torsion units with a
     usable log (nonzero under the configured log branch) each contribute an
     alpha via the complex-case root formula.
     """
     limit = int(limit)
     if limit < 3:
         return SurveySummary((-limit, -3), 0, (), 0, None, 0)
-    counts = class_numbers_imaginary_batch(limit)
-    sf = _squarefree_mask(limit)
-    ds = []
-    for n in range(3, limit + 1):
-        if n % 4 == 3:
-            if sf[n]:
-                ds.append(-n)
-        elif n % 4 == 0:
-            m = n // 4
-            if m % 4 in (1, 2) and sf[m]:
-                ds.append(-n)
-    ds.sort(reverse=True)  # -3 first, |D| ascending
-    args = [(D, int(counts[-D]), branch, log_branch) for D in ds]
-    rows = _map_rows(_imaginary_row, args, jobs)
-    h1 = sum(1 for r in rows if r.h == 1)
-    units: list[complex] = []
-    for r in rows:
-        if r.h == 1 and isinstance(r.unit, RootsOfUnity):
-            units.extend(r.unit.elements)
-    distinct_alpha, min_sep = _alpha_stats(rows)
+    # The sieve has already proved every D fundamental, so the radicand
+    # (D for D = 1 mod 4, D/4 otherwise) and h are read off whole arrays.
+    D = _fundamental_discriminant_array(-limit, -3)[::-1]  # -3 first, |D| ascending
+    d = D.copy()
+    d[D % 4 == 0] //= 4
+    h = class_numbers_imaginary_batch(limit)[-D]
+    Ds, radicands, hs = D.tolist(), d.tolist(), h.tolist()
+    h1_rows = _map_rows(
+        _imaginary_row,
+        [(Di, di, branch, log_branch) for Di, di, hi in zip(Ds, radicands, hs) if hi == 1],
+        jobs,
+    )
+    attached = iter(h1_rows)
+    rows = tuple(
+        next(attached) if hi == 1
+        else SurveyRow(D=Di, d=di, h=hi, case=Case.COMPLEX, unit=None, alphas=())
+        for Di, di, hi in zip(Ds, radicands, hs)
+    )
+    units = [eps for r in h1_rows for eps in r.unit.elements]
+    distinct_alpha, min_sep = _alpha_stats(h1_rows)
     return SurveySummary(
         range=(-limit, -3),
-        count_h1=h1,
-        rows=tuple(rows),
+        count_h1=len(h1_rows),
+        rows=rows,
         distinct_alpha_count=distinct_alpha,
         min_alpha_separation=min_sep,
         distinct_unit_count=_distinct_count(units),
     )
-
-
-def _squarefree_mask(limit: int) -> np.ndarray:
-    sf = np.ones(limit + 1, dtype=bool)
-    sf[0] = False
-    q = 2
-    while q * q <= limit:
-        sf[q * q :: q * q] = False
-        q += 1
-    return sf
 
 
 # -- real scan ---------------------------------------------------------------------
@@ -218,8 +206,8 @@ def _squarefree_mask(limit: int) -> np.ndarray:
 def _real_row(args: tuple[int, int, str, int]) -> SurveyRow:
     D, branch, pairing_value, unit_powers = args
     d = radicand_of_discriminant(D)
-    h = class_number(D)
     unit = fundamental_unit(d)
+    h = _wide_class_number(D, unit)
     if h != 1:
         return SurveyRow(D=D, d=d, h=h, case=Case.REAL, unit=unit, alphas=())
     pairing = Pairing(pairing_value)
@@ -258,7 +246,7 @@ def scan_real(
             if is_squarefree(d)
         )
     else:
-        ds = [D for D in range(5, limit + 1) if is_fundamental_discriminant(D)]
+        ds = _fundamental_discriminant_array(5, limit).tolist()
     if not ds:
         return SurveySummary((5, limit), 0, (), 0, None, 0)
     pairing = Pairing(pairing)
@@ -339,16 +327,38 @@ def row_records(rows: Iterable[SurveyRow], log_branch: int = 0) -> list[dict]:
     return records
 
 
-def summary_to_json(summary: SurveySummary, log_branch: int = 0) -> str:
-    obj = {
+_JSON_CHUNK_ROWS = 4096
+
+
+def iter_summary_json(
+    summary: SurveySummary, log_branch: int = 0, trailer: dict | None = None
+) -> Iterator[str]:
+    """The summary as one JSON object, in pieces that concatenate to it.
+
+    The text equals json.dumps of the object with "rows" (the row records)
+    after the summary keys and the keys of `trailer` after "rows". Records
+    are built and encoded a fixed number of rows at a time, so a large scan
+    is never held as one string or one list of records.
+    """
+    head = json.dumps({
         "range": list(summary.range),
         "count_h1": summary.count_h1,
         "distinct_alpha_count": summary.distinct_alpha_count,
         "min_alpha_separation": _f(summary.min_alpha_separation),
         "distinct_unit_count": summary.distinct_unit_count,
-        "rows": row_records(summary.rows, log_branch),
-    }
-    return json.dumps(obj)
+    })
+    yield head[:-1] + ', "rows": ['
+    rows = summary.rows
+    sep = ""
+    for i in range(0, len(rows), _JSON_CHUNK_ROWS):
+        records = row_records(rows[i : i + _JSON_CHUNK_ROWS], log_branch)
+        yield sep + json.dumps(records)[1:-1]
+        sep = ", "
+    yield "]" + (", " + json.dumps(trailer)[1:] if trailer else "}")
+
+
+def summary_to_json(summary: SurveySummary, log_branch: int = 0) -> str:
+    return "".join(iter_summary_json(summary, log_branch))
 
 
 def records_to_csv(records: list[dict]) -> str:

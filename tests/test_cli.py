@@ -7,6 +7,8 @@ import sys
 import pytest
 
 from lgw.cli import run
+from lgw.solver import Pairing
+from lgw.survey import scan_imaginary, scan_real, summary_to_json
 
 OMEGA = 0.5671432904097838
 
@@ -118,6 +120,11 @@ class TestUnitCommand:
     def test_not_squarefree_exit_2(self, capsys):
         assert run(["unit", "--d", "12"]) == 2
 
+    def test_expansion_cap_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setattr("lgw.fields._CF_STEP_LIMIT", 5)
+        assert run(["unit", "--d", "94"]) == 2
+        assert "did not close" in capsys.readouterr().err
+
 
 class TestClassnoCommand:
     def test_heegner_example(self, capsys):
@@ -162,6 +169,29 @@ class TestScanCommand:
         assert obj["distinct_unit_count"] == 8
         h1 = sorted({r["D"] for r in obj["rows"] if r["h"] == 1})
         assert h1 == [-163, -67, -43, -19, -11, -8, -7, -4, -3]
+
+    @pytest.mark.parametrize("mode, limit, branch, log_branch", [
+        ("imaginary", 2000, 0, 0),
+        ("imaginary", 2000, 0, 1),
+        ("imaginary", 2000, -1, 0),
+        ("real", 300, 0, 0),
+    ])
+    def test_streamed_json_matches_round_trip(self, capsys, mode, limit, branch, log_branch):
+        # the streamed object must equal the summary with conventions appended
+        code = run(["scan", f"--{mode}", "--limit", str(limit),
+                    "--branch", str(branch), "--log-branch", str(log_branch)])
+        assert code == 0
+        out = capsys.readouterr().out
+        if mode == "imaginary":
+            s = scan_imaginary(limit, branch=branch, log_branch=log_branch)
+        else:
+            s = scan_real(limit, branch=branch, pairing=Pairing.CONJUGATE_BRANCH)
+        conventions = {"branch": branch, "log_branch": log_branch,
+                       "pairing": "conjugate-branch", "tolerance": 1e-10}
+        expected = json.dumps(
+            {**json.loads(summary_to_json(s, log_branch)), "conventions": conventions}
+        ) + "\n"
+        assert out == expected
 
     def test_jobs_flag_deterministic(self, capsys):
         code = run(["scan", "--real", "--limit", "120", "--jobs", "1"])

@@ -13,6 +13,7 @@ from lgw.errors import (
     OddDegree,
     PrecisionLoss,
     SquareDiscriminant,
+    TermLimitExceeded,
 )
 from lgw.fields import (
     BinaryQuadraticForm,
@@ -208,6 +209,14 @@ class TestFundamentalUnit:
         with pytest.raises(DegenerateD):
             fundamental_unit(-5)
 
+    def test_step_cap_is_a_term_limit(self, monkeypatch):
+        # d = 94 is squarefree with a period of 16; a cap below it must not
+        # be reported as a square factor
+        monkeypatch.setattr("lgw.fields._CF_STEP_LIMIT", 5)
+        with pytest.raises(TermLimitExceeded):
+            fundamental_unit(94)
+        assert fundamental_unit(2).x == 1
+
 
 class TestClassNumberForms:
     def test_heegner_values(self):
@@ -361,3 +370,13 @@ class TestDiscriminantHelpers:
     def test_fundamental_list(self):
         assert fundamental_discriminants(-20, -3) == [-20, -19, -15, -11, -8, -7, -4, -3]
         assert fundamental_discriminants(5, 30) == [5, 8, 12, 13, 17, 21, 24, 28, 29]
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(-5000, 5000), (-5000, -1), (-9, 13), (-1, 1), (0, 0), (1, 1), (-3, -3),
+         (-4, 5), (2, 5000), (4990, 5000), (-5000, -4990), (10, 3)],
+    )
+    def test_sieve_matches_trial_division(self, lo, hi):
+        assert fundamental_discriminants(lo, hi) == [
+            D for D in range(lo, hi + 1) if is_fundamental_discriminant(D)
+        ]

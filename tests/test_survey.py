@@ -3,6 +3,8 @@ import math
 
 import pytest
 
+import lgw.fields
+import lgw.survey
 from lgw.solver import Pairing
 from lgw.survey import (
     CSV_COLUMNS,
@@ -10,6 +12,7 @@ from lgw.survey import (
     records_to_csv,
     row_records,
     scan_imaginary,
+    iter_summary_json,
     scan_real,
     summary_to_json,
 )
@@ -83,6 +86,22 @@ class TestScanImaginary:
         assert n_attached == 15
         assert s.distinct_alpha_count == 7
         assert s.min_alpha_separation > 1e-3
+
+    def test_sieve_discriminants_are_not_retested(self, monkeypatch):
+        # only the h = 1 rows revalidate D (through roots_of_unity); the
+        # rest take D and d from the sieve
+        calls = []
+        original = lgw.fields.is_squarefree
+
+        def counting(n):
+            calls.append(n)
+            return original(n)
+
+        monkeypatch.setattr(lgw.fields, "is_squarefree", counting)
+        monkeypatch.setattr(lgw.survey, "is_squarefree", counting)
+        s = scan_imaginary(20000)
+        assert s.count_h1 == 9
+        assert len(calls) <= 20
 
 
 class TestScanReal:
@@ -170,6 +189,29 @@ class TestSerialization:
 
     def test_csv_empty(self):
         assert records_to_csv([]) == ",".join(CSV_COLUMNS) + "\n"
+
+    @pytest.mark.parametrize("scan, limit, kwargs", [
+        (scan_imaginary, 300, {}),
+        (scan_imaginary, 300, {"log_branch": 1}),
+        (scan_real, 60, {"unit_powers": 2}),
+        (scan_real, 4, {}),
+    ])
+    def test_chunked_json_equals_one_dumps(self, scan, limit, kwargs, monkeypatch):
+        # small chunks, so that the records of one scan span several of them
+        monkeypatch.setattr(lgw.survey, "_JSON_CHUNK_ROWS", 7)
+        s = scan(limit, **kwargs)
+        lb = kwargs.get("log_branch", 0)
+        full = {
+            "range": list(s.range),
+            "count_h1": s.count_h1,
+            "distinct_alpha_count": s.distinct_alpha_count,
+            "min_alpha_separation": s.min_alpha_separation,
+            "distinct_unit_count": s.distinct_unit_count,
+            "rows": row_records(s.rows, lb),
+        }
+        assert summary_to_json(s, lb) == json.dumps(full)
+        trailer = {"conventions": {"branch": 0, "log_branch": lb}}
+        assert "".join(iter_summary_json(s, lb, trailer)) == json.dumps({**full, **trailer})
 
     def test_json_round_trip(self):
         s = scan_imaginary(50)
