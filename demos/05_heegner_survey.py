@@ -28,7 +28,7 @@ print(f"min separation between distinct roots: {summary.min_alpha_separation:.4f
 
 print()
 print("=== Correspondence table (one line per field and unit) ===")
-tab = correspondence_table(h1)
+tab = correspondence_table(row_records(h1))
 print(f"{'D':>5} {'unit':>18} {'alpha':>24} {'residual':>10}")
 for e in tab.entries[:12]:
     alpha = complex(e["alpha_re"], e["alpha_im"])

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -143,12 +142,8 @@ def _check_tolerance(ns) -> float:
 
 
 def _emit(obj, ns) -> None:
-    if ns.format == "csv":
-        keys = list(obj.keys())
-        print(",".join(keys))
-        print(",".join("" if obj[k] is None else
-                       repr(obj[k]) if isinstance(obj[k], float) else str(obj[k])
-                       for k in keys))
+    if ns.format == "csv":  # scalar columns only; conventions stay in JSON
+        sys.stdout.write(survey.records_to_csv([obj], [k for k in obj if k != "conventions"]))
     elif ns.format == "plain":
         for k, v in obj.items():
             print(f"{k}={v}")
@@ -301,93 +296,47 @@ def _cmd_scan(ns) -> int:
 
 
 def _cmd_verify(ns) -> int:
-    tol = ns.tolerance
+    tol = _check_tolerance(ns)
     case = solver.Case(ns.case)
     u = _unit_input(ns, case)
     resid = solver.verify_fixed_point(complex(ns.alpha_re, ns.alpha_im), u)
     out = {"residual": resid, "conventions": _conventions(ns)}
     _emit(out, ns)
-    if tol is not None:
-        if not (1e-15 <= tol <= 1e-6):
-            raise UsageError(f"--tolerance must lie in [1e-15, 1e-6], got {tol}")
-        return 0 if resid <= tol else _NUMERICAL_EXIT
-    return 0
-
-
-_TORSION_LOGS = {
-    "1": 0.0,
-    "-1": math.pi,
-    "i": math.pi / 2,
-    "-i": -math.pi / 2,
-    "(1+i*sqrt(3))/2": math.pi / 3,
-    "(-1+i*sqrt(3))/2": 2 * math.pi / 3,
-    "(-1-i*sqrt(3))/2": -2 * math.pi / 3,
-    "(1-i*sqrt(3))/2": -math.pi / 3,
-}
+    # without --tolerance, verify only reports the residual
+    return 0 if ns.tolerance is None or resid <= tol else _NUMERICAL_EXIT
 
 
 def _cmd_table(ns) -> int:
     _check_tolerance(ns)
-    raw = sys.stdin.read() if ns.input == "-" else open(ns.input).read()
-    data = json.loads(raw)
-    records = data["rows"] if isinstance(data, dict) else data
-    entries = []
-    alphas = []
-    for rec in records:
-        if rec.get("alpha_re") is None:
-            continue
-        alpha = complex(rec["alpha_re"], rec["alpha_im"])
-        alphas.append(alpha)
-        if rec.get("regulator") is not None:
-            log_re, log_im = rec["regulator"], 0.0
+    try:
+        if ns.input == "-":
+            data = json.load(sys.stdin)
         else:
-            theta = _TORSION_LOGS.get(rec.get("unit"), 0.0)
-            log_re, log_im = 0.0, theta + 2 * math.pi * rec.get("log_branch", 0)
-        entries.append(
-            {
-                "D": rec["D"],
-                "unit": rec["unit"],
-                "log_eps_re": log_re,
-                "log_eps_im": log_im,
-                "alpha_re": alpha.real,
-                "alpha_im": alpha.imag,
-                "residual_defining": rec["residual_defining"],
-                "residual_split_1": rec["residual_split_1"],
-                "residual_split_2": rec["residual_split_2"],
-                "branch": rec["branch"],
-            }
-        )
-    reps: list[complex] = []
-    for a in alphas:
-        if all(abs(a - r) > 1e-9 for r in reps):
-            reps.append(a)
-    min_sep = (
-        min(abs(a - b) for i, a in enumerate(reps) for b in reps[i + 1 :])
-        if len(reps) > 1
-        else None
-    )
+            with open(ns.input) as fh:
+                data = json.load(fh)
+        records = data["rows"] if isinstance(data, dict) else data
+    except OSError as exc:
+        raise UsageError(f"cannot read --input: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise UsageError(f"input is not JSON: {exc}") from exc
+    except KeyError as exc:
+        raise UsageError('input JSON object has no "rows"') from exc
+    tab = survey.correspondence_table(records)
     if ns.format == "csv":
-        cols = ("D", "unit", "log_eps_re", "log_eps_im", "alpha_re", "alpha_im",
-                "residual_defining", "residual_split_1", "residual_split_2", "branch")
-        print(",".join(cols))
-        for e in entries:
-            print(",".join("" if e[c] is None else
-                           repr(e[c]) if isinstance(e[c], float) else str(e[c]) for c in cols))
-        return 0
-    obj = {
-        "entries": entries,
-        "n_alpha": len(alphas),
-        "distinct_alpha_count": len(reps),
-        "min_alpha_separation": min_sep,
-        "conventions": _conventions(ns),
-    }
-    if ns.format == "plain":
-        print(f"n_alpha={obj['n_alpha']} distinct={obj['distinct_alpha_count']} "
-              f"min_separation={obj['min_alpha_separation']}")
-        for e in entries:
+        sys.stdout.write(survey.records_to_csv(tab.entries, survey.TABLE_COLUMNS))
+    elif ns.format == "plain":
+        print(f"n_alpha={tab.n_alpha} distinct={tab.distinct_alpha_count} "
+              f"min_separation={tab.min_alpha_separation}")
+        for e in tab.entries:
             print("  ".join(f"{k}={v}" for k, v in e.items()))
-        return 0
-    print(json.dumps(obj))
+    else:
+        print(json.dumps({
+            "entries": list(tab.entries),
+            "n_alpha": tab.n_alpha,
+            "distinct_alpha_count": tab.distinct_alpha_count,
+            "min_alpha_separation": tab.min_alpha_separation,
+            "conventions": _conventions(ns),
+        }))
     return 0
 
 

@@ -10,12 +10,11 @@ can be diffed and pinned in tests.
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .fields import (
     FundamentalUnit,
@@ -42,6 +41,7 @@ __all__ = [
     "iter_summary_json",
     "records_to_csv",
     "CSV_COLUMNS",
+    "TABLE_COLUMNS",
 ]
 
 CSV_COLUMNS = (
@@ -61,6 +61,19 @@ CSV_COLUMNS = (
     "log_branch",
 )
 
+TABLE_COLUMNS = (
+    "D",
+    "unit",
+    "log_eps_re",
+    "log_eps_im",
+    "alpha_re",
+    "alpha_im",
+    "residual_defining",
+    "residual_split_1",
+    "residual_split_2",
+    "branch",
+)
+
 _DISTINCT_TOL = 1e-9
 
 
@@ -68,9 +81,7 @@ _DISTINCT_TOL = 1e-9
 class UnitAlpha:
     """One attached root: the unit it came from and the full report."""
 
-    unit_label: str
-    epsilon: complex | None
-    log_eps: complex
+    unit_label: str | None
     norm: int | None
     regulator: float | None
     report: FixedPointReport | None  # None when the unit has no usable log
@@ -100,42 +111,38 @@ class SurveySummary:
     distinct_unit_count: int
 
 
+# Each torsion unit by its label in the row records, with arg(eps) in (-pi, pi]
+_TORSION_ARGS = {
+    "1": 0.0,
+    "-1": math.pi,
+    "i": math.pi / 2,
+    "-i": -math.pi / 2,
+    "(1+i*sqrt(3))/2": math.pi / 3,
+    "(-1+i*sqrt(3))/2": 2 * math.pi / 3,
+    "(-1-i*sqrt(3))/2": -2 * math.pi / 3,
+    "(1-i*sqrt(3))/2": -math.pi / 3,
+}
+
+
 def _torsion_label(z: complex) -> str:
-    table = {
-        (1.0, 0.0): "1",
-        (-1.0, 0.0): "-1",
-        (0.0, 1.0): "i",
-        (0.0, -1.0): "-i",
-    }
-    key = (round(z.real, 12), round(z.imag, 12))
-    if key in table:
-        return table[key]
-    re_sign = "1" if z.real > 0 else "-1"
-    im_sign = "+" if z.imag > 0 else "-"
-    return f"({re_sign}{im_sign}i*sqrt(3))/2"
+    theta = math.atan2(z.imag, z.real)
+    return next(label for label, arg in _TORSION_ARGS.items() if abs(arg - theta) < 1e-9)
 
 
-def _representatives(values: list[complex]) -> list[complex]:
+def _distinct_stats(values: Iterable[complex]) -> tuple[int, float | None]:
+    """How many values are distinct (farther apart than _DISTINCT_TOL), and
+    the least distance between two distinct ones (None if fewer than two).
+
+    The same unit recurs across fields and contributes the same root, so
+    separation is measured between distinct roots, not raw attachments.
+    """
     reps: list[complex] = []
     for v in values:
         if all(abs(v - r) > _DISTINCT_TOL for r in reps):
             reps.append(v)
-    return reps
-
-
-def _distinct_count(values: list[complex]) -> int:
-    return len(_representatives(values))
-
-
-def _alpha_stats(rows: Iterable[SurveyRow]) -> tuple[int, float | None]:
-    # The same unit recurs across fields and contributes the same root, so
-    # separation is measured between distinct roots, not raw attachments.
-    alphas = [rep.alpha for row in rows for rep in row.alpha_reports]
-    reps = _representatives(alphas)
     if len(reps) < 2:
         return len(reps), None
-    min_sep = min(abs(a - b) for i, a in enumerate(reps) for b in reps[i + 1 :])
-    return len(reps), min_sep
+    return len(reps), min(abs(a - b) for i, a in enumerate(reps) for b in reps[i + 1 :])
 
 
 # -- imaginary scan ---------------------------------------------------------------
@@ -146,15 +153,12 @@ def _imaginary_row(args: tuple[int, int, int, int]) -> SurveyRow:
     mu = roots_of_unity(D)
     alphas = []
     for eps in mu.elements:
-        label = _torsion_label(eps)
         if eps == 1 and log_branch == 0:
-            # log(1) = 0 on the principal branch: no root to attach
-            alphas.append(UnitAlpha(label, eps, 0j, None, None, None))
-            continue
-        u = UnitInput.complex_unit(eps, log_branch)
-        rep = alpha_complex_case(u, j=branch, beta=0.0)
-        log_eps = cmath.log(eps) + 2j * math.pi * log_branch
-        alphas.append(UnitAlpha(label, eps, log_eps, None, None, rep))
+            rep = None  # log(1) = 0 on the principal branch: no root to attach
+        else:
+            u = UnitInput.complex_unit(eps, log_branch)
+            rep = alpha_complex_case(u, j=branch, beta=0.0)
+        alphas.append(UnitAlpha(_torsion_label(eps), None, None, rep))
     return SurveyRow(D=D, d=d, h=1, case=Case.COMPLEX, unit=mu, alphas=tuple(alphas))
 
 
@@ -190,14 +194,16 @@ def scan_imaginary(
         for Di, di, hi in zip(Ds, radicands, hs)
     )
     units = [eps for r in h1_rows for eps in r.unit.elements]
-    distinct_alpha, min_sep = _alpha_stats(h1_rows)
+    distinct_alpha, min_sep = _distinct_stats(
+        rep.alpha for row in h1_rows for rep in row.alpha_reports
+    )
     return SurveySummary(
         range=(-limit, -3),
         count_h1=len(h1_rows),
         rows=rows,
         distinct_alpha_count=distinct_alpha,
         min_alpha_separation=min_sep,
-        distinct_unit_count=_distinct_count(units),
+        distinct_unit_count=_distinct_stats(units)[0],
     )
 
 
@@ -217,9 +223,7 @@ def _real_row(args: tuple[int, int, str, int]) -> SurveyRow:
         u = UnitInput.from_log(reg_n, case=Case.REAL)
         rep = alpha_real_case(u, j=branch, pairing=pairing)
         label = unit.as_string() if n == 1 else f"({unit.as_string()})^{n}"
-        alphas.append(
-            UnitAlpha(label, u.epsilon, complex(reg_n), unit.norm**n, reg_n, rep)
-        )
+        alphas.append(UnitAlpha(label, unit.norm**n, reg_n, rep))
     return SurveyRow(D=D, d=d, h=h, case=Case.REAL, unit=unit, alphas=tuple(alphas))
 
 
@@ -253,7 +257,9 @@ def scan_real(
     args = [(D, branch, pairing.value, int(unit_powers)) for D in ds]
     rows = _map_rows(_real_row, args, jobs)
     h1 = sum(1 for r in rows if r.h == 1)
-    distinct_alpha, min_sep = _alpha_stats(rows)
+    distinct_alpha, min_sep = _distinct_stats(
+        rep.alpha for row in rows for rep in row.alpha_reports
+    )
     return SurveySummary(
         range=(5, limit),
         count_h1=h1,
@@ -277,34 +283,23 @@ def _f(x: float | None) -> float | None:
     return None if x is None else float(x)
 
 
+# A row without attached roots still gets one record; for a field with no
+# fundamental unit (imaginary, h != 1) every unit column of it is empty.
+_NO_UNIT = (UnitAlpha(None, None, None, None),)
+
+
 def row_records(rows: Iterable[SurveyRow], log_branch: int = 0) -> list[dict]:
     """Flatten rows to one record per (field, unit, branch), fixed key order."""
     records = []
     for row in rows:
-        base_norm = row.unit.norm if isinstance(row.unit, FundamentalUnit) else None
-        base_reg = row.unit.regulator if isinstance(row.unit, FundamentalUnit) else None
-        base_label = row.unit.as_string() if isinstance(row.unit, FundamentalUnit) else None
-        if not row.alphas:
-            records.append(
-                {
-                    "D": row.D,
-                    "d": row.d,
-                    "h": row.h,
-                    "unit": base_label,
-                    "norm": base_norm,
-                    "regulator": _f(base_reg),
-                    "alpha_re": None,
-                    "alpha_im": None,
-                    "residual_defining": None,
-                    "residual_split_1": None,
-                    "residual_split_2": None,
-                    "residual_sum_equation": None,
-                    "branch": None,
-                    "log_branch": log_branch,
-                }
+        alphas = row.alphas
+        if not alphas:
+            fu = row.unit
+            alphas = (
+                (UnitAlpha(fu.as_string(), fu.norm, fu.regulator, None),)
+                if isinstance(fu, FundamentalUnit) else _NO_UNIT
             )
-            continue
-        for ua in row.alphas:
+        for ua in alphas:
             rep = ua.report
             records.append(
                 {
@@ -361,19 +356,11 @@ def summary_to_json(summary: SurveySummary, log_branch: int = 0) -> str:
     return "".join(iter_summary_json(summary, log_branch))
 
 
-def records_to_csv(records: list[dict]) -> str:
-    lines = [",".join(CSV_COLUMNS)]
+def records_to_csv(records: Iterable[dict], columns: Sequence[str] = CSV_COLUMNS) -> str:
+    """A header line of `columns`, then one line per record; None is empty."""
+    lines = [",".join(columns)]
     for rec in records:
-        cells = []
-        for col in CSV_COLUMNS:
-            v = rec[col]
-            if v is None:
-                cells.append("")
-            elif isinstance(v, float):
-                cells.append(repr(v))
-            else:
-                cells.append(str(v))
-        lines.append(",".join(cells))
+        lines.append(",".join("" if rec[c] is None else str(rec[c]) for c in columns))
     return "\n".join(lines) + "\n"
 
 
@@ -387,36 +374,40 @@ class CorrespondenceTable:
     min_alpha_separation: float | None
 
 
-def correspondence_table(rows: Iterable[SurveyRow]) -> CorrespondenceTable:
-    """One line per (field, unit, branch) with residuals and separation stats.
+def correspondence_table(records: Iterable[dict]) -> CorrespondenceTable:
+    """One entry (keys TABLE_COLUMNS) per record with an attached root.
 
-    Supports the measured one-to-one story: every attached root appears with
-    its unit, its log, and the pairwise-distinctness statistics of the roots.
+    `records` are row records: the output of row_records, or the "rows" of
+    a scan's JSON. log eps is the regulator for a real unit and
+    i*(arg eps + 2*pi*log_branch) for a torsion unit. Supports the measured
+    one-to-one story: every attached root appears with its unit, its log,
+    and the pairwise-distinctness statistics of the roots.
     """
     entries = []
     alphas = []
-    for row in rows:
-        for ua in row.alphas:
-            if ua.report is None:
-                continue
-            rep = ua.report
-            alphas.append(rep.alpha)
-            entries.append(
-                {
-                    "D": row.D,
-                    "unit": ua.unit_label,
-                    "log_eps_re": ua.log_eps.real,
-                    "log_eps_im": ua.log_eps.imag,
-                    "alpha_re": rep.alpha.real,
-                    "alpha_im": rep.alpha.imag,
-                    "residual_defining": _f(rep.residual_defining),
-                    "residual_split_1": _f(rep.residual_split_1),
-                    "residual_split_2": _f(rep.residual_split_2),
-                    "branch": rep.branch,
-                }
-            )
-    reps = _representatives(alphas)
-    if len(reps) < 2:
-        return CorrespondenceTable(tuple(entries), len(alphas), len(reps), None)
-    min_sep = min(abs(a - b) for i, a in enumerate(reps) for b in reps[i + 1 :])
-    return CorrespondenceTable(tuple(entries), len(alphas), len(reps), min_sep)
+    for rec in records:
+        if rec.get("alpha_re") is None:
+            continue
+        alpha = complex(rec["alpha_re"], rec["alpha_im"])
+        alphas.append(alpha)
+        if rec.get("regulator") is not None:
+            log_re, log_im = rec["regulator"], 0.0
+        else:
+            theta = _TORSION_ARGS.get(rec.get("unit"), 0.0)
+            log_re, log_im = 0.0, theta + 2 * math.pi * rec.get("log_branch", 0)
+        entries.append(
+            {
+                "D": rec["D"],
+                "unit": rec["unit"],
+                "log_eps_re": log_re,
+                "log_eps_im": log_im,
+                "alpha_re": alpha.real,
+                "alpha_im": alpha.imag,
+                "residual_defining": rec["residual_defining"],
+                "residual_split_1": rec["residual_split_1"],
+                "residual_split_2": rec["residual_split_2"],
+                "branch": rec["branch"],
+            }
+        )
+    distinct, min_sep = _distinct_stats(alphas)
+    return CorrespondenceTable(tuple(entries), len(alphas), distinct, min_sep)

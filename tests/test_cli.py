@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import math
@@ -8,7 +9,7 @@ import pytest
 
 from lgw.cli import run
 from lgw.solver import Pairing
-from lgw.survey import scan_imaginary, scan_real, summary_to_json
+from lgw.survey import correspondence_table, row_records, scan_imaginary, scan_real, summary_to_json
 
 OMEGA = 0.5671432904097838
 
@@ -227,6 +228,31 @@ class TestVerifyCommand:
         )
         assert code == 3
 
+    def test_bad_tolerance_exits_before_output(self, capsys):
+        code = run(["verify", "--case", "complex", "--alpha-re", "0.1", "--eps-re", "0",
+                    "--eps-im", "1", "--tolerance", "1e-3"])
+        captured = capsys.readouterr()
+        assert code == 64
+        assert captured.out == ""
+        assert "--tolerance" in captured.err
+
+
+class TestPointCsv:
+    @pytest.mark.parametrize("argv", [
+        ["w", "--re", "1"],
+        ["solve", "--a-re", "0", "--b-re", "1", "--c-re", "-1"],
+        ["alpha", "--case", "real", "--d", "5"],
+        ["unit", "--d", "94"],
+        ["classno", "--d", "10", "--narrow"],
+        ["verify", "--case", "real", "--alpha-re", "0", "--log-eps-re", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_header_and_row_have_equal_length(self, capsys, argv):
+        assert run(argv + ["--format", "csv"]) == 0
+        lines = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert len(lines) == 2
+        assert len(lines[0]) == len(lines[1])
+        assert "conventions" not in lines[0]
+
 
 class TestTableCommand:
     def test_from_scan_json(self, capsys, monkeypatch):
@@ -248,6 +274,35 @@ class TestTableCommand:
         code, obj = run_json(capsys, ["table", "--input", str(p)])
         assert code == 0
         assert {e["D"] for e in obj["entries"]} == {5, 8}
+
+    @pytest.mark.parametrize("scan, log_branch, argv", [
+        (lambda: scan_imaginary(2000, log_branch=1), 1,
+         ["scan", "--imaginary", "--limit", "2000", "--log-branch", "1"]),
+        (lambda: scan_real(300, unit_powers=2), 0,
+         ["scan", "--real", "--limit", "300", "--powers", "2"]),
+    ], ids=["imaginary", "real"])
+    def test_matches_library_table(self, capsys, monkeypatch, scan, log_branch, argv):
+        run(argv)
+        monkeypatch.setattr("sys.stdin", io.StringIO(capsys.readouterr().out))
+        code, obj = run_json(capsys, ["table"])
+        assert code == 0
+        lib = list(correspondence_table(row_records(scan().rows, log_branch)).entries)
+        assert lib == obj["entries"]
+        # torsion units (D < 0) have |eps| = 1, so log |eps| is exactly 0
+        assert all(e["log_eps_re"] == 0.0 for e in lib if e["D"] < 0)
+
+    @pytest.mark.parametrize("stdin, argv", [
+        ("", ["--input", "no-such-scan.json"]),
+        ("not json", []),
+        ('{"range": [-10, -3]}', []),
+    ], ids=["missing-file", "not-json", "no-rows"])
+    def test_bad_input_is_usage_error(self, capsys, monkeypatch, tmp_path, stdin, argv):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        assert run(["table", *argv]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage error" in captured.err
 
 
 class TestGoldenOutput:

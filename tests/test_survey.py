@@ -238,7 +238,7 @@ class TestCorrespondenceTable:
 
     def test_imaginary_table(self):
         s = scan_imaginary(200)
-        tab = correspondence_table(s.rows)
+        tab = correspondence_table(row_records(s.rows))
         assert tab.n_alpha == 15
         assert tab.distinct_alpha_count == 7
         assert tab.min_alpha_separation > 1e-3
@@ -247,7 +247,7 @@ class TestCorrespondenceTable:
 
     def test_real_rows(self):
         s = scan_real(10)
-        tab = correspondence_table(s.rows)
+        tab = correspondence_table(row_records(s.rows))
         ds = {e["D"] for e in tab.entries}
         assert ds == {5, 8}
         for e in tab.entries:
