@@ -321,7 +321,10 @@ def _cmd_table(ns) -> int:
         raise UsageError(f"input is not JSON: {exc}") from exc
     except KeyError as exc:
         raise UsageError('input JSON object has no "rows"') from exc
-    tab = survey.correspondence_table(records)
+    try:
+        tab = survey.correspondence_table(records)
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise UsageError(f"input rows are not scan row records: {exc!r}") from exc
     if ns.format == "csv":
         sys.stdout.write(survey.records_to_csv(tab.entries, survey.TABLE_COLUMNS))
     elif ns.format == "plain":

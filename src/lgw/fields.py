@@ -407,16 +407,16 @@ def reduce_form(form: BinaryQuadraticForm) -> tuple[BinaryQuadraticForm, int]:
     s = isqrt(D)
     while not f.is_reduced():
         steps += 1
-        a, b, c = f.a, f.b, f.c
-        m = 2 * abs(c)
+        c = f.c
         if abs(c) > s:
             # pull b into (-|c|, |c|]
-            r = (-b) % m
+            m = 2 * abs(c)
+            r = (-f.b) % m
             if r > abs(c):
                 r -= m
+            f = BinaryQuadraticForm(c, r, (r * r - D) // (4 * c))
         else:
-            r = s - ((s + b) % m)
-        f = BinaryQuadraticForm(c, r, (r * r - D) // (4 * c))
+            f = _indefinite_neighbor(f, D)
         if steps > 10_000:
             raise PrecisionLoss("form reduction did not terminate")
     return f, steps

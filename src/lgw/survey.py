@@ -381,7 +381,9 @@ def correspondence_table(records: Iterable[dict]) -> CorrespondenceTable:
     a scan's JSON. log eps is the regulator for a real unit and
     i*(arg eps + 2*pi*log_branch) for a torsion unit. Supports the measured
     one-to-one story: every attached root appears with its unit, its log,
-    and the pairwise-distinctness statistics of the roots.
+    and the pairwise-distinctness statistics of the roots. A record that
+    lacks a key, or a torsion record whose unit label is not one of
+    _TORSION_ARGS, raises KeyError.
     """
     entries = []
     alphas = []
@@ -393,7 +395,7 @@ def correspondence_table(records: Iterable[dict]) -> CorrespondenceTable:
         if rec.get("regulator") is not None:
             log_re, log_im = rec["regulator"], 0.0
         else:
-            theta = _TORSION_ARGS.get(rec.get("unit"), 0.0)
+            theta = _TORSION_ARGS[rec["unit"]]
             log_re, log_im = 0.0, theta + 2 * math.pi * rec.get("log_branch", 0)
         entries.append(
             {

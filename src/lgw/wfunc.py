@@ -6,10 +6,25 @@ Jeffrey & Knuth, Adv. Comput. Math. 5, 1996): W_0 is the principal branch,
 real on [-1/e, inf); Im W_k(z) lives in horizontal strips indexed by k,
 and values on the cuts are continuous from above.
 
-Evaluation seeds an initial guess per region (Taylor/Pade near 0,
-branch-point series in p = +/-sqrt(2(e*z+1)) near z = -1/e, asymptotic
-L1 - L2 + L2/L1 with L1 = log z + 2*pi*i*k, L2 = log L1 elsewhere) and
-polishes it with Halley's method.
+Both entry points share one seed table (_initial_guess) and one Halley
+loop (_halley); lambert_w runs them in complex arithmetic, lambert_w_real
+in floats. The seed regions, first match wins:
+
+- |z + 1/e| <= 0.3: the branch-point series in p = sqrt(2(e*z+1)), with
+  +p for W_0 and -p for W_-1 (Im z >= 0) and W_+1 (Im z < 0);
+- k = 0 in the box -1 < Re z < 1.5, |Im z| < 1, Re z > -2.5|Im z| - 0.2:
+  the Pade [3/2] approximant of the Maclaurin series;
+- k = 0, |z| <= 2: the three-term L1 - L2 + L2/L1 with L1 = log z,
+  L2 = log L1; more terms of the series pull Halley onto W_{+-1} there;
+- k = -1 on the real segment [-1/e, 0): L1 - log(-L1) with L1 = log(-z);
+- otherwise: the asymptotic series in L2/L1 through its 1/L1^3 terms,
+  with L1 = log z + 2*pi*i*k.
+
+Halley stops when its step falls below 1e-15 relative. If it has not after
+64 steps, either entry point raises NoConvergence unless the residual
+|w e^w - z| / (1 + |z|) is already <= 1e-12 (the last steps can stall at
+rounding level near the branch point); lambert_w also raises it for a
+larger residual after a step that did fall below tolerance.
 """
 
 from __future__ import annotations
@@ -88,67 +103,65 @@ def _series_seed(z: complex) -> complex:
     return z * num / den
 
 
-def _branch_point_seed(z: complex, negative_root: bool) -> complex:
-    p = cmath.sqrt(2.0 * (math.e * z + 1.0))
-    if negative_root:
-        p = -p
+def _branch_point_seed(p: complex) -> complex:
+    # Series of W in p = +/-sqrt(2(e*z+1)) about the branch point.
     return -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0 - p * 43.0 / 540.0)))
 
 
-def _asymptotic_seed(z: complex, k: int) -> complex:
-    l1 = cmath.log(z) + 2j * math.pi * k
-    l2 = cmath.log(l1)
+def _asymptotic_seed(z: complex, k: int, log, full: bool = True) -> complex:
+    # k = 0 adds no imaginary shift, so a real z keeps a real seed.
+    l1 = log(z) + 2j * math.pi * k if k else log(z)
+    l2 = log(l1)
     r = l2 / l1
+    if not full:
+        return l1 - l2 + r  # the three-term seed
     # First terms of the standard asymptotic expansion in l2/l1.
     return l1 - l2 + r * (1.0 + (l2 - 2.0) / (2.0 * l1) + (2.0 * l2 * l2 - 9.0 * l2 + 6.0) / (6.0 * l1 * l1))
 
 
-def _initial_guess(k: int, z: complex) -> complex:
-    near_bp = abs(z - BRANCH_POINT_Z) <= 0.3
-    if k == 0:
-        if near_bp:
-            return _branch_point_seed(z, negative_root=False)
-        # Pade seed only away from the cut, where it stays on-branch.
-        if -1.0 < z.real < 1.5 and abs(z.imag) < 1.0 and z.real > -2.5 * abs(z.imag) - 0.2:
-            return _series_seed(z)
-        return _asymptotic_seed(z, 0)
+def _initial_guess(k: int, z: complex, sqrt, log) -> complex:
+    """The seed table; sqrt and log are cmath's for complex z, math's for real z."""
     # Branches -1 and +1 pinch onto the -1 - p cluster at the branch point:
     # W_-1 owns it for Im z >= 0 (cut values continuous from above), W_+1
     # for Im z < 0; on the other side both run in their asymptotic strips.
-    if k == -1:
-        if z.imag == 0.0 and BRANCH_POINT_Z <= z.real < 0.0:
-            # Real branch segment; keep the iteration on the real line.
-            if near_bp:
-                return _branch_point_seed(z, negative_root=True)
-            l1 = math.log(-z.real)
-            return complex(l1 - math.log(-l1))
-        if near_bp and z.imag >= 0.0:
-            return _branch_point_seed(z, negative_root=True)
-        return _asymptotic_seed(z, -1)
-    if k == 1 and near_bp and z.imag < 0.0:
-        return _branch_point_seed(z, negative_root=True)
-    return _asymptotic_seed(z, k)
+    if abs(z - BRANCH_POINT_Z) <= 0.3 and (
+        k == 0 or (k == -1 and z.imag >= 0.0) or (k == 1 and z.imag < 0.0)
+    ):
+        p = sqrt(2.0 * (math.e * z + 1.0))
+        return _branch_point_seed(-p if k else p)
+    if k == 0:
+        # Pade seed only away from the cut, where it stays on-branch.
+        x, y = z.real, abs(z.imag)
+        if -1.0 < x < 1.5 and y < 1.0 and x > -2.5 * y - 0.2:
+            return _series_seed(z)
+        # Near |z| ~ 1-2 the higher terms pull Halley onto W_{+-1}.
+        return _asymptotic_seed(z, 0, log, abs(z) > 2.0)
+    if k == -1 and z.imag == 0.0 and BRANCH_POINT_Z <= z.real < 0.0:
+        # Real branch segment; keep the iteration on the real line.
+        l1 = log(-z.real)
+        return l1 - log(-l1)
+    return _asymptotic_seed(z, k, log)
 
 
-def _halley(z: complex, w: complex) -> tuple[complex, int, bool]:
-    """Polish a seed; returns (w, iterations, converged-by-step-size)."""
-    for it in range(1, _MAX_ITER + 1):
+def _halley(z: complex, w: complex, exp) -> tuple[complex, int, bool]:
+    """Polish a seed; returns (w, iterations, converged-by-step-size).
+
+    exp is cmath.exp for complex z and w, math.exp for real ones.
+    """
+    it = 0
+    while it < _MAX_ITER:  # cheaper than a range() per call on the real path
+        it += 1
+        wp1 = w + 1.0
+        if wp1 == 0.0:
+            w += 1e-8
+            continue
         if w.real > 0.0:
             # Rearranged update avoids overflow in exp(w) for large Re w.
-            ewz = z * cmath.exp(-w)
-            f = w - ewz
-            wp1 = w + 1.0
-            if wp1 == 0.0:
-                w += 1e-8
-                continue
+            f = w - z * exp(-w)
             denom = wp1 - (w + 2.0) * f / (2.0 * wp1)
         else:
-            ew = cmath.exp(w)
+            ew = exp(w)
             f = w * ew - z
-            wp1 = w + 1.0
-            if wp1 == 0.0:
-                w += 1e-8
-                continue
             denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
         if denom == 0.0 or f == 0.0:
             return w, it, True
@@ -185,8 +198,7 @@ def lambert_w(k: int, z: complex) -> WEvaluation:
         if k == 0:
             return WEvaluation(0j, 0, 0.0, 0)
         raise BranchSingularity(f"W_{k}(0) diverges")
-    w0 = _initial_guess(k, z)
-    w, iterations, stepped = _halley(z, w0)
+    w, iterations, stepped = _halley(z, _initial_guess(k, z, cmath.sqrt, cmath.log), cmath.exp)
     res = _residual(w, z)
     if not stepped and res > _RESIDUAL_TOL:
         raise NoConvergence(
@@ -200,8 +212,18 @@ def lambert_w(k: int, z: complex) -> WEvaluation:
 def lambert_w_real(k: int, x: float) -> float:
     """Real-restricted fast path for branches 0 and -1.
 
-    k = 0 needs x >= -1/e; k = -1 needs -1/e <= x < 0. Agrees with
-    lambert_w to ~1 ulp (1e-14 relative).
+    k = 0 needs x >= -1/e; k = -1 needs -1/e <= x < 0. Runs lambert_w's
+    seed table and Halley loop in floats, so it agrees with lambert_w to
+    ~1 ulp (1e-14 relative). On the real line the table reads: for k = 0,
+    the branch-point series for x <= -1/e + 0.3, the Pade seed below 1.5,
+    the three-term L1 - L2 + L2/L1 up to 2, the asymptotic series beyond;
+    for k = -1, the branch-point series (root -p) for x <= -1/e + 0.3,
+    L1 - log(-L1) with L1 = log(-x) beyond.
+
+    Raises
+    ------
+    NonFinite, DomainError, NoConvergence (Halley did not settle and the
+    residual exceeds 1e-12)
     """
     x = float(x)
     if not math.isfinite(x):
@@ -218,37 +240,11 @@ def lambert_w_real(k: int, x: float) -> float:
         return 0.0
     if x == BRANCH_POINT_Z:
         return -1.0
-
-    if k == 0:
-        if abs(x - BRANCH_POINT_Z) <= 0.3:
-            p = math.sqrt(2.0 * (math.e * x + 1.0))
-            w = -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0 - p * 43.0 / 540.0)))
-        elif x <= 1.5:
-            w = x * (1.0 + x * (1.9 + 0.2833333333333333 * x)) / (
-                1.0 + x * (2.9 + 1.6833333333333333 * x)
-            )
-        else:
-            l1 = math.log(x)
-            l2 = math.log(l1)
-            w = l1 - l2 + l2 / l1
-    else:
-        if abs(x - BRANCH_POINT_Z) <= 0.3:
-            p = -math.sqrt(2.0 * (math.e * x + 1.0))
-            w = -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0 - p * 43.0 / 540.0)))
-        else:
-            l1 = math.log(-x)
-            w = l1 - math.log(-l1)
-
-    for _ in range(_MAX_ITER):
-        ew = math.exp(w)
-        f = w * ew - x
-        wp1 = w + 1.0
-        if wp1 == 0.0 or f == 0.0:
-            break
-        dw = f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))
-        w -= dw
-        if abs(dw) < _STEP_TOL * (1.0 + abs(w)):
-            break
+    w, _, stepped = _halley(x, _initial_guess(k, x, math.sqrt, math.log), math.exp)
+    # Near the branch point the last steps stall at rounding level, as in
+    # lambert_w; the residual decides there.
+    if not stepped and _residual(w, x) > _RESIDUAL_TOL:
+        raise NoConvergence(f"Halley failed for real W_{k}({x!r}) after {_MAX_ITER} iterations")
     return w
 
 

@@ -36,6 +36,18 @@ class TestWCommand:
         assert code == 0
         assert obj["re"] == pytest.approx(-3.577152063957297, abs=1e-12)
 
+    @pytest.mark.parametrize("re, im, expected", [
+        ("0.456", "-1.002", 0.5041774287157712 - 0.4335244549887842j),
+        ("1.608", "0", 0.7554426202636394 + 0j),
+    ], ids=["annulus", "real-axis"])
+    def test_principal_branch_from_the_three_term_seed(self, capsys, re, im, expected):
+        # With the five-term asymptotic seed, Halley lands on W_1 at the first
+        # point (-1.135+3.231j, residual small enough to pass) and does not
+        # settle at the second (exit 3).
+        code, obj = run_json(capsys, ["w", "--re", re, "--im", im])
+        assert code == 0
+        assert complex(obj["re"], obj["im"]) == pytest.approx(expected, abs=1e-12)
+
     def test_scientific_notation_accepted(self, capsys):
         code, obj = run_json(capsys, ["w", "--re", "1e-3"])
         assert code == 0
@@ -295,7 +307,13 @@ class TestTableCommand:
         ("", ["--input", "no-such-scan.json"]),
         ("not json", []),
         ('{"range": [-10, -3]}', []),
-    ], ids=["missing-file", "not-json", "no-rows"])
+        ('{"rows": 5}', []),
+        ('[{"alpha_re": 0.1}]', []),
+        (json.dumps([{"D": -4, "unit": "zz", "regulator": None, "alpha_re": 0.1, "alpha_im": 0.2,
+                      "residual_defining": 0.0, "residual_split_1": 0.0, "residual_split_2": 0.0,
+                      "branch": 0}]), []),
+    ], ids=["missing-file", "not-json", "no-rows", "rows-not-list", "record-lacks-key",
+            "unknown-torsion-label"])
     def test_bad_input_is_usage_error(self, capsys, monkeypatch, tmp_path, stdin, argv):
         monkeypatch.chdir(tmp_path)
         monkeypatch.setattr("sys.stdin", io.StringIO(stdin))

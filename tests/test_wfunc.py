@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lgw import wfunc
 from lgw.errors import (
     BranchPointSingularity,
     BranchSingularity,
     DomainError,
+    NoConvergence,
     NonFinite,
     TermLimitExceeded,
 )
@@ -99,6 +101,38 @@ class TestRealFastPath:
         xs = np.linspace(BRANCH_POINT_Z, 10.0, 300)
         ws = [lambert_w_real(0, x) for x in xs]
         assert all(b > a for a, b in zip(ws, ws[1:]))
+
+    def test_no_convergence_raises(self, monkeypatch):
+        monkeypatch.setattr(wfunc, "_MAX_ITER", 1)
+        with pytest.raises(NoConvergence):
+            lambert_w_real(0, 100.0)
+
+
+class TestPrincipalBranch:
+    """W_0 must land on branch 0, not only satisfy w*e^w = z."""
+
+    def test_real_axis_against_bisection_oracle(self):
+        # From the five-term asymptotic seed Halley does not settle at 1.553
+        # and 1.608 (NoConvergence).
+        for x in [*np.linspace(1.4, 4.0, 261), 1.553, 1.608]:
+            assert abs(lambert_w(0, x).value - w_principal_real(x)) < 1e-12 * (1 + x)
+
+    def test_polar_grid_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        zs = [cmath.rect(r, t) for r in np.logspace(-2, 3, 120)
+              for t in np.linspace(-math.pi, math.pi, 360)[1:]]
+        zs += list(np.linspace(1.4, 4.0, 500))
+        wrong, failed = [], []
+        for z in zs:
+            try:
+                w = lambert_w(0, z).value
+            except NoConvergence:
+                failed.append(z)
+                continue
+            ref = complex(mpmath.fp.lambertw(z, 0))
+            if abs(w - ref) > 1e-8 * (1 + abs(ref)):
+                wrong.append(z)
+        assert (len(wrong), len(failed)) == (0, 0), (wrong[:5], failed[:5])
 
 
 def log_radial_grid(n_radii=25, n_angles=40):
