@@ -323,7 +323,7 @@ def _cmd_table(ns) -> int:
         raise UsageError('input JSON object has no "rows"') from exc
     try:
         tab = survey.correspondence_table(records)
-    except (AttributeError, KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"input rows are not scan row records: {exc!r}") from exc
     if ns.format == "csv":
         sys.stdout.write(survey.records_to_csv(tab.entries, survey.TABLE_COLUMNS))

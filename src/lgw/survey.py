@@ -10,21 +10,26 @@ can be diffed and pinned in tests.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .fields import (
     FundamentalUnit,
     RootsOfUnity,
+    _check_real_size,
     _fundamental_discriminant_array,
+    _narrow_class_numbers,
+    _squarefree_mask,
     _wide_class_number,
     class_numbers_imaginary_batch,
     fundamental_unit,
-    is_squarefree,
-    radicand_of_discriminant,
+    is_squarefree,  # kept in this namespace so callers can count its calls here
     roots_of_unity,
 )
 from .solver import Case, FixedPointReport, Pairing, UnitInput, alpha_complex_case, alpha_real_case
@@ -135,14 +140,38 @@ def _distinct_stats(values: Iterable[complex]) -> tuple[int, float | None]:
 
     The same unit recurs across fields and contributes the same root, so
     separation is measured between distinct roots, not raw attachments.
+    Values are taken in input order: each one is a new representative
+    unless an earlier representative lies within _DISTINCT_TOL of it. The
+    values must be finite.
     """
+    # Representatives by grid cell. A cell side of twice the tolerance keeps
+    # any two values within it in neighbouring cells whatever the rounding
+    # of the cell index, so the 3 x 3 cells around a value hold every
+    # representative that can absorb it.
+    side = 2 * _DISTINCT_TOL
+    cells: dict[tuple[float, float], list[complex]] = {}
     reps: list[complex] = []
     for v in values:
-        if all(abs(v - r) > _DISTINCT_TOL for r in reps):
+        x, y = v.real // side, v.imag // side
+        if all(
+            abs(v - r) > _DISTINCT_TOL
+            for dx in (-1.0, 0.0, 1.0)
+            for dy in (-1.0, 0.0, 1.0)
+            for r in cells.get((x + dx, y + dy), ())
+        ):
+            cells.setdefault((x, y), []).append(v)
             reps.append(v)
     if len(reps) < 2:
         return len(reps), None
-    return len(reps), min(abs(a - b) for i, a in enumerate(reps) for b in reps[i + 1 :])
+    # Sweep by real part: no later value can come closer than its real gap.
+    reps.sort(key=lambda z: z.real)
+    best = math.inf
+    for i, a in enumerate(reps):
+        for b in reps[i + 1 :]:
+            if b.real - a.real >= best:
+                break
+            best = min(best, abs(b - a))
+    return len(reps), best
 
 
 # -- imaginary scan ---------------------------------------------------------------
@@ -209,11 +238,11 @@ def scan_imaginary(
 
 # -- real scan ---------------------------------------------------------------------
 
-def _real_row(args: tuple[int, int, str, int]) -> SurveyRow:
-    D, branch, pairing_value, unit_powers = args
-    d = radicand_of_discriminant(D)
+def _real_row(args: tuple[int, int, int, int, str, int]) -> SurveyRow:
+    """The row of discriminant D, radicand d and narrow class number h_plus."""
+    D, d, h_plus, branch, pairing_value, unit_powers = args
     unit = fundamental_unit(d)
-    h = _wide_class_number(D, unit)
+    h = _wide_class_number(h_plus, unit)
     if h != 1:
         return SurveyRow(D=D, d=d, h=h, case=Case.REAL, unit=unit, alphas=())
     pairing = Pairing(pairing_value)
@@ -241,20 +270,31 @@ def scan_real(
     With by_radicand=True the range bounds the squarefree radicand d
     instead of the discriminant (so d <= limit, D possibly 4*limit).
     count_h1 is a raw count; it grows without any claimed bound.
+
+    Discriminants and radicands come from the squarefree sieve, and the
+    narrow class numbers of all of them from one run of the form sieve in
+    this process, so the rows do not depend on the worker count. limit may
+    be at most fields._MAX_REAL_D (10^8), a quarter of it with
+    by_radicand=True; a larger one raises TermLimitExceeded at once.
     """
     limit = int(limit)
+    _check_real_size(4 * limit if by_radicand else limit)
     if by_radicand:
-        ds = sorted(
-            d if d % 4 == 1 else 4 * d
-            for d in range(2, limit + 1)
-            if is_squarefree(d)
-        )
+        d = np.flatnonzero(_squarefree_mask(2, max(limit, 1))) + 2
+        D = np.where(d % 4 == 1, d, 4 * d)
+        order = np.argsort(D)
+        D, d = D[order], d[order]
     else:
-        ds = _fundamental_discriminant_array(5, limit).tolist()
-    if not ds:
+        # the sieve has proved every D fundamental: d is D or D/4
+        D = _fundamental_discriminant_array(5, limit)
+        d = np.where(D % 4 == 1, D, D // 4)
+    if not len(D):
         return SurveySummary((5, limit), 0, (), 0, None, 0)
     pairing = Pairing(pairing)
-    args = [(D, branch, pairing.value, int(unit_powers)) for D in ds]
+    args = [
+        (Di, di, hi, branch, pairing.value, int(unit_powers))
+        for Di, di, hi in zip(D.tolist(), d.tolist(), _narrow_class_numbers(D).tolist())
+    ]
     rows = _map_rows(_real_row, args, jobs)
     h1 = sum(1 for r in rows if r.h == 1)
     distinct_alpha, min_sep = _distinct_stats(
@@ -383,7 +423,7 @@ def correspondence_table(records: Iterable[dict]) -> CorrespondenceTable:
     one-to-one story: every attached root appears with its unit, its log,
     and the pairwise-distinctness statistics of the roots. A record that
     lacks a key, or a torsion record whose unit label is not one of
-    _TORSION_ARGS, raises KeyError.
+    _TORSION_ARGS, raises KeyError; a non-finite alpha raises ValueError.
     """
     entries = []
     alphas = []
@@ -391,6 +431,8 @@ def correspondence_table(records: Iterable[dict]) -> CorrespondenceTable:
         if rec.get("alpha_re") is None:
             continue
         alpha = complex(rec["alpha_re"], rec["alpha_im"])
+        if not cmath.isfinite(alpha):
+            raise ValueError(f"non-finite alpha {alpha!r} at D={rec.get('D')!r}")
         alphas.append(alpha)
         if rec.get("regulator") is not None:
             log_re, log_im = rec["regulator"], 0.0

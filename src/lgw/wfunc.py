@@ -20,11 +20,13 @@ in floats. The seed regions, first match wins:
 - otherwise: the asymptotic series in L2/L1 through its 1/L1^3 terms,
   with L1 = log z + 2*pi*i*k.
 
-Halley stops when its step falls below 1e-15 relative. If it has not after
-64 steps, either entry point raises NoConvergence unless the residual
-|w e^w - z| / (1 + |z|) is already <= 1e-12 (the last steps can stall at
-rounding level near the branch point); lambert_w also raises it for a
-larger residual after a step that did fall below tolerance.
+Halley stops when its step falls below 1e-15 relative. It also stops when
+it stalls at rounding level, as it does near the branch point: a step below
+1e-13 relative that did not shrink from the one before. If it stalled or
+has not converged after 64 steps, either entry point raises NoConvergence
+unless the residual |w e^w - z| / (1 + |z|) is already <= 1e-12;
+lambert_w also raises it for a larger residual after a step that did fall
+below tolerance.
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ OMEGA = 0.5671432904097838
 _TWO_PI = 2.0 * math.pi
 _MAX_ITER = 64
 _STEP_TOL = 1e-15
+_STALL_TOL = 1e-13
 _RESIDUAL_TOL = 1e-12
 
 
@@ -146,9 +149,13 @@ def _initial_guess(k: int, z: complex, sqrt, log) -> complex:
 def _halley(z: complex, w: complex, exp) -> tuple[complex, int, bool]:
     """Polish a seed; returns (w, iterations, converged-by-step-size).
 
-    exp is cmath.exp for complex z and w, math.exp for real ones.
+    exp is cmath.exp for complex z and w, math.exp for real ones. A step
+    below _STALL_TOL relative that is no smaller than the one before is
+    rounding noise: the loop stops there too, unconverged, and the caller's
+    residual check decides.
     """
     it = 0
+    last = math.inf
     while it < _MAX_ITER:  # cheaper than a range() per call on the real path
         it += 1
         wp1 = w + 1.0
@@ -167,8 +174,13 @@ def _halley(z: complex, w: complex, exp) -> tuple[complex, int, bool]:
             return w, it, True
         dw = f / denom
         w = w - dw
-        if abs(dw) < _STEP_TOL * (1.0 + abs(w)):
+        step = abs(dw)
+        scale = 1.0 + abs(w)
+        if step < _STEP_TOL * scale:
             return w, it, True
+        if step < _STALL_TOL * scale and step >= last:
+            return w, it, False
+        last = step
     return w, _MAX_ITER, False
 
 
@@ -202,7 +214,7 @@ def lambert_w(k: int, z: complex) -> WEvaluation:
     res = _residual(w, z)
     if not stepped and res > _RESIDUAL_TOL:
         raise NoConvergence(
-            f"Halley failed for W_{k}({z!r}): residual {res:.3e} after {_MAX_ITER} iterations"
+            f"Halley failed for W_{k}({z!r}): residual {res:.3e} after {iterations} iterations"
         )
     if res > _RESIDUAL_TOL:
         raise NoConvergence(f"W_{k}({z!r}) converged to residual {res:.3e} > 1e-12")
@@ -240,11 +252,11 @@ def lambert_w_real(k: int, x: float) -> float:
         return 0.0
     if x == BRANCH_POINT_Z:
         return -1.0
-    w, _, stepped = _halley(x, _initial_guess(k, x, math.sqrt, math.log), math.exp)
+    w, iterations, stepped = _halley(x, _initial_guess(k, x, math.sqrt, math.log), math.exp)
     # Near the branch point the last steps stall at rounding level, as in
     # lambert_w; the residual decides there.
     if not stepped and _residual(w, x) > _RESIDUAL_TOL:
-        raise NoConvergence(f"Halley failed for real W_{k}({x!r}) after {_MAX_ITER} iterations")
+        raise NoConvergence(f"Halley failed for real W_{k}({x!r}) after {iterations} iterations")
     return w
 
 

@@ -108,3 +108,59 @@ def reduced_definite_forms_brute(D: int, bound: int | None = None) -> set[tuple[
                 continue
             out.add((a, b, c))
     return out
+
+
+def _reduced_indefinite(D: int, a: int, b: int) -> bool:
+    # 0 < b < sqrt(D) and sqrt(D) - b < 2|a| < sqrt(D) + b, squared out
+    # exactly for non-square D > 0
+    two_a = 2 * abs(a)
+    return 0 < b and b * b < D < (two_a + b) ** 2 and (two_a <= b or (two_a - b) ** 2 < D)
+
+
+def reduced_indefinite_forms_brute(D: int) -> set[tuple[int, int, int]]:
+    """All reduced primitive forms of non-square discriminant D > 0 by loops."""
+    assert D > 0 and isqrt(D) ** 2 != D
+    bound = isqrt(D) + 1
+    out = set()
+    for a in range(-bound, bound + 1):
+        for b in range(1, bound + 1):
+            if a == 0 or (b * b - D) % (4 * a):
+                continue
+            c = (b * b - D) // (4 * a)
+            if _reduced_indefinite(D, a, b) and gcd(gcd(a, b), c) == 1:
+                out.add((a, b, c))
+    return out
+
+
+def narrow_class_number_brute(D: int) -> int:
+    """Cycles of the reduced forms of D under the right neighbour (a, b, c) ->
+    (c, b', c'): b' = -b mod 2|c|, and the unique b' with that form reduced,
+    found by a loop over b'."""
+    forms = reduced_indefinite_forms_brute(D)
+    seen: set[tuple[int, int, int]] = set()
+    cycles = 0
+    for f in forms:
+        if f in seen:
+            continue
+        cycles += 1
+        while f not in seen:
+            seen.add(f)
+            _, b, c = f
+            (f,) = [
+                (c, b2, (b2 * b2 - D) // (4 * c))
+                for b2 in range(1, isqrt(D) + 1)
+                if (b + b2) % (2 * abs(c)) == 0 and _reduced_indefinite(D, c, b2)
+            ]
+    return cycles
+
+
+def distinct_stats_pairwise(values, tol: float) -> tuple[int, float | None]:
+    """Greedy input-order representatives within tol, and the least pairwise
+    distance between them (None for fewer than two), over all pairs."""
+    reps: list[complex] = []
+    for v in values:
+        if all(abs(v - r) > tol for r in reps):
+            reps.append(v)
+    if len(reps) < 2:
+        return len(reps), None
+    return len(reps), min(abs(a - b) for i, a in enumerate(reps) for b in reps[i + 1 :])

@@ -1,9 +1,12 @@
 import csv
+import hashlib
 import io
 import json
 import math
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -164,6 +167,15 @@ class TestClassnoCommand:
     def test_not_fundamental_exit_2(self, capsys):
         assert run(["classno", "--discriminant", "-12"]) == 2
 
+    def test_above_real_ceiling_exit_2_at_once(self, capsys):
+        # 100000005 is squarefree and 1 mod 4: fundamental, just above the ceiling
+        t0 = time.perf_counter()
+        assert run(["classno", "--discriminant", "100000005"]) == 2
+        assert time.perf_counter() - t0 < 2.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "100000000" in captured.err
+
 
 class TestScanCommand:
     def test_empty_real_csv(self, capsys):
@@ -205,6 +217,11 @@ class TestScanCommand:
             {**json.loads(summary_to_json(s, log_branch)), "conventions": conventions}
         ) + "\n"
         assert out == expected
+
+    def test_real_limit_above_ceiling_exit_2(self, capsys):
+        assert run(["scan", "--real", "--limit", "100000001"]) == 2
+        assert run(["scan", "--real", "--by-radicand", "--limit", "25000001"]) == 2
+        assert capsys.readouterr().out == ""
 
     def test_jobs_flag_deterministic(self, capsys):
         code = run(["scan", "--real", "--limit", "120", "--jobs", "1"])
@@ -312,8 +329,13 @@ class TestTableCommand:
         (json.dumps([{"D": -4, "unit": "zz", "regulator": None, "alpha_re": 0.1, "alpha_im": 0.2,
                       "residual_defining": 0.0, "residual_split_1": 0.0, "residual_split_2": 0.0,
                       "branch": 0}]), []),
+        (json.dumps([{"D": 5, "unit": "(1+1*sqrt(5))/2", "regulator": 0.48, "alpha_re": math.nan,
+                      "alpha_im": 0.0, "residual_defining": 0.0, "residual_split_1": 0.0,
+                      "residual_split_2": 0.0, "branch": 0}]), []),
+        ('[{"D": -4, "unit": "-1", "regulator": null, "alpha_re": 0.1, "alpha_im": Infinity, '
+         '"residual_defining": 0.0, "residual_split_1": 0.0, "residual_split_2": 0.0, "branch": 0}]', []),
     ], ids=["missing-file", "not-json", "no-rows", "rows-not-list", "record-lacks-key",
-            "unknown-torsion-label"])
+            "unknown-torsion-label", "nan-alpha", "infinite-alpha"])
     def test_bad_input_is_usage_error(self, capsys, monkeypatch, tmp_path, stdin, argv):
         monkeypatch.chdir(tmp_path)
         monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
@@ -366,6 +388,29 @@ class TestGoldenOutput:
             "0.554524776912384,3.925231146709438e-17,3.925231146709438e-17,"
             "1.109049553824768,0,0"
         )
+
+
+class TestBenchmarkGoldens:
+    """The benchmark's smoke-size outputs, byte for byte, against its goldens."""
+
+    GOLDENS = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "goldens.json").read_text())
+
+    def sha256_of_run(self, capsys, argv):
+        assert run(argv) == 0
+        out = capsys.readouterr().out
+        return out, hashlib.sha256(out.encode()).hexdigest()
+
+    def test_real_scan_csv(self, capsys):
+        _, digest = self.sha256_of_run(capsys, ["scan", "--real", "--limit", "2000", "--format", "csv"])
+        assert digest == self.GOLDENS["real-scan/2000/scan"]
+
+    def test_imaginary_scan_and_table(self, capsys, tmp_path):
+        out, digest = self.sha256_of_run(capsys, ["scan", "--imaginary", "--limit", "20000"])
+        assert digest == self.GOLDENS["imag-scan/20000/scan"]
+        scan_path = tmp_path / "scan.json"
+        scan_path.write_text(out)
+        _, digest = self.sha256_of_run(capsys, ["table", "--input", str(scan_path)])
+        assert digest == self.GOLDENS["imag-scan/20000/table"]
 
 
 class TestSubprocess:

@@ -1,6 +1,7 @@
 import math
 from math import isqrt
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,7 +34,13 @@ from lgw.fields import (
     unit_rank,
 )
 
-from oracles import legendre_euler, pell_minimal_unit, reduced_definite_forms_brute
+import lgw.fields
+from oracles import (
+    legendre_euler,
+    narrow_class_number_brute,
+    pell_minimal_unit,
+    reduced_definite_forms_brute,
+)
 
 HEEGNER_DISCRIMINANTS = [-3, -4, -7, -8, -11, -19, -43, -67, -163]
 HEEGNER_RADICANDS = [-1, -2, -3, -7, -11, -19, -43, -67, -163]
@@ -246,6 +253,44 @@ class TestClassNumberForms:
             class_number(16)
         with pytest.raises(NotFundamental):
             class_number(15)
+
+
+@pytest.fixture(scope="module")
+def narrow_brute():
+    """h+ by the brute-force cycle count, for every fundamental D in [5, 3000]."""
+    return {D: narrow_class_number_brute(D) for D in fundamental_discriminants(5, 3000)}
+
+
+class TestRealFormSieve:
+    # 64 forms a window puts window edges a few D apart at D ~ 3000, and
+    # splits each window's (a, b) pairs into many blocks
+    @pytest.mark.parametrize("window_forms", [None, 64], ids=["default-windows", "tiny-windows"])
+    def test_against_brute_cycles(self, narrow_brute, monkeypatch, window_forms):
+        if window_forms is not None:
+            monkeypatch.setattr(lgw.fields, "_SIEVE_WINDOW_FORMS", window_forms)
+        Ds = np.array(sorted(narrow_brute), dtype=np.int64)
+        assert lgw.fields._narrow_class_numbers(Ds).tolist() == [narrow_brute[D] for D in Ds]
+
+    @pytest.mark.parametrize("window_forms", [None, 64], ids=["default-windows", "tiny-windows"])
+    def test_radicand_set_against_brute_cycles(self, narrow_brute, monkeypatch, window_forms):
+        # the D of the squarefree radicands d <= 750: D = d or 4d, not a range
+        if window_forms is not None:
+            monkeypatch.setattr(lgw.fields, "_SIEVE_WINDOW_FORMS", window_forms)
+        Ds = sorted(d if d % 4 == 1 else 4 * d for d in range(2, 751) if is_squarefree(d))
+        got = lgw.fields._narrow_class_numbers(np.array(Ds, dtype=np.int64))
+        assert got.tolist() == [narrow_brute[D] for D in Ds]
+
+    def test_single_discriminants_against_brute_cycles(self, narrow_brute):
+        for D in (5, 8, 12, 13, 40, 60, 65, 85, 136, 145, 221, 1365, 2029, 2920, 2993):
+            assert class_number(D, narrow=True) == narrow_brute[D], D
+
+    def test_ceiling_is_a_term_limit(self):
+        top = lgw.fields._MAX_REAL_D
+        for D in (top + 1, 4 * top + 1, 10**18 + 1):
+            with pytest.raises(TermLimitExceeded):
+                class_number(D)
+            with pytest.raises(TermLimitExceeded):
+                class_number(D, narrow=True)
 
 
 class TestClassNumberAnalytic:

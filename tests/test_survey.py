@@ -2,9 +2,12 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lgw.fields
 import lgw.survey
+from lgw.errors import TermLimitExceeded
 from lgw.solver import Pairing
 from lgw.survey import (
     CSV_COLUMNS,
@@ -16,6 +19,8 @@ from lgw.survey import (
     scan_real,
     summary_to_json,
 )
+
+from oracles import distinct_stats_pairwise
 
 HEEGNER_DISCRIMINANTS = [-163, -67, -43, -19, -11, -8, -7, -4, -3]
 HEEGNER_RADICANDS = [-163, -67, -43, -19, -11, -7, -3, -2, -1]
@@ -157,6 +162,30 @@ class TestScanReal:
             for rep in r.alpha_reports:
                 assert rep.conventions["pairing"] == "same-branch"
 
+    @pytest.mark.parametrize("kwargs", [{}, {"by_radicand": True}], ids=["discriminant", "radicand"])
+    def test_sieve_discriminants_are_not_retested(self, monkeypatch, kwargs):
+        # D, d and h+ come from the sieves; is_squarefree runs only inside
+        # fundamental_unit, once a row
+        calls = []
+        original = lgw.fields.is_squarefree
+
+        def counting(n):
+            calls.append(n)
+            return original(n)
+
+        monkeypatch.setattr(lgw.fields, "is_squarefree", counting)
+        monkeypatch.setattr(lgw.survey, "is_squarefree", counting)
+        s = scan_real(2000, **kwargs)
+        assert len(s.rows) > 600
+        assert len(calls) <= len(s.rows)
+
+    def test_ceiling_is_a_term_limit(self):
+        top = lgw.fields._MAX_REAL_D
+        with pytest.raises(TermLimitExceeded):
+            scan_real(top + 1)
+        with pytest.raises(TermLimitExceeded):
+            scan_real(top // 4 + 1, by_radicand=True)
+
 
 class TestDeterminism:
     def test_real_scan_byte_identical_across_jobs(self):
@@ -227,6 +256,43 @@ class TestSerialization:
         assert d2[0]["unit"] == "1+1*sqrt(2)"
         assert d2[0]["norm"] == -1
         assert d2[0]["regulator"] == pytest.approx(math.log(1 + math.sqrt(2)), rel=1e-13)
+
+
+TOL = lgw.survey._DISTINCT_TOL
+
+# Offsets in units of the tolerance: on it, just inside, just outside,
+# and chains at 0.6 of it, where input order decides the representatives.
+_STEPS = st.sampled_from([0.0, 0.5, 0.6, 1 - 1e-9, 1.0, 1 + 1e-9, 1.2, 2.0, 3.0])
+_BASES = st.sampled_from([0j, 0.3 + 0j, -7.25 + 0.5j, 0.1 - 2.4j, 1e3 + 1e3j])
+
+
+@st.composite
+def _clustered_values(draw):
+    base = draw(_BASES)
+    pts = [
+        base + complex(i * draw(_STEPS), j * draw(_STEPS)) * TOL
+        for i, j in draw(st.lists(st.tuples(st.integers(-5, 5), st.integers(-5, 5)), max_size=30))
+    ]
+    dups = draw(st.lists(st.integers(0, max(len(pts) - 1, 0)), max_size=5)) if pts else []
+    return draw(st.permutations(pts + [pts[i] for i in dups]))
+
+
+class TestDistinctStats:
+    @settings(max_examples=300, deadline=None)
+    @given(values=_clustered_values())
+    def test_matches_pairwise_reference(self, values):
+        assert lgw.survey._distinct_stats(values) == distinct_stats_pairwise(values, TOL)
+
+    @pytest.mark.parametrize("values", [
+        [],
+        [1 + 1j],
+        [1 + 1j, 1 + 1j],
+        [k * 0.6 * TOL + 0j for k in range(12)],
+        [k * TOL + 0j for k in range(12)],
+        [complex(k * TOL, -k * TOL) for k in range(12)][::-1],
+    ], ids=["none", "one", "duplicate", "chain-0.6", "chain-1.0", "diagonal-chain"])
+    def test_edge_cases(self, values):
+        assert lgw.survey._distinct_stats(values) == distinct_stats_pairwise(values, TOL)
 
 
 class TestCorrespondenceTable:

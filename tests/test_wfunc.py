@@ -107,6 +107,22 @@ class TestRealFastPath:
         with pytest.raises(NoConvergence):
             lambert_w_real(0, 100.0)
 
+    @pytest.mark.parametrize("k, x", [
+        (-1, -0.3678639094400098),
+        (-1, -0.36718813560618574),
+        (0, -0.36713134257474883),
+        (-1, -0.3677834686057285),
+    ])
+    def test_rounding_stall_stops_early(self, k, x):
+        # Within 1e-3 of -1/e the relative step settles near 1.2e-15, just
+        # above the 1e-15 tolerance, once the residual is ~4e-17; Halley
+        # stops at the stall instead of running all _MAX_ITER steps.
+        ev = lambert_w(k, x)
+        assert ev.iterations <= 8
+        oracle = w_principal_real if k == 0 else w_minus1_real
+        assert abs(ev.value - oracle(x)) < 1e-12
+        assert abs(lambert_w_real(k, x) - oracle(x)) < 1e-12
+
 
 class TestPrincipalBranch:
     """W_0 must land on branch 0, not only satisfy w*e^w = z."""
