@@ -279,19 +279,14 @@ def _cmd_scan(ns) -> int:
             by_radicand=ns.by_radicand,
         )
     if ns.format == "csv":
-        sys.stdout.write(survey.records_to_csv(survey.row_records(summary.rows, ns.log_branch)))
-        return 0
-    if ns.format == "plain":
-        print(f"range {summary.range[0]}..{summary.range[1]}  fields_h1={summary.count_h1}  "
-              f"distinct_alpha={summary.distinct_alpha_count}  "
-              f"distinct_units={summary.distinct_unit_count}")
-        for rec in survey.row_records(summary.rows, ns.log_branch):
-            print("  ".join(f"{k}={rec[k]}" for k in survey.CSV_COLUMNS if rec[k] is not None))
-        return 0
-    sys.stdout.writelines(
-        survey.iter_summary_json(summary, ns.log_branch, {"conventions": _conventions(ns)})
-    )
-    sys.stdout.write("\n")
+        sys.stdout.writelines(survey.iter_summary_csv(summary, ns.log_branch))
+    elif ns.format == "plain":
+        sys.stdout.writelines(survey.iter_summary_plain(summary, ns.log_branch))
+    else:
+        sys.stdout.writelines(
+            survey.iter_summary_json(summary, ns.log_branch, {"conventions": _conventions(ns)})
+        )
+        sys.stdout.write("\n")
     return 0
 
 
@@ -310,17 +305,14 @@ def _cmd_table(ns) -> int:
     _check_tolerance(ns)
     try:
         if ns.input == "-":
-            data = json.load(sys.stdin)
+            records = survey.read_rooted_records(sys.stdin)
         else:
             with open(ns.input) as fh:
-                data = json.load(fh)
-        records = data["rows"] if isinstance(data, dict) else data
+                records = survey.read_rooted_records(fh)
     except OSError as exc:
         raise UsageError(f"cannot read --input: {exc}") from exc
-    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
-        raise UsageError(f"input is not JSON: {exc}") from exc
-    except KeyError as exc:
-        raise UsageError('input JSON object has no "rows"') from exc
+    except ValueError as exc:  # not scan JSON, or bytes that are not UTF-8
+        raise UsageError(f"input is not scan JSON: {exc}") from exc
     try:
         tab = survey.correspondence_table(records)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

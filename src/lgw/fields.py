@@ -14,7 +14,8 @@ real scan alike: it enumerates the reduced forms (a, b, -m) with
 D = b^2 + 4am, a, m > 0 and |a - m| < b, and their mirrors (-a, b, m),
 applies the cycle step rho to all of them at once, and counts the cycles
 of each D by pointer doubling. It walks D in windows of a bounded number
-of forms, and takes D up to _MAX_REAL_D = 10^8.
+of forms, and takes D up to _MAX_REAL_D = 10^8. Negative D go down to
+-_MAX_IMAG_D = -10^7.
 """
 
 from __future__ import annotations
@@ -330,6 +331,11 @@ def fundamental_unit(d: int) -> FundamentalUnit:
         raise DegenerateD(f"d={d} is imaginary; its unit group is torsion only")
     if not is_squarefree(d):
         raise NotSquarefree(f"d={d} has a square factor")
+    return _unit_of_squarefree(d)
+
+
+def _unit_of_squarefree(d: int) -> FundamentalUnit:
+    """fundamental_unit(d) for a d > 1 already known to be squarefree."""
     x, y, norm = _cf_unit(d)
     half = not (x % 2 == 0 and y % 2 == 0)
     if not half:
@@ -455,10 +461,11 @@ def class_number(D: int, narrow: bool = False) -> int:
     (-a, b, m) with D = b^2 + 4am, a, m > 0 and |a - m| < b, counted by the
     batched form sieve that the real scan also runs (_narrow_class_numbers);
     the wide h (default) is h+ when the fundamental unit has norm -1 and
-    h+/2 when it has norm +1. Positive D above _MAX_REAL_D (10^8) raises
-    TermLimitExceeded before any work; one D near it takes about 2 s.
+    h+/2 when it has norm +1. Positive D above _MAX_REAL_D (10^8) and
+    negative D below -_MAX_IMAG_D (-10^7) raise TermLimitExceeded before any
+    work; one D near either ceiling takes up to about 2 s.
     """
-    _check_real_size(D)
+    _check_size(D)
     _check_fundamental(D)
     if D < 0:
         return len(_reduced_forms_negative(D))
@@ -483,16 +490,26 @@ def _wide_class_number(h_plus: int, unit: FundamentalUnit) -> int:
 # to about 3e9; the ceiling sits lower, where one D takes about 2 s.
 _MAX_REAL_D = 10**8
 
+# Largest |D| of a negative discriminant: class_number(D < 0) enumerates
+# forms in O(|D|) Python steps, and an imaginary scan to -limit holds
+# int64[limit + 1] class numbers.
+_MAX_IMAG_D = 10**7
+
 # Candidate forms the sieve holds at once: it walks D in windows of about
 # this many reduced forms, and a window's (a, b) pairs in blocks of this
 # many, so its memory stays flat whatever the range.
 _SIEVE_WINDOW_FORMS = 1 << 15
 
 
-def _check_real_size(D: int) -> None:
+def _check_size(D: int) -> None:
+    """TermLimitExceeded when D lies beyond the ceiling for its sign."""
     if D > _MAX_REAL_D:
         raise TermLimitExceeded(
             f"D={D} exceeds {_MAX_REAL_D}, the largest real discriminant supported"
+        )
+    if D < -_MAX_IMAG_D:
+        raise TermLimitExceeded(
+            f"D={D} is below {-_MAX_IMAG_D}, the most negative imaginary discriminant supported"
         )
 
 
@@ -521,7 +538,7 @@ def _narrow_class_numbers(Ds: np.ndarray) -> np.ndarray:
     h+ of D adds 1 or 2 for each cycle of D by that parity.
     """
     if len(Ds):
-        _check_real_size(int(Ds[-1]))
+        _check_size(int(Ds[-1]))
     h = np.empty(len(Ds), dtype=np.int64)
     i = 0
     while i < len(Ds):

@@ -12,7 +12,15 @@ import pytest
 
 from lgw.cli import run
 from lgw.solver import Pairing
-from lgw.survey import correspondence_table, row_records, scan_imaginary, scan_real, summary_to_json
+from lgw.survey import (
+    CSV_COLUMNS,
+    correspondence_table,
+    records_to_csv,
+    row_records,
+    scan_imaginary,
+    scan_real,
+    summary_to_json,
+)
 
 OMEGA = 0.5671432904097838
 
@@ -176,6 +184,15 @@ class TestClassnoCommand:
         assert captured.out == ""
         assert "100000000" in captured.err
 
+    def test_below_imaginary_ceiling_exit_2_at_once(self, capsys):
+        # -10000003 is fundamental, just below the ceiling
+        t0 = time.perf_counter()
+        assert run(["classno", "--discriminant", "-10000003"]) == 2
+        assert time.perf_counter() - t0 < 2.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "-10000000" in captured.err
+
 
 class TestScanCommand:
     def test_empty_real_csv(self, capsys):
@@ -217,6 +234,32 @@ class TestScanCommand:
             {**json.loads(summary_to_json(s, log_branch)), "conventions": conventions}
         ) + "\n"
         assert out == expected
+
+    @pytest.mark.parametrize("argv, kwargs", [
+        ([], {}),
+        (["--log-branch", "1"], {"log_branch": 1}),
+        (["--branch", "-1"], {"branch": -1}),
+    ], ids=["default", "log-branch-1", "branch-minus-1"])
+    def test_imaginary_csv_and_plain_match_row_records(self, capsys, argv, kwargs):
+        # the template path against the records of every row, one by one
+        s = scan_imaginary(2000, **kwargs)
+        records = row_records(s.rows, kwargs.get("log_branch", 0))
+        assert run(["scan", "--imaginary", "--limit", "2000", "--format", "csv", *argv]) == 0
+        assert capsys.readouterr().out == records_to_csv(records)
+        assert run(["scan", "--imaginary", "--limit", "2000", "--format", "plain", *argv]) == 0
+        lines = [f"range -2000..-3  fields_h1={s.count_h1}  distinct_alpha={s.distinct_alpha_count}  "
+                 f"distinct_units={s.distinct_unit_count}"]
+        lines += ["  ".join(f"{k}={rec[k]}" for k in CSV_COLUMNS if rec[k] is not None)
+                  for rec in records]
+        assert capsys.readouterr().out == "\n".join(lines) + "\n"
+
+    def test_imaginary_limit_above_ceiling_exit_2(self, capsys):
+        t0 = time.perf_counter()
+        assert run(["scan", "--imaginary", "--limit", "10000001"]) == 2
+        assert time.perf_counter() - t0 < 2.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "-10000000" in captured.err
 
     def test_real_limit_above_ceiling_exit_2(self, capsys):
         assert run(["scan", "--real", "--limit", "100000001"]) == 2
@@ -334,8 +377,13 @@ class TestTableCommand:
                       "residual_split_2": 0.0, "branch": 0}]), []),
         ('[{"D": -4, "unit": "-1", "regulator": null, "alpha_re": 0.1, "alpha_im": Infinity, '
          '"residual_defining": 0.0, "residual_split_1": 0.0, "residual_split_2": 0.0, "branch": 0}]', []),
+        (summary_to_json(scan_imaginary(20))[:-40], []),
+        (summary_to_json(scan_imaginary(20)) + ' {"rows": []}', []),
+        (json.dumps(row_records(scan_imaginary(15).rows[-1:])).replace('"D": -15,', '"D": -015,'), []),
+        ("5", []),
     ], ids=["missing-file", "not-json", "no-rows", "rows-not-list", "record-lacks-key",
-            "unknown-torsion-label", "nan-alpha", "infinite-alpha"])
+            "unknown-torsion-label", "nan-alpha", "infinite-alpha", "truncated", "trailing-data",
+            "leading-zero", "top-level-number"])
     def test_bad_input_is_usage_error(self, capsys, monkeypatch, tmp_path, stdin, argv):
         monkeypatch.chdir(tmp_path)
         monkeypatch.setattr("sys.stdin", io.StringIO(stdin))

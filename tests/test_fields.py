@@ -254,6 +254,14 @@ class TestClassNumberForms:
         with pytest.raises(NotFundamental):
             class_number(15)
 
+    def test_imaginary_ceiling_is_a_term_limit(self, monkeypatch):
+        # the check comes before any other: not even the squarefree test runs
+        monkeypatch.setattr(lgw.fields, "is_squarefree", None)
+        top = lgw.fields._MAX_IMAG_D
+        for D in (-top - 3, -10000003, -(10**18) - 3):
+            with pytest.raises(TermLimitExceeded):
+                class_number(D)
+
 
 @pytest.fixture(scope="module")
 def narrow_brute():

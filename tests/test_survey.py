@@ -1,5 +1,8 @@
+import io
 import json
 import math
+import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -8,10 +11,12 @@ from hypothesis import strategies as st
 import lgw.fields
 import lgw.survey
 from lgw.errors import TermLimitExceeded
+from lgw.fields import class_number, fundamental_discriminants, radicand_of_discriminant
 from lgw.solver import Pairing
 from lgw.survey import (
     CSV_COLUMNS,
     correspondence_table,
+    read_rooted_records,
     records_to_csv,
     row_records,
     scan_imaginary,
@@ -103,10 +108,29 @@ class TestScanImaginary:
             return original(n)
 
         monkeypatch.setattr(lgw.fields, "is_squarefree", counting)
-        monkeypatch.setattr(lgw.survey, "is_squarefree", counting)
         s = scan_imaginary(20000)
         assert s.count_h1 == 9
         assert len(calls) <= 20
+
+    def test_lazy_rows_match_eager_rows(self):
+        # the rows view, built from the columns, against rows made one D at
+        # a time: class_number by forms, the radicand, and the h = 1 roots
+        s = scan_imaginary(2000)
+        eager = []
+        for D in reversed(fundamental_discriminants(-2000, -3)):
+            h = class_number(D)
+            d = radicand_of_discriminant(D)
+            alphas = lgw.survey._imaginary_row((D, d, 0, 0)).alphas if h == 1 else ()
+            eager.append((D, d, h, alphas))
+        assert [(r.D, r.d, r.h, r.alphas) for r in s.rows] == eager
+        assert s.rows is s.rows  # built once
+        assert s == scan_imaginary(2000)
+
+    def test_ceiling_is_a_term_limit(self, monkeypatch):
+        # raised before any sieve runs
+        monkeypatch.setattr(lgw.survey, "_fundamental_discriminant_array", None)
+        with pytest.raises(TermLimitExceeded):
+            scan_imaginary(lgw.fields._MAX_IMAG_D + 1)
 
 
 class TestScanReal:
@@ -174,10 +198,23 @@ class TestScanReal:
             return original(n)
 
         monkeypatch.setattr(lgw.fields, "is_squarefree", counting)
-        monkeypatch.setattr(lgw.survey, "is_squarefree", counting)
         s = scan_real(2000, **kwargs)
         assert len(s.rows) > 600
         assert len(calls) <= len(s.rows)
+
+    def test_unit_takes_d_squarefree_from_the_sieve(self, monkeypatch):
+        calls = []
+        original = lgw.fields.is_squarefree
+
+        def counting(n):
+            calls.append(n)
+            return original(n)
+
+        monkeypatch.setattr(lgw.fields, "is_squarefree", counting)
+        s = scan_real(2000)
+        assert len(s.rows) > 600
+        assert all(r.unit.pell_residual() == 0 for r in s.rows)
+        assert calls == []
 
     def test_ceiling_is_a_term_limit(self):
         top = lgw.fields._MAX_REAL_D
@@ -197,6 +234,9 @@ class TestDeterminism:
         a = summary_to_json(scan_imaginary(400, jobs=1))
         b = summary_to_json(scan_imaginary(400, jobs=3))
         assert a == b
+
+    def test_imaginary_json_same_for_two_jobs(self):
+        assert summary_to_json(scan_imaginary(2000, jobs=2)) == summary_to_json(scan_imaginary(2000))
 
     def test_repeat_is_byte_identical(self):
         assert summary_to_json(scan_imaginary(100)) == summary_to_json(scan_imaginary(100))
@@ -318,3 +358,147 @@ class TestCorrespondenceTable:
         assert ds == {5, 8}
         for e in tab.entries:
             assert abs(e["alpha_im"]) <= 1e-12
+
+
+# -- the streaming table reader -------------------------------------------------------
+
+_BIG_INTS = st.one_of(st.integers(-3000, 3000), st.integers(-(10**40), 10**40))
+# scan-sized values: the distinctness statistics of roots near the float
+# limit overflow, which is not what this reader test is about
+_FINITE = st.floats(-1e6, 1e6, allow_nan=False)
+_NULL_RECORD = dict.fromkeys(CSV_COLUMNS)
+
+
+@st.composite
+def _scan_record(draw):
+    """A row record: bare, with a torsion root, with a real root, or with a
+    real unit and no root; key order kept or shuffled."""
+    rec = dict(_NULL_RECORD, D=draw(_BIG_INTS), d=draw(_BIG_INTS), h=draw(_BIG_INTS),
+               log_branch=draw(st.integers(-3, 3)))
+    kind = draw(st.sampled_from(["bare", "bare", "torsion", "real", "unit"]))
+    if kind == "torsion":
+        rec.update(unit=draw(st.sampled_from(sorted(lgw.survey._TORSION_ARGS))),
+                   alpha_re=draw(_FINITE), alpha_im=draw(_FINITE),
+                   residual_defining=draw(_FINITE), branch=draw(st.integers(-3, 3)))
+    elif kind in ("real", "unit"):
+        rec.update(unit="1+1*sqrt(2)", norm=-1, regulator=draw(_FINITE))
+        if kind == "real":
+            rec.update(alpha_re=draw(_FINITE), alpha_im=0.0, residual_defining=draw(_FINITE),
+                       residual_split_1=0.0, residual_split_2=0.0,
+                       residual_sum_equation=draw(_FINITE), branch=0)
+    if draw(st.booleans()):
+        rec = {k: rec[k] for k in draw(st.permutations(list(rec)))}
+    return rec
+
+
+@st.composite
+def _scan_text(draw):
+    """Scan-shaped JSON: a scan object with "rows" among other keys, or a
+    bare array of records, in one of json.dumps's layouts, with some integer
+    zeros written -0."""
+    records = draw(st.lists(_scan_record(), max_size=25))
+    if draw(st.booleans()):
+        doc = records
+    else:
+        others = draw(st.permutations([
+            ("range", [-50, -3]), ("count_h1", 9), ("min_alpha_separation", None),
+            ("conventions", {"branch": 0, "pairing": "conjugate-branch", "tolerance": 1e-10}),
+        ]))
+        at = draw(st.integers(0, len(others)))
+        doc = dict(others[:at] + [("rows", records)] + others[at:])
+    style = draw(st.sampled_from([{}, {"indent": 2}, {"separators": (",", ":")}]))
+    text = json.dumps(doc, **style)
+    if draw(st.booleans()):
+        text = re.sub(r'(":\s*)0(?=[,}\s])', r"\g<1>-0", text)
+    return text
+
+
+def _read(text, chunk=None):
+    if chunk is None:
+        return read_rooted_records(io.StringIO(text))
+    with mock.patch.object(lgw.survey, "_READ_CHARS", chunk):
+        return read_rooted_records(io.StringIO(text))
+
+
+def _rooted(text):
+    data = json.loads(text)
+    rows = data["rows"] if isinstance(data, dict) else data
+    return rows, [r for r in rows if r.get("alpha_re") is not None]
+
+
+class TestReadRootedRecords:
+    @settings(max_examples=300, deadline=None)
+    @given(text=_scan_text(), chunk=st.integers(1, 40))
+    def test_matches_json_loads(self, text, chunk):
+        rows, rooted = _rooted(text)
+        got = _read(text, chunk)
+        assert got == rooted
+        assert correspondence_table(got) == correspondence_table(rows)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 4096, None])
+    @pytest.mark.parametrize("text", [
+        summary_to_json(scan_imaginary(2000, log_branch=1), 1),
+        summary_to_json(scan_imaginary(300, branch=-1)),
+        summary_to_json(scan_real(120, unit_powers=2)),
+        summary_to_json(scan_imaginary(2)),
+    ], ids=["imaginary", "imaginary-branch", "real", "empty"])
+    def test_scan_output(self, text, chunk):
+        assert _read(text, chunk) == _rooted(text)[1]
+
+    def test_every_chunk_size(self):
+        # small buffers cut numbers ("0." of "0.03"), names and records at
+        # every position
+        text = summary_to_json(scan_imaginary(200)) + "\n"
+        real = summary_to_json(scan_real(30))
+        for chunk in range(1, 64):
+            assert _read(text, chunk) == _rooted(text)[1]
+            assert _read(real, chunk) == _rooted(real)[1]
+
+    def test_bare_runs_are_not_decoded(self):
+        # only rooted records, the summary keys and a record at each buffer
+        # end reach the JSON decoder; the bare ones are passed over
+        text = summary_to_json(scan_imaginary(20000))
+        decoder = json.JSONDecoder()
+        calls = []
+
+        def counting(s, idx=0):
+            calls.append(idx)
+            return decoder.raw_decode(s, idx)
+
+        with mock.patch.object(lgw.survey._DECODER, "raw_decode", counting):
+            got = _read(text)
+        assert got == _rooted(text)[1]
+        assert len(json.loads(text)["rows"]) > 6000
+        assert len(calls) < 200
+
+    def test_every_truncation_is_an_error(self):
+        text = summary_to_json(scan_imaginary(60)) + "\n"
+        for cut in range(len(text) - 1):
+            with pytest.raises(ValueError):
+                _read(text[:cut], 5)
+        assert _read(text, 5) == _rooted(text)[1]
+
+    @pytest.mark.parametrize("tail", [" x", "{}", "]", ", 1", "\n[]"])
+    def test_trailing_data_is_an_error(self, tail):
+        text = summary_to_json(scan_imaginary(20))
+        with pytest.raises(ValueError):
+            _read(text + tail)
+        assert _read(text + " \n\t\r") == _rooted(text)[1]
+
+    @pytest.mark.parametrize("text", ["5", '"rows"', "null", "", "  ", '{"range": [-10, -3]}',
+                                      '{"rows": {}}', '{"rows": 5}', '{"rows": [], "rows": null}',
+                                      '{"rows": [],}', "[1,]", '{"rows" []}', '{rows: []}'])
+    def test_not_scan_json(self, text):
+        with pytest.raises(ValueError):
+            _read(text)
+
+    def test_duplicate_rows_last_wins(self):
+        s = scan_imaginary(200)
+        first, second = row_records(s.rows[:1]), row_records(s.rows[-1:] + s.rows[1:2])
+        for doc in (
+            f'{{"rows": {json.dumps(first)}, "count_h1": 9, "rows": {json.dumps(second)}}}',
+            f'{{"rows": 5, "rows": {json.dumps(second)}}}',
+        ):
+            rooted = _read(doc, 3)
+            assert rooted == _rooted(doc)[1] == [r for r in second if r["alpha_re"] is not None]
+            assert rooted
