@@ -16,6 +16,10 @@ applies the cycle step rho to all of them at once, and counts the cycles
 of each D by pointer doubling. It walks D in windows of a bounded number
 of forms, and takes D up to _MAX_REAL_D = 10^8. Negative D go down to
 -_MAX_IMAG_D = -10^7.
+
+numpy is imported inside the sieves and class_number(D > 0), on first use:
+units, forms of negative D and the analytic formula run without it, and so
+do the CLI's point commands, all but `classno` of a positive D.
 """
 
 from __future__ import annotations
@@ -23,8 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import gcd, isqrt
-
-import numpy as np
 
 from .errors import (
     DegenerateD,
@@ -114,6 +116,8 @@ def fundamental_discriminants(lo: int, hi: int) -> list[int]:
 
 def _squarefree_mask(lo: int, hi: int) -> np.ndarray:
     """mask[i] is True when lo + i is squarefree, for 1 <= lo <= hi."""
+    import numpy as np
+
     sf = np.ones(hi - lo + 1, dtype=bool)
     q = 2
     while q * q <= hi:
@@ -125,6 +129,8 @@ def _squarefree_mask(lo: int, hi: int) -> np.ndarray:
 
 def _fundamental_magnitudes(lo: int, hi: int, negative: bool) -> np.ndarray:
     """Ascending n in [lo, hi], 2 <= lo, with -n (negative) or n fundamental."""
+    import numpy as np
+
     if hi < lo:
         return np.empty(0, dtype=np.int64)
     n = np.arange(lo, hi + 1, dtype=np.int64)
@@ -145,6 +151,8 @@ def _fundamental_discriminant_array(lo: int, hi: int) -> np.ndarray:
     Sieves squarefree parts over the range instead of trial-dividing each D;
     agrees with is_fundamental_discriminant term by term.
     """
+    import numpy as np
+
     neg = _fundamental_magnitudes(max(-hi, 2), -lo, negative=True)
     pos = _fundamental_magnitudes(max(lo, 2), hi, negative=False)
     return np.concatenate((-neg[::-1], pos))
@@ -469,6 +477,8 @@ def class_number(D: int, narrow: bool = False) -> int:
     _check_fundamental(D)
     if D < 0:
         return len(_reduced_forms_negative(D))
+    import numpy as np
+
     h_plus = int(_narrow_class_numbers(np.array([D], dtype=np.int64))[0])
     if narrow:
         return h_plus
@@ -515,6 +525,8 @@ def _check_size(D: int) -> None:
 
 def _ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(i, v) for each integer v in [lo[i], hi[i]], i ascending; lo > hi adds none."""
+    import numpy as np
+
     n = np.maximum(hi - lo + 1, 0)
     i = np.repeat(np.arange(len(n)), n)
     return i, lo[i] + np.arange(len(i)) - (np.cumsum(n) - n)[i]
@@ -537,6 +549,8 @@ def _narrow_class_numbers(Ds: np.ndarray) -> np.ndarray:
     pointer doubling (each triple takes the least index on its cycle), and
     h+ of D adds 1 or 2 for each cycle of D by that parity.
     """
+    import numpy as np
+
     if len(Ds):
         _check_size(int(Ds[-1]))
     h = np.empty(len(Ds), dtype=np.int64)
@@ -551,6 +565,8 @@ def _narrow_class_numbers(Ds: np.ndarray) -> np.ndarray:
 
 
 def _narrow_class_numbers_window(Ds: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     lo, hi = int(Ds[0]), int(Ds[-1])
     member = np.zeros(hi - lo + 1, dtype=bool)
     member[Ds - lo] = True
@@ -632,17 +648,25 @@ def kronecker_symbol(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
+# Largest |D| class_number_analytic takes: its character sum runs |D| - 1
+# Kronecker symbols in Python.
+_MAX_ANALYTIC_D = 10**6
+
+
 def class_number_analytic(D: int, precision_terms: int | None = None) -> int:
     """Class number by the finite Dirichlet formula; independent of the forms.
 
     D < 0: h = w/(2|D|) * |sum_{a<|D|} chi(a)*a| with w roots of unity.
     D > 0: h = -sum_{a<D} chi(a)*log(sin(pi*a/D)) / (2*regulator).
     precision_terms caps the character sum (default: all |D|-1 terms);
-    an undersized cap surfaces as PrecisionLoss.
+    an undersized cap surfaces as PrecisionLoss. |D| above
+    _MAX_ANALYTIC_D (10^6) raises TermLimitExceeded before any work.
     """
+    if abs(D) > _MAX_ANALYTIC_D:
+        raise TermLimitExceeded(
+            f"|D| = {abs(D)} exceeds {_MAX_ANALYTIC_D}, the largest the character sum supports"
+        )
     _check_fundamental(D)
-    if abs(D) > 10**6:
-        raise NotFundamental(f"|D| = {abs(D)} beyond the supported 10^6")
     n_terms = abs(D) - 1 if precision_terms is None else min(int(precision_terms), abs(D) - 1)
     if n_terms < 1:
         raise PrecisionLoss("precision_terms must allow at least one term")
@@ -676,6 +700,8 @@ def class_numbers_imaginary_batch(limit: int) -> np.ndarray:
     Sieve over (a, b, c) with 0 <= b <= a <= c; entries are exact class
     numbers at fundamental indices (imprimitive forms cannot occur there).
     """
+    import numpy as np
+
     counts = np.zeros(limit + 1, dtype=np.int64)
     amax = isqrt(limit // 3)
     for a in range(1, amax + 1):

@@ -65,6 +65,14 @@ def _finite(z: complex, what: str) -> complex:
     return z
 
 
+def _coefficients(a: complex, b: complex, c: complex) -> tuple[complex, complex, complex]:
+    """A, B, C of z = A + B*exp(C*z) as complex numbers, checked finite with B*C != 0."""
+    a, b, c = _finite(a, "A"), _finite(b, "B"), _finite(c, "C")
+    if b * c == 0:
+        raise DegenerateCoefficients("B*C must be nonzero")
+    return a, b, c
+
+
 @dataclass(frozen=True)
 class ExpLinearEquation:
     """Coefficients of z = A + B*exp(C*z); requires B*C != 0."""
@@ -74,11 +82,10 @@ class ExpLinearEquation:
     c: complex
 
     def __post_init__(self):
-        object.__setattr__(self, "a", _finite(self.a, "A"))
-        object.__setattr__(self, "b", _finite(self.b, "B"))
-        object.__setattr__(self, "c", _finite(self.c, "C"))
-        if self.b * self.c == 0:
-            raise DegenerateCoefficients("B*C must be nonzero")
+        a, b, c = _coefficients(self.a, self.b, self.c)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
 
     def residual(self, z: complex) -> float:
         """|z - A - B*exp(C*z)|, the defining-equation residual."""
@@ -156,7 +163,7 @@ def unit_log(u: UnitInput) -> complex:
     return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FixedPointReport:
     """A root alpha with the residuals of every equation it touches.
 
@@ -182,9 +189,12 @@ def solve_exp_linear(eq: ExpLinearEquation, k: int = 0) -> complex:
     z = A - W_k(-B*C*exp(A*C))/C; the returned root satisfies the equation
     with residual <= 1e-10*(1+|z|).
     """
-    arg = -eq.b * eq.c * cmath.exp(eq.a * eq.c)
-    w = lambert_w(k, arg).value
-    return eq.a - w / eq.c
+    return _exp_linear_root(eq.a, eq.b, eq.c, k)
+
+
+def _exp_linear_root(a: complex, b: complex, c: complex, k: int) -> complex:
+    """z = A - W_k(-B*C*exp(A*C))/C for finite complex A, B, C with B*C != 0."""
+    return a - lambert_w(k, -b * c * cmath.exp(a * c)).value / c
 
 
 def alpha_complex_case(u: UnitInput, j: int = 0, beta: float = 0.0) -> FixedPointReport:
@@ -198,8 +208,7 @@ def alpha_complex_case(u: UnitInput, j: int = 0, beta: float = 0.0) -> FixedPoin
         raise DomainError("alpha_complex_case needs a complex-case unit")
     beta = float(beta)
     log_eps = unit_log(u)
-    eq = ExpLinearEquation(a=beta, b=log_eps * math.exp(-_TWO_PI * beta), c=_TWO_PI)
-    z = solve_exp_linear(eq, j)
+    z = _exp_linear_root(*_coefficients(beta, log_eps * math.exp(-_TWO_PI * beta), _TWO_PI), j)
     alpha = (z - beta) / 1j
     residual = abs(1j * alpha - cmath.exp(_TWO_PI_I * alpha) * log_eps)
     return FixedPointReport(
@@ -228,7 +237,8 @@ def alpha_real_case(
     """
     if u.case is not Case.REAL:
         raise DomainError("alpha_real_case needs a real-case unit")
-    pairing = Pairing(pairing)
+    if not isinstance(pairing, Pairing):
+        pairing = Pairing(pairing)
     log_eps = unit_log(u).real
     m = j if pairing is Pairing.SAME_BRANCH else -j
 

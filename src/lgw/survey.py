@@ -13,7 +13,9 @@ writers (iter_summary_json, iter_summary_csv, iter_summary_plain) walk the
 batch: a bare row goes through one text template per format, the text
 row_records and the format give a row with no unit, and attached rows go
 through row_records. Output is byte-identical regardless of the worker
-count, so scan output can be diffed and pinned in tests.
+count, so scan output can be diffed and pinned in tests. numpy and the
+process pool are imported where a scan first needs them, not with the
+module.
 
 read_rooted_records reads a scan's JSON back as a stream, for the
 correspondence table: it passes over runs of bare records with one match of
@@ -27,12 +29,9 @@ import cmath
 import json
 import math
 import re
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
-
-import numpy as np
 
 from .fields import (
     FundamentalUnit,
@@ -138,6 +137,8 @@ class _Batch:
 
     # arrays compare element by element, so a generated __eq__ would raise
     def __eq__(self, other):
+        import numpy as np
+
         if not isinstance(other, _Batch):
             return NotImplemented
         return self.case is other.case and self.attached == other.attached and all(
@@ -193,7 +194,8 @@ def _distinct_stats(values: Iterable[complex]) -> tuple[int, float | None]:
     separation is measured between distinct roots, not raw attachments.
     Values are taken in input order: each one is a new representative
     unless an earlier representative lies within _DISTINCT_TOL of it. The
-    values must be finite.
+    values must be finite, and so must the least distance: when every two
+    distinct values lie farther apart than the largest float, ValueError.
     """
     # Representatives by grid cell. A cell side of twice the tolerance keeps
     # any two values within it in neighbouring cells whatever the rounding
@@ -205,7 +207,7 @@ def _distinct_stats(values: Iterable[complex]) -> tuple[int, float | None]:
     for v in values:
         x, y = v.real // side, v.imag // side
         if all(
-            abs(v - r) > _DISTINCT_TOL
+            _gap(v, r) > _DISTINCT_TOL
             for dx in (-1.0, 0.0, 1.0)
             for dy in (-1.0, 0.0, 1.0)
             for r in cells.get((x + dx, y + dy), ())
@@ -221,8 +223,18 @@ def _distinct_stats(values: Iterable[complex]) -> tuple[int, float | None]:
         for b in reps[i + 1 :]:
             if b.real - a.real >= best:
                 break
-            best = min(best, abs(b - a))
+            best = min(best, _gap(b, a))
+    if best == math.inf:
+        raise ValueError("the least distance between the values exceeds the float range")
     return len(reps), best
+
+
+def _gap(a: complex, b: complex) -> float:
+    """|a - b|, or inf where it exceeds the largest float."""
+    try:
+        return abs(a - b)
+    except OverflowError:  # finite parts whose modulus overflows
+        return math.inf
 
 
 # -- imaginary scan ---------------------------------------------------------------
@@ -253,6 +265,8 @@ def scan_imaginary(
     alpha via the complex-case root formula. limit may be at most
     fields._MAX_IMAG_D (10^7); a larger one raises TermLimitExceeded at once.
     """
+    import numpy as np
+
     limit = int(limit)
     _check_size(-limit)
     # The sieve has already proved every D fundamental, so the radicand
@@ -321,6 +335,8 @@ def scan_real(
     be at most fields._MAX_REAL_D (10^8), a quarter of it with
     by_radicand=True; a larger one raises TermLimitExceeded at once.
     """
+    import numpy as np
+
     limit = int(limit)
     _check_size(4 * limit if by_radicand else limit)
     if by_radicand:
@@ -354,6 +370,8 @@ def scan_real(
 
 def _map_rows(worker, args, jobs: int):
     if jobs and jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as ex:
             return list(ex.map(worker, args, chunksize=max(1, len(args) // (4 * jobs))))
     return [worker(a) for a in args]
@@ -443,6 +461,8 @@ def _row_text(summary: SurveySummary, log_branch: int, fmt: _Format) -> Iterator
     A run of bare rows is one template filled row by row; a run of attached
     rows goes through row_records.
     """
+    import numpy as np
+
     b = summary.batch
     n = len(b.D)
     attached = np.zeros(n, dtype=bool)

@@ -34,7 +34,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     BranchPointSingularity,
@@ -62,13 +61,14 @@ BRANCH_POINT_Z = -1.0 / math.e
 OMEGA = 0.5671432904097838
 
 _TWO_PI = 2.0 * math.pi
+_TWO_PI_I = 2j * math.pi
 _MAX_ITER = 64
 _STEP_TOL = 1e-15
 _STALL_TOL = 1e-13
 _RESIDUAL_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WEvaluation:
     """One converged branch evaluation.
 
@@ -95,7 +95,7 @@ def _residual(w: complex, z: complex) -> float:
     # Avoid overflow in exp for extreme arguments: compare in log space.
     # w*e^w/z = exp(w + log w - log z) up to a multiple of 2*pi*i.
     t = w + cmath.log(w) - cmath.log(z)
-    t -= 2j * math.pi * round(t.imag / _TWO_PI)
+    t -= _TWO_PI_I * round(t.imag / _TWO_PI)
     return abs(cmath.exp(t) - 1.0) * abs(z) / (1.0 + abs(z))
 
 
@@ -113,7 +113,7 @@ def _branch_point_seed(p: complex) -> complex:
 
 def _asymptotic_seed(z: complex, k: int, log, full: bool = True) -> complex:
     # k = 0 adds no imaginary shift, so a real z keeps a real seed.
-    l1 = log(z) + 2j * math.pi * k if k else log(z)
+    l1 = log(z) + _TWO_PI_I * k if k else log(z)
     l2 = log(l1)
     r = l2 / l1
     if not full:
@@ -276,6 +276,8 @@ def w_series(z: complex, n_terms: int) -> complex:
     so each term is correctly rounded; n_terms is capped at 170 where the
     float dynamic range of the coefficients runs out.
     """
+    from fractions import Fraction
+
     z = _require_finite(z)
     n_terms = int(n_terms)
     if n_terms < 1:

@@ -326,6 +326,13 @@ class TestPointCsv:
         assert "conventions" not in lines[0]
 
 
+def _torsion_record(alpha: complex) -> dict:
+    """A torsion-unit row record with the finite root alpha."""
+    return {"D": -4, "unit": "i", "regulator": None, "alpha_re": alpha.real, "alpha_im": alpha.imag,
+            "residual_defining": 0.0, "residual_split_1": None, "residual_split_2": None,
+            "branch": 0, "log_branch": 0}
+
+
 class TestTableCommand:
     def test_from_scan_json(self, capsys, monkeypatch):
         run(["scan", "--imaginary", "--limit", "200"])
@@ -381,9 +388,12 @@ class TestTableCommand:
         (summary_to_json(scan_imaginary(20)) + ' {"rows": []}', []),
         (json.dumps(row_records(scan_imaginary(15).rows[-1:])).replace('"D": -15,', '"D": -015,'), []),
         ("5", []),
+        (json.dumps([_torsion_record(1.7976931348623157e308j), _torsion_record(1.8941775056029057e300)]),
+         []),
+        (json.dumps([_torsion_record(1e308 + 1e308j), _torsion_record(-1e308 - 1e308j)]), []),
     ], ids=["missing-file", "not-json", "no-rows", "rows-not-list", "record-lacks-key",
             "unknown-torsion-label", "nan-alpha", "infinite-alpha", "truncated", "trailing-data",
-            "leading-zero", "top-level-number"])
+            "leading-zero", "top-level-number", "separation-overflows", "separation-infinite"])
     def test_bad_input_is_usage_error(self, capsys, monkeypatch, tmp_path, stdin, argv):
         monkeypatch.chdir(tmp_path)
         monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
@@ -459,6 +469,49 @@ class TestBenchmarkGoldens:
         scan_path.write_text(out)
         _, digest = self.sha256_of_run(capsys, ["table", "--input", str(scan_path)])
         assert digest == self.GOLDENS["imag-scan/20000/table"]
+
+
+# Modules that only a sieve, a scan or a worker pool needs.
+_LAZY_MODULES = ("numpy", "multiprocessing", "concurrent.futures.process", "fractions")
+
+
+def _modules_loaded_by(commands: list[list[str]]) -> dict:
+    """In a fresh interpreter: which of _LAZY_MODULES `import lgw` loads, and
+    which are loaded once cli.run has run each of `commands` (stdout captured)."""
+    code = (
+        "import contextlib, io, json, sys\n"
+        "import lgw\n"
+        f"lazy = {_LAZY_MODULES!r}\n"
+        "after_import = [m for m in lazy if m in sys.modules]\n"
+        "import lgw.cli\n"
+        f"for argv in {commands!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert lgw.cli.run(argv) == 0, argv\n"
+        "print(json.dumps({'import': after_import, 'run': [m for m in lazy if m in sys.modules]}))\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    return json.loads(res.stdout)
+
+
+class TestLazyImports:
+    def test_point_commands_load_no_sieve_modules(self):
+        loaded = _modules_loaded_by([
+            ["w", "--re", "1"],
+            ["w", "--branch", "-1", "--re", "-0.1", "--format", "csv"],
+            ["solve", "--a-re", "1", "--b-re", "2", "--c-re", "0.5", "--branch", "-1"],
+            ["alpha", "--case", "real", "--d", "5"],
+            ["alpha", "--case", "complex", "--eps-re", "0", "--eps-im", "1", "--format", "plain"],
+            ["unit", "--d", "94"],
+            ["verify", "--case", "real", "--alpha-re", "0", "--log-eps-re", "1"],
+            ["classno", "--discriminant", "-163"],
+        ])
+        assert loaded == {"import": [], "run": []}
+
+    def test_scan_loads_numpy(self):
+        loaded = _modules_loaded_by([["scan", "--imaginary", "--limit", "2000"]])
+        assert loaded["import"] == []
+        assert "numpy" in loaded["run"]
 
 
 class TestSubprocess:

@@ -320,6 +320,14 @@ class TestClassNumberAnalytic:
         with pytest.raises(PrecisionLoss):
             class_number_analytic(-163, precision_terms=5)
 
+    def test_size_cap_is_a_term_limit(self):
+        # fundamental just past 10^6 either side, and one far past it whose
+        # fundamentality check alone would trial-divide for hours
+        for D in (-1_000_003, 1_000_005, 10**30 + 1):
+            assert abs(D) > lgw.fields._MAX_ANALYTIC_D
+            with pytest.raises(TermLimitExceeded):
+                class_number_analytic(D)
+
 
 class TestKronecker:
     def test_character_mod_4(self):

@@ -334,6 +334,19 @@ class TestDistinctStats:
     def test_edge_cases(self, values):
         assert lgw.survey._distinct_stats(values) == distinct_stats_pairwise(values, TOL)
 
+    @pytest.mark.parametrize("values", [
+        [1.7976931348623157e308j, 1.8941775056029057e300],  # |difference| overflows
+        [1e308 + 1e308j, -1e308 - 1e308j],  # real gap overflows to inf
+        [1.7e308 + 1.7e308j, 1e300 + 1e300j],  # compared in one grid cell, and overflows there
+    ], ids=["modulus", "real-gap", "same-cell"])
+    def test_separation_beyond_float_range_raises(self, values):
+        with pytest.raises(ValueError):
+            lgw.survey._distinct_stats(values)
+
+    def test_far_values_keep_a_finite_least_separation(self):
+        values = [1.7e308 + 1.7e308j, 1e300 + 1e300j, 1.7976931348623157e308j, 1.0, 1.25]
+        assert lgw.survey._distinct_stats(values) == (5, 0.25)
+
 
 class TestCorrespondenceTable:
     def test_empty(self):
