@@ -12,14 +12,21 @@ halves, solving each half on a Lambert branch, and summing the split roots.
 Every result is returned with measured residuals of the equations it claims
 to solve; the summed-equation residual is reported but never asserted,
 because nothing forces the sum of the split roots to satisfy it.
+
+Under conjugate-branch pairing the second split root needs no second Lambert
+evaluation: W_-j(2*pi*i*L) is the conjugate of W_j(-2*pi*i*L), bit for bit
+(see wfunc), since +-2*pi*i*L with L > 0 never lies on a cut.
+
+The records are immutable named tuples; the two input records validate
+their fields when built.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import DegenerateCoefficients, DomainError, NonFinite, ZeroLogUnit
 from .wfunc import lambert_w
@@ -39,6 +46,12 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 _TWO_PI_I = 2j * math.pi
+
+# The per-query paths build their reports with every field given, in
+# declaration order, through tuple.__new__: FixedPointReport.__new__ would
+# only add a Python frame and keyword matching. Enum members are read
+# through _value_ for the same reason (.value is a Python-level property).
+_tuple_new = tuple.__new__
 
 
 class Case(str, Enum):
@@ -67,61 +80,87 @@ def _finite(z: complex, what: str) -> complex:
 
 def _coefficients(a: complex, b: complex, c: complex) -> tuple[complex, complex, complex]:
     """A, B, C of z = A + B*exp(C*z) as complex numbers, checked finite with B*C != 0."""
-    a, b, c = _finite(a, "A"), _finite(b, "B"), _finite(c, "C")
+    a, b, c = complex(a), complex(b), complex(c)
+    if not math.isfinite(a.real + a.imag + b.real + b.imag + c.real + c.imag):
+        # A non-finite part, or finite parts whose sum overflows: check
+        # each coefficient, so the first non-finite one is named.
+        a, b, c = _finite(a, "A"), _finite(b, "B"), _finite(c, "C")
     if b * c == 0:
         raise DegenerateCoefficients("B*C must be nonzero")
     return a, b, c
 
 
-@dataclass(frozen=True)
-class ExpLinearEquation:
-    """Coefficients of z = A + B*exp(C*z); requires B*C != 0."""
-
+class _ExpLinearFields(NamedTuple):
     a: complex
     b: complex
     c: complex
 
-    def __post_init__(self):
-        a, b, c = _coefficients(self.a, self.b, self.c)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
+
+class ExpLinearEquation(_ExpLinearFields):
+    """Coefficients of z = A + B*exp(C*z); requires B*C != 0."""
+
+    __slots__ = ()
+
+    def __new__(cls, a: complex, b: complex, c: complex) -> "ExpLinearEquation":
+        return tuple.__new__(cls, _coefficients(a, b, c))
+
+    @classmethod
+    def _make(cls, iterable) -> "ExpLinearEquation":  # _replace builds through it too
+        return cls(*iterable)
 
     def residual(self, z: complex) -> float:
         """|z - A - B*exp(C*z)|, the defining-equation residual."""
-        return abs(z - self.a - self.b * cmath.exp(self.c * z))
+        try:
+            return abs(z - self.a - self.b * cmath.exp(self.c * z))
+        except (OverflowError, ValueError):
+            raise NonFinite(f"residual overflows at z = {z!r}") from None
 
 
-@dataclass(frozen=True)
-class UnitInput:
+class _UnitFields(NamedTuple):
+    epsilon: complex | None
+    log_branch: int
+    case: Case
+    log_value: complex | None
+
+
+class UnitInput(_UnitFields):
     """A unit epsilon together with the log convention used on it.
 
     log(eps) means Log(eps) + 2*pi*i*log_branch with the principal Log
-    (arg in (-pi, pi]). For units too large for a float64 (real quadratic
-    fundamental units grow exponentially), epsilon may be None and
-    log_value carries the regulator directly.
+    (arg in (-pi, pi]). For units a float64 cannot hold (real quadratic
+    fundamental units grow exponentially, and a unit within 1e-16 of 1
+    rounds to 1), epsilon may be None and log_value carries the log
+    directly.
     """
 
-    epsilon: complex | None
-    log_branch: int = 0
-    case: Case = Case.COMPLEX
-    log_value: complex | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.epsilon is None and self.log_value is None:
-            raise DomainError("need epsilon or log_value")
-        if self.epsilon is not None:
-            eps = _finite(self.epsilon, "epsilon")
-            object.__setattr__(self, "epsilon", eps)
-            if self.case is Case.REAL:
-                if eps.imag != 0.0:
-                    raise DomainError(f"real-case unit must be real, got {eps!r}")
-                if eps.real == 1.0:
+    def __new__(
+        cls,
+        epsilon: complex | None,
+        log_branch: int = 0,
+        case: Case = Case.COMPLEX,
+        log_value: complex | None = None,
+    ) -> "UnitInput":
+        if epsilon is None:
+            if log_value is None:
+                raise DomainError("need epsilon or log_value")
+        else:
+            epsilon = _finite(epsilon, "epsilon")
+            if case is Case.REAL:
+                if epsilon.imag != 0.0:
+                    raise DomainError(f"real-case unit must be real, got {epsilon!r}")
+                if epsilon.real == 1.0:
                     raise ZeroLogUnit("epsilon = 1 has log 0")
-                if eps.real <= 1.0:
-                    raise DomainError(f"real-case unit must exceed 1, got {eps!r}")
-            elif abs(eps) == 0.0:
+                if epsilon.real <= 1.0:
+                    raise DomainError(f"real-case unit must exceed 1, got {epsilon!r}")
+            elif abs(epsilon) == 0.0:
                 raise DomainError("complex case needs |epsilon| > 0")
+        return tuple.__new__(cls, (epsilon, log_branch, case, log_value))
+
+    @classmethod
+    def _make(cls, iterable) -> "UnitInput":  # _replace builds through it too
+        return cls(*iterable)
 
     @classmethod
     def complex_unit(cls, epsilon: complex, log_branch: int = 0) -> "UnitInput":
@@ -144,6 +183,8 @@ class UnitInput:
                 raise DomainError("real case needs log_value > 0")
             eps: complex | None
             eps = complex(math.exp(log_value.real)) if log_value.real < 700.0 else None
+            if eps == 1.0:  # e^L rounded to 1.0, which would read as the unit 1
+                eps = None
             return cls(epsilon=eps, case=case, log_value=log_value)
         return cls(epsilon=cmath.exp(log_value), case=case, log_value=log_value)
 
@@ -163,24 +204,46 @@ def unit_log(u: UnitInput) -> complex:
     return value
 
 
-@dataclass(frozen=True, slots=True)
-class FixedPointReport:
+class _FixedPointFields(NamedTuple):
+    alpha: complex
+    branch: int
+    beta: float
+    residual_defining: float
+    residual_split_1: float | None
+    residual_split_2: float | None
+    residual_sum_equation: float | None
+    conventions: dict
+
+
+class FixedPointReport(_FixedPointFields):
     """A root alpha with the residuals of every equation it touches.
 
     residual_defining measures the case's defining equation. The split and
     summed-equation residuals apply to the real case only and are None for
     the complex case. residual_sum_equation is informational: it is recorded
-    for audit and never asserted anywhere in this package.
+    for audit and never asserted anywhere in this package. conventions
+    defaults to a new empty dict.
     """
 
-    alpha: complex
-    branch: int
-    beta: float = 0.0
-    residual_defining: float = 0.0
-    residual_split_1: float | None = None
-    residual_split_2: float | None = None
-    residual_sum_equation: float | None = None
-    conventions: dict = field(default_factory=dict)
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        alpha: complex,
+        branch: int,
+        beta: float = 0.0,
+        residual_defining: float = 0.0,
+        residual_split_1: float | None = None,
+        residual_split_2: float | None = None,
+        residual_sum_equation: float | None = None,
+        conventions: dict | None = None,
+    ) -> "FixedPointReport":
+        if conventions is None:
+            conventions = {}
+        return tuple.__new__(cls, (
+            alpha, branch, beta, residual_defining, residual_split_1, residual_split_2,
+            residual_sum_equation, conventions,
+        ))
 
 
 def solve_exp_linear(eq: ExpLinearEquation, k: int = 0) -> complex:
@@ -194,7 +257,11 @@ def solve_exp_linear(eq: ExpLinearEquation, k: int = 0) -> complex:
 
 def _exp_linear_root(a: complex, b: complex, c: complex, k: int) -> complex:
     """z = A - W_k(-B*C*exp(A*C))/C for finite complex A, B, C with B*C != 0."""
-    return a - lambert_w(k, -b * c * cmath.exp(a * c)).value / c
+    try:
+        arg = -b * c * cmath.exp(a * c)
+    except (OverflowError, ValueError):  # exp of a huge or an infinite A*C
+        raise NonFinite(f"Lambert argument -B*C*exp(A*C) overflows: A*C = {a * c!r}") from None
+    return a - lambert_w(k, arg).value / c
 
 
 def alpha_complex_case(u: UnitInput, j: int = 0, beta: float = 0.0) -> FixedPointReport:
@@ -208,16 +275,22 @@ def alpha_complex_case(u: UnitInput, j: int = 0, beta: float = 0.0) -> FixedPoin
         raise DomainError("alpha_complex_case needs a complex-case unit")
     beta = float(beta)
     log_eps = unit_log(u)
-    z = _exp_linear_root(*_coefficients(beta, log_eps * math.exp(-_TWO_PI * beta), _TWO_PI), j)
+    try:
+        scale = math.exp(-_TWO_PI * beta)
+    except OverflowError:
+        raise NonFinite(
+            f"Lambert argument -B*C*exp(A*C) overflows: B = log(eps)*exp(-2*pi*beta), beta = {beta!r}"
+        ) from None
+    z = _exp_linear_root(*_coefficients(beta, log_eps * scale, _TWO_PI), j)
     alpha = (z - beta) / 1j
-    residual = abs(1j * alpha - cmath.exp(_TWO_PI_I * alpha) * log_eps)
-    return FixedPointReport(
-        alpha=alpha,
-        branch=j,
-        beta=beta,
-        residual_defining=residual,
-        conventions={"log_branch": u.log_branch, "case": u.case.value},
-    )
+    try:
+        residual = abs(1j * alpha - cmath.exp(_TWO_PI_I * alpha) * log_eps)
+    except OverflowError:  # a tiny log(eps) puts exp(2*pi*i*alpha) beyond float range
+        raise NonFinite(f"residual overflows at alpha = {alpha!r}") from None
+    return _tuple_new(FixedPointReport, (
+        alpha, j, beta, residual, None, None, None,
+        {"log_branch": u.log_branch, "case": u.case._value_},
+    ))
 
 
 def alpha_real_case(
@@ -240,33 +313,32 @@ def alpha_real_case(
     if not isinstance(pairing, Pairing):
         pairing = Pairing(pairing)
     log_eps = unit_log(u).real
-    m = j if pairing is Pairing.SAME_BRANCH else -j
 
     # alpha1 = -W_j(-2*pi*i*L)/(2*pi*i); alpha2 = +W_m(+2*pi*i*L)/(2*pi*i)
     w1 = lambert_w(j, -_TWO_PI_I * log_eps).value
-    w2 = lambert_w(m, _TWO_PI_I * log_eps).value
+    if pairing is Pairing.SAME_BRANCH:
+        w2 = lambert_w(j, _TWO_PI_I * log_eps).value
+    else:  # m = -j: W_-j(conj z) = conj W_j(z) off the cut
+        w2 = w1.conjugate()
     alpha1 = -w1 / _TWO_PI_I
     alpha2 = w2 / _TWO_PI_I
     alpha = alpha1 + alpha2
 
-    r1 = abs(alpha1 - log_eps * cmath.exp(_TWO_PI_I * alpha1))
-    r2 = abs(alpha2 - log_eps * cmath.exp(-_TWO_PI_I * alpha2))
-    r_sum = abs(
-        2.0 * alpha
-        - log_eps * cmath.exp(_TWO_PI_I * alpha)
-        - log_eps * cmath.exp(-_TWO_PI_I * alpha)
-    )
-    r_def = abs(alpha - cmath.cos(_TWO_PI * alpha) * log_eps)
-    return FixedPointReport(
-        alpha=alpha,
-        branch=j,
-        beta=0.0,
-        residual_defining=r_def,
-        residual_split_1=r1,
-        residual_split_2=r2,
-        residual_sum_equation=r_sum,
-        conventions={"log_branch": 0, "pairing": pairing.value, "case": u.case.value},
-    )
+    try:
+        r1 = abs(alpha1 - log_eps * cmath.exp(_TWO_PI_I * alpha1))
+        r2 = abs(alpha2 - log_eps * cmath.exp(-_TWO_PI_I * alpha2))
+        r_sum = abs(
+            2.0 * alpha
+            - log_eps * cmath.exp(_TWO_PI_I * alpha)
+            - log_eps * cmath.exp(-_TWO_PI_I * alpha)
+        )
+        r_def = abs(alpha - cmath.cos(_TWO_PI * alpha) * log_eps)
+    except OverflowError:  # a tiny log(eps) puts exp(+-2*pi*i*alpha) beyond float range
+        raise NonFinite(f"residual overflows at alpha = {alpha!r}") from None
+    return _tuple_new(FixedPointReport, (
+        alpha, j, 0.0, r_def, r1, r2, r_sum,
+        {"log_branch": 0, "pairing": pairing._value_, "case": u.case._value_},
+    ))
 
 
 def verify_fixed_point(alpha: complex, u: UnitInput) -> float:
@@ -277,6 +349,9 @@ def verify_fixed_point(alpha: complex, u: UnitInput) -> float:
     """
     alpha = _finite(alpha, "alpha")
     log_eps = unit_log(u)
-    if u.case is Case.COMPLEX:
-        return abs(1j * alpha - cmath.exp(_TWO_PI_I * alpha) * log_eps)
-    return abs(alpha - cmath.cos(_TWO_PI * alpha) * log_eps.real)
+    try:
+        if u.case is Case.COMPLEX:
+            return abs(1j * alpha - cmath.exp(_TWO_PI_I * alpha) * log_eps)
+        return abs(alpha - cmath.cos(_TWO_PI * alpha) * log_eps.real)
+    except (OverflowError, ValueError):  # exp or cos of a huge Im alpha
+        raise NonFinite(f"residual overflows at alpha = {alpha!r}") from None

@@ -27,13 +27,19 @@ has not converged after 64 steps, either entry point raises NoConvergence
 unless the residual |w e^w - z| / (1 + |z|) is already <= 1e-12;
 lambert_w also raises it for a larger residual after a step that did fall
 below tolerance.
+
+Off the real axis W_{-k}(conj z) = conj W_k(z), and lambert_w keeps that
+symmetry bit for bit: conjugation commutes with complex +, -, *, / and with
+cmath's exp, log and sqrt, and the seed regions are mirror images in Im z
+there. solver.alpha_real_case relies on it: its conjugate-branch pair
+W_j(-2*pi*i*L), W_-j(+2*pi*i*L) costs one evaluation.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     BranchPointSingularity,
@@ -67,10 +73,15 @@ _STEP_TOL = 1e-15
 _STALL_TOL = 1e-13
 _RESIDUAL_TOL = 1e-12
 
+# Bound once: lambert_w is called per query and per scan row. It builds its
+# WEvaluation through tuple.__new__, without the Python frame of the named
+# tuple's own __new__.
+_cexp, _clog, _csqrt, _isfinite = cmath.exp, cmath.log, cmath.sqrt, math.isfinite
+_tuple_new = tuple.__new__
 
-@dataclass(frozen=True, slots=True)
-class WEvaluation:
-    """One converged branch evaluation.
+
+class WEvaluation(NamedTuple):
+    """One converged branch evaluation (an immutable named tuple).
 
     residual is |w*exp(w) - z| / (1 + |z|); success guarantees <= 1e-12.
     """
@@ -127,9 +138,10 @@ def _initial_guess(k: int, z: complex, sqrt, log) -> complex:
     # Branches -1 and +1 pinch onto the -1 - p cluster at the branch point:
     # W_-1 owns it for Im z >= 0 (cut values continuous from above), W_+1
     # for Im z < 0; on the other side both run in their asymptotic strips.
-    if abs(z - BRANCH_POINT_Z) <= 0.3 and (
-        k == 0 or (k == -1 and z.imag >= 0.0) or (k == 1 and z.imag < 0.0)
-    ):
+    # The branch test comes first: it is cheaper than the distance.
+    if (k == 0 or (k == -1 and z.imag >= 0.0) or (k == 1 and z.imag < 0.0)) and abs(
+        z - BRANCH_POINT_Z
+    ) <= 0.3:
         p = sqrt(2.0 * (math.e * z + 1.0))
         return _branch_point_seed(-p if k else p)
     if k == 0:
@@ -204,21 +216,28 @@ def lambert_w(k: int, z: complex) -> WEvaluation:
     ------
     NonFinite, BranchSingularity, NoConvergence
     """
-    z = _require_finite(z)
+    # _require_finite and the common branch of _residual, inlined: this is
+    # the per-query path, and each saved call is a measurable share of it.
+    z = complex(z)
+    if not (_isfinite(z.real) and _isfinite(z.imag)):
+        raise NonFinite(f"non-finite argument {z!r}")
     k = int(k)
     if z == 0:
         if k == 0:
             return WEvaluation(0j, 0, 0.0, 0)
         raise BranchSingularity(f"W_{k}(0) diverges")
-    w, iterations, stepped = _halley(z, _initial_guess(k, z, cmath.sqrt, cmath.log), cmath.exp)
-    res = _residual(w, z)
-    if not stepped and res > _RESIDUAL_TOL:
-        raise NoConvergence(
-            f"Halley failed for W_{k}({z!r}): residual {res:.3e} after {iterations} iterations"
-        )
+    w, iterations, stepped = _halley(z, _initial_guess(k, z, _csqrt, _clog), _cexp)
+    if w.real <= 500.0:
+        res = abs(w * _cexp(w) - z) / (1.0 + abs(z))
+    else:
+        res = _residual(w, z)
     if res > _RESIDUAL_TOL:
+        if not stepped:
+            raise NoConvergence(
+                f"Halley failed for W_{k}({z!r}): residual {res:.3e} after {iterations} iterations"
+            )
         raise NoConvergence(f"W_{k}({z!r}) converged to residual {res:.3e} > 1e-12")
-    return WEvaluation(w, k, res, iterations)
+    return _tuple_new(WEvaluation, (w, k, res, iterations))
 
 
 def lambert_w_real(k: int, x: float) -> float:

@@ -1,3 +1,5 @@
+import argparse
+import contextlib
 import csv
 import hashlib
 import io
@@ -9,8 +11,10 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lgw.cli import run
+from lgw.cli import _build_parser, run
 from lgw.solver import Pairing
 from lgw.survey import (
     CSV_COLUMNS,
@@ -307,6 +311,94 @@ class TestVerifyCommand:
         assert code == 64
         assert captured.out == ""
         assert "--tolerance" in captured.err
+
+
+class TestDomainLimits:
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--a-re", "800", "--b-re", "1", "--c-re", "1"],
+        ["alpha", "--case", "complex", "--eps-re", "0", "--eps-im", "1", "--beta", "-200"],
+        ["verify", "--case", "complex", "--alpha-re", "0", "--alpha-im", "-1000",
+         "--eps-re", "0", "--eps-im", "1"],
+    ], ids=["solve-exp-overflow", "alpha-beta-overflow", "verify-exp-overflow"])
+    def test_overflow_is_a_domain_error(self, capsys, argv):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "overflows" in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["unit", "--d", "100000000000031"],
+        ["alpha", "--case", "real", "--d", "100000000000031"],
+    ], ids=["unit", "alpha-real"])
+    def test_radicand_above_ceiling_exit_2_at_once(self, capsys, argv):
+        t0 = time.perf_counter()
+        assert run(argv) == 2
+        assert time.perf_counter() - t0 < 2.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "100000000" in captured.err
+
+    def test_tiny_real_log_is_usable(self, capsys):
+        code, obj = run_json(capsys, ["alpha", "--case", "real", "--log-eps-re", "1e-20"])
+        assert code == 0
+        assert obj["alpha_re"] == pytest.approx(2e-20, rel=1e-12)
+
+
+_PARSER = _build_parser()
+_COMMANDS = next(a for a in _PARSER._actions if isinstance(a, argparse._SubParsersAction)).choices
+_FLOAT = st.one_of(st.floats(-10.0, 10.0), st.floats(-1e308, 1e308))
+
+
+def _flag_value(action):
+    if action.choices is not None:
+        return st.sampled_from(sorted(action.choices))
+    if action.type is int:
+        return st.integers(-8, 300)
+    assert action.type is float, action
+    if action.dest == "tolerance":
+        return st.one_of(st.floats(1e-15, 1e-6), _FLOAT)
+    return _FLOAT
+
+
+@st.composite
+def _point_argv(draw):
+    """argv for a point command, from that subparser's own flags.
+
+    Each optional flag is drawn present or absent; values go in as
+    `--flag=value`, so a negative float is not read as a flag.
+    """
+    command = draw(st.sampled_from(("w", "solve", "alpha", "verify")))
+    argv = [command]
+    for action in _COMMANDS[command]._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        if action.required or draw(st.booleans()):
+            flag = action.option_strings[-1]
+            argv.append(flag if action.nargs == 0 else f"{flag}={draw(_flag_value(action))}")
+    return argv
+
+
+class TestPointCommandFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(argv=_point_argv())
+    def test_exit_contract(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)  # an escaping exception is the traceback this guards against
+        assert code in (0, 2, 3, 64)
+        assert "Traceback" not in err.getvalue()
+        text = out.getvalue()
+        if not text:
+            return
+        fmt = _PARSER.parse_args(argv).format
+        if fmt == "json":
+            json.loads(text)
+        elif fmt == "csv":
+            header, row = csv.reader(io.StringIO(text))
+            assert len(header) == len(row)
+        else:
+            assert all("=" in line for line in text.splitlines())
 
 
 class TestPointCsv:

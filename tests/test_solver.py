@@ -11,6 +11,7 @@ from lgw.errors import DegenerateCoefficients, DomainError, ZeroLogUnit
 from lgw.solver import (
     Case,
     ExpLinearEquation,
+    FixedPointReport,
     Pairing,
     UnitInput,
     alpha_complex_case,
@@ -19,6 +20,7 @@ from lgw.solver import (
     unit_log,
     verify_fixed_point,
 )
+from lgw.wfunc import lambert_w
 
 from oracles import bisect, count_real_roots_sign_changes
 
@@ -179,6 +181,42 @@ class TestAlphaRealCase:
         with pytest.raises(DomainError):
             alpha_real_case(UnitInput.complex_unit(1j), 0)
 
+    @pytest.mark.parametrize("log_eps", [0.05, math.log(1 + math.sqrt(2)), 2.5, 50.0])
+    @pytest.mark.parametrize("j", range(-3, 4))
+    def test_conjugate_pairing_equals_two_solves(self, log_eps, j):
+        # The report takes W_-j(2*pi*i*L) as conj W_j(-2*pi*i*L); it must equal
+        # the literal formula with a second Lambert evaluation, field by field.
+        rep = alpha_real_case(UnitInput.from_log(log_eps, case=Case.REAL), j, Pairing.CONJUGATE_BRANCH)
+        two_pi_i = 2j * math.pi
+        alpha1 = -lambert_w(j, -two_pi_i * log_eps).value / two_pi_i
+        alpha2 = lambert_w(-j, two_pi_i * log_eps).value / two_pi_i
+        alpha = alpha1 + alpha2
+        expected = FixedPointReport(
+            alpha=alpha,
+            branch=j,
+            residual_defining=abs(alpha - cmath.cos(2 * math.pi * alpha) * log_eps),
+            residual_split_1=abs(alpha1 - log_eps * cmath.exp(two_pi_i * alpha1)),
+            residual_split_2=abs(alpha2 - log_eps * cmath.exp(-two_pi_i * alpha2)),
+            residual_sum_equation=abs(
+                2.0 * alpha
+                - log_eps * cmath.exp(two_pi_i * alpha)
+                - log_eps * cmath.exp(-two_pi_i * alpha)
+            ),
+            conventions={"log_branch": 0, "pairing": "conjugate-branch", "case": "real"},
+        )
+        for name in FixedPointReport._fields:
+            assert getattr(rep, name) == getattr(expected, name), name
+
+    def test_tiny_log_is_not_the_unit_one(self):
+        # e^1e-20 rounds to 1.0; the forced log still decides.
+        u = UnitInput.from_log(1e-20, case=Case.REAL)
+        assert u.epsilon is None
+        assert unit_log(u) == 1e-20
+        rep = alpha_real_case(u, 0, Pairing.CONJUGATE_BRANCH)
+        assert rep.alpha == pytest.approx(2e-20, rel=1e-12)
+        assert rep.residual_split_1 <= 1e-10
+        assert rep.residual_split_2 <= 1e-10
+
 
 def test_injectivity_probe_reports_but_never_fails():
     alphas = []
@@ -216,6 +254,32 @@ class TestVerifyFixedPoint:
         assert verify_fixed_point(rep.alpha, u) == pytest.approx(
             rep.residual_sum_equation / 2.0, rel=1e-12
         )
+
+
+class TestRecords:
+    def test_immutable_with_value_equality_and_repr(self):
+        u = UnitInput.complex_unit(1j)
+        with pytest.raises(AttributeError):
+            u.log_branch = 1
+        assert u == UnitInput(epsilon=1j)
+        assert repr(u) == "UnitInput(epsilon=1j, log_branch=0, case=<Case.COMPLEX: 'complex'>, log_value=None)"
+        eq = ExpLinearEquation(0, 1, -1)
+        assert repr(eq) == "ExpLinearEquation(a=0j, b=(1+0j), c=(-1+0j))"
+        with pytest.raises(AttributeError):
+            eq.extra = 0
+
+    def test_replace_keeps_the_checks(self):
+        with pytest.raises(DegenerateCoefficients):
+            ExpLinearEquation(0, 1, -1)._replace(b=0)
+        with pytest.raises(ZeroLogUnit):
+            UnitInput.real_unit(2.0)._replace(epsilon=1.0)
+        assert ExpLinearEquation(0, 1, -1)._replace(a=2) == ExpLinearEquation(2, 1, -1)
+
+    def test_report_defaults_get_their_own_conventions(self):
+        a, b = FixedPointReport(alpha=0j, branch=0), FixedPointReport(alpha=0j, branch=0)
+        assert a == b
+        assert a.conventions == {} and a.conventions is not b.conventions
+        assert (a.beta, a.residual_defining, a.residual_split_1) == (0.0, 0.0, None)
 
 
 class TestUnitInput:

@@ -15,6 +15,7 @@ from lgw.errors import (
     NonFinite,
     TermLimitExceeded,
 )
+from lgw.fields import fundamental_unit, is_squarefree
 from lgw.wfunc import BRANCH_POINT_Z, OMEGA, lambert_w, lambert_w_real, w_derivative, w_series
 
 from oracles import bisect, w_minus1_real, w_principal_real
@@ -201,6 +202,20 @@ def test_conjugate_symmetry(re, im):
     w_up = lambert_w(0, z).value
     w_dn = lambert_w(0, z.conjugate()).value
     assert abs(w_dn - w_up.conjugate()) <= 1e-13 * (1 + abs(w_up))
+
+
+def _squarefree_regulators(count):
+    radicands = (d for d in range(2, 10 * count) if is_squarefree(d))
+    return [fundamental_unit(d).regulator for _, d in zip(range(count), radicands)]
+
+
+@pytest.mark.parametrize("j", range(-3, 4))
+def test_conjugate_symmetry_is_exact_on_unit_arguments(j):
+    # solver.alpha_real_case takes W_-j(2*pi*i*L) as the conjugate of
+    # W_j(-2*pi*i*L); that shortcut is only sound if the two agree bit for bit.
+    for reg in _squarefree_regulators(300):
+        z = -2j * math.pi * reg
+        assert lambert_w(-j, z.conjugate()).value == lambert_w(j, z).value.conjugate(), reg
 
 
 @settings(max_examples=100, deadline=None)
