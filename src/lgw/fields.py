@@ -14,8 +14,16 @@ real scan alike: it enumerates the reduced forms (a, b, -m) with
 D = b^2 + 4am, a, m > 0 and |a - m| < b, and their mirrors (-a, b, m),
 applies the cycle step rho to all of them at once, and counts the cycles
 of each D by pointer doubling. It walks D in windows of a bounded number
-of forms, and takes D up to _MAX_REAL_D = 10^8. Negative D go down to
--_MAX_IMAG_D = -10^7.
+of forms, and takes D up to _MAX_REAL_D = 10^8.
+
+Negative D go down to -_MAX_IMAG_D = -10^7. class_number(D < 0) lists the
+reduced definite forms of one D; an imaginary scan counts them for every
+-n >= -limit at once (_imaginary_form_counts). There n = 4ac - b^2 is 0 or
+3 mod 4 by the parity of b, so the counts live in two int32 residue classes
+of about limit/4 entries, where each a adds progressions of stride a: one
+staircase of about a/4 rows, then one periodic row of the a's whole
+pattern added over a 2-D view. class_numbers_imaginary_batch assembles the
+int64 array over all n from the two classes.
 
 numpy is imported inside the sieves and class_number(D > 0), on first use:
 units, forms of negative D and the analytic formula run without it, and so
@@ -508,8 +516,9 @@ def _wide_class_number(h_plus: int, unit: FundamentalUnit) -> int:
 _MAX_REAL_D = 10**8
 
 # Largest |D| of a negative discriminant: class_number(D < 0) enumerates
-# forms in O(|D|) Python steps, and an imaginary scan to -limit holds
-# int64[limit + 1] class numbers.
+# forms in O(|D|) Python steps, and an imaginary scan to -limit holds its
+# form counts in int32[limit // 4 + 1, 2] and does work that grows as
+# limit^1.5 (about 3 s of sieve at 10^7).
 _MAX_IMAG_D = 10**7
 
 # Candidate forms the sieve holds at once: it walks D in windows of about
@@ -704,23 +713,76 @@ def class_number_analytic(D: int, precision_terms: int | None = None) -> int:
 def class_numbers_imaginary_batch(limit: int) -> np.ndarray:
     """counts[n] = number of reduced forms of discriminant -n, n <= limit.
 
-    Sieve over (a, b, c) with 0 <= b <= a <= c; entries are exact class
-    numbers at fundamental indices (imprimitive forms cannot occur there).
+    An int64 array of limit + 1 entries, assembled from the two residue
+    classes of _imaginary_form_counts: forms exist only at n = 0, 3 mod 4,
+    so every other entry is 0. Imprimitive forms are counted too; they
+    cannot occur at a fundamental -n, so entries there are exact class
+    numbers.
     """
     import numpy as np
 
     counts = np.zeros(limit + 1, dtype=np.int64)
-    amax = isqrt(limit // 3)
-    for a in range(1, amax + 1):
-        four_a = 4 * a
-        for b in range(0, a + 1):
-            start = four_a * a - b * b  # |D| at c = a
-            if start > limit:
-                continue
-            n = (limit + b * b) // four_a - a + 1
-            weight = 1 if (b == 0 or b == a) else 2
-            sl = counts[start : start + (n - 1) * four_a + 1 : four_a]
-            sl += weight
-            if weight == 2:
-                counts[start] -= 1  # a == c admits only b >= 0
+    by_class = _imaginary_form_counts(limit)
+    counts[0::4] = by_class[:, 0]
+    counts[3::4] = by_class[: len(counts[3::4]), 1]
     return counts
+
+
+# Periodic rows are tiled to about this many entries, so each add over the
+# 2-D view runs long contiguous inner loops.
+_FORM_ROW_ENTRIES = 4096
+
+
+def _imaginary_form_counts(limit: int) -> np.ndarray:
+    """Reduced forms (a, b, c) of discriminant -n for n <= limit, by the
+    residue class of n, as int32 of shape (limit // 4 + 1, 2).
+
+    A reduced form has 0 <= |b| <= a <= c, b >= 0 when |b| = a or a = c,
+    and n = 4ac - b^2 (Cohen, GTM 138, section 5.3). Even b = 2j gives
+    n = 4(ac - j^2), counted in column 0 at row n / 4; odd b = 2j + 1 gives
+    n = 4(ac - j^2 - j - 1) + 3, counted in column 1 at row (n - 3) / 4. So
+    row i holds n = 4i and n = 4i + 3, and a form of n sits at [n >> 2, n & 1].
+    The last row's odd entry may lie beyond limit.
+
+    In the flat array, |b| in [0, a] puts the forms of a at 2ac - q_b for
+    c >= a, q_b = ceil(b^2 / 2): one progression of stride 2a per |b|, of
+    weight 2 (for +-b) or 1 (b = 0 or |b| = a), and 1 at c = a, where only
+    b >= 0 is reduced. From 2a^2 on every progression has started, so the
+    whole contribution of a there is one periodic row of 2a entries added
+    over a 2-D view. Below 2a^2 the starts spread over about a/4 rows; that
+    staircase is accumulated row by row, its temporaries bounded by a.
+    """
+    import numpy as np
+
+    rows = limit // 4 + 1
+    # each a adds at most 2a to an entry, so a count stays below limit/3 + sqrt(limit)
+    flat = np.zeros(2 * rows, dtype=np.int32)
+    size = len(flat)
+    amax = isqrt(limit // 3)
+    b = np.arange(amax + 1, dtype=np.int64)
+    q = (b * b + 1) // 2
+    for a in range(1, amax + 1):
+        period, square = 2 * a, 2 * a * a
+        start = square - q[: a + 1]  # descending: |b| = a starts first
+        w = np.full(a + 1, 2, dtype=np.int32)
+        w[[0, a]] = 1
+        # 3a^2 <= limit puts the earliest start, 1.5a^2, inside the array
+        base = int(start[a]) // period * period
+        stair = np.zeros(square + period - base, dtype=np.int32)
+        at = start - base
+        stair[at] = w
+        steps = stair.reshape(-1, period)
+        for r in range(1, len(steps)):
+            steps[r] += steps[r - 1]
+        stair[at] -= w - 1  # at c = a only b >= 0 is reduced
+        top = min(square, size)
+        flat[base:top] += stair[: top - base]
+        if square >= size:
+            continue
+        row = np.tile(steps[-1], max(1, _FORM_ROW_ENTRIES // period))
+        width = len(row)
+        end = square + (size - square) // width * width
+        view = flat[square:end].reshape(-1, width)
+        np.add(view, row, out=view)
+        flat[end:] += row[: size - end]
+    return flat.reshape(rows, 2)

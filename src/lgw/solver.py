@@ -113,7 +113,10 @@ class ExpLinearEquation(_ExpLinearFields):
         try:
             return abs(z - self.a - self.b * cmath.exp(self.c * z))
         except (OverflowError, ValueError):
-            raise NonFinite(f"residual overflows at z = {z!r}") from None
+            product = _exp_of_sum_with_log(self.c * z, self.b)
+            if product is None:
+                raise NonFinite(f"residual overflows at z = {z!r}") from None
+            return abs(z - self.a - product)
 
 
 class _UnitFields(NamedTuple):
@@ -255,12 +258,23 @@ def solve_exp_linear(eq: ExpLinearEquation, k: int = 0) -> complex:
     return _exp_linear_root(eq.a, eq.b, eq.c, k)
 
 
+def _exp_of_sum_with_log(x: complex, y: complex) -> complex | None:
+    """y*exp(x) formed as exp(x + log(y)), for an exp(x) beyond float range
+    times a small y; None when that overflows too (or y is 0)."""
+    try:
+        return cmath.exp(x + cmath.log(y))
+    except (OverflowError, ValueError):
+        return None
+
+
 def _exp_linear_root(a: complex, b: complex, c: complex, k: int) -> complex:
     """z = A - W_k(-B*C*exp(A*C))/C for finite complex A, B, C with B*C != 0."""
     try:
         arg = -b * c * cmath.exp(a * c)
     except (OverflowError, ValueError):  # exp of a huge or an infinite A*C
-        raise NonFinite(f"Lambert argument -B*C*exp(A*C) overflows: A*C = {a * c!r}") from None
+        arg = _exp_of_sum_with_log(a * c, -b * c)
+        if arg is None:
+            raise NonFinite(f"Lambert argument -B*C*exp(A*C) overflows: A*C = {a * c!r}") from None
     return a - lambert_w(k, arg).value / c
 
 
@@ -286,7 +300,10 @@ def alpha_complex_case(u: UnitInput, j: int = 0, beta: float = 0.0) -> FixedPoin
     try:
         residual = abs(1j * alpha - cmath.exp(_TWO_PI_I * alpha) * log_eps)
     except OverflowError:  # a tiny log(eps) puts exp(2*pi*i*alpha) beyond float range
-        raise NonFinite(f"residual overflows at alpha = {alpha!r}") from None
+        product = _exp_of_sum_with_log(_TWO_PI_I * alpha, log_eps)
+        if product is None:
+            raise NonFinite(f"residual overflows at alpha = {alpha!r}") from None
+        residual = abs(1j * alpha - product)
     return _tuple_new(FixedPointReport, (
         alpha, j, beta, residual, None, None, None,
         {"log_branch": u.log_branch, "case": u.case._value_},

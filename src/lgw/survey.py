@@ -38,11 +38,11 @@ from .fields import (
     RootsOfUnity,
     _check_size,
     _fundamental_discriminant_array,
+    _imaginary_form_counts,
     _narrow_class_numbers,
     _squarefree_mask,
     _unit_of_squarefree,
     _wide_class_number,
-    class_numbers_imaginary_batch,
     roots_of_unity,
 )
 from .solver import Case, FixedPointReport, Pairing, UnitInput, alpha_complex_case, alpha_real_case
@@ -260,7 +260,8 @@ def scan_imaginary(
     """Scan fundamental D in [-limit, -3]; attach alpha to every h = 1 field.
 
     Discriminants and radicands come from the fundamental-discriminant
-    sieve, class numbers from the batched form sieve; torsion units with a
+    sieve, class numbers straight from the two residue classes of the
+    form-count sieve (fields._imaginary_form_counts); torsion units with a
     usable log (nonzero under the configured log branch) each contribute an
     alpha via the complex-case root formula. limit may be at most
     fields._MAX_IMAG_D (10^7); a larger one raises TermLimitExceeded at once.
@@ -273,7 +274,8 @@ def scan_imaginary(
     # (D for D = 1 mod 4, D/4 otherwise) and h are read off whole arrays.
     D = _fundamental_discriminant_array(-limit, -3)[::-1]  # -3 first, |D| ascending
     d = np.where(D % 4 == 0, D // 4, D)
-    h = class_numbers_imaginary_batch(max(limit, 0))[-D]
+    n = -D  # 0 or 3 mod 4: the form counts hold n at [n >> 2, n & 1]
+    h = _imaginary_form_counts(max(limit, 0))[n >> 2, n & 1].astype(np.int64)
     at = np.flatnonzero(h == 1)
     h1_rows = tuple(_map_rows(
         _imaginary_row,

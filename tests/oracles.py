@@ -110,6 +110,42 @@ def reduced_definite_forms_brute(D: int, bound: int | None = None) -> set[tuple[
     return out
 
 
+def reduced_definite_form_counts_brute(limit: int) -> list[int]:
+    """counts[n] = reduced forms of discriminant -n, n <= limit, imprimitive
+    ones included, by a loop over every triple (a, b, c)."""
+    counts = [0] * (limit + 1)
+    for a in range(1, isqrt(limit // 3) + 1):
+        for b in range(-a + 1, a + 1):
+            c = a
+            while 4 * a * c - b * b <= limit:
+                if b >= 0 or a != c:
+                    counts[4 * a * c - b * b] += 1
+                c += 1
+    return counts
+
+
+def reduced_definite_form_counts_loop(limit: int):
+    """counts[n] = reduced forms of discriminant -n, n <= limit, as int64: one
+    strided numpy add per (a, |b|) over c >= a, weight 2 for +-b, and -1 at
+    c = a where only b >= 0 is reduced. The sieve lgw used before the
+    residue-class one."""
+    import numpy as np
+
+    counts = np.zeros(limit + 1, dtype=np.int64)
+    for a in range(1, isqrt(limit // 3) + 1):
+        four_a = 4 * a
+        for b in range(0, a + 1):
+            start = four_a * a - b * b  # |D| at c = a
+            if start > limit:
+                continue
+            n = (limit + b * b) // four_a - a + 1
+            weight = 1 if (b == 0 or b == a) else 2
+            counts[start : start + (n - 1) * four_a + 1 : four_a] += weight
+            if weight == 2:
+                counts[start] -= 1
+    return counts
+
+
 def _reduced_indefinite(D: int, a: int, b: int) -> bool:
     # 0 < b < sqrt(D) and sqrt(D) - b < 2|a| < sqrt(D) + b, squared out
     # exactly for non-square D > 0

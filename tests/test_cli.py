@@ -327,6 +327,17 @@ class TestDomainLimits:
         assert "overflows" in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("argv, key", [
+        (["solve", "--a-re", "800", "--b-re", "1e-300", "--c-re", "1"], "residual"),
+        (["alpha", "--case", "complex", "--log-eps-re", "1.1e-308", "--branch", "1"],
+         "residual_defining"),
+    ], ids=["solve", "alpha-complex"])
+    def test_exp_beyond_float_range_times_tiny_factor_is_solved(self, capsys, argv, key):
+        # exp alone overflows, the product (about e^109 and e^5) does not
+        code, obj = run_json(capsys, argv)
+        assert code == 0
+        assert obj[key] < 1e-11
+
     @pytest.mark.parametrize("argv", [
         ["unit", "--d", "100000000000031"],
         ["alpha", "--case", "real", "--d", "100000000000031"],
@@ -338,6 +349,18 @@ class TestDomainLimits:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "100000000" in captured.err
+
+    @pytest.mark.parametrize("d", ["1000000000000000003", "-1000000000000000003"],
+                             ids=["positive", "negative"])
+    def test_classno_radicand_above_ceiling_exit_2_at_once(self, capsys, d):
+        # D = 4d or d lies beyond the class-number ceiling, so the squarefree
+        # test of d never runs
+        t0 = time.perf_counter()
+        assert run(["classno", f"--d={d}"]) == 2
+        assert time.perf_counter() - t0 < 2.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "supported" in captured.err
 
     def test_tiny_real_log_is_usable(self, capsys):
         code, obj = run_json(capsys, ["alpha", "--case", "real", "--log-eps-re", "1e-20"])
@@ -353,6 +376,8 @@ _FLOAT = st.one_of(st.floats(-10.0, 10.0), st.floats(-1e308, 1e308))
 def _flag_value(action):
     if action.choices is not None:
         return st.sampled_from(sorted(action.choices))
+    if action.dest in ("d", "discriminant"):
+        return st.integers(-10**4, 10**4)
     if action.type is int:
         return st.integers(-8, 300)
     assert action.type is float, action
@@ -365,22 +390,30 @@ def _flag_value(action):
 def _point_argv(draw):
     """argv for a point command, from that subparser's own flags.
 
-    Each optional flag is drawn present or absent; values go in as
-    `--flag=value`, so a negative float is not read as a flag.
+    Each optional flag is drawn present or absent, but a required either/or
+    group (classno's --discriminant / --d) gets exactly one of its flags;
+    values go in as `--flag=value`, so a negative number is not read as a
+    flag.
     """
-    command = draw(st.sampled_from(("w", "solve", "alpha", "verify")))
+    command = draw(st.sampled_from(("w", "solve", "alpha", "verify", "unit", "classno")))
     argv = [command]
+    groups = [g._group_actions for g in _COMMANDS[command]._mutually_exclusive_groups if g.required]
+    chosen = [draw(st.sampled_from(actions)) for actions in groups]
     for action in _COMMANDS[command]._actions:
         if isinstance(action, argparse._HelpAction):
             continue
-        if action.required or draw(st.booleans()):
+        if any(action in actions for actions in groups):
+            present = action in chosen
+        else:
+            present = action.required or draw(st.booleans())
+        if present:
             flag = action.option_strings[-1]
             argv.append(flag if action.nargs == 0 else f"{flag}={draw(_flag_value(action))}")
     return argv
 
 
 class TestPointCommandFuzz:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(argv=_point_argv())
     def test_exit_contract(self, argv):
         out, err = io.StringIO(), io.StringIO()

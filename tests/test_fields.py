@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from math import isqrt
 
 import numpy as np
@@ -39,6 +40,8 @@ from oracles import (
     legendre_euler,
     narrow_class_number_brute,
     pell_minimal_unit,
+    reduced_definite_form_counts_brute,
+    reduced_definite_form_counts_loop,
     reduced_definite_forms_brute,
 )
 
@@ -411,6 +414,30 @@ class TestBatchSieve:
         counts = class_numbers_imaginary_batch(1500)
         for D in fundamental_discriminants(-1500, -3):
             assert counts[-D] == class_number(D)
+
+    # every limit mod 4 and every small a, then sizes with many full
+    # periodic rows and tails
+    @pytest.mark.parametrize("limits", [range(0, 401), [4099], [20000], [300000]],
+                             ids=["0-400", "4099", "20000", "300000"])
+    def test_matches_strided_loop(self, limits):
+        for limit in limits:
+            got = class_numbers_imaginary_batch(limit)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, reduced_definite_form_counts_loop(limit)), limit
+
+    def test_matches_triple_loop_with_imprimitive_forms(self):
+        assert class_numbers_imaginary_batch(2000).tolist() == reduced_definite_form_counts_brute(2000)
+
+    def test_memory_peak_stays_near_result(self):
+        # the int64 result is 8 MB; the residue classes add 2 MB and each
+        # a's staircase stays below 1 MB
+        tracemalloc.start()
+        try:
+            result = class_numbers_imaginary_batch(10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * result.nbytes
 
 
 class TestDiscriminantHelpers:
