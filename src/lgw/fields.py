@@ -7,14 +7,23 @@ two independent ways (reduced binary quadratic forms, and the finite
 Dirichlet class-number formula through the Kronecker symbol).
 
 Class numbers for positive discriminants are the ordinary (wide) h by
-default: the form machinery yields the narrow h+, and h = h+ when the
-fundamental unit has norm -1, h = h+/2 otherwise. h+ comes from one
-batched numpy sieve (_narrow_class_numbers), for a single D and for a whole
-real scan alike: it enumerates the reduced forms (a, b, -m) with
-D = b^2 + 4am, a, m > 0 and |a - m| < b, and their mirrors (-a, b, m),
-applies the cycle step rho to all of them at once, and counts the cycles
-of each D by pointer doubling. It walks D in windows of a bounded number
-of forms, and takes D up to _MAX_REAL_D = 10^8.
+default, and the narrow h+ on request. Both come from one batched numpy
+sieve (_real_class_numbers), for a single D and for a whole real scan
+alike: it enumerates the reduced forms (a, b, -m) with D = b^2 + 4am,
+a, m > 0 and |a - m| < b, applies the cycle step rho to all of them and
+their mirrors (-a, b, m) at once as one map on the triples (a, b, m), and
+labels the cycles of that map by pointer doubling. The wide h is the number
+of its cycles, h+ adds one more for each cycle of even length, and the
+fundamental unit has norm -1 exactly when h+ = h; no unit is computed for
+it. The sieve walks D in windows of a bounded number of forms, and takes D
+up to _MAX_REAL_D = 10^8.
+
+Fundamental units come from the continued fraction of sqrt(d) or
+(1+sqrt(d))/2: one d at a time in Python ints (_cf_unit, behind
+fundamental_unit), or for a real scan batched over all its radicands
+(_unit_columns): the state of every expansion advances in numpy at once
+and stops at the middle of the palindromic period, and the convergents
+stay in int64, in pieces multiplied into Python ints as they grow.
 
 Negative D go down to -_MAX_IMAG_D = -10^7. class_number(D < 0) lists the
 reduced definite forms of one D; an imaginary scan counts them for every
@@ -25,9 +34,10 @@ staircase of about a/4 rows, then one periodic row of the a's whole
 pattern added over a 2-D view. class_numbers_imaginary_batch assembles the
 int64 array over all n from the two classes.
 
-numpy is imported inside the sieves and class_number(D > 0), on first use:
-units, forms of negative D and the analytic formula run without it, and so
-do the CLI's point commands, all but `classno` of a positive D.
+numpy is imported inside the sieves, the batched units and
+class_number(D > 0), on first use: single units, forms of negative D and
+the analytic formula run without it, and so do the CLI's point commands,
+all but `classno` of a positive D.
 """
 
 from __future__ import annotations
@@ -35,6 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import gcd, isqrt
+from typing import NamedTuple
 
 from .errors import (
     DegenerateD,
@@ -277,9 +288,12 @@ class FundamentalUnit:
         return self.x * self.x - self.d * self.y * self.y - m
 
     def as_string(self) -> str:
-        if self.half_integral:
-            return f"({self.x}+{self.y}*sqrt({self.d}))/2"
-        return f"{self.x}+{self.y}*sqrt({self.d})"
+        return _unit_label(self.x, self.y, self.d, self.half_integral)
+
+
+def _unit_label(x: int, y: int, d: int, half_integral: bool) -> str:
+    """The unit (x + y*sqrt(d)) / 2 (half_integral) or x + y*sqrt(d) as text."""
+    return f"({x}+{y}*sqrt({d}))/2" if half_integral else f"{x}+{y}*sqrt({d})"
 
 
 def _log_half_sum(x: int, y: int, d: int, halves: int) -> float:
@@ -358,14 +372,156 @@ def fundamental_unit(d: int) -> FundamentalUnit:
 
 def _unit_of_squarefree(d: int) -> FundamentalUnit:
     """fundamental_unit(d) for a d > 1 already known to be squarefree."""
-    x, y, norm = _cf_unit(d)
+    return FundamentalUnit(d, *_unit_fields(d, *_cf_unit(d)))
+
+
+def _unit_fields(d: int, x: int, y: int, norm: int) -> tuple[int, int, bool, int, float]:
+    """(x, y, half_integral, norm, regulator) of the unit of radicand d from
+    the (x, y, norm) of its continued fraction; the Pell relation is checked
+    exactly."""
     half = not (x % 2 == 0 and y % 2 == 0)
     if not half:
         x //= 2
         y //= 2
     assert x * x - d * y * y == (4 * norm if half else norm)
-    reg = _log_half_sum(x, y, d, 1 if half else 0)
-    return FundamentalUnit(d=d, x=x, y=y, half_integral=half, norm=norm, regulator=reg)
+    return x, y, half, norm, _log_half_sum(x, y, d, 1 if half else 0)
+
+
+class _UnitColumns(NamedTuple):
+    """The unit fields x, y, half_integral, norm and regulator of many
+    radicands, one list per field, in the order of the radicands."""
+
+    x: list[int]
+    y: list[int]
+    half_integral: list[bool]
+    norm: list[int]
+    regulator: list[float]
+
+
+# A batched continued fraction holds a product of the matrices of its
+# partial quotients in int64 while its entries stay below this. Partial
+# quotients are below 2*sqrt(d) < 2^15 for d <= _MAX_REAL_D, so one more step
+# stays below 2^56.
+_CF_INT64_BOUND = 1 << 40
+
+# Radicands one batched continued fraction expands together.
+_CF_BATCH_ROWS = 4096
+
+
+def _unit_columns(d: np.ndarray) -> _UnitColumns:
+    """The fields of _unit_of_squarefree(d) for every d of an int64 array of
+    squarefree radicands 1 < d <= _MAX_REAL_D, by one batched continued
+    fraction (_cf_units) per _CF_BATCH_ROWS of them."""
+    rows = []
+    for i in range(0, len(d), _CF_BATCH_ROWS):
+        part = d[i : i + _CF_BATCH_ROWS]
+        rows += [_unit_fields(di, *u) for di, u in zip(part.tolist(), _cf_units(part))]
+    return _UnitColumns(*map(list, zip(*rows))) if rows else _UnitColumns([], [], [], [], [])
+
+
+def _cf_units(d: np.ndarray) -> list[tuple[int, int, int]]:
+    """_cf_unit(d) for every d of an int64 array.
+
+    Every row runs the continued fraction of _cf_unit, all rows in step, but
+    only to the middle of its period. With complete quotients
+    (P_k + sqrt(d))/Q_k and partial quotients a_k, the a_1 ... a_{l-1} of a
+    period of length l read the same both ways, and the middle shows as
+    Q_{m+1} = Q_m for l = 2m + 1 and as P_{m+1} = P_m for l = 2m (Jacobson &
+    Williams, Solving the Pell Equation, 2009; Cohen, GTM 138, section 5.7).
+    The convergent p_{l-1}/q_{l-1} that _cf_unit reads at the end of the
+    period then follows from those at m (_unit_from_middle).
+
+    The state (P, Q, a) stays below 2*sqrt(d) < 2^15, so float64 holds it,
+    and its division exactly; it advances for all rows at once. So do the
+    convergents, as the product M = [[p, p_], [q, q_]] of the matrices
+    A_k = [[a_k, 1], [1, 0]], in int64: once p passes _CF_INT64_BOUND, M is
+    multiplied into the row's Python-int product B and starts again from the
+    identity, so the convergents are B M. A row that reaches its middle
+    drops out; the arrays shed such rows once they are half of them.
+    """
+    import numpy as np
+
+    n = len(d)
+    s = np.sqrt(d).astype(np.int64)
+    s -= s * s > d
+    s += (s + 1) * (s + 1) <= d
+    dd, root = d.astype(np.float64), s.astype(np.float64)
+    P = (d % 4 == 1).astype(np.float64)  # sqrt(d) starts at (0, 1), (1 + sqrt(d))/2 at (1, 2)
+    Q = P + 1.0
+    a = np.floor((P + root) / Q)
+    # p1/q1 the current convergent, p0/q0 the one before: M = [[p1, p0], [q1, q0]]
+    p1, q1 = a.astype(np.int64), np.ones(n, dtype=np.int64)
+    p0, q0 = q1.copy(), np.zeros(n, dtype=np.int64)
+    idx, live, n_live = np.arange(n), np.ones(n, dtype=bool), n
+    # per radicand, at its middle: odd period, a_m and M
+    middle = np.zeros((6, n), dtype=np.int64)
+    big: dict[int, tuple[int, int, int, int]] = {}  # index -> B of a row past the bound
+    steps = 0
+    while n_live:
+        steps += 1
+        if steps > _CF_STEP_LIMIT:
+            raise TermLimitExceeded(
+                f"continued fraction of d={int(d[idx[live][0]])} did not close within "
+                f"{_CF_STEP_LIMIT} steps"
+            )
+        P_, Q_, a_ = P, Q, a
+        P = a * Q - P
+        Q = (dd - P * P) / Q
+        a = np.floor((P + root) / Q)
+        odd = Q == Q_
+        mid = (odd | (P == P_)) & live  # at the first step, P = P_ only for d = 5, with Q = Q_
+        if mid.any():
+            j = np.flatnonzero(mid)
+            middle[:, idx[j]] = odd[j], a_[j].astype(np.int64), p1[j], p0[j], q1[j], q0[j]
+            live[j] = False
+            p0[j] = p1[j] = q0[j] = q1[j] = 0  # zeros stay zero, below the bound
+            n_live -= len(j)
+            if 2 * n_live <= len(live):
+                keep = np.flatnonzero(live)
+                dd, root, P, Q, a, p0, p1, q0, q1, idx, live = (
+                    v[keep] for v in (dd, root, P, Q, a, p0, p1, q0, q1, idx, live)
+                )
+        ai = a.astype(np.int64)
+        p0 += ai * p1
+        q0 += ai * q1
+        p0, p1, q0, q1 = p1, p0, q1, q0
+        over = p1 > _CF_INT64_BOUND
+        if over.any():
+            j = np.flatnonzero(over)
+            for i, *m in zip(idx[j].tolist(), *(v[j].tolist() for v in (p1, p0, q1, q0))):
+                big[i] = _times(big[i], m) if i in big else tuple(m)
+            p1[j] = q0[j] = 1
+            p0[j] = q1[j] = 0
+    odd, a_m, p, p_, q, q_ = middle.tolist()
+    for i, b in big.items():
+        p[i], p_[i], q[i], q_[i] = _times(b, (p[i], p_[i], q[i], q_[i]))
+    return list(map(_unit_from_middle, d.tolist(), odd, a_m, p, p_, q, q_))
+
+
+def _times(b, m) -> tuple[int, int, int, int]:
+    """The 2 x 2 product b m, each matrix given as its entries row by row."""
+    b00, b01, b10, b11 = b
+    m00, m01, m10, m11 = m
+    return b00 * m00 + b01 * m10, b00 * m01 + b01 * m11, b10 * m00 + b11 * m10, b10 * m01 + b11 * m11
+
+
+def _unit_from_middle(d: int, odd: bool, a_m: int, p: int, p_: int, q: int, q_: int
+                      ) -> tuple[int, int, int]:
+    """_cf_unit's (x, y, norm) from the middle of the period: the convergents
+    p/q at m and p_/q_ at m - 1, and a_m, of a period l = 2m + 1 (odd) or
+    l = 2m.
+
+    With A_k = [[a_k, 1], [1, 0]], the convergents at k are the columns of
+    A_0 A_1 ... A_k, and the symmetric period makes A_1 ... A_{l-1} equal to
+    N N^T (odd) or N A_m N^T (even) for N = A_1 ... A_m resp. A_1 ... A_{m-1}.
+    """
+    if odd:
+        p, q = p * q + p_ * q_, q * q + q_ * q_
+    else:
+        q__ = q - a_m * q_  # q at m - 2
+        p, q = p * q_ + p_ * q__, q_ * (q + q__)
+    x, y = (2 * p - q, q) if d % 4 == 1 else (2 * p, 2 * q)
+    return x, y, -1 if odd else 1
 
 
 # -- binary quadratic forms ------------------------------------------------------
@@ -480,12 +636,13 @@ def class_number(D: int, narrow: bool = False) -> int:
 
     D < 0: count of reduced primitive forms. D > 0: the narrow h+ is the
     number of cycles under rho of the reduced forms (a, b, -m) and
-    (-a, b, m) with D = b^2 + 4am, a, m > 0 and |a - m| < b, counted by the
-    batched form sieve that the real scan also runs (_narrow_class_numbers);
-    the wide h (default) is h+ when the fundamental unit has norm -1 and
-    h+/2 when it has norm +1. Positive D above _MAX_REAL_D (10^8) and
-    negative D below -_MAX_IMAG_D (-10^7) raise TermLimitExceeded before any
-    work; one D near either ceiling takes up to about 2 s.
+    (-a, b, m) with D = b^2 + 4am, a, m > 0 and |a - m| < b, and the wide h
+    (default) the number of cycles of the map on their triples (a, b, m),
+    both counted by the batched form sieve that the real scan also runs
+    (_real_class_numbers), with no fundamental unit. Positive D above
+    _MAX_REAL_D (10^8) and negative D below -_MAX_IMAG_D (-10^7) raise
+    TermLimitExceeded before any work; one D near either ceiling takes up to
+    about 2 s.
     """
     _check_size(D)
     _check_fundamental(D)
@@ -493,18 +650,8 @@ def class_number(D: int, narrow: bool = False) -> int:
         return len(_reduced_forms_negative(D))
     import numpy as np
 
-    h_plus = int(_narrow_class_numbers(np.array([D], dtype=np.int64))[0])
-    if narrow:
-        return h_plus
-    return _wide_class_number(h_plus, fundamental_unit(D if D % 4 == 1 else D // 4))
-
-
-def _wide_class_number(h_plus: int, unit: FundamentalUnit) -> int:
-    """Wide h of a real field from its narrow h+ and its fundamental unit."""
-    if unit.norm == -1:
-        return h_plus
-    assert h_plus % 2 == 0
-    return h_plus // 2
+    h_plus, h = _real_class_numbers(np.array([D], dtype=np.int64))
+    return int((h_plus if narrow else h)[0])
 
 
 # -- batched narrow class numbers for the real survey ------------------------------
@@ -545,12 +692,19 @@ def _ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     n = np.maximum(hi - lo + 1, 0)
     i = np.repeat(np.arange(len(n)), n)
-    return i, lo[i] + np.arange(len(i)) - (np.cumsum(n) - n)[i]
+    return i, np.repeat(lo - (np.cumsum(n) - n), n) + np.arange(len(i))
 
 
 def _narrow_class_numbers(Ds: np.ndarray) -> np.ndarray:
     """Narrow class numbers h+ of an ascending int64 array of positive
-    fundamental discriminants, as int64, by one sieve over all of them.
+    fundamental discriminants, as int64 (see _real_class_numbers)."""
+    return _real_class_numbers(Ds)[0]
+
+
+def _real_class_numbers(Ds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Narrow and wide class numbers (h+, h) of an ascending int64 array of
+    positive fundamental discriminants, as int64, by one sieve over all of
+    them.
 
     A reduced form with a > 0 is (a, b, -m) with m > 0, D = b^2 + 4am and,
     for non-square D, |a - m| < b (the same condition as
@@ -564,23 +718,29 @@ def _narrow_class_numbers(Ds: np.ndarray) -> np.ndarray:
     and their mirrors, a cycle of even length is two. Cycles are labelled by
     pointer doubling (each triple takes the least index on its cycle), and
     h+ of D adds 1 or 2 for each cycle of D by that parity.
+
+    The wide h of D is the number of cycles of the map: the mirror carries
+    a narrow class to its product with the class of the principal form of
+    negative leading coefficient, and the wide classes are the orbits of
+    that. So N(eps) = -1, where the two classes coincide, exactly when
+    h+ = h (every cycle odd), and h = h+/2 otherwise.
     """
     import numpy as np
 
     if len(Ds):
         _check_size(int(Ds[-1]))
-    h = np.empty(len(Ds), dtype=np.int64)
+    h_plus, h = np.empty(len(Ds), dtype=np.int64), np.empty(len(Ds), dtype=np.int64)
     i = 0
     while i < len(Ds):
         # there are about 0.23 * X^1.5 triples with D <= X, all D counted
         hi = int((float(Ds[i]) ** 1.5 + _SIEVE_WINDOW_FORMS / 0.23) ** (2.0 / 3.0))
         j = max(int(np.searchsorted(Ds, hi, side="right")), i + 1)
-        h[i:j] = _narrow_class_numbers_window(Ds[i:j])
+        h_plus[i:j], h[i:j] = _real_class_numbers_window(Ds[i:j])
         i = j
-    return h
+    return h_plus, h
 
 
-def _narrow_class_numbers_window(Ds: np.ndarray) -> np.ndarray:
+def _real_class_numbers_window(Ds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     import numpy as np
 
     lo, hi = int(Ds[0]), int(Ds[-1])
@@ -597,15 +757,19 @@ def _narrow_class_numbers_window(Ds: np.ndarray) -> np.ndarray:
     for blk in np.split(np.arange(s_hi), cuts):
         ib, a = _ranges(a_lo[blk], a_hi[blk])
         bb = b[blk][ib]
-        sq = bb * bb
-        # m in [a - b + 1, a + b - 1] (reduced) with lo <= b^2 + 4am <= hi
-        m_lo = np.maximum(np.maximum(a - bb + 1, 1), -((sq - lo) // (4 * a)))
-        m_hi = np.minimum(a + bb - 1, (hi - sq) // (4 * a))
+        sq, step = bb * bb, 4 * a
+        # m in [a - b + 1, a + b - 1] (reduced) with lo <= b^2 + 4am <= hi.
+        # The quotients are rounded to the right integers in float64: their
+        # terms stay below 2^27, so a fraction is at least 1/(4a) > 2^-17
+        # away from an integer. A negative bound, truncated towards zero,
+        # still gives an empty range.
+        m_lo = np.maximum(np.maximum(a - bb + 1, 1), np.ceil((lo - sq) / step).astype(np.int64))
+        m_hi = np.minimum(a + bb - 1, ((hi - sq) / step).astype(np.int64))
         ip, m = _ranges(m_lo, m_hi)
-        a, bb = a[ip], bb[ip]
-        D = bb * bb + 4 * a * m
-        keep = member[D - lo]
-        parts.append((a[keep], bb[keep], m[keep], D[keep]))
+        D = sq[ip] + step[ip] * m
+        keep = np.flatnonzero(member[D - lo])
+        ip = ip[keep]
+        parts.append((a[ip], bb[ip], m[keep], D[keep]))
     a, b, m, D = (np.concatenate(col) for col in zip(*parts))
     # rho: (a, b, -m) -> (-m, r, m'), r = -b mod 2m shifted into (sqrt(D) - 2m, sqrt(D))
     s = np.sqrt(D).astype(np.int64)
@@ -628,8 +792,8 @@ def _narrow_class_numbers_window(Ds: np.ndarray) -> np.ndarray:
     head = np.flatnonzero(size)
     even = head[size[head] % 2 == 0]
     n = hi - lo + 1
-    h = np.bincount(D[head] - lo, minlength=n) + np.bincount(D[even] - lo, minlength=n)
-    return h[Ds - lo]
+    h = np.bincount(D[head] - lo, minlength=n)[Ds - lo]
+    return h + np.bincount(D[even] - lo, minlength=n)[Ds - lo], h
 
 
 # -- Kronecker symbol and the analytic route ------------------------------------

@@ -6,16 +6,17 @@ alpha of the unit layer: one per torsion unit for imaginary fields, one per
 fundamental-unit power for real fields.
 
 A scan keeps its fields as a columnar batch: int64 columns D, d and h for
-every field, and a SurveyRow only for each attached field, one with a unit
-or roots (the h = 1 fields of an imaginary scan, every field of a real
-one). SurveySummary.rows builds the full tuple of rows on first access. The
-writers (iter_summary_json, iter_summary_csv, iter_summary_plain) walk the
-batch: a bare row goes through one text template per format, the text
-row_records and the format give a row with no unit, and attached rows go
-through row_records. Output is byte-identical regardless of the worker
-count, so scan output can be diffed and pinned in tests. numpy and the
-process pool are imported where a scan first needs them, not with the
-module.
+every field, for a real scan the unit columns (x, y, half-integrality, norm
+and regulator) of every field, and a SurveyRow only for each attached
+field, one with roots (the h = 1 fields). SurveySummary.rows builds the
+full tuple of rows on first access. The writers (iter_summary_json,
+iter_summary_csv, iter_summary_plain) walk the batch: a row without roots
+goes through one text template per format and scan kind, the text
+row_records and the format give such a row with holes for its columns, and
+attached rows go through row_records. Output is byte-identical regardless
+of the worker count, so scan output can be diffed and pinned in tests.
+numpy and the process pool are imported where a scan first needs them, not
+with the module.
 
 read_rooted_records reads a scan's JSON back as a stream, for the
 correspondence table: it passes over runs of bare records with one match of
@@ -39,10 +40,11 @@ from .fields import (
     _check_size,
     _fundamental_discriminant_array,
     _imaginary_form_counts,
-    _narrow_class_numbers,
+    _real_class_numbers,
     _squarefree_mask,
-    _unit_of_squarefree,
-    _wide_class_number,
+    _unit_columns,
+    _unit_label,
+    _UnitColumns,
     roots_of_unity,
 )
 from .solver import Case, FixedPointReport, Pairing, UnitInput, alpha_complex_case, alpha_real_case
@@ -125,8 +127,9 @@ class SurveyRow:
 @dataclass(frozen=True, eq=False)
 class _Batch:
     """The fields of a scan, in scan order: int64 columns D, d and h for
-    every field, and the SurveyRow of each attached field (one with a unit
-    or roots) with its ascending index into the columns."""
+    every field, the SurveyRow of each attached field (an h = 1 field, with
+    its roots) with its ascending index into the columns, and for a real
+    scan the unit columns of every field."""
 
     case: Case
     D: np.ndarray
@@ -134,6 +137,7 @@ class _Batch:
     h: np.ndarray
     index: np.ndarray
     attached: tuple[SurveyRow, ...]
+    units: _UnitColumns | None = None
 
     # arrays compare element by element, so a generated __eq__ would raise
     def __eq__(self, other):
@@ -141,9 +145,21 @@ class _Batch:
 
         if not isinstance(other, _Batch):
             return NotImplemented
-        return self.case is other.case and self.attached == other.attached and all(
-            np.array_equal(getattr(self, c), getattr(other, c)) for c in ("D", "d", "h", "index")
+        return (
+            self.case is other.case
+            and self.attached == other.attached
+            and self.units == other.units
+            and all(
+                np.array_equal(getattr(self, c), getattr(other, c)) for c in ("D", "d", "h", "index")
+            )
         )
+
+    def unit(self, i: int) -> FundamentalUnit | None:
+        """The fundamental unit of field i of a real scan (None for an
+        imaginary one)."""
+        if self.units is None:
+            return None
+        return FundamentalUnit(int(self.d[i]), *(col[i] for col in self.units))
 
 
 @dataclass(frozen=True)
@@ -163,7 +179,7 @@ class SurveySummary:
             return b.attached
         attached = dict(zip(b.index.tolist(), b.attached))
         return tuple(
-            attached.get(i) or SurveyRow(D=Di, d=di, h=hi, case=b.case, unit=None, alphas=())
+            attached.get(i) or SurveyRow(D=Di, d=di, h=hi, case=b.case, unit=b.unit(i), alphas=())
             for i, (Di, di, hi) in enumerate(zip(b.D.tolist(), b.d.tolist(), b.h.tolist()))
         )
 
@@ -220,7 +236,8 @@ def _distinct_stats(values: Iterable[complex]) -> tuple[int, float | None]:
     reps.sort(key=lambda z: z.real)
     best = math.inf
     for i, a in enumerate(reps):
-        for b in reps[i + 1 :]:
+        for j in range(i + 1, len(reps)):  # no slice: a copy per i is quadratic
+            b = reps[j]
             if b.real - a.real >= best:
                 break
             best = min(best, _gap(b, a))
@@ -298,14 +315,11 @@ def scan_imaginary(
 
 # -- real scan ---------------------------------------------------------------------
 
-def _real_row(args: tuple[int, int, int, int, str, int]) -> SurveyRow:
-    """The row of discriminant D, radicand d and narrow class number h_plus."""
-    D, d, h_plus, branch, pairing_value, unit_powers = args
-    unit = _unit_of_squarefree(d)  # the sieve has proved d squarefree
-    h = _wide_class_number(h_plus, unit)
-    if h != 1:
-        return SurveyRow(D=D, d=d, h=h, case=Case.REAL, unit=unit, alphas=())
-    pairing = Pairing(pairing_value)
+def _real_h1_row(args: tuple) -> SurveyRow:
+    """The h = 1 row of discriminant D, radicand d and fundamental unit
+    fields `unit`, with a root for each of the unit's first powers."""
+    D, d, unit, branch, pairing, unit_powers = args
+    unit = FundamentalUnit(d, *unit)
     alphas = []
     for n in range(1, unit_powers + 1):
         reg_n = n * unit.regulator
@@ -313,7 +327,7 @@ def _real_row(args: tuple[int, int, int, int, str, int]) -> SurveyRow:
         rep = alpha_real_case(u, j=branch, pairing=pairing)
         label = unit.as_string() if n == 1 else f"({unit.as_string()})^{n}"
         alphas.append(UnitAlpha(label, unit.norm**n, reg_n, rep))
-    return SurveyRow(D=D, d=d, h=h, case=Case.REAL, unit=unit, alphas=tuple(alphas))
+    return SurveyRow(D=D, d=d, h=1, case=Case.REAL, unit=unit, alphas=tuple(alphas))
 
 
 def scan_real(
@@ -331,11 +345,17 @@ def scan_real(
     instead of the discriminant (so d <= limit, D possibly 4*limit).
     count_h1 is a raw count; it grows without any claimed bound.
 
-    Discriminants and radicands come from the squarefree sieve, and the
-    narrow class numbers of all of them from one run of the form sieve in
-    this process, so the rows do not depend on the worker count. limit may
-    be at most fields._MAX_REAL_D (10^8), a quarter of it with
-    by_radicand=True; a larger one raises TermLimitExceeded at once.
+    The scan is columnar, like the imaginary one. Discriminants and
+    radicands come from the squarefree sieve; the narrow and wide class
+    numbers (h+, h) of all of them from one run of the form sieve
+    (fields._real_class_numbers); the fundamental units from one batched
+    continued fraction over every radicand (fields._unit_columns), whose
+    period parity must agree with the sieve (norm -1 exactly when h+ = h).
+    Only the h = 1 fields become SurveyRows here, with their roots; jobs > 1
+    spreads that root work over a process pool, so the rows do not depend on
+    the worker count. limit may be at most fields._MAX_REAL_D (10^8), a
+    quarter of it with by_radicand=True; a larger one raises
+    TermLimitExceeded at once.
     """
     import numpy as np
 
@@ -350,23 +370,26 @@ def scan_real(
         # the sieve has proved every D fundamental: d is D or D/4
         D = _fundamental_discriminant_array(5, limit)
         d = np.where(D % 4 == 1, D, D // 4)
+    h_plus, h = _real_class_numbers(D)
+    units = _unit_columns(d)
+    assert np.array_equal(np.array(units.norm, dtype=np.int64) == -1, h_plus == h)
+    at = np.flatnonzero(h == 1)
     pairing = Pairing(pairing)
-    args = [
-        (Di, di, hi, branch, pairing.value, int(unit_powers))
-        for Di, di, hi in zip(D.tolist(), d.tolist(), _narrow_class_numbers(D).tolist())
-    ]
-    rows = tuple(_map_rows(_real_row, args, jobs))
-    h = np.array([r.h for r in rows], dtype=np.int64)
+    unit_of = list(zip(*units))
+    rows = tuple(_map_rows(_real_h1_row, [
+        (Di, di, unit_of[i], branch, pairing, int(unit_powers))
+        for i, Di, di in zip(at.tolist(), D[at].tolist(), d[at].tolist())
+    ], jobs))
     distinct_alpha, min_sep = _distinct_stats(
         rep.alpha for row in rows for rep in row.alpha_reports
     )
     return SurveySummary(
         range=(5, limit),
-        count_h1=sum(1 for r in rows if r.h == 1),
+        count_h1=len(rows),
         distinct_alpha_count=distinct_alpha,
         min_alpha_separation=min_sep,
-        distinct_unit_count=sum(1 for r in rows if r.h == 1 and r.unit is not None),
-        batch=_Batch(Case.REAL, D, d, h, np.arange(len(rows)), rows),
+        distinct_unit_count=len(rows),
+        batch=_Batch(Case.REAL, D, d, h, at, rows, units),
     )
 
 
@@ -402,30 +425,33 @@ def row_records(rows: Iterable[SurveyRow], log_branch: int = 0) -> list[dict]:
                 if isinstance(fu, FundamentalUnit) else _NO_UNIT
             )
         for ua in alphas:
-            rep = ua.report
-            records.append(
-                {
-                    "D": row.D,
-                    "d": row.d,
-                    "h": row.h,
-                    "unit": ua.unit_label,
-                    "norm": ua.norm,
-                    "regulator": _f(ua.regulator),
-                    "alpha_re": None if rep is None else rep.alpha.real,
-                    "alpha_im": None if rep is None else rep.alpha.imag,
-                    "residual_defining": None if rep is None else _f(rep.residual_defining),
-                    "residual_split_1": None if rep is None else _f(rep.residual_split_1),
-                    "residual_split_2": None if rep is None else _f(rep.residual_split_2),
-                    "residual_sum_equation": None if rep is None else _f(rep.residual_sum_equation),
-                    "branch": None if rep is None else rep.branch,
-                    "log_branch": log_branch,
-                }
-            )
+            records.append(_record(
+                row.D, row.d, row.h, ua.unit_label, ua.norm, _f(ua.regulator), ua.report, log_branch
+            ))
     return records
 
 
+def _record(D, d, h, unit, norm, regulator, rep: FixedPointReport | None, log_branch) -> dict:
+    return {
+        "D": D,
+        "d": d,
+        "h": h,
+        "unit": unit,
+        "norm": norm,
+        "regulator": regulator,
+        "alpha_re": None if rep is None else rep.alpha.real,
+        "alpha_im": None if rep is None else rep.alpha.imag,
+        "residual_defining": None if rep is None else _f(rep.residual_defining),
+        "residual_split_1": None if rep is None else _f(rep.residual_split_1),
+        "residual_split_2": None if rep is None else _f(rep.residual_split_2),
+        "residual_sum_equation": None if rep is None else _f(rep.residual_sum_equation),
+        "branch": None if rep is None else rep.branch,
+        "log_branch": log_branch,
+    }
+
+
 def _csv_line(rec: dict, columns: Sequence[str] = CSV_COLUMNS) -> str:
-    return ",".join("" if rec[c] is None else str(rec[c]) for c in columns)
+    return ",".join(["" if rec[c] is None else str(rec[c]) for c in columns])
 
 
 def _plain_line(rec: dict) -> str:
@@ -435,22 +461,37 @@ def _plain_line(rec: dict) -> str:
 class _Format(NamedTuple):
     sep: str  # between two records
     render: Callable[[list[dict]], str]  # records, joined by sep
-    hole: str  # how _HOLE reads in the text of render
+    quote: Callable[[str], str]  # how a string value reads in the text of render
 
 
-# A string no record holds, standing in for the integers of a bare row while
-# its template is made.
-_HOLE = "\x00"
+# Strings no record holds, standing in for the integers (_HOLE), the unit
+# label (_LABEL_HOLE) and the regulator (_FLOAT_HOLE) of a row without roots
+# while its template is made.
+_HOLE, _LABEL_HOLE, _FLOAT_HOLE = "\x00", "\x01", "\x02"
 
-_JSON = _Format(", ", lambda recs: json.dumps(recs)[1:-1], json.dumps(_HOLE))
-_CSV = _Format("\n", lambda recs: "\n".join(map(_csv_line, recs)), _HOLE)
-_PLAIN = _Format("\n", lambda recs: "\n".join(map(_plain_line, recs)), _HOLE)
+_JSON = _Format(", ", lambda recs: json.dumps(recs)[1:-1], json.dumps)
+_CSV = _Format("\n", lambda recs: "\n".join(map(_csv_line, recs)), str)
+_PLAIN = _Format("\n", lambda recs: "\n".join(map(_plain_line, recs)), str)
 
 
-def _bare_text(fmt: _Format, log_branch) -> str:
-    """fmt's text of a row with no unit and no roots, fmt.hole for D, d, h."""
-    row = SurveyRow(D=_HOLE, d=_HOLE, h=_HOLE, case=Case.COMPLEX, unit=None, alphas=())
-    return fmt.render(row_records([row], log_branch))
+def _hole_text(fmt: _Format, log_branch, unit: bool) -> str:
+    """fmt's text of a row without roots, with fmt.quote(_HOLE) for D, d, h
+    and, for a real unit (unit=True), holes for its label, norm and
+    regulator; without one its unit columns are empty."""
+    if unit:
+        rec = _record(_HOLE, _HOLE, _HOLE, _LABEL_HOLE, _HOLE, _FLOAT_HOLE, None, log_branch)
+    else:
+        rec = _record(_HOLE, _HOLE, _HOLE, None, None, None, None, log_branch)
+    return fmt.render([rec])
+
+
+def _template(fmt: _Format, log_branch: int, unit: bool) -> str:
+    """_hole_text as a %-template: %d for D, d, h (and the norm), %s for the
+    unit label and %r for the regulator."""
+    text = _hole_text(fmt, log_branch, unit).replace("%", "%%")
+    for hole, spec in ((_HOLE, "%d"), (_LABEL_HOLE, fmt.quote("%s")), (_FLOAT_HOLE, "%r")):
+        text = text.replace(fmt.quote(hole), spec)
+    return text
 
 
 _JSON_CHUNK_ROWS = 4096
@@ -460,8 +501,9 @@ def _row_text(summary: SurveySummary, log_branch: int, fmt: _Format) -> Iterator
     """fmt's text of the records of every row in scan order, in pieces of at
     most _JSON_CHUNK_ROWS rows that join with fmt.sep.
 
-    A run of bare rows is one template filled row by row; a run of attached
-    rows goes through row_records.
+    A run of rows without roots is one template filled row by row, from the
+    columns (with the unit columns of a real scan); a run of attached rows
+    goes through row_records.
     """
     import numpy as np
 
@@ -470,7 +512,8 @@ def _row_text(summary: SurveySummary, log_branch: int, fmt: _Format) -> Iterator
     attached = np.zeros(n, dtype=bool)
     attached[b.index] = True
     cuts = [0, *(np.flatnonzero(np.diff(attached)) + 1).tolist(), n]
-    bare = _bare_text(fmt, log_branch).replace("%", "%%").replace(fmt.hole, "%d")
+    units = b.units
+    bare = _template(fmt, log_branch, units is not None)
     taken = 0
     for lo, hi in zip(cuts, cuts[1:]):
         for i in range(lo, hi, _JSON_CHUNK_ROWS):
@@ -479,9 +522,14 @@ def _row_text(summary: SurveySummary, log_branch: int, fmt: _Format) -> Iterator
                 yield fmt.render(row_records(b.attached[taken : taken + j - i], log_branch))
                 taken += j - i
                 continue
-            yield fmt.sep.join(
-                map(bare.__mod__, zip(b.D[i:j].tolist(), b.d[i:j].tolist(), b.h[i:j].tolist()))
-            )
+            cols = [b.D[i:j].tolist(), b.d[i:j].tolist(), b.h[i:j].tolist()]
+            if units is not None:
+                cols += [
+                    map(_unit_label, units.x[i:j], units.y[i:j], cols[1], units.half_integral[i:j]),
+                    units.norm[i:j],
+                    units.regulator[i:j],
+                ]
+            yield fmt.sep.join(map(bare.__mod__, zip(*cols)))
 
 
 def iter_summary_json(
@@ -552,7 +600,9 @@ def records_to_csv(records: Iterable[dict], columns: Sequence[str] = CSV_COLUMNS
 _JSON_WS = "[ \t\n\r]*"
 _BARE_RUN = re.compile(
     "(?:{ws}{}{ws},){{1,1024}}".format(
-        r"-?(?:0|[1-9]\d*)".join(map(re.escape, _bare_text(_JSON, _HOLE).split(_JSON.hole))),
+        r"-?(?:0|[1-9]\d*)".join(
+            map(re.escape, _hole_text(_JSON, _HOLE, unit=False).split(_JSON.quote(_HOLE)))
+        ),
         ws=_JSON_WS,
     )
 )

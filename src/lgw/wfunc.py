@@ -28,6 +28,13 @@ unless the residual |w e^w - z| / (1 + |z|) is already <= 1e-12;
 lambert_w also raises it for a larger residual after a step that did fall
 below tolerance.
 
+For k != 0 and |z| below the smallest normal float, e^w at the root is
+subnormal, so w e^w = z no longer pins w down. There both entry points run
+Newton, from the same seed, on the logarithm of the equation instead:
+w + log(-w) = log z + 2*pi*i*k - i*pi*sign(k), with log(-w) free of cuts
+near the root (Re w < -700). It raises NoConvergence if the step does not
+fall below tolerance within 64 steps.
+
 Off the real axis W_{-k}(conj z) = conj W_k(z), and lambert_w keeps that
 symmetry bit for bit: conjugation commutes with complex +, -, *, / and with
 cmath's exp, log and sqrt, and the seed regions are mirror images in Im z
@@ -39,6 +46,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from typing import NamedTuple
 
 from .errors import (
@@ -68,10 +76,17 @@ OMEGA = 0.5671432904097838
 
 _TWO_PI = 2.0 * math.pi
 _TWO_PI_I = 2j * math.pi
+_PI_I = 1j * math.pi
 _MAX_ITER = 64
 _STEP_TOL = 1e-15
 _STALL_TOL = 1e-13
 _RESIDUAL_TOL = 1e-12
+
+# Below this |z|, the smallest normal float, e^w at W_k(z) for k != 0 is
+# subnormal, and Halley on w*e^w = z degrades fast: relative error 7e-15 at
+# |z| = 7e-310, 1e-10 at 1e-314 and 0.01 at 5e-324 (3.6e-16 at most above
+# the bound), so _log_newton solves the logarithm of the equation there.
+_TINY_Z = sys.float_info.min
 
 # Bound once: lambert_w is called per query and per scan row. It builds its
 # WEvaluation through tuple.__new__, without the Python frame of the named
@@ -196,6 +211,20 @@ def _halley(z: complex, w: complex, exp) -> tuple[complex, int, bool]:
     return w, _MAX_ITER, False
 
 
+def _log_newton(w, t, log) -> tuple[complex, int, bool]:
+    """Newton on w + log(-w) = t from the seed w, for Re w < 0; returns (w,
+    iterations, converged-by-step-size). log is cmath.log, or math.log for
+    real w and t."""
+    it = 0
+    while it < _MAX_ITER:
+        it += 1
+        dw = (w + log(-w) - t) / (1.0 + 1.0 / w)
+        w = w - dw
+        if abs(dw) < _STEP_TOL * (1.0 + abs(w)):
+            return w, it, True
+    return w, _MAX_ITER, False
+
+
 def lambert_w(k: int, z: complex) -> WEvaluation:
     """Evaluate the k-th branch of the Lambert W function at complex z.
 
@@ -226,7 +255,20 @@ def lambert_w(k: int, z: complex) -> WEvaluation:
         if k == 0:
             return WEvaluation(0j, 0, 0.0, 0)
         raise BranchSingularity(f"W_{k}(0) diverges")
-    w, iterations, stepped = _halley(z, _initial_guess(k, z, _csqrt, _clog), _cexp)
+    seed = _initial_guess(k, z, _csqrt, _clog)
+    if k and abs(z) < _TINY_Z:
+        # Im W_k has the sign of k, or is 0 (the real W_-1 on its cut), so
+        # log w = log(-w) + i*pi*sign(k), and log(-w) has no cut near w. As
+        # in the seed table, W_-1 takes a real z of either zero sign as
+        # lying on the cut from above.
+        if k == -1 and z.imag == 0.0:
+            z = complex(z.real, 0.0)
+        t = _clog(z) + _TWO_PI_I * k - (_PI_I if k > 0 else -_PI_I)
+        w, iterations, stepped = _log_newton(seed, t, _clog)
+        if not stepped:
+            raise NoConvergence(f"Newton failed for W_{k}({z!r}) after {iterations} iterations")
+    else:
+        w, iterations, stepped = _halley(z, seed, _cexp)
     if w.real <= 500.0:
         res = abs(w * _cexp(w) - z) / (1.0 + abs(z))
     else:
@@ -271,7 +313,13 @@ def lambert_w_real(k: int, x: float) -> float:
         return 0.0
     if x == BRANCH_POINT_Z:
         return -1.0
-    w, iterations, stepped = _halley(x, _initial_guess(k, x, math.sqrt, math.log), math.exp)
+    seed = _initial_guess(k, x, math.sqrt, math.log)
+    if k == -1 and x > -_TINY_Z:
+        w, iterations, stepped = _log_newton(seed, math.log(-x), math.log)
+        if not stepped:
+            raise NoConvergence(f"Newton failed for real W_-1({x!r}) after {iterations} iterations")
+        return w
+    w, iterations, stepped = _halley(x, seed, math.exp)
     # Near the branch point the last steps stall at rounding level, as in
     # lambert_w; the residual decides there.
     if not stepped and _residual(w, x) > _RESIDUAL_TOL:

@@ -386,21 +386,19 @@ def _flag_value(action):
     return _FLOAT
 
 
-@st.composite
-def _point_argv(draw):
-    """argv for a point command, from that subparser's own flags.
+def _draw_argv(draw, command, value=_flag_value, skip=()):
+    """argv for `command`, from that subparser's own flags but those in skip.
 
     Each optional flag is drawn present or absent, but a required either/or
-    group (classno's --discriminant / --d) gets exactly one of its flags;
-    values go in as `--flag=value`, so a negative number is not read as a
-    flag.
+    group (classno's --discriminant / --d, scan's --imaginary / --real) gets
+    exactly one of its flags; values come from value(action) and go in as
+    `--flag=value`, so a negative number is not read as a flag.
     """
-    command = draw(st.sampled_from(("w", "solve", "alpha", "verify", "unit", "classno")))
     argv = [command]
     groups = [g._group_actions for g in _COMMANDS[command]._mutually_exclusive_groups if g.required]
     chosen = [draw(st.sampled_from(actions)) for actions in groups]
     for action in _COMMANDS[command]._actions:
-        if isinstance(action, argparse._HelpAction):
+        if isinstance(action, argparse._HelpAction) or action.dest in skip:
             continue
         if any(action in actions for actions in groups):
             present = action in chosen
@@ -408,8 +406,54 @@ def _point_argv(draw):
             present = action.required or draw(st.booleans())
         if present:
             flag = action.option_strings[-1]
-            argv.append(flag if action.nargs == 0 else f"{flag}={draw(_flag_value(action))}")
+            argv.append(flag if action.nargs == 0 else f"{flag}={draw(value(action))}")
     return argv
+
+
+@st.composite
+def _point_argv(draw):
+    """argv for a point command, from that subparser's own flags."""
+    command = draw(st.sampled_from(("w", "solve", "alpha", "verify", "unit", "classno")))
+    return _draw_argv(draw, command)
+
+
+def _scan_flag_value(action):
+    if action.dest == "limit":
+        return st.integers(-10, 2000)
+    if action.dest == "powers":
+        return st.integers(-2, 3)
+    return _flag_value(action)
+
+
+@st.composite
+def _scan_argv(draw):
+    """argv for `scan` from its own flags but --jobs, with --limit <= 2000."""
+    return _draw_argv(draw, "scan", _scan_flag_value, skip=("jobs",))
+
+
+def _run_captured(argv, stdin=""):
+    """(exit code, stdout, stderr) of cli.run(argv) reading stdin from a string."""
+    out, err = io.StringIO(), io.StringIO()
+    old = sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)  # an escaping exception is the traceback the fuzz guards against
+    finally:
+        sys.stdin = old
+    return code, out.getvalue(), err.getvalue()
+
+
+def _check_parses(text, fmt):
+    """stdout of a data command parses in its format (a scan's plain output
+    starts with a summary line)."""
+    if fmt == "json":
+        json.loads(text)
+    elif fmt == "csv":
+        header, *rows = csv.reader(io.StringIO(text))
+        assert all(len(row) == len(header) for row in rows)
+    else:
+        assert all("=" in line for line in text.splitlines())
 
 
 class TestPointCommandFuzz:
@@ -432,6 +476,24 @@ class TestPointCommandFuzz:
             assert len(header) == len(row)
         else:
             assert all("=" in line for line in text.splitlines())
+
+
+class TestScanCommandFuzz:
+    @settings(max_examples=80, deadline=None)
+    @given(argv=_scan_argv(), table_format=st.sampled_from(("json", "csv", "plain")))
+    def test_exit_contract_of_scan_and_table(self, argv, table_format):
+        code, text, err = _run_captured(argv)
+        assert code in (0, 2, 3, 64)
+        assert "Traceback" not in err
+        if not text:
+            return
+        fmt = _PARSER.parse_args(argv).format
+        _check_parses(text, fmt)
+        if fmt != "json":
+            return
+        code, table, err = _run_captured(["table", f"--format={table_format}"], stdin=text)
+        assert code == 0, err
+        _check_parses(table, table_format)
 
 
 class TestPointCsv:

@@ -228,6 +228,69 @@ class TestFundamentalUnit:
         assert fundamental_unit(2).x == 1
 
 
+class TestBatchedUnits:
+    """fields._cf_units runs _cf_unit's continued fraction for many d at once."""
+
+    @staticmethod
+    def radicands(hi):
+        return np.array([d for d in range(2, hi + 1) if is_squarefree(d)], dtype=np.int64)
+
+    @pytest.mark.parametrize("bound, rows", [(None, None), (1 << 6, 7)],
+                             ids=["default", "tiny-bound-and-batch"])
+    def test_matches_scalar_continued_fraction(self, monkeypatch, bound, rows):
+        # a tiny int64 bound hands the convergents to Python ints after a few
+        # steps and again and again after that; tiny batches cut the radicands
+        # into many runs
+        if bound is not None:
+            monkeypatch.setattr(lgw.fields, "_CF_INT64_BOUND", bound)
+            monkeypatch.setattr(lgw.fields, "_CF_BATCH_ROWS", rows)
+        d = self.radicands(3000)
+        assert lgw.fields._cf_units(d) == [lgw.fields._cf_unit(int(v)) for v in d]
+        cols = lgw.fields._unit_columns(d)
+        assert [lgw.fields.FundamentalUnit(int(v), *u) for v, u in zip(d, zip(*cols))] == [
+            fundamental_unit(int(v)) for v in d
+        ]
+
+    def test_large_radicands(self):
+        # periods of thousands of steps, and units of tens of thousands of bits
+        d = np.array([99_999_989, 99_999_971, 94_418_953, 12_345_679, 9_699_691], dtype=np.int64)
+        assert all(is_squarefree(int(v)) for v in d)
+        assert lgw.fields._cf_units(d) == [lgw.fields._cf_unit(int(v)) for v in d]
+
+    def test_step_cap_is_a_term_limit(self, monkeypatch):
+        monkeypatch.setattr(lgw.fields, "_CF_STEP_LIMIT", 5)
+        with pytest.raises(TermLimitExceeded):
+            lgw.fields._cf_units(np.array([2, 94], dtype=np.int64))
+
+
+class TestWideClassNumber:
+    def test_sieve_cycles_give_h_and_unit_norm(self):
+        # every fundamental D <= 2e4: h is h+ when the fundamental unit has
+        # norm -1 and h+/2 when +1, and the norm is -1 exactly when h+ = h
+        Ds = fundamental_discriminants(5, 20000)
+        h_plus, h = lgw.fields._real_class_numbers(np.array(Ds, dtype=np.int64))
+        assert len(Ds) == 6081
+        for D, hp, hw in zip(Ds, h_plus.tolist(), h.tolist()):
+            norm = fundamental_unit(radicand_of_discriminant(D)).norm
+            assert hw == (hp if norm == -1 else hp // 2), D
+            assert (norm == -1) == (hp == hw), D
+
+    def test_class_number_runs_no_continued_fraction(self, monkeypatch):
+        Ds = (5, 40, 136, 145, 221, 1365, 2993)
+        expected = [class_number_analytic(D) for D in Ds]
+        calls = []
+        original = lgw.fields._cf_unit
+
+        def counting(d):
+            calls.append(d)
+            return original(d)
+
+        monkeypatch.setattr(lgw.fields, "_cf_unit", counting)
+        assert [class_number(D) for D in Ds] == expected
+        assert class_number(99_999_989) >= 1  # near the ceiling
+        assert calls == []
+
+
 class TestClassNumberForms:
     def test_heegner_values(self):
         for D in HEEGNER_DISCRIMINANTS:

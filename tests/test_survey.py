@@ -216,6 +216,27 @@ class TestScanReal:
         assert all(r.unit.pell_residual() == 0 for r in s.rows)
         assert calls == []
 
+    @pytest.mark.parametrize("limit, kwargs", [(20000, {}), (5000, {"by_radicand": True})],
+                             ids=["discriminant", "radicand"])
+    def test_batched_units_match_scalar_units(self, limit, kwargs):
+        # every row's unit, h = 1 or not, from the batched continued fraction
+        s = scan_real(limit, **kwargs)
+        assert len(s.rows) > 1500
+        assert [r.unit for r in s.rows] == [lgw.fields._unit_of_squarefree(r.d) for r in s.rows]
+
+    def test_only_h1_rows_are_built_by_the_scan(self):
+        s = scan_real(3000)
+        assert [r.D for r in s.batch.attached] == [r.D for r in s.rows if r.h == 1]
+        assert s.count_h1 == len(s.batch.attached) == s.distinct_unit_count
+        assert all(r.alphas == () and r.unit.pell_residual() == 0 for r in s.rows if r.h != 1)
+
+    def test_unit_norms_must_agree_with_the_sieve(self, monkeypatch):
+        # the period parity of each unit is checked against h+ = h
+        sieve = lgw.survey._real_class_numbers
+        monkeypatch.setattr(lgw.survey, "_real_class_numbers", lambda D: (sieve(D)[0],) * 2)
+        with pytest.raises(AssertionError):
+            scan_real(200)
+
     def test_ceiling_is_a_term_limit(self):
         top = lgw.fields._MAX_REAL_D
         with pytest.raises(TermLimitExceeded):

@@ -232,6 +232,39 @@ def test_identity_random(k, r, t):
     assert abs(ev.value * cmath.exp(ev.value) - z) <= 1e-12 * (1 + abs(z))
 
 
+class TestTinyArguments:
+    """|z| around and below the smallest normal float, where e^w at W_k(z),
+    k != 0, becomes subnormal."""
+
+    # an imaginary part that underflows to -0.0 is taken as +0.0: mpmath
+    # reads no sign of zero, and the cut values are continuous from above
+    RADII = (5e-324, 6.283e-320, 1e-315, 1e-310, 2.2e-308, 2.3e-308, 1e-305)
+    ZS = [z if z.imag else complex(z.real, 0.0)
+          for z in (cmath.rect(r, t) for r in RADII for t in np.linspace(-math.pi, math.pi, 24)[1:])]
+    ZS += [-6.283e-320, 1e-315, -5e-324]
+
+    def test_nonzero_branches_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        for k in (-3, -2, -1, 1, 2, 3):
+            for z in self.ZS:
+                ev = lambert_w(k, z)
+                ref = complex(mpmath.lambertw(z, k))
+                assert abs(ev.value - ref) <= 1e-13 * abs(ref), (k, z, ev, ref)
+                assert ev.iterations < 10
+
+    def test_real_minus_one_branch_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        for x in (-5e-324, -6.283e-320, -1e-315, -1e-310, -2.2e-308, -2.3e-308, -1e-305):
+            ref = float(mpmath.lambertw(x, -1).real)
+            assert abs(lambert_w_real(-1, x) - ref) <= 1e-13 * abs(ref), x
+            assert abs(lambert_w(-1, x).value - ref) <= 1e-13 * abs(ref), x
+
+    def test_real_value_on_the_cut_from_below(self):
+        # W_1 just below the negative real axis is the real W_-1 value
+        z = complex(-6.283e-320, -0.0)
+        assert lambert_w(1, z).value == lambert_w(-1, z).value == complex(lambert_w_real(-1, z.real))
+
+
 class TestDerivative:
     def test_at_zero(self):
         assert abs(w_derivative(0, 0) - 1.0) < 1e-14
