@@ -7,16 +7,16 @@ two independent ways (reduced binary quadratic forms, and the finite
 Dirichlet class-number formula through the Kronecker symbol).
 
 Class numbers for positive discriminants are the ordinary (wide) h by
-default, and the narrow h+ on request. Both come from one batched numpy
-sieve (_real_class_numbers), for a single D and for a whole real scan
-alike: it enumerates the reduced forms (a, b, -m) with D = b^2 + 4am,
-a, m > 0 and |a - m| < b, applies the cycle step rho to all of them and
-their mirrors (-a, b, m) at once as one map on the triples (a, b, m), and
-labels the cycles of that map by pointer doubling. The wide h is the number
-of its cycles, h+ adds one more for each cycle of even length, and the
-fundamental unit has norm -1 exactly when h+ = h; no unit is computed for
-it. The sieve walks D in windows of a bounded number of forms, and takes D
-up to _MAX_REAL_D = 10^8.
+default, and the narrow h+ on request. Both come from Shanks' distances
+(_real_class_numbers), for a single D and for a whole real scan alike: one
+numpy sieve enumerates the reduced forms (a, b, -m) with D = b^2 + 4am,
+a, m > 0 and |a - m| < b, sums the distances log((b + sqrt(D))/(2m)) of
+their cycle steps per D, and divides by the regulator R of the fundamental
+unit: each cycle of reduced forms, up to sign, has total distance R, so the
+quotient is h. h+ is h when the unit has norm -1 and 2h otherwise. A real
+scan takes R and the norm from its units; a single D from a float walk over
+one period of the continued fraction (_regulator), with no unit built. The
+sieve takes D up to _MAX_REAL_D = 10^8.
 
 Fundamental units come from the continued fraction of sqrt(d) or
 (1+sqrt(d))/2: one d at a time in Python ints (_cf_unit, behind
@@ -634,15 +634,14 @@ def _reduced_forms_negative(D: int) -> list[BinaryQuadraticForm]:
 def class_number(D: int, narrow: bool = False) -> int:
     """Class number of the quadratic field with fundamental discriminant D.
 
-    D < 0: count of reduced primitive forms. D > 0: the narrow h+ is the
-    number of cycles under rho of the reduced forms (a, b, -m) and
-    (-a, b, m) with D = b^2 + 4am, a, m > 0 and |a - m| < b, and the wide h
-    (default) the number of cycles of the map on their triples (a, b, m),
-    both counted by the batched form sieve that the real scan also runs
-    (_real_class_numbers), with no fundamental unit. Positive D above
-    _MAX_REAL_D (10^8) and negative D below -_MAX_IMAG_D (-10^7) raise
-    TermLimitExceeded before any work; one D near either ceiling takes up to
-    about 2 s.
+    D < 0: count of reduced primitive forms. D > 0: the wide h (default) is
+    the sum of the distances of the cycle steps of the reduced forms of D
+    over the regulator, and the narrow h+ is h or 2h by the norm of the
+    fundamental unit (_real_class_numbers); the regulator and the norm come
+    from a float walk over one period of the continued fraction, with no
+    unit built. Positive D above _MAX_REAL_D (10^8) and negative D below
+    -_MAX_IMAG_D (-10^7) raise TermLimitExceeded before any work; one D near
+    either ceiling takes up to about 2 s.
     """
     _check_size(D)
     _check_fundamental(D)
@@ -654,12 +653,13 @@ def class_number(D: int, narrow: bool = False) -> int:
     return int((h_plus if narrow else h)[0])
 
 
-# -- batched narrow class numbers for the real survey ------------------------------
+# -- class numbers of positive discriminants from distances ----------------------------
 
-# Largest positive discriminant the form sieve takes. Its int64 arithmetic
-# (the key (D*K + a)*K + b with K = isqrt(D) + 1, and r^2 - D) is exact up
-# to about 3e9; the ceiling sits lower, where one D takes about 2 s. It is
-# also the largest radicand fundamental_unit takes (0.1 s at most below it).
+# Largest positive discriminant class_number takes, and the largest radicand
+# fundamental_unit takes. The distance sieve's (a, b) pairs grow as D, so one
+# D near it takes about 0.5 s there; fundamental_unit takes 0.1 s at most
+# below it. Time sets it, not precision: the sieve's float64 quotients and
+# square roots stay exact far beyond it.
 _MAX_REAL_D = 10**8
 
 # Largest |D| of a negative discriminant: class_number(D < 0) enumerates
@@ -668,10 +668,13 @@ _MAX_REAL_D = 10**8
 # limit^1.5 (about 3 s of sieve at 10^7).
 _MAX_IMAG_D = 10**7
 
-# Candidate forms the sieve holds at once: it walks D in windows of about
-# this many reduced forms, and a window's (a, b) pairs in blocks of this
-# many, so its memory stays flat whatever the range.
+# Reduced forms the distance sieve holds at once: it walks the (a, b) pairs
+# in blocks of about this many, and the forms of a block of pairs in blocks
+# of about this many, so its memory stays flat whatever the range.
 _SIEVE_WINDOW_FORMS = 1 << 15
+
+# A distance sum over the regulator must lie this close to its integer h.
+_ROUNDING_TOL = 1e-6
 
 
 def _check_size(D: int) -> None:
@@ -695,6 +698,42 @@ def _ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return i, np.repeat(lo - (np.cumsum(n) - n), n) + np.arange(len(i))
 
 
+def _runs(sizes: np.ndarray) -> list[tuple[int, int]]:
+    """Bounds (i, j) of the runs sizes[i:j] that cut sizes where its running
+    total passes a multiple of _SIEVE_WINDOW_FORMS; none is empty."""
+    import numpy as np
+
+    total = np.cumsum(sizes)
+    top = int(total[-1]) if len(total) else 0
+    cuts = np.searchsorted(total, np.arange(_SIEVE_WINDOW_FORMS, top, _SIEVE_WINDOW_FORMS))
+    bounds = [0, *cuts.tolist(), len(sizes)]
+    return [(i, j) for i, j in zip(bounds, bounds[1:]) if i < j]
+
+
+def _regulator(d: int) -> tuple[float, int]:
+    """(regulator, norm) of the fundamental unit of Q(sqrt(d)), d > 1
+    squarefree, with no unit built.
+
+    Runs the continued fraction of _cf_unit over one period l: the unit is
+    the product of the complete quotients (P_k + sqrt(d))/Q_k, k = 1 ... l,
+    so the regulator is the float sum of their logs, and the norm is -1
+    exactly when l is odd. P and Q stay below 2*sqrt(d), so no big integer
+    arises.
+    """
+    s, root = isqrt(d), math.sqrt(d)
+    P, Q = (1, 2) if d % 4 == 1 else (0, 1)
+    P = (P + s) // Q * Q - P
+    Q = (d - P * P) // Q
+    first, reg, period = (P, Q), 0.0, 0
+    while True:
+        reg += math.log((P + root) / Q)
+        period += 1
+        P = (P + s) // Q * Q - P
+        Q = (d - P * P) // Q
+        if (P, Q) == first:
+            return reg, -1 if period % 2 else 1
+
+
 def _narrow_class_numbers(Ds: np.ndarray) -> np.ndarray:
     """Narrow class numbers h+ of an ascending int64 array of positive
     fundamental discriminants, as int64 (see _real_class_numbers)."""
@@ -703,97 +742,108 @@ def _narrow_class_numbers(Ds: np.ndarray) -> np.ndarray:
 
 def _real_class_numbers(Ds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Narrow and wide class numbers (h+, h) of an ascending int64 array of
-    positive fundamental discriminants, as int64, by one sieve over all of
-    them.
+    positive fundamental discriminants, as int64.
 
-    A reduced form with a > 0 is (a, b, -m) with m > 0, D = b^2 + 4am and,
-    for non-square D, |a - m| < b (the same condition as
-    sqrt(D) - b < 2|a| < sqrt(D) + b); its mirror is (-a, b, m). Both are
-    primitive, because D is fundamental. The sieve enumerates the triples
-    (a, b, m) of every D in Ds at once, applies rho (the formula of
-    _indefinite_neighbor) to all of them, and finds each image by a sorted
-    (D, a, b) key. rho sends (a, b, -m) to the mirror of (m, r, m') and the
-    mirror of (a, b, -m) to (m, r, -m'), so one map on triples carries both
-    halves: a cycle of it of odd length is one rho cycle through its forms
-    and their mirrors, a cycle of even length is two. Cycles are labelled by
-    pointer doubling (each triple takes the least index on its cycle), and
-    h+ of D adds 1 or 2 for each cycle of D by that parity.
-
-    The wide h of D is the number of cycles of the map: the mirror carries
-    a narrow class to its product with the class of the principal form of
-    negative leading coefficient, and the wide classes are the orbits of
-    that. So N(eps) = -1, where the two classes coincide, exactly when
-    h+ = h (every cycle odd), and h = h+/2 otherwise.
+    h comes from the distance sums over the regulators
+    (_wide_class_numbers), the regulator and the norm of the fundamental
+    unit of each D from _regulator; h+ = h where the norm is -1, and 2h
+    where it is +1, since the classes of a form and of its negative then
+    differ in the narrow sense.
     """
     import numpy as np
 
     if len(Ds):
         _check_size(int(Ds[-1]))
-    h_plus, h = np.empty(len(Ds), dtype=np.int64), np.empty(len(Ds), dtype=np.int64)
-    i = 0
-    while i < len(Ds):
-        # there are about 0.23 * X^1.5 triples with D <= X, all D counted
-        hi = int((float(Ds[i]) ** 1.5 + _SIEVE_WINDOW_FORMS / 0.23) ** (2.0 / 3.0))
-        j = max(int(np.searchsorted(Ds, hi, side="right")), i + 1)
-        h_plus[i:j], h[i:j] = _real_class_numbers_window(Ds[i:j])
-        i = j
-    return h_plus, h
+    d = np.where(Ds % 4 == 1, Ds, Ds // 4)
+    distances = _distance_sums(Ds)
+    walks = [_regulator(di) for di in d.tolist()]
+    h = _wide_class_numbers(Ds, distances, np.array([r for r, _ in walks], dtype=np.float64))
+    norm = np.array([n for _, n in walks], dtype=np.int64)
+    return np.where(norm == -1, h, 2 * h), h
 
 
-def _real_class_numbers_window(Ds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _wide_class_numbers(Ds: np.ndarray, distances: np.ndarray, regulator: np.ndarray
+                        ) -> np.ndarray:
+    """Wide class numbers h of an ascending int64 array of positive
+    fundamental discriminants, as int64, from their distance sums
+    (_distance_sums) and the regulator R of each.
+
+    rho (the formula of _indefinite_neighbor) on the reduced forms of D,
+    with the sign of the leading coefficient forgotten, is a permutation of
+    the triples (a, b, m) of _distance_sums. Its cycles are the wide classes
+    of forms, and the distances of the steps around each one add up to
+    R = log eps, whatever the norm of eps: Shanks' infrastructure (Cohen,
+    GTM 138, section 5.8; H. W. Lenstra, "On the calculation of regulators
+    and class numbers of quadratic fields", 1982). So h is the distance sum
+    of D over R; every quotient must lie within _ROUNDING_TOL of an integer
+    h >= 1.
+    """
     import numpy as np
 
+    q = distances / regulator
+    h = np.rint(q)
+    off = np.abs(q - h) >= _ROUNDING_TOL
+    assert not off.any() and (h >= 1).all(), (
+        f"distance sum over the regulator is no class number at D={Ds[off][:5].tolist()}"
+    )
+    return h.astype(np.int64)
+
+
+def _distance_sums(Ds: np.ndarray) -> np.ndarray:
+    """For each D of an ascending int64 array of positive fundamental
+    discriminants, the sum of the distances of the cycle steps of its
+    reduced forms, as float64.
+
+    A reduced form with a > 0 is (a, b, -m) with m > 0, D = b^2 + 4am and,
+    for non-square D, |a - m| < b (the same condition as
+    sqrt(D) - b < 2a < sqrt(D) + b). Both it and its negative (-a, b, m) are
+    primitive, because D is fundamental, and rho takes either over the
+    distance log((b + sqrt(D)) / (2m)). The triples (a, b, m) of D are
+    symmetric in a and m, and the distances of (a, b, m) and (m, b, a) add
+    up to log((b + sqrt(D))^2 / (4am)), so the sieve walks a <= m only and
+    counts a = m at half that.
+
+    It walks the (a, b) pairs of the whole range [Ds[0], Ds[-1]] once, in
+    blocks of about _SIEVE_WINDOW_FORMS pairs, expands the m range of each
+    pair in blocks of about _SIEVE_WINDOW_FORMS forms, keeps the forms whose
+    D is in Ds through a bool mask, and adds their distances into one
+    float64 array over the range.
+    """
+    import numpy as np
+
+    if not len(Ds):
+        return np.zeros(0)
     lo, hi = int(Ds[0]), int(Ds[-1])
     member = np.zeros(hi - lo + 1, dtype=bool)
     member[Ds - lo] = True
-    # b < sqrt(D) and sqrt(D) - b < 2a < sqrt(D) + b bound the (a, b) pairs
-    s_lo, s_hi = isqrt(lo), isqrt(hi)
-    b = np.arange(1, s_hi + 1, dtype=np.int64)
-    a_lo = np.maximum((s_lo - b) // 2, 1)
-    a_hi = (s_hi + b) // 2
-    pairs = np.cumsum(a_hi - a_lo + 1)
-    cuts = np.searchsorted(pairs, np.arange(_SIEVE_WINDOW_FORMS, pairs[-1], _SIEVE_WINDOW_FORMS))
-    parts = []
-    for blk in np.split(np.arange(s_hi), cuts):
-        ib, a = _ranges(a_lo[blk], a_hi[blk])
-        bb = b[blk][ib]
+    total = np.zeros(hi - lo + 1)
+    # b < sqrt(D), sqrt(D) - b < 2a and b^2 + 4a^2 <= D bound the (a, b) pairs
+    b = np.arange(1, isqrt(hi) + 1, dtype=np.int64)
+    a_lo = np.maximum((isqrt(lo) - b) // 2, 1)
+    a_hi = np.sqrt(hi - b * b).astype(np.int64) // 2
+    for i, j in _runs(np.maximum(a_hi - a_lo + 1, 0)):
+        ib, a = _ranges(a_lo[i:j], a_hi[i:j])
+        bb = b[i:j][ib]
         sq, step = bb * bb, 4 * a
-        # m in [a - b + 1, a + b - 1] (reduced) with lo <= b^2 + 4am <= hi.
+        # m in [a, a + b - 1] (reduced, a <= m) with lo <= b^2 + 4am <= hi.
         # The quotients are rounded to the right integers in float64: their
         # terms stay below 2^27, so a fraction is at least 1/(4a) > 2^-17
         # away from an integer. A negative bound, truncated towards zero,
         # still gives an empty range.
-        m_lo = np.maximum(np.maximum(a - bb + 1, 1), np.ceil((lo - sq) / step).astype(np.int64))
+        m_lo = np.maximum(a, np.ceil((lo - sq) / step).astype(np.int64))
         m_hi = np.minimum(a + bb - 1, ((hi - sq) / step).astype(np.int64))
-        ip, m = _ranges(m_lo, m_hi)
-        D = sq[ip] + step[ip] * m
-        keep = np.flatnonzero(member[D - lo])
-        ip = ip[keep]
-        parts.append((a[ip], bb[ip], m[keep], D[keep]))
-    a, b, m, D = (np.concatenate(col) for col in zip(*parts))
-    # rho: (a, b, -m) -> (-m, r, m'), r = -b mod 2m shifted into (sqrt(D) - 2m, sqrt(D))
-    s = np.sqrt(D).astype(np.int64)
-    s -= s * s > D
-    s += (s + 1) * (s + 1) <= D
-    r = s - (s + b) % (2 * m)
-    # rho permutes the triples of each D, so the j-th smallest image key is
-    # the j-th smallest key
-    K = s_hi + 1
-    key, image = (D * K + a) * K + b, (D * K + m) * K + r
-    by_key, by_image = np.argsort(key), np.argsort(image)
-    assert np.array_equal(key[by_key], image[by_image])
-    nxt = np.empty_like(by_key)
-    nxt[by_image] = by_key
-    lab = np.arange(len(D))
-    for _ in range(int(np.bincount(D - lo).max()).bit_length()):
-        lab = np.minimum(lab, lab[nxt])
-        nxt = nxt[nxt]
-    size = np.bincount(lab, minlength=len(D))
-    head = np.flatnonzero(size)
-    even = head[size[head] % 2 == 0]
-    n = hi - lo + 1
-    h = np.bincount(D[head] - lo, minlength=n)[Ds - lo]
-    return h + np.bincount(D[even] - lo, minlength=n)[Ds - lo], h
+        for k, n in _runs(np.maximum(m_hi - m_lo + 1, 0)):
+            ip, m = _ranges(m_lo[k:n], m_hi[k:n])
+            ip += k
+            D = sq[ip] + step[ip] * m
+            keep = np.flatnonzero(member[D - lo])
+            ip, D, m = ip[keep], D[keep], m[keep]
+            x = np.sqrt(D) + bb[ip]
+            ai = a[ip]
+            dist = np.log(x * x / (4 * ai * m))
+            dist[ai == m] *= 0.5
+            np.add.at(total, D - lo, dist)
+    return total[Ds - lo]
 
 
 # -- Kronecker symbol and the analytic route ------------------------------------

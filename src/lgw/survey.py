@@ -34,17 +34,19 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
+from .errors import TermLimitExceeded
 from .fields import (
     FundamentalUnit,
     RootsOfUnity,
     _check_size,
+    _distance_sums,
     _fundamental_discriminant_array,
     _imaginary_form_counts,
-    _real_class_numbers,
     _squarefree_mask,
     _unit_columns,
     _unit_label,
     _UnitColumns,
+    _wide_class_numbers,
     roots_of_unity,
 )
 from .solver import Case, FixedPointReport, Pairing, UnitInput, alpha_complex_case, alpha_real_case
@@ -315,6 +317,12 @@ def scan_imaginary(
 
 # -- real scan ---------------------------------------------------------------------
 
+# Largest limit of a real scan, set by time: `lgw scan --real --limit 2000000
+# --format csv` took 46 s at a 560 MB peak RSS on a 2-vCPU VM, and the work
+# grows as limit^1.5.
+_MAX_REAL_SCAN = 2 * 10**6
+
+
 def _real_h1_row(args: tuple) -> SurveyRow:
     """The h = 1 row of discriminant D, radicand d and fundamental unit
     fields `unit`, with a root for each of the unit's first powers."""
@@ -346,33 +354,39 @@ def scan_real(
     count_h1 is a raw count; it grows without any claimed bound.
 
     The scan is columnar, like the imaginary one. Discriminants and
-    radicands come from the squarefree sieve; the narrow and wide class
-    numbers (h+, h) of all of them from one run of the form sieve
-    (fields._real_class_numbers); the fundamental units from one batched
-    continued fraction over every radicand (fields._unit_columns), whose
-    period parity must agree with the sieve (norm -1 exactly when h+ = h).
-    Only the h = 1 fields become SurveyRows here, with their roots; jobs > 1
+    radicands come from the squarefree sieve; the fundamental units from one
+    batched continued fraction over every radicand (fields._unit_columns);
+    the class numbers h from one run of the distance sieve over all the
+    discriminants (fields._distance_sums): the distances of the cycle steps
+    of the reduced forms of each D, summed and divided by the regulator of
+    its unit, give h to within 1e-6 or fail an assert
+    (fields._wide_class_numbers). Only
+    the h = 1 fields become SurveyRows here, with their roots; jobs > 1
     spreads that root work over a process pool, so the rows do not depend on
-    the worker count. limit may be at most fields._MAX_REAL_D (10^8), a
+    the worker count. limit may be at most _MAX_REAL_SCAN (2*10^6), a
     quarter of it with by_radicand=True; a larger one raises
     TermLimitExceeded at once.
     """
     import numpy as np
 
     limit = int(limit)
-    _check_size(4 * limit if by_radicand else limit)
+    top = _MAX_REAL_SCAN // 4 if by_radicand else _MAX_REAL_SCAN
+    if limit > top:
+        raise TermLimitExceeded(
+            f"limit {limit} exceeds {top}, the largest real scan supported"
+            + (" by radicand" if by_radicand else "")
+        )
     if by_radicand:
         d = np.flatnonzero(_squarefree_mask(2, max(limit, 1))) + 2
-        D = np.where(d % 4 == 1, d, 4 * d)
-        order = np.argsort(D)
-        D, d = D[order], d[order]
+        D = np.sort(np.where(d % 4 == 1, d, 4 * d))
     else:
-        # the sieve has proved every D fundamental: d is D or D/4
         D = _fundamental_discriminant_array(5, limit)
-        d = np.where(D % 4 == 1, D, D // 4)
-    h_plus, h = _real_class_numbers(D)
+    # every D is fundamental: d is D or D/4
+    d = np.where(D % 4 == 1, D, D // 4)
+    # the sieve's blocks are freed before the unit columns are held
+    distances = _distance_sums(D)
     units = _unit_columns(d)
-    assert np.array_equal(np.array(units.norm, dtype=np.int64) == -1, h_plus == h)
+    h = _wide_class_numbers(D, distances, np.array(units.regulator, dtype=np.float64))
     at = np.flatnonzero(h == 1)
     pairing = Pairing(pairing)
     unit_of = list(zip(*units))
@@ -593,19 +607,30 @@ def records_to_csv(records: Iterable[dict], columns: Sequence[str] = CSV_COLUMNS
 # -- reading scan JSON back ------------------------------------------------------------
 
 # A run of bare records in a scan's JSON: the JSON template of a bare row,
-# with an integer of JSON's grammar for each of D, d, h and log_branch,
-# repeated with its separators. Text it matches is records whose alpha_re is
-# null, which the correspondence table skips. The repeat is bounded, so one
-# match keeps little backtracking state however long the run.
+# with a pattern of JSON's grammar for each of its holes (an integer for D,
+# d, h, the norm and log_branch, a string without escapes for a unit label,
+# a number for a regulator), repeated with its separators. Text it matches
+# is records whose alpha_re is null, which the correspondence table skips.
+# The repeat is bounded, so one match keeps little backtracking state however
+# long the run. _BARE_RUN matches the rows of an imaginary scan,
+# _BARE_UNIT_RUN those of a real scan, which carry a unit.
 _JSON_WS = "[ \t\n\r]*"
-_BARE_RUN = re.compile(
-    "(?:{ws}{}{ws},){{1,1024}}".format(
-        r"-?(?:0|[1-9]\d*)".join(
-            map(re.escape, _hole_text(_JSON, _HOLE, unit=False).split(_JSON.quote(_HOLE)))
-        ),
-        ws=_JSON_WS,
-    )
+_JSON_INT = r"-?(?:0|[1-9]\d*)"
+_HOLE_GRAMMAR = (
+    (_HOLE, _JSON_INT),
+    (_LABEL_HOLE, r'"[^"\\\x00-\x1f]*"'),
+    (_FLOAT_HOLE, _JSON_INT + r"(?:\.\d+)?(?:[eE][-+]?\d+)?"),
 )
+
+
+def _bare_run(unit: bool) -> re.Pattern:
+    text = re.escape(_hole_text(_JSON, _HOLE, unit))
+    for hole, grammar in _HOLE_GRAMMAR:
+        text = text.replace(re.escape(_JSON.quote(hole)), grammar)
+    return re.compile("(?:{ws}{}{ws},){{1,1024}}".format(text, ws=_JSON_WS))
+
+
+_BARE_RUN, _BARE_UNIT_RUN = _bare_run(unit=False), _bare_run(unit=True)
 _SPACE = re.compile(_JSON_WS)
 _DECODER = json.JSONDecoder()
 
@@ -677,7 +702,7 @@ class _JsonStream:
         while True:
             if len(self.buf) - self.pos < _READ_CHARS // 2 and not self.eof:
                 self.read()
-            run = _BARE_RUN.match(self.buf, self.pos)
+            run = _BARE_RUN.match(self.buf, self.pos) or _BARE_UNIT_RUN.match(self.buf, self.pos)
             if run:
                 self.pos = run.end()
                 continue

@@ -270,6 +270,16 @@ class TestScanCommand:
         assert run(["scan", "--real", "--by-radicand", "--limit", "25000001"]) == 2
         assert capsys.readouterr().out == ""
 
+    def test_real_limit_above_scan_ceiling_exit_2_at_once(self, capsys):
+        # the real scan's own ceiling, 2e6 (5e5 by radicand), far below 10^8
+        t0 = time.perf_counter()
+        assert run(["scan", "--real", "--limit", "2000001"]) == 2
+        assert run(["scan", "--real", "--by-radicand", "--limit", "500001"]) == 2
+        assert time.perf_counter() - t0 < 2.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "2000000" in captured.err and "500000" in captured.err
+
     def test_jobs_flag_deterministic(self, capsys):
         code = run(["scan", "--real", "--limit", "120", "--jobs", "1"])
         out1 = capsys.readouterr().out

@@ -43,6 +43,7 @@ from oracles import (
     reduced_definite_form_counts_brute,
     reduced_definite_form_counts_loop,
     reduced_definite_forms_brute,
+    real_class_numbers_cycles,
 )
 
 HEEGNER_DISCRIMINANTS = [-3, -4, -7, -8, -11, -19, -43, -67, -163]
@@ -289,6 +290,45 @@ class TestWideClassNumber:
         assert [class_number(D) for D in Ds] == expected
         assert class_number(99_999_989) >= 1  # near the ceiling
         assert calls == []
+
+    def test_against_the_cycle_sieve_to_1e5(self):
+        # the pointer-doubling sieve lgw used before the distance sums
+        Ds = np.array(fundamental_discriminants(5, 100_000), dtype=np.int64)
+        h_plus, h = lgw.fields._real_class_numbers(Ds)
+        cycles_plus, cycles = real_class_numbers_cycles(Ds)
+        assert len(Ds) == 30394
+        assert h.tolist() == cycles.tolist()
+        assert h_plus.tolist() == cycles_plus.tolist()
+
+    def test_h_against_brute_cycles_and_unit_norm(self, narrow_brute):
+        # h = h+ for a unit of norm -1 and h+/2 for norm +1, with h+ by the
+        # brute-force cycle count and the norm from the unit's continued fraction
+        for D, hp in narrow_brute.items():
+            norm = fundamental_unit(radicand_of_discriminant(D)).norm
+            assert class_number(D) == (hp if norm == -1 else hp // 2), D
+
+    def test_h_against_analytic_on_a_sample(self):
+        rng = np.random.default_rng(20261018)
+        Ds = rng.choice(fundamental_discriminants(3001, 20000), 100, replace=False)
+        for D in sorted(Ds.tolist()):
+            assert class_number(D) == class_number_analytic(D), D
+
+    def test_regulator_walk_matches_the_unit(self):
+        for d in range(2, 3000):
+            if is_squarefree(d):
+                fu = fundamental_unit(d)
+                reg, norm = lgw.fields._regulator(d)
+                assert norm == fu.norm and math.isclose(reg, fu.regulator, rel_tol=1e-13), d
+
+    def test_perturbed_regulator_trips_the_rounding_assert(self):
+        Ds = np.array(fundamental_discriminants(5, 2000), dtype=np.int64)
+        reg = np.array([lgw.fields._regulator(int(D if D % 4 == 1 else D // 4))[0] for D in Ds])
+        distances = lgw.fields._distance_sums(Ds)
+        h = lgw.fields._wide_class_numbers(Ds, distances, reg)
+        assert h.tolist() == [class_number(D) for D in Ds]
+        for factor in (1 + 1e-4, 1 - 1e-4, 2.0):
+            with pytest.raises(AssertionError):
+                lgw.fields._wide_class_numbers(Ds, distances, reg * factor)
 
 
 class TestClassNumberForms:

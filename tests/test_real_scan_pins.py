@@ -44,6 +44,11 @@ SHA256 = {
 # leave int64).
 SHA256_CSV_1E5 = "89cbb426fcb12146dbe22335811a2b7de326c2dfa55bc5a57c05d3a95b78c762"
 
+# `lgw scan --real --limit 100000 --by-radicand --format csv` (D up to 4e5),
+# taken from the cycle sieve before the distance sums; checked by the CI
+# workflow the same way.
+SHA256_CSV_1E5_BY_RADICAND = "19a5ef9e88414f6dca024a0b7abe41553657290cea46aec8cbdefd28c3063b09"
+
 
 def stdout_of(argv, stdin=None):
     out = io.StringIO()

@@ -230,10 +230,16 @@ class TestScanReal:
         assert s.count_h1 == len(s.batch.attached) == s.distinct_unit_count
         assert all(r.alphas == () and r.unit.pell_residual() == 0 for r in s.rows if r.h != 1)
 
-    def test_unit_norms_must_agree_with_the_sieve(self, monkeypatch):
-        # the period parity of each unit is checked against h+ = h
-        sieve = lgw.survey._real_class_numbers
-        monkeypatch.setattr(lgw.survey, "_real_class_numbers", lambda D: (sieve(D)[0],) * 2)
+    def test_perturbed_regulator_trips_the_rounding_assert(self, monkeypatch):
+        # h is the distance sum over the unit's regulator, rounded; a
+        # regulator off by 1e-4 leaves every quotient far from an integer
+        columns = lgw.survey._unit_columns
+
+        def perturbed(d):
+            units = columns(d)
+            return units._replace(regulator=[r * (1 + 1e-4) for r in units.regulator])
+
+        monkeypatch.setattr(lgw.survey, "_unit_columns", perturbed)
         with pytest.raises(AssertionError):
             scan_real(200)
 
@@ -242,6 +248,18 @@ class TestScanReal:
         with pytest.raises(TermLimitExceeded):
             scan_real(top + 1)
         with pytest.raises(TermLimitExceeded):
+            scan_real(top // 4 + 1, by_radicand=True)
+
+    def test_scan_ceiling_is_a_term_limit_before_any_work(self, monkeypatch):
+        # the scan has its own ceiling, far below that of a single D; past it
+        # not even the discriminant sieve runs
+        top = lgw.survey._MAX_REAL_SCAN
+        assert top < lgw.fields._MAX_REAL_D
+        monkeypatch.setattr(lgw.survey, "_fundamental_discriminant_array", None)
+        monkeypatch.setattr(lgw.survey, "_squarefree_mask", None)
+        with pytest.raises(TermLimitExceeded, match=str(top)):
+            scan_real(top + 1)
+        with pytest.raises(TermLimitExceeded, match=str(top // 4)):
             scan_real(top // 4 + 1, by_radicand=True)
 
 
@@ -504,6 +522,25 @@ class TestReadRootedRecords:
         assert got == _rooted(text)[1]
         assert len(json.loads(text)["rows"]) > 6000
         assert len(calls) < 200
+
+    def test_bare_real_records_are_not_decoded(self):
+        # a real scan's bare records carry a unit, label, norm and regulator;
+        # they too are passed over, so the decoder sees little beyond the
+        # rooted records
+        text = summary_to_json(scan_real(5000))
+        decoder = json.JSONDecoder()
+        calls = []
+
+        def counting(s, idx=0):
+            calls.append(idx)
+            return decoder.raw_decode(s, idx)
+
+        with mock.patch.object(lgw.survey._DECODER, "raw_decode", counting):
+            got = _read(text)
+        rows, rooted = _rooted(text)
+        assert got == rooted
+        assert len(rows) - len(rooted) > 800
+        assert len(calls) < len(rooted) + 50
 
     def test_every_truncation_is_an_error(self):
         text = summary_to_json(scan_imaginary(60)) + "\n"
