@@ -97,8 +97,6 @@ def _build_parser() -> _Parser:
     g.add_argument("--imaginary", action="store_true")
     g.add_argument("--real", action="store_true")
     sp.add_argument("--limit", type=int, required=True)
-    sp.add_argument("--jobs", type=int, default=None,
-                    help="worker processes (default: LGW_JOBS or 1)")
     sp.add_argument("--powers", type=int, default=1,
                     help="real case: attach alpha for unit powers up to N (default 1)")
     sp.add_argument("--by-radicand", action="store_true",
@@ -251,36 +249,26 @@ def _cmd_classno(ns) -> int:
         # the ceiling first: the squarefree test of a huge d trial-divides for minutes
         fields._check_size(ns.d if ns.d % 4 == 1 else 4 * ns.d)
         D = fields.discriminant_of_radicand(ns.d)
-    h = fields.class_number(D)
+    h_narrow, h = fields._class_numbers(D)  # one distance sum for both
     out: dict = {"D": D, "h": h}
     if ns.narrow:
-        out["h_narrow"] = fields.class_number(D, narrow=True) if D > 0 else h
+        out["h_narrow"] = h_narrow
     out["d"] = fields.radicand_of_discriminant(D)
     out["conventions"] = _conventions(ns)
     _emit(out, ns)
     return 0
 
 
-def _jobs(ns) -> int:
-    if ns.jobs is not None:
-        return max(1, ns.jobs)
-    return max(1, int(os.environ.get("LGW_JOBS", "1")))
-
-
 def _cmd_scan(ns) -> int:
     _check_tolerance(ns)
-    jobs = _jobs(ns)
     if ns.imaginary:
-        summary = survey.scan_imaginary(
-            ns.limit, branch=ns.branch, log_branch=ns.log_branch, jobs=jobs
-        )
+        summary = survey.scan_imaginary(ns.limit, branch=ns.branch, log_branch=ns.log_branch)
     else:
         summary = survey.scan_real(
             ns.limit,
             branch=ns.branch,
             pairing=solver.Pairing(ns.pairing),
             unit_powers=ns.powers,
-            jobs=jobs,
             by_radicand=ns.by_radicand,
         )
     if ns.format == "csv":

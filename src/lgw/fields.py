@@ -643,14 +643,22 @@ def class_number(D: int, narrow: bool = False) -> int:
     -_MAX_IMAG_D (-10^7) raise TermLimitExceeded before any work; one D near
     either ceiling takes up to about 2 s.
     """
+    h_plus, h = _class_numbers(D)
+    return h_plus if narrow else h
+
+
+def _class_numbers(D: int) -> tuple[int, int]:
+    """(h+, h) of the field with fundamental discriminant D, from one run of
+    the form count (D < 0, where h+ = h) or of the distance sieve (D > 0)."""
     _check_size(D)
     _check_fundamental(D)
     if D < 0:
-        return len(_reduced_forms_negative(D))
+        h = len(_reduced_forms_negative(D))
+        return h, h
     import numpy as np
 
     h_plus, h = _real_class_numbers(np.array([D], dtype=np.int64))
-    return int((h_plus if narrow else h)[0])
+    return int(h_plus[0]), int(h[0])
 
 
 # -- class numbers of positive discriminants from distances ----------------------------
@@ -732,12 +740,6 @@ def _regulator(d: int) -> tuple[float, int]:
         Q = (d - P * P) // Q
         if (P, Q) == first:
             return reg, -1 if period % 2 else 1
-
-
-def _narrow_class_numbers(Ds: np.ndarray) -> np.ndarray:
-    """Narrow class numbers h+ of an ascending int64 array of positive
-    fundamental discriminants, as int64 (see _real_class_numbers)."""
-    return _real_class_numbers(Ds)[0]
 
 
 def _real_class_numbers(Ds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

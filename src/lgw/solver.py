@@ -29,7 +29,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .errors import DegenerateCoefficients, DomainError, NonFinite, ZeroLogUnit
-from .wfunc import lambert_w
+from .wfunc import _TINY_Z, _lambert_w_log, lambert_w
 
 __all__ = [
     "Case",
@@ -275,6 +275,14 @@ def _exp_linear_root(a: complex, b: complex, c: complex, k: int) -> complex:
         arg = _exp_of_sum_with_log(a * c, -b * c)
         if arg is None:
             raise NonFinite(f"Lambert argument -B*C*exp(A*C) overflows: A*C = {a * c!r}") from None
+    if k and abs(arg) < _TINY_Z:
+        # A subnormal argument keeps only a few digits: pass its log instead.
+        # log(-B) keeps the sign of the zero Im part that -B*C*exp(A*C) has,
+        # so a real argument stays on the same side of the cut.
+        t = cmath.log(-b) + cmath.log(c) + a * c
+        if abs(t.imag) > math.pi:
+            t -= _TWO_PI_I * round(t.imag / _TWO_PI)
+        return a - _lambert_w_log(k, t) / c
     return a - lambert_w(k, arg).value / c
 
 

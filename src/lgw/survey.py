@@ -13,10 +13,9 @@ full tuple of rows on first access. The writers (iter_summary_json,
 iter_summary_csv, iter_summary_plain) walk the batch: a row without roots
 goes through one text template per format and scan kind, the text
 row_records and the format give such a row with holes for its columns, and
-attached rows go through row_records. Output is byte-identical regardless
-of the worker count, so scan output can be diffed and pinned in tests.
-numpy and the process pool are imported where a scan first needs them, not
-with the module.
+attached rows go through row_records. Output is a pure function of the
+arguments, so scan output can be diffed and pinned in tests. numpy is
+imported where a scan first needs it, not with the module.
 
 read_rooted_records reads a scan's JSON back as a stream, for the
 correspondence table: it passes over runs of bare records with one match of
@@ -161,7 +160,13 @@ class _Batch:
         imaginary one)."""
         if self.units is None:
             return None
-        return FundamentalUnit(int(self.d[i]), *(col[i] for col in self.units))
+        return _unit_at(self.units, int(self.d[i]), i)
+
+
+def _unit_at(units: _UnitColumns, d: int, i: int) -> FundamentalUnit:
+    """The fundamental unit of radicand d from row i of the unit columns."""
+    x, y, half_integral, norm, regulator = units
+    return FundamentalUnit(d, x[i], y[i], half_integral[i], norm[i], regulator[i])
 
 
 @dataclass(frozen=True)
@@ -258,9 +263,8 @@ def _gap(a: complex, b: complex) -> float:
 
 # -- imaginary scan ---------------------------------------------------------------
 
-def _imaginary_row(args: tuple[int, int, int, int]) -> SurveyRow:
+def _imaginary_row(D: int, d: int, branch: int, log_branch: int) -> SurveyRow:
     """The h = 1 row of discriminant D, radicand d, with its torsion roots."""
-    D, d, branch, log_branch = args
     mu = roots_of_unity(D)
     alphas = []
     for eps in mu.elements:
@@ -273,9 +277,7 @@ def _imaginary_row(args: tuple[int, int, int, int]) -> SurveyRow:
     return SurveyRow(D=D, d=d, h=1, case=Case.COMPLEX, unit=mu, alphas=tuple(alphas))
 
 
-def scan_imaginary(
-    limit: int, *, branch: int = 0, log_branch: int = 0, jobs: int = 1
-) -> SurveySummary:
+def scan_imaginary(limit: int, *, branch: int = 0, log_branch: int = 0) -> SurveySummary:
     """Scan fundamental D in [-limit, -3]; attach alpha to every h = 1 field.
 
     Discriminants and radicands come from the fundamental-discriminant
@@ -296,11 +298,9 @@ def scan_imaginary(
     n = -D  # 0 or 3 mod 4: the form counts hold n at [n >> 2, n & 1]
     h = _imaginary_form_counts(max(limit, 0))[n >> 2, n & 1].astype(np.int64)
     at = np.flatnonzero(h == 1)
-    h1_rows = tuple(_map_rows(
-        _imaginary_row,
-        [(Di, di, branch, log_branch) for Di, di in zip(D[at].tolist(), d[at].tolist())],
-        jobs,
-    ))
+    h1_rows = tuple([
+        _imaginary_row(Di, di, branch, log_branch) for Di, di in zip(D[at].tolist(), d[at].tolist())
+    ])
     units = [eps for r in h1_rows for eps in r.unit.elements]
     distinct_alpha, min_sep = _distinct_stats(
         rep.alpha for row in h1_rows for rep in row.alpha_reports
@@ -323,11 +323,11 @@ def scan_imaginary(
 _MAX_REAL_SCAN = 2 * 10**6
 
 
-def _real_h1_row(args: tuple) -> SurveyRow:
+def _real_h1_row(
+    D: int, d: int, unit: FundamentalUnit, branch: int, pairing: Pairing, unit_powers: int
+) -> SurveyRow:
     """The h = 1 row of discriminant D, radicand d and fundamental unit
-    fields `unit`, with a root for each of the unit's first powers."""
-    D, d, unit, branch, pairing, unit_powers = args
-    unit = FundamentalUnit(d, *unit)
+    `unit`, with a root for each of the unit's first powers."""
     alphas = []
     for n in range(1, unit_powers + 1):
         reg_n = n * unit.regulator
@@ -344,7 +344,6 @@ def scan_real(
     branch: int = 0,
     pairing: Pairing = Pairing.CONJUGATE_BRANCH,
     unit_powers: int = 1,
-    jobs: int = 1,
     by_radicand: bool = False,
 ) -> SurveySummary:
     """Scan fundamental D in [5, limit]; attach alpha to every h = 1 field.
@@ -361,11 +360,9 @@ def scan_real(
     of the reduced forms of each D, summed and divided by the regulator of
     its unit, give h to within 1e-6 or fail an assert
     (fields._wide_class_numbers). Only
-    the h = 1 fields become SurveyRows here, with their roots; jobs > 1
-    spreads that root work over a process pool, so the rows do not depend on
-    the worker count. limit may be at most _MAX_REAL_SCAN (2*10^6), a
-    quarter of it with by_radicand=True; a larger one raises
-    TermLimitExceeded at once.
+    the h = 1 fields become SurveyRows here, with their roots. limit may be
+    at most _MAX_REAL_SCAN (2*10^6), a quarter of it with by_radicand=True;
+    a larger one raises TermLimitExceeded at once.
     """
     import numpy as np
 
@@ -388,12 +385,11 @@ def scan_real(
     units = _unit_columns(d)
     h = _wide_class_numbers(D, distances, np.array(units.regulator, dtype=np.float64))
     at = np.flatnonzero(h == 1)
-    pairing = Pairing(pairing)
-    unit_of = list(zip(*units))
-    rows = tuple(_map_rows(_real_h1_row, [
-        (Di, di, unit_of[i], branch, pairing, int(unit_powers))
+    pairing, unit_powers = Pairing(pairing), int(unit_powers)
+    rows = tuple([
+        _real_h1_row(Di, di, _unit_at(units, di, i), branch, pairing, unit_powers)
         for i, Di, di in zip(at.tolist(), D[at].tolist(), d[at].tolist())
-    ], jobs))
+    ])
     distinct_alpha, min_sep = _distinct_stats(
         rep.alpha for row in rows for rep in row.alpha_reports
     )
@@ -405,15 +401,6 @@ def scan_real(
         distinct_unit_count=len(rows),
         batch=_Batch(Case.REAL, D, d, h, at, rows, units),
     )
-
-
-def _map_rows(worker, args, jobs: int):
-    if jobs and jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            return list(ex.map(worker, args, chunksize=max(1, len(args) // (4 * jobs))))
-    return [worker(a) for a in args]
 
 
 # -- serialization -------------------------------------------------------------------

@@ -33,7 +33,8 @@ subnormal, so w e^w = z no longer pins w down. There both entry points run
 Newton, from the same seed, on the logarithm of the equation instead:
 w + log(-w) = log z + 2*pi*i*k - i*pi*sign(k), with log(-w) free of cuts
 near the root (Re w < -700). It raises NoConvergence if the step does not
-fall below tolerance within 64 steps.
+fall below tolerance within 64 steps. _lambert_w_log runs the same Newton
+from log z itself, for a caller whose z would be subnormal.
 
 Off the real axis W_{-k}(conj z) = conj W_k(z), and lambert_w keeps that
 symmetry bit for bit: conjugation commutes with complex +, -, *, / and with
@@ -137,9 +138,9 @@ def _branch_point_seed(p: complex) -> complex:
     return -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0 - p * 43.0 / 540.0)))
 
 
-def _asymptotic_seed(z: complex, k: int, log, full: bool = True) -> complex:
-    # k = 0 adds no imaginary shift, so a real z keeps a real seed.
-    l1 = log(z) + _TWO_PI_I * k if k else log(z)
+def _asymptotic_seed(l1: complex, log, full: bool = True) -> complex:
+    # l1 = log z + 2*pi*i*k; k = 0 adds no imaginary shift, so a real z
+    # keeps a real seed.
     l2 = log(l1)
     r = l2 / l1
     if not full:
@@ -165,12 +166,12 @@ def _initial_guess(k: int, z: complex, sqrt, log) -> complex:
         if -1.0 < x < 1.5 and y < 1.0 and x > -2.5 * y - 0.2:
             return _series_seed(z)
         # Near |z| ~ 1-2 the higher terms pull Halley onto W_{+-1}.
-        return _asymptotic_seed(z, 0, log, abs(z) > 2.0)
+        return _asymptotic_seed(log(z), log, abs(z) > 2.0)
     if k == -1 and z.imag == 0.0 and BRANCH_POINT_Z <= z.real < 0.0:
         # Real branch segment; keep the iteration on the real line.
         l1 = log(-z.real)
         return l1 - log(-l1)
-    return _asymptotic_seed(z, k, log)
+    return _asymptotic_seed(log(z) + _TWO_PI_I * k, log)
 
 
 def _halley(z: complex, w: complex, exp) -> tuple[complex, int, bool]:
@@ -280,6 +281,28 @@ def lambert_w(k: int, z: complex) -> WEvaluation:
             )
         raise NoConvergence(f"W_{k}({z!r}) converged to residual {res:.3e} > 1e-12")
     return _tuple_new(WEvaluation, (w, k, res, iterations))
+
+
+def _lambert_w_log(k: int, t: complex) -> complex:
+    """W_k(z) for k != 0 and |z| < _TINY_Z from t = Log z (Im t in [-pi, pi]),
+    for a caller whose z would be subnormal and keep only a few digits.
+
+    lambert_w's log-space Newton, from its seed. As there, W_-1 takes a z
+    on the negative real axis as lying on the cut from above (Im t = -pi
+    counts as +pi); the other branches keep Im t = -pi below the cut.
+    """
+    if k == -1 and t.imag == -math.pi:
+        t = complex(t.real, math.pi)
+    if k == -1 and t.imag == math.pi:
+        seed = t.real - _clog(-t.real)  # _initial_guess's real seed: the root stays real
+    else:
+        seed = _asymptotic_seed(t + _TWO_PI_I * k, _clog)
+    w, iterations, stepped = _log_newton(
+        seed, t + _TWO_PI_I * k - (_PI_I if k > 0 else -_PI_I), _clog
+    )
+    if not stepped:
+        raise NoConvergence(f"Newton failed for W_{k}(exp({t!r})) after {iterations} iterations")
+    return w
 
 
 def lambert_w_real(k: int, x: float) -> float:

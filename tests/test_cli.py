@@ -173,6 +173,22 @@ class TestClassnoCommand:
         assert obj["h"] == 1
         assert obj["h_narrow"] == 2
 
+    def test_narrow_runs_one_distance_sum(self, capsys, monkeypatch):
+        import lgw.fields
+
+        calls = []
+        real_sums = lgw.fields._distance_sums
+
+        def counting(Ds):
+            calls.append(Ds.tolist())
+            return real_sums(Ds)
+
+        monkeypatch.setattr(lgw.fields, "_distance_sums", counting)
+        code, obj = run_json(capsys, ["classno", "--discriminant", "1365", "--narrow"])
+        assert code == 0
+        assert (obj["h"], obj["h_narrow"]) == (4, 8)
+        assert calls == [[1365]]
+
     def test_mutually_exclusive(self, capsys):
         assert run(["classno", "--discriminant", "5", "--d", "5"]) == 64
 
@@ -280,22 +296,10 @@ class TestScanCommand:
         assert captured.out == ""
         assert "2000000" in captured.err and "500000" in captured.err
 
-    def test_jobs_flag_deterministic(self, capsys):
-        code = run(["scan", "--real", "--limit", "120", "--jobs", "1"])
-        out1 = capsys.readouterr().out
-        code2 = run(["scan", "--real", "--limit", "120", "--jobs", "2"])
-        out2 = capsys.readouterr().out
-        assert code == code2 == 0
-        assert out1 == out2
-
-    def test_env_jobs_fallback(self, capsys, monkeypatch):
-        monkeypatch.setenv("LGW_JOBS", "2")
-        code = run(["scan", "--real", "--limit", "40"])
-        assert code == 0
-        out_env = capsys.readouterr().out
-        monkeypatch.delenv("LGW_JOBS")
-        run(["scan", "--real", "--limit", "40"])
-        assert capsys.readouterr().out == out_env
+    def test_jobs_flag_is_gone(self, capsys):
+        # scans run in one process; the worker-count flag was removed
+        assert run(["scan", "--real", "--limit", "40", "--jobs", "2"]) == 64
+        assert capsys.readouterr().out == ""
 
 
 class TestVerifyCommand:
@@ -348,6 +352,15 @@ class TestDomainLimits:
         assert code == 0
         assert obj[key] < 1e-11
 
+    @pytest.mark.parametrize("branch", ["1", "-2"])
+    def test_subnormal_lambert_argument_is_solved(self, capsys, branch):
+        # -B*C*exp(A*C) is about -6.3e-320: its log goes to W, not its digits
+        code, obj = run_json(
+            capsys, ["alpha", "--case", "complex", "--log-eps-re", "1e-320", "--branch", branch]
+        )
+        assert code == 0
+        assert obj["residual_defining"] <= 1e-10
+
     @pytest.mark.parametrize("argv", [
         ["unit", "--d", "100000000000031"],
         ["alpha", "--case", "real", "--d", "100000000000031"],
@@ -396,8 +409,8 @@ def _flag_value(action):
     return _FLOAT
 
 
-def _draw_argv(draw, command, value=_flag_value, skip=()):
-    """argv for `command`, from that subparser's own flags but those in skip.
+def _draw_argv(draw, command, value=_flag_value):
+    """argv for `command`, from that subparser's own flags.
 
     Each optional flag is drawn present or absent, but a required either/or
     group (classno's --discriminant / --d, scan's --imaginary / --real) gets
@@ -408,7 +421,7 @@ def _draw_argv(draw, command, value=_flag_value, skip=()):
     groups = [g._group_actions for g in _COMMANDS[command]._mutually_exclusive_groups if g.required]
     chosen = [draw(st.sampled_from(actions)) for actions in groups]
     for action in _COMMANDS[command]._actions:
-        if isinstance(action, argparse._HelpAction) or action.dest in skip:
+        if isinstance(action, argparse._HelpAction):
             continue
         if any(action in actions for actions in groups):
             present = action in chosen
@@ -437,8 +450,8 @@ def _scan_flag_value(action):
 
 @st.composite
 def _scan_argv(draw):
-    """argv for `scan` from its own flags but --jobs, with --limit <= 2000."""
-    return _draw_argv(draw, "scan", _scan_flag_value, skip=("jobs",))
+    """argv for `scan` from its own flags, with --limit <= 2000."""
+    return _draw_argv(draw, "scan", _scan_flag_value)
 
 
 def _run_captured(argv, stdin=""):

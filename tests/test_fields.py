@@ -383,7 +383,7 @@ class TestRealFormSieve:
         if window_forms is not None:
             monkeypatch.setattr(lgw.fields, "_SIEVE_WINDOW_FORMS", window_forms)
         Ds = np.array(sorted(narrow_brute), dtype=np.int64)
-        assert lgw.fields._narrow_class_numbers(Ds).tolist() == [narrow_brute[D] for D in Ds]
+        assert lgw.fields._real_class_numbers(Ds)[0].tolist() == [narrow_brute[D] for D in Ds]
 
     @pytest.mark.parametrize("window_forms", [None, 64], ids=["default-windows", "tiny-windows"])
     def test_radicand_set_against_brute_cycles(self, narrow_brute, monkeypatch, window_forms):
@@ -391,7 +391,7 @@ class TestRealFormSieve:
         if window_forms is not None:
             monkeypatch.setattr(lgw.fields, "_SIEVE_WINDOW_FORMS", window_forms)
         Ds = sorted(d if d % 4 == 1 else 4 * d for d in range(2, 751) if is_squarefree(d))
-        got = lgw.fields._narrow_class_numbers(np.array(Ds, dtype=np.int64))
+        got = lgw.fields._real_class_numbers(np.array(Ds, dtype=np.int64))[0]
         assert got.tolist() == [narrow_brute[D] for D in Ds]
 
     def test_single_discriminants_against_brute_cycles(self, narrow_brute):

@@ -75,8 +75,3 @@ def test_scan_and_table_bytes(case):
         if fmt == "json":
             assert sha256(stdout_of(["table"], stdin=out)) == SHA256[f"{case}/table"]
 
-
-@pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_same_bytes_for_two_workers(fmt):
-    argv = ["scan", "--real", *CASES["radicand_powers"], "--format", fmt]
-    assert sha256(stdout_of(argv + ["--jobs", "2"])) == SHA256[f"radicand_powers/{fmt}"]

@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lgw import wfunc
 from lgw.errors import DegenerateCoefficients, DomainError, ZeroLogUnit
 from lgw.solver import (
     Case,
@@ -84,6 +86,24 @@ def test_round_trip_property(ra, ta, rb, tb, rc, tc, k):
     eq = ExpLinearEquation(cmath.rect(ra, ta), cmath.rect(rb, tb), cmath.rect(rc, tc))
     z = solve_exp_linear(eq, k)
     assert eq.residual(z) <= 1e-10 * (1 + abs(z))
+
+
+@pytest.mark.parametrize("a", [0, 1.3j], ids=["real-argument", "log-past-pi"])
+@pytest.mark.parametrize("k", [1, -1, 2, -3])
+def test_root_is_continuous_across_smallest_normal_argument(k, a):
+    # |-B*C*exp(A*C)| just above sys.float_info.min goes to lambert_w, just
+    # below it to the log of the argument; the roots agree to a few ulps.
+    # With A = 1.3i, Im of log(-B) + log(C) + A*C is past pi.
+    tiny = sys.float_info.min
+    above, below = (
+        solve_exp_linear(ExpLinearEquation(a, tiny * s / TWO_PI, TWO_PI), k)
+        for s in (1 + 2**-50, 1 - 2**-50)
+    )
+    assert abs(above - below) <= 1e-15 * abs(above), (above, below)
+    # at one argument, the two routes to W_k agree to about an ulp
+    z = complex(-tiny * (1 + 2**-50), -0.0)
+    w = lambert_w(k, z).value
+    assert abs(wfunc._lambert_w_log(k, cmath.log(z)) - w) <= 4e-16 * abs(w)
 
 
 class TestAlphaComplexCase:
