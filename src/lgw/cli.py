@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from . import fields, solver, survey, wfunc
@@ -28,6 +29,11 @@ _NUMERICAL_EXIT = 3
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's pattern has no exponent, so it takes "-1e-3" for a flag
+        self._negative_number_matcher = re.compile(r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?$")
+
     def error(self, message):  # argparse would sys.exit(2); we want 64
         raise UsageError(message)
 

@@ -337,33 +337,44 @@ def alpha_real_case(
         raise DomainError("alpha_real_case needs a real-case unit")
     if not isinstance(pairing, Pairing):
         pairing = Pairing(pairing)
-    log_eps = unit_log(u).real
+    alpha, r_def, r1, r2, r_sum = _alpha_real(unit_log(u).real, j, pairing is Pairing.SAME_BRANCH)
+    return _tuple_new(FixedPointReport, (
+        alpha, j, 0.0, r_def, r1, r2, r_sum,
+        {"log_branch": 0, "pairing": pairing._value_, "case": u.case._value_},
+    ))
 
+
+def _alpha_real(L: float, j: int, same_branch: bool) -> tuple[complex, float, float, float, float]:
+    """alpha_real_case's alpha and residuals (defining, split 1, split 2, sum) at log(eps) = L > 0."""
     # alpha1 = -W_j(-2*pi*i*L)/(2*pi*i); alpha2 = +W_m(+2*pi*i*L)/(2*pi*i)
-    w1 = lambert_w(j, -_TWO_PI_I * log_eps).value
-    if pairing is Pairing.SAME_BRANCH:
-        w2 = lambert_w(j, _TWO_PI_I * log_eps).value
-    else:  # m = -j: W_-j(conj z) = conj W_j(z) off the cut
-        w2 = w1.conjugate()
+    if j and _TWO_PI * L < _TINY_Z:
+        # +-2*pi*i*L is subnormal: pass its log, as _exp_linear_root does
+        t = math.log(_TWO_PI) + math.log(L)
+        w1 = _lambert_w_log(j, complex(t, -0.5 * math.pi))
+        w2 = _lambert_w_log(j, complex(t, 0.5 * math.pi)) if same_branch else w1.conjugate()
+    else:
+        w1 = lambert_w(j, -_TWO_PI_I * L).value
+        # m = -j: W_-j(conj z) = conj W_j(z) off the cut
+        w2 = lambert_w(j, _TWO_PI_I * L).value if same_branch else w1.conjugate()
     alpha1 = -w1 / _TWO_PI_I
     alpha2 = w2 / _TWO_PI_I
     alpha = alpha1 + alpha2
 
     try:
-        r1 = abs(alpha1 - log_eps * cmath.exp(_TWO_PI_I * alpha1))
-        r2 = abs(alpha2 - log_eps * cmath.exp(-_TWO_PI_I * alpha2))
-        r_sum = abs(
-            2.0 * alpha
-            - log_eps * cmath.exp(_TWO_PI_I * alpha)
-            - log_eps * cmath.exp(-_TWO_PI_I * alpha)
-        )
-        r_def = abs(alpha - cmath.cos(_TWO_PI * alpha) * log_eps)
-    except OverflowError:  # a tiny log(eps) puts exp(+-2*pi*i*alpha) beyond float range
-        raise NonFinite(f"residual overflows at alpha = {alpha!r}") from None
-    return _tuple_new(FixedPointReport, (
-        alpha, j, 0.0, r_def, r1, r2, r_sum,
-        {"log_branch": 0, "pairing": pairing._value_, "case": u.case._value_},
-    ))
+        r1 = abs(alpha1 - L * cmath.exp(_TWO_PI_I * alpha1))
+        r2 = abs(alpha2 - L * cmath.exp(-_TWO_PI_I * alpha2))
+        r_sum = abs(2.0 * alpha - L * cmath.exp(_TWO_PI_I * alpha) - L * cmath.exp(-_TWO_PI_I * alpha))
+        r_def = abs(alpha - cmath.cos(_TWO_PI * alpha) * L)
+    except OverflowError:  # a tiny L puts exp(+-2*pi*i*alpha) beyond float range
+        # each L*exp(x) as exp(x + log L); cos(2*pi*alpha)*L as the mean of two
+        x = _TWO_PI_I * alpha
+        products = [_exp_of_sum_with_log(y, L) for y in (_TWO_PI_I * alpha1, -_TWO_PI_I * alpha2, x, -x)]
+        if None in products:
+            raise NonFinite(f"residual overflows at alpha = {alpha!r}") from None
+        p1, p2, p, q = products
+        r1, r2 = abs(alpha1 - p1), abs(alpha2 - p2)
+        r_sum, r_def = abs(2.0 * alpha - p - q), abs(alpha - (p + q) / 2)
+    return alpha, r_def, r1, r2, r_sum
 
 
 def verify_fixed_point(alpha: complex, u: UnitInput) -> float:

@@ -7,15 +7,14 @@ fundamental-unit power for real fields.
 
 A scan keeps its fields as a columnar batch: int64 columns D, d and h for
 every field, for a real scan the unit columns (x, y, half-integrality, norm
-and regulator) of every field, and a SurveyRow only for each attached
-field, one with roots (the h = 1 fields). SurveySummary.rows builds the
-full tuple of rows on first access. The writers (iter_summary_json,
-iter_summary_csv, iter_summary_plain) walk the batch: a row without roots
-goes through one text template per format and scan kind, the text
-row_records and the format give such a row with holes for its columns, and
-attached rows go through row_records. Output is a pure function of the
-arguments, so scan output can be diffed and pinned in tests. numpy is
-imported where a scan first needs it, not with the module.
+and regulator) of every field, and the roots of the attached (h = 1)
+fields: SurveyRows for an imaginary scan, one record tuple per root for a
+real one. SurveySummary.rows builds every SurveyRow on first access. The
+writers (iter_summary_json, iter_summary_csv, iter_summary_plain) fill one
+%-template per format and kind of record from the columns and the tuples;
+the attached rows of an imaginary scan go through row_records. Output is a
+pure function of the arguments, so scan output can be diffed and pinned in
+tests. numpy is imported where a scan first needs it, not with the module.
 
 read_rooted_records reads a scan's JSON back as a stream, for the
 correspondence table: it passes over runs of bare records with one match of
@@ -48,7 +47,7 @@ from .fields import (
     _wide_class_numbers,
     roots_of_unity,
 )
-from .solver import Case, FixedPointReport, Pairing, UnitInput, alpha_complex_case, alpha_real_case
+from .solver import Case, FixedPointReport, Pairing, UnitInput, _alpha_real, alpha_complex_case
 
 __all__ = [
     "UnitAlpha",
@@ -127,46 +126,54 @@ class SurveyRow:
 
 @dataclass(frozen=True, eq=False)
 class _Batch:
-    """The fields of a scan, in scan order: int64 columns D, d and h for
-    every field, the SurveyRow of each attached field (an h = 1 field, with
-    its roots) with its ascending index into the columns, and for a real
-    scan the unit columns of every field."""
+    """The fields of a scan, in scan order: the columns, the ascending index
+    of the attached fields into them and their roots (see the module
+    docstring; a real scan holds unit_powers record tuples per field, the
+    values of CSV_COLUMNS but log_branch), and a real scan's pairing."""
 
     case: Case
     D: np.ndarray
     d: np.ndarray
     h: np.ndarray
     index: np.ndarray
-    attached: tuple[SurveyRow, ...]
+    roots: tuple
     units: _UnitColumns | None = None
+    pairing: Pairing | None = None
 
-    # arrays compare element by element, so a generated __eq__ would raise
-    def __eq__(self, other):
+    def __eq__(self, other):  # arrays compare element by element: a generated __eq__ would raise
         import numpy as np
 
         if not isinstance(other, _Batch):
             return NotImplemented
-        return (
-            self.case is other.case
-            and self.attached == other.attached
-            and self.units == other.units
-            and all(
-                np.array_equal(getattr(self, c), getattr(other, c)) for c in ("D", "d", "h", "index")
+        return (self.case, self.roots, self.units, self.pairing) == (
+            other.case, other.roots, other.units, other.pairing
+        ) and all(np.array_equal(getattr(self, c), getattr(other, c)) for c in ("D", "d", "h", "index"))
+
+    @cached_property
+    def attached(self) -> tuple[SurveyRow, ...]:
+        """The SurveyRow of each attached field; a real scan builds them
+        from its record tuples on first access."""
+        if self.units is None:
+            return self.roots
+        n = len(self.roots) // max(len(self.index), 1)  # roots per field
+        conventions = {"log_branch": 0, "pairing": self.pairing.value, "case": Case.REAL.value}
+        rows = []
+        for k, i in enumerate(self.index.tolist()):
+            alphas = tuple(
+                UnitAlpha(r[3], r[4], r[5], FixedPointReport(
+                    complex(r[6], r[7]), r[12], 0.0, *r[8:12], dict(conventions)
+                ))
+                for r in self.roots[k * n : (k + 1) * n]
             )
-        )
+            rows.append(SurveyRow(self.D[i].item(), self.d[i].item(), 1, Case.REAL, self.unit(i), alphas))
+        return tuple(rows)
 
     def unit(self, i: int) -> FundamentalUnit | None:
-        """The fundamental unit of field i of a real scan (None for an
-        imaginary one)."""
+        """The fundamental unit of field i of a real scan; None for an imaginary one."""
         if self.units is None:
             return None
-        return _unit_at(self.units, int(self.d[i]), i)
-
-
-def _unit_at(units: _UnitColumns, d: int, i: int) -> FundamentalUnit:
-    """The fundamental unit of radicand d from row i of the unit columns."""
-    x, y, half_integral, norm, regulator = units
-    return FundamentalUnit(d, x[i], y[i], half_integral[i], norm[i], regulator[i])
+        x, y, half_integral, norm, regulator = self.units
+        return FundamentalUnit(int(self.d[i]), x[i], y[i], half_integral[i], norm[i], regulator[i])
 
 
 @dataclass(frozen=True)
@@ -182,8 +189,6 @@ class SurveySummary:
     def rows(self) -> tuple[SurveyRow, ...]:
         """Every row of the scan, in scan order; built on first access."""
         b = self.batch
-        if len(b.attached) == len(b.D):
-            return b.attached
         attached = dict(zip(b.index.tolist(), b.attached))
         return tuple(
             attached.get(i) or SurveyRow(D=Di, d=di, h=hi, case=b.case, unit=b.unit(i), alphas=())
@@ -204,11 +209,6 @@ _TORSION_ARGS = {
 }
 
 
-def _torsion_label(z: complex) -> str:
-    theta = math.atan2(z.imag, z.real)
-    return next(label for label, arg in _TORSION_ARGS.items() if abs(arg - theta) < 1e-9)
-
-
 def _distinct_stats(values: Iterable[complex]) -> tuple[int, float | None]:
     """How many values are distinct (farther apart than _DISTINCT_TOL), and
     the least distance between two distinct ones (None if fewer than two).
@@ -220,37 +220,46 @@ def _distinct_stats(values: Iterable[complex]) -> tuple[int, float | None]:
     values must be finite, and so must the least distance: when every two
     distinct values lie farther apart than the largest float, ValueError.
     """
-    # Representatives by grid cell. A cell side of twice the tolerance keeps
-    # any two values within it in neighbouring cells whatever the rounding
-    # of the cell index, so the 3 x 3 cells around a value hold every
-    # representative that can absorb it.
-    side = 2 * _DISTINCT_TOL
-    cells: dict[tuple[float, float], list[complex]] = {}
-    reps: list[complex] = []
-    for v in values:
-        x, y = v.real // side, v.imag // side
-        if all(
-            _gap(v, r) > _DISTINCT_TOL
-            for dx in (-1.0, 0.0, 1.0)
-            for dy in (-1.0, 0.0, 1.0)
-            for r in cells.get((x + dx, y + dy), ())
-        ):
-            cells.setdefault((x, y), []).append(v)
-            reps.append(v)
+    reps = list(values)
+    best = _least_gap(reps)
+    if best <= _DISTINCT_TOL:
+        # Representatives by grid cell. A cell side of twice the tolerance
+        # keeps two values within it in neighbouring cells whatever the
+        # rounding of the cell index, so the 3 x 3 cells around a value hold
+        # every representative that can absorb it.
+        side = 2 * _DISTINCT_TOL
+        cells: dict[tuple[float, float], list[complex]] = {}
+        values, reps = reps, []
+        for v in values:
+            x, y = v.real // side, v.imag // side
+            if all(
+                _gap(v, r) > _DISTINCT_TOL
+                for dx in (-1.0, 0.0, 1.0)
+                for dy in (-1.0, 0.0, 1.0)
+                for r in cells.get((x + dx, y + dy), ())
+            ):
+                cells.setdefault((x, y), []).append(v)
+                reps.append(v)
+        best = _least_gap(reps)
     if len(reps) < 2:
         return len(reps), None
-    # Sweep by real part: no later value can come closer than its real gap.
-    reps.sort(key=lambda z: z.real)
-    best = math.inf
-    for i, a in enumerate(reps):
-        for j in range(i + 1, len(reps)):  # no slice: a copy per i is quadratic
-            b = reps[j]
-            if b.real - a.real >= best:
-                break
-            best = min(best, _gap(b, a))
     if best == math.inf:
         raise ValueError("the least distance between the values exceeds the float range")
     return len(reps), best
+
+
+def _least_gap(values: list[complex]) -> float:
+    """The least _gap between two of the values (inf for fewer than two), by
+    a sweep in real part: no later value can come closer than its real gap."""
+    values = sorted(values, key=lambda z: z.real)
+    best = math.inf
+    for i, a in enumerate(values):
+        for j in range(i + 1, len(values)):  # no slice: a copy per i is quadratic
+            b = values[j]
+            if b.real - a.real >= best:
+                break
+            best = min(best, _gap(b, a))
+    return best
 
 
 def _gap(a: complex, b: complex) -> float:
@@ -273,7 +282,9 @@ def _imaginary_row(D: int, d: int, branch: int, log_branch: int) -> SurveyRow:
         else:
             u = UnitInput.complex_unit(eps, log_branch)
             rep = alpha_complex_case(u, j=branch, beta=0.0)
-        alphas.append(UnitAlpha(_torsion_label(eps), None, None, rep))
+        theta = math.atan2(eps.imag, eps.real)
+        label = next(label for label, arg in _TORSION_ARGS.items() if abs(arg - theta) < 1e-9)
+        alphas.append(UnitAlpha(label, None, None, rep))
     return SurveyRow(D=D, d=d, h=1, case=Case.COMPLEX, unit=mu, alphas=tuple(alphas))
 
 
@@ -302,9 +313,7 @@ def scan_imaginary(limit: int, *, branch: int = 0, log_branch: int = 0) -> Surve
         _imaginary_row(Di, di, branch, log_branch) for Di, di in zip(D[at].tolist(), d[at].tolist())
     ])
     units = [eps for r in h1_rows for eps in r.unit.elements]
-    distinct_alpha, min_sep = _distinct_stats(
-        rep.alpha for row in h1_rows for rep in row.alpha_reports
-    )
+    distinct_alpha, min_sep = _distinct_stats(rep.alpha for row in h1_rows for rep in row.alpha_reports)
     return SurveySummary(
         range=(-limit, -3),
         count_h1=len(h1_rows),
@@ -323,21 +332,6 @@ def scan_imaginary(limit: int, *, branch: int = 0, log_branch: int = 0) -> Surve
 _MAX_REAL_SCAN = 2 * 10**6
 
 
-def _real_h1_row(
-    D: int, d: int, unit: FundamentalUnit, branch: int, pairing: Pairing, unit_powers: int
-) -> SurveyRow:
-    """The h = 1 row of discriminant D, radicand d and fundamental unit
-    `unit`, with a root for each of the unit's first powers."""
-    alphas = []
-    for n in range(1, unit_powers + 1):
-        reg_n = n * unit.regulator
-        u = UnitInput.from_log(reg_n, case=Case.REAL)
-        rep = alpha_real_case(u, j=branch, pairing=pairing)
-        label = unit.as_string() if n == 1 else f"({unit.as_string()})^{n}"
-        alphas.append(UnitAlpha(label, unit.norm**n, reg_n, rep))
-    return SurveyRow(D=D, d=d, h=1, case=Case.REAL, unit=unit, alphas=tuple(alphas))
-
-
 def scan_real(
     limit: int,
     *,
@@ -352,17 +346,13 @@ def scan_real(
     instead of the discriminant (so d <= limit, D possibly 4*limit).
     count_h1 is a raw count; it grows without any claimed bound.
 
-    The scan is columnar, like the imaginary one. Discriminants and
-    radicands come from the squarefree sieve; the fundamental units from one
-    batched continued fraction over every radicand (fields._unit_columns);
-    the class numbers h from one run of the distance sieve over all the
-    discriminants (fields._distance_sums): the distances of the cycle steps
-    of the reduced forms of each D, summed and divided by the regulator of
-    its unit, give h to within 1e-6 or fail an assert
-    (fields._wide_class_numbers). Only
-    the h = 1 fields become SurveyRows here, with their roots. limit may be
-    at most _MAX_REAL_SCAN (2*10^6), a quarter of it with by_radicand=True;
-    a larger one raises TermLimitExceeded at once.
+    The scan is columnar, like the imaginary one: D and d come from the
+    squarefree sieve, the units from one batched continued fraction
+    (fields._unit_columns), h from the distance sieve over their regulators
+    (fields._distance_sums, fields._wide_class_numbers), and the roots of
+    each h = 1 field straight from its regulator (solver._alpha_real), as
+    record tuples. limit may be at most _MAX_REAL_SCAN (2*10^6), a quarter
+    of it with by_radicand=True; a larger one raises TermLimitExceeded at once.
     """
     import numpy as np
 
@@ -385,21 +375,29 @@ def scan_real(
     units = _unit_columns(d)
     h = _wide_class_numbers(D, distances, np.array(units.regulator, dtype=np.float64))
     at = np.flatnonzero(h == 1)
-    pairing, unit_powers = Pairing(pairing), int(unit_powers)
-    rows = tuple([
-        _real_h1_row(Di, di, _unit_at(units, di, i), branch, pairing, unit_powers)
-        for i, Di, di in zip(at.tolist(), D[at].tolist(), d[at].tolist())
-    ])
-    distinct_alpha, min_sep = _distinct_stats(
-        rep.alpha for row in rows for rep in row.alpha_reports
-    )
+    branch, pairing, unit_powers = int(branch), Pairing(pairing), int(unit_powers)
+    same_branch = pairing is Pairing.SAME_BRANCH
+    x, y, half_integral, norm, regulator = units
+    roots = []
+    for i, Di, di in zip(at.tolist(), D[at].tolist(), d[at].tolist()):
+        label = _unit_label(x[i], y[i], di, half_integral[i])
+        for n in range(1, unit_powers + 1):
+            L = n * regulator[i]
+            if not 0.0 < L < math.inf:
+                UnitInput.from_log(L, case=Case.REAL)  # raises the error of an unusable log
+            alpha, r_def, r1, r2, r_sum = _alpha_real(L, branch, same_branch)
+            roots.append((
+                Di, di, 1, label if n == 1 else f"({label})^{n}", norm[i] ** n, L,
+                alpha.real, alpha.imag, r_def, r1, r2, r_sum, branch,
+            ))
+    distinct_alpha, min_sep = _distinct_stats(complex(r[6], r[7]) for r in roots)
     return SurveySummary(
         range=(5, limit),
-        count_h1=len(rows),
+        count_h1=len(at),
         distinct_alpha_count=distinct_alpha,
         min_alpha_separation=min_sep,
-        distinct_unit_count=len(rows),
-        batch=_Batch(Case.REAL, D, d, h, at, rows, units),
+        distinct_unit_count=len(at),
+        batch=_Batch(Case.REAL, D, d, h, at, tuple(roots), units, pairing),
     )
 
 
@@ -426,29 +424,19 @@ def row_records(rows: Iterable[SurveyRow], log_branch: int = 0) -> list[dict]:
                 if isinstance(fu, FundamentalUnit) else _NO_UNIT
             )
         for ua in alphas:
-            records.append(_record(
-                row.D, row.d, row.h, ua.unit_label, ua.norm, _f(ua.regulator), ua.report, log_branch
-            ))
+            rep = ua.report
+            root = (None,) * 7 if rep is None else (
+                rep.alpha.real, rep.alpha.imag, _f(rep.residual_defining), _f(rep.residual_split_1),
+                _f(rep.residual_split_2), _f(rep.residual_sum_equation), rep.branch,
+            )
+            values = (row.D, row.d, row.h, ua.unit_label, ua.norm, _f(ua.regulator), *root)
+            records.append(_record(values, log_branch))
     return records
 
 
-def _record(D, d, h, unit, norm, regulator, rep: FixedPointReport | None, log_branch) -> dict:
-    return {
-        "D": D,
-        "d": d,
-        "h": h,
-        "unit": unit,
-        "norm": norm,
-        "regulator": regulator,
-        "alpha_re": None if rep is None else rep.alpha.real,
-        "alpha_im": None if rep is None else rep.alpha.imag,
-        "residual_defining": None if rep is None else _f(rep.residual_defining),
-        "residual_split_1": None if rep is None else _f(rep.residual_split_1),
-        "residual_split_2": None if rep is None else _f(rep.residual_split_2),
-        "residual_sum_equation": None if rep is None else _f(rep.residual_sum_equation),
-        "branch": None if rep is None else rep.branch,
-        "log_branch": log_branch,
-    }
+def _record(values: tuple, log_branch) -> dict:
+    """The record of the values of CSV_COLUMNS but log_branch."""
+    return dict(zip(CSV_COLUMNS, (*values, log_branch)))
 
 
 def _csv_line(rec: dict, columns: Sequence[str] = CSV_COLUMNS) -> str:
@@ -466,30 +454,25 @@ class _Format(NamedTuple):
 
 
 # Strings no record holds, standing in for the integers (_HOLE), the unit
-# label (_LABEL_HOLE) and the regulator (_FLOAT_HOLE) of a row without roots
-# while its template is made.
+# label (_LABEL_HOLE) and the floats (_FLOAT_HOLE) of a record while its
+# template is made.
 _HOLE, _LABEL_HOLE, _FLOAT_HOLE = "\x00", "\x01", "\x02"
+
+# The values of a record but log_branch, as holes: a row without roots and
+# without a unit (imaginary, h != 1), one with a real unit, and a real root.
+_BARE = (_HOLE,) * 3 + (None,) * 10
+_BARE_UNIT = (_HOLE,) * 3 + (_LABEL_HOLE, _HOLE, _FLOAT_HOLE) + (None,) * 7
+_ROOT = (_HOLE,) * 3 + (_LABEL_HOLE, _HOLE) + (_FLOAT_HOLE,) * 7 + (_HOLE,)
 
 _JSON = _Format(", ", lambda recs: json.dumps(recs)[1:-1], json.dumps)
 _CSV = _Format("\n", lambda recs: "\n".join(map(_csv_line, recs)), str)
 _PLAIN = _Format("\n", lambda recs: "\n".join(map(_plain_line, recs)), str)
 
 
-def _hole_text(fmt: _Format, log_branch, unit: bool) -> str:
-    """fmt's text of a row without roots, with fmt.quote(_HOLE) for D, d, h
-    and, for a real unit (unit=True), holes for its label, norm and
-    regulator; without one its unit columns are empty."""
-    if unit:
-        rec = _record(_HOLE, _HOLE, _HOLE, _LABEL_HOLE, _HOLE, _FLOAT_HOLE, None, log_branch)
-    else:
-        rec = _record(_HOLE, _HOLE, _HOLE, None, None, None, None, log_branch)
-    return fmt.render([rec])
-
-
-def _template(fmt: _Format, log_branch: int, unit: bool) -> str:
-    """_hole_text as a %-template: %d for D, d, h (and the norm), %s for the
-    unit label and %r for the regulator."""
-    text = _hole_text(fmt, log_branch, unit).replace("%", "%%")
+def _template(fmt: _Format, holes: tuple, log_branch: int) -> str:
+    """fmt's text of the record of `holes` (_BARE, _BARE_UNIT or _ROOT) as a
+    %-template: %d for an integer, %s for the unit label, %r for a float."""
+    text = fmt.render([_record(holes, log_branch)]).replace("%", "%%")
     for hole, spec in ((_HOLE, "%d"), (_LABEL_HOLE, fmt.quote("%s")), (_FLOAT_HOLE, "%r")):
         text = text.replace(fmt.quote(hole), spec)
     return text
@@ -502,26 +485,35 @@ def _row_text(summary: SurveySummary, log_branch: int, fmt: _Format) -> Iterator
     """fmt's text of the records of every row in scan order, in pieces of at
     most _JSON_CHUNK_ROWS rows that join with fmt.sep.
 
-    A run of rows without roots is one template filled row by row, from the
-    columns (with the unit columns of a real scan); a run of attached rows
-    goes through row_records.
+    A run of rows without roots is one template filled row by row from the
+    columns, a run of real roots another filled from their tuples, whose
+    floats are finite (L is, and so are alpha and its residuals for any
+    regulator a scan meets), so %r writes them as json.dumps does; the
+    attached rows of an imaginary scan go through row_records.
     """
     import numpy as np
 
     b = summary.batch
     n = len(b.D)
     attached = np.zeros(n, dtype=bool)
-    attached[b.index] = True
+    if b.roots:  # a real scan with no unit powers attaches no root
+        attached[b.index] = True
     cuts = [0, *(np.flatnonzero(np.diff(attached)) + 1).tolist(), n]
     units = b.units
-    bare = _template(fmt, log_branch, units is not None)
+    bare = _template(fmt, _BARE if units is None else _BARE_UNIT, log_branch)
+    rooted = _template(fmt, _ROOT, log_branch)
+    per_field = len(b.roots) // max(len(b.index), 1)
     taken = 0
     for lo, hi in zip(cuts, cuts[1:]):
         for i in range(lo, hi, _JSON_CHUNK_ROWS):
             j = min(i + _JSON_CHUNK_ROWS, hi)
             if attached[i]:
-                yield fmt.render(row_records(b.attached[taken : taken + j - i], log_branch))
-                taken += j - i
+                roots = b.roots[taken : taken + (j - i) * per_field]
+                taken += len(roots)
+                if units is None:
+                    yield fmt.render(row_records(roots, log_branch))
+                else:
+                    yield fmt.sep.join(map(rooted.__mod__, roots))
                 continue
             cols = [b.D[i:j].tolist(), b.d[i:j].tolist(), b.h[i:j].tolist()]
             if units is not None:
@@ -610,14 +602,14 @@ _HOLE_GRAMMAR = (
 )
 
 
-def _bare_run(unit: bool) -> re.Pattern:
-    text = re.escape(_hole_text(_JSON, _HOLE, unit))
+def _bare_run(holes: tuple) -> re.Pattern:
+    text = re.escape(_JSON.render([_record(holes, _HOLE)]))
     for hole, grammar in _HOLE_GRAMMAR:
         text = text.replace(re.escape(_JSON.quote(hole)), grammar)
     return re.compile("(?:{ws}{}{ws},){{1,1024}}".format(text, ws=_JSON_WS))
 
 
-_BARE_RUN, _BARE_UNIT_RUN = _bare_run(unit=False), _bare_run(unit=True)
+_BARE_RUN, _BARE_UNIT_RUN = _bare_run(_BARE), _bare_run(_BARE_UNIT)
 _SPACE = re.compile(_JSON_WS)
 _DECODER = json.JSONDecoder()
 
@@ -782,19 +774,9 @@ def correspondence_table(records: Iterable[dict]) -> CorrespondenceTable:
         else:
             theta = _TORSION_ARGS[rec["unit"]]
             log_re, log_im = 0.0, theta + 2 * math.pi * rec.get("log_branch", 0)
-        entries.append(
-            {
-                "D": rec["D"],
-                "unit": rec["unit"],
-                "log_eps_re": log_re,
-                "log_eps_im": log_im,
-                "alpha_re": alpha.real,
-                "alpha_im": alpha.imag,
-                "residual_defining": rec["residual_defining"],
-                "residual_split_1": rec["residual_split_1"],
-                "residual_split_2": rec["residual_split_2"],
-                "branch": rec["branch"],
-            }
-        )
+        entries.append(dict(zip(TABLE_COLUMNS, (
+            rec["D"], rec["unit"], log_re, log_im, alpha.real, alpha.imag, rec["residual_defining"],
+            rec["residual_split_1"], rec["residual_split_2"], rec["branch"],
+        ))))
     distinct, min_sep = _distinct_stats(alphas)
     return CorrespondenceTable(tuple(entries), len(alphas), distinct, min_sep)

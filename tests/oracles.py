@@ -190,16 +190,27 @@ def narrow_class_number_brute(D: int) -> int:
     return cycles
 
 
+def _distance(a: complex, b: complex) -> float:
+    try:
+        return abs(a - b)
+    except OverflowError:  # finite parts whose modulus overflows
+        return math.inf
+
+
 def distinct_stats_pairwise(values, tol: float) -> tuple[int, float | None]:
     """Greedy input-order representatives within tol, and the least pairwise
-    distance between them (None for fewer than two), over all pairs."""
+    distance between them (None for fewer than two), over all pairs; a
+    least distance beyond the float range raises ValueError."""
     reps: list[complex] = []
     for v in values:
-        if all(abs(v - r) > tol for r in reps):
+        if all(_distance(v, r) > tol for r in reps):
             reps.append(v)
     if len(reps) < 2:
         return len(reps), None
-    return len(reps), min(abs(a - b) for i, a in enumerate(reps) for b in reps[i + 1 :])
+    least = min(_distance(a, b) for i, a in enumerate(reps) for b in reps[i + 1 :])
+    if least == math.inf:
+        raise ValueError("the least distance exceeds the float range")
+    return len(reps), least
 
 
 def real_class_numbers_cycles(Ds):

@@ -68,6 +68,19 @@ class TestWCommand:
         assert code == 0
         assert obj["re"] == pytest.approx(9.990014975021977e-4, rel=1e-9)
 
+    @pytest.mark.parametrize("value", ["-1e-3", "-1.5E+2", "-.5e1"])
+    def test_negative_scientific_notation_is_a_value(self, capsys, value):
+        # argparse's own pattern takes "-1e-3" for a flag
+        assert run(["w", "--re", value, "--branch", "-1"]) == 0
+        spaced = capsys.readouterr()
+        assert run(["w", f"--re={value}", "--branch", "-1"]) == 0
+        assert spaced == capsys.readouterr()
+
+    @pytest.mark.parametrize("value", ["-x", "-1e", "-e3"])
+    def test_flag_like_value_is_still_a_usage_error(self, capsys, value):
+        assert run(["w", "--re", value]) == 64
+        assert capsys.readouterr().out == ""
+
     def test_domain_error_exit_2(self, capsys):
         assert run(["w", "--re", "0", "--branch", "3"]) == 2
         err = capsys.readouterr().err
@@ -360,6 +373,17 @@ class TestDomainLimits:
         )
         assert code == 0
         assert obj["residual_defining"] <= 1e-10
+
+    @pytest.mark.parametrize("log_eps", ["1e-308", "1e-320"])
+    @pytest.mark.parametrize("branch", ["1", "-1", "2"])
+    def test_tiny_real_log_eps_is_solved(self, capsys, branch, log_eps):
+        # exp(+-2*pi*i*alpha_i) overflows while its product with log eps does
+        # not; at 1e-320 the Lambert argument +-2*pi*i*log eps is subnormal
+        code, obj = run_json(
+            capsys, ["alpha", "--case", "real", "--log-eps-re", log_eps, "--branch", branch]
+        )
+        assert code == 0
+        assert max(obj["residual_split_1"], obj["residual_split_2"]) <= 1e-10
 
     @pytest.mark.parametrize("argv", [
         ["unit", "--d", "100000000000031"],

@@ -49,6 +49,11 @@ SHA256_CSV_1E5 = "89cbb426fcb12146dbe22335811a2b7de326c2dfa55bc5a57c05d3a95b78c7
 # workflow the same way.
 SHA256_CSV_1E5_BY_RADICAND = "19a5ef9e88414f6dca024a0b7abe41553657290cea46aec8cbdefd28c3063b09"
 
+# `lgw scan --real --limit 100000 --format json`, taken while each root was
+# still a record dict; checked by the CI workflow the same way. It pins the
+# JSON writer of the h = 1 rows where convergents leave int64.
+SHA256_JSON_1E5 = "e54f55539447bc581399f1bb3d24615f271d2efbb8440c15456ea3bc67e84a6f"
+
 
 def stdout_of(argv, stdin=None):
     out = io.StringIO()

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lgw import wfunc
+from lgw import solver, wfunc
 from lgw.errors import DegenerateCoefficients, DomainError, ZeroLogUnit
 from lgw.solver import (
     Case,
@@ -104,6 +104,37 @@ def test_root_is_continuous_across_smallest_normal_argument(k, a):
     z = complex(-tiny * (1 + 2**-50), -0.0)
     w = lambert_w(k, z).value
     assert abs(wfunc._lambert_w_log(k, cmath.log(z)) - w) <= 4e-16 * abs(w)
+
+
+@pytest.mark.parametrize("pairing", list(Pairing))
+@pytest.mark.parametrize("k", [1, -1, 2, -2])
+def test_real_case_is_continuous_across_smallest_normal_argument(monkeypatch, k, pairing):
+    # 2*pi*log(eps) just above sys.float_info.min goes to lambert_w (the
+    # log-space route is switched off for it), just below it to the log of
+    # the argument. alpha is a difference of W's over 2*pi*i, |W| about 708,
+    # so the roots agree to a few ulps of |W|/pi.
+    tiny = sys.float_info.min
+    below = alpha_real_case(UnitInput.from_log(tiny * (1 - 2**-50) / TWO_PI, Case.REAL), k, pairing)
+    monkeypatch.setattr(solver, "_lambert_w_log", None)
+    above = alpha_real_case(UnitInput.from_log(tiny * (1 + 2**-50) / TWO_PI, Case.REAL), k, pairing)
+    assert abs(above.alpha - below.alpha) <= 1e-15 * 708 / math.pi, (above, below)
+    for rep in (above, below):
+        assert max(rep.residual_split_1, rep.residual_split_2) <= 1e-10
+
+
+@pytest.mark.parametrize("log_eps", [1e-300, 1e-308, 1e-320, 5e-324])
+@pytest.mark.parametrize("k", [1, -1, 2, -3])
+def test_real_case_tiny_log_against_mpmath(k, log_eps):
+    # under conjugate pairing alpha = -Im W_k(-2*pi*i*L) / pi, exact to a
+    # few ulps of |W|
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        w = mpmath.lambertw(-2j * mpmath.pi * mpmath.mpf(log_eps), k)
+        ref, w_abs = float(-w.imag / mpmath.pi), float(abs(w))
+    rep = alpha_real_case(UnitInput.from_log(log_eps, Case.REAL), k)
+    assert rep.alpha.imag == 0.0
+    assert abs(rep.alpha.real - ref) * math.pi <= 4e-16 * w_abs, (rep.alpha, ref)
+    assert max(rep.residual_split_1, rep.residual_split_2) <= 1e-10
 
 
 class TestAlphaComplexCase:

@@ -1,6 +1,8 @@
+import cmath
 import io
 import json
 import math
+import random
 import re
 from unittest import mock
 
@@ -12,9 +14,11 @@ import lgw.fields
 import lgw.survey
 from lgw.errors import TermLimitExceeded
 from lgw.fields import class_number, fundamental_discriminants, radicand_of_discriminant
-from lgw.solver import Pairing
+from lgw.solver import Case, Pairing, UnitInput, alpha_real_case
 from lgw.survey import (
     CSV_COLUMNS,
+    SurveyRow,
+    UnitAlpha,
     correspondence_table,
     read_rooted_records,
     records_to_csv,
@@ -224,6 +228,30 @@ class TestScanReal:
         assert len(s.rows) > 1500
         assert [r.unit for r in s.rows] == [lgw.fields._unit_of_squarefree(r.d) for r in s.rows]
 
+    @pytest.mark.parametrize("pairing", list(Pairing))
+    def test_lazy_rows_match_eager_rows(self, pairing):
+        # the rows built from the record tuples on first access, against rows
+        # made one field at a time: the scalar unit, and alpha_real_case on
+        # a unit forced to log n*R for each power n
+        kwargs = {"branch": -1, "pairing": pairing, "unit_powers": 3}
+        s = scan_real(3000, **kwargs)
+        eager = []
+        for D, h in zip(fundamental_discriminants(5, 3000), [r.h for r in s.rows]):
+            unit = lgw.fields._unit_of_squarefree(radicand_of_discriminant(D))
+            label = unit.as_string()
+            alphas = tuple(
+                UnitAlpha(
+                    label if n == 1 else f"({label})^{n}", unit.norm**n, n * unit.regulator,
+                    alpha_real_case(UnitInput.from_log(n * unit.regulator, Case.REAL), -1, pairing),
+                )
+                for n in (1, 2, 3)
+            ) if h == 1 else ()
+            eager.append(SurveyRow(D, unit.d, h, Case.REAL, unit, alphas))
+        assert s.rows == tuple(eager)
+        assert s.rows is s.rows  # built once
+        assert s.batch.attached is s.batch.attached
+        assert s == scan_real(3000, **kwargs)
+
     def test_only_h1_rows_are_built_by_the_scan(self):
         s = scan_real(3000)
         assert [r.D for r in s.batch.attached] == [r.D for r in s.rows if r.h == 1]
@@ -368,6 +396,30 @@ class TestDistinctStats:
     def test_separation_beyond_float_range_raises(self, values):
         with pytest.raises(ValueError):
             lgw.survey._distinct_stats(values)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_pairwise_reference_on_seeded_inputs(self, seed):
+        # spread values (the sweep decides alone), one value just within 1e-9
+        # of another, clusters within 1e-9 of some of them (the grid decides)
+        # and values whose distances overflow
+        rng = random.Random(seed)
+        spread = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(rng.randint(0, 80))]
+        cluster = [
+            c + complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * TOL * rng.choice((0.3, 0.7, 1.5))
+            for c in rng.sample(spread, min(len(spread), 5))
+            for _ in range(rng.randint(1, 4))
+        ]
+        near = [c + cmath.rect(rng.uniform(0.5, 1.0) * TOL, rng.uniform(-3, 3)) for c in spread[:1]]
+        far = [1.7e308 + 1.7e308j, -1.7e308 - 1.7e308j, 1.7976931348623157e308j][: rng.randint(1, 3)]
+        for values in (spread, spread + near, spread + cluster, spread[:1] + far, spread + cluster + far):
+            values = rng.sample(values, len(values))
+            try:
+                expected = distinct_stats_pairwise(values, TOL)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    lgw.survey._distinct_stats(values)
+            else:
+                assert lgw.survey._distinct_stats(values) == expected
 
     def test_far_values_keep_a_finite_least_separation(self):
         values = [1.7e308 + 1.7e308j, 1e300 + 1e300j, 1.7976931348623157e308j, 1.0, 1.25]
