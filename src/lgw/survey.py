@@ -10,9 +10,9 @@ every field, for a real scan the unit columns (x, y, half-integrality, norm
 and regulator) of every field, and the roots of the attached (h = 1)
 fields: SurveyRows for an imaginary scan, one record tuple per root for a
 real one. SurveySummary.rows builds every SurveyRow on first access. The
-writers (iter_summary_json, iter_summary_csv, iter_summary_plain) fill one
-%-template per format and kind of record from the columns and the tuples;
-the attached rows of an imaginary scan go through row_records. Output is a
+writers (iter_summary_json, iter_summary_csv, iter_summary_plain) fill the
+bare-record template of their format a column at a time, for a chunk of
+rows at once, then write each attached row over its place. Output is a
 pure function of the arguments, so scan output can be diffed and pinned in
 tests. numpy is imported where a scan first needs it, not with the module.
 
@@ -30,9 +30,10 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
-from .errors import TermLimitExceeded
+from .errors import DomainError, TermLimitExceeded
 from .fields import (
     FundamentalUnit,
     RootsOfUnity,
@@ -296,18 +297,21 @@ def scan_imaginary(limit: int, *, branch: int = 0, log_branch: int = 0) -> Surve
     form-count sieve (fields._imaginary_form_counts); torsion units with a
     usable log (nonzero under the configured log branch) each contribute an
     alpha via the complex-case root formula. limit may be at most
-    fields._MAX_IMAG_D (10^7); a larger one raises TermLimitExceeded at once.
+    fields._MAX_IMAG_D (10^7); a larger one raises TermLimitExceeded at once,
+    a negative one DomainError (0 to 2 give the empty scan).
     """
     import numpy as np
 
     limit = int(limit)
+    if limit < 0:
+        raise DomainError(f"limit {limit} is negative")
     _check_size(-limit)
     # The sieve has already proved every D fundamental, so the radicand
     # (D for D = 1 mod 4, D/4 otherwise) and h are read off whole arrays.
     D = _fundamental_discriminant_array(-limit, -3)[::-1]  # -3 first, |D| ascending
     d = np.where(D % 4 == 0, D // 4, D)
     n = -D  # 0 or 3 mod 4: the form counts hold n at [n >> 2, n & 1]
-    h = _imaginary_form_counts(max(limit, 0))[n >> 2, n & 1].astype(np.int64)
+    h = _imaginary_form_counts(limit)[n >> 2, n & 1].astype(np.int64)
     at = np.flatnonzero(h == 1)
     h1_rows = tuple([
         _imaginary_row(Di, di, branch, log_branch) for Di, di in zip(D[at].tolist(), d[at].tolist())
@@ -353,10 +357,13 @@ def scan_real(
     each h = 1 field straight from its regulator (solver._alpha_real), as
     record tuples. limit may be at most _MAX_REAL_SCAN (2*10^6), a quarter
     of it with by_radicand=True; a larger one raises TermLimitExceeded at once.
+    A negative limit or unit_powers raises DomainError.
     """
     import numpy as np
 
-    limit = int(limit)
+    limit, unit_powers, branch, pairing = int(limit), int(unit_powers), int(branch), Pairing(pairing)
+    if min(limit, unit_powers) < 0:
+        raise DomainError(f"limit {limit} and unit_powers {unit_powers} may not be negative")
     top = _MAX_REAL_SCAN // 4 if by_radicand else _MAX_REAL_SCAN
     if limit > top:
         raise TermLimitExceeded(
@@ -375,7 +382,6 @@ def scan_real(
     units = _unit_columns(d)
     h = _wide_class_numbers(D, distances, np.array(units.regulator, dtype=np.float64))
     at = np.flatnonzero(h == 1)
-    branch, pairing, unit_powers = int(branch), Pairing(pairing), int(unit_powers)
     same_branch = pairing is Pairing.SAME_BRANCH
     x, y, half_integral, norm, regulator = units
     roots = []
@@ -449,6 +455,7 @@ def _plain_line(rec: dict) -> str:
 
 class _Format(NamedTuple):
     sep: str  # between two records
+    lead: str  # before the first record, in place of sep
     render: Callable[[list[dict]], str]  # records, joined by sep
     quote: Callable[[str], str]  # how a string value reads in the text of render
 
@@ -464,9 +471,9 @@ _BARE = (_HOLE,) * 3 + (None,) * 10
 _BARE_UNIT = (_HOLE,) * 3 + (_LABEL_HOLE, _HOLE, _FLOAT_HOLE) + (None,) * 7
 _ROOT = (_HOLE,) * 3 + (_LABEL_HOLE, _HOLE) + (_FLOAT_HOLE,) * 7 + (_HOLE,)
 
-_JSON = _Format(", ", lambda recs: json.dumps(recs)[1:-1], json.dumps)
-_CSV = _Format("\n", lambda recs: "\n".join(map(_csv_line, recs)), str)
-_PLAIN = _Format("\n", lambda recs: "\n".join(map(_plain_line, recs)), str)
+_JSON = _Format(", ", "", lambda recs: json.dumps(recs)[1:-1], json.dumps)
+_CSV = _Format("\n", "\n", lambda recs: "\n".join(map(_csv_line, recs)), str)
+_PLAIN = _Format("\n", "\n", lambda recs: "\n".join(map(_plain_line, recs)), str)
 
 
 def _template(fmt: _Format, holes: tuple, log_branch: int) -> str:
@@ -481,48 +488,52 @@ def _template(fmt: _Format, holes: tuple, log_branch: int) -> str:
 _JSON_CHUNK_ROWS = 4096
 
 
-def _row_text(summary: SurveySummary, log_branch: int, fmt: _Format) -> Iterator[str]:
-    """fmt's text of the records of every row in scan order, in pieces of at
-    most _JSON_CHUNK_ROWS rows that join with fmt.sep.
+def _row_text(
+    summary: SurveySummary, log_branch: int, fmt: _Format, first: str, last: str
+) -> Iterator[str]:
+    """first, fmt's text of each row's records after fmt.sep (the first after
+    fmt.lead) in scan order, then last: in pieces of _JSON_CHUNK_ROWS rows.
 
-    A run of rows without roots is one template filled row by row from the
-    columns, a run of real roots another filled from their tuples, whose
-    floats are finite (L is, and so are alpha and its residuals for any
-    regulator a scan meets), so %r writes them as json.dumps does; the
-    attached rows of an imaginary scan go through row_records.
+    A piece starts as the bare template split at its holes, once per row;
+    each column fills its holes by one slice assignment (repr for %d and %r,
+    str for %s). An attached row's text then replaces it: row_records for an
+    imaginary scan, the root template per tuple for a real one. The values
+    are plain ints and finite floats, so repr writes them as json.dumps does.
     """
     import numpy as np
 
-    b = summary.batch
-    n = len(b.D)
-    attached = np.zeros(n, dtype=bool)
-    if b.roots:  # a real scan with no unit powers attaches no root
-        attached[b.index] = True
-    cuts = [0, *(np.flatnonzero(np.diff(attached)) + 1).tolist(), n]
-    units = b.units
-    bare = _template(fmt, _BARE if units is None else _BARE_UNIT, log_branch)
-    rooted = _template(fmt, _ROOT, log_branch)
-    per_field = len(b.roots) // max(len(b.index), 1)
-    taken = 0
-    for lo, hi in zip(cuts, cuts[1:]):
-        for i in range(lo, hi, _JSON_CHUNK_ROWS):
-            j = min(i + _JSON_CHUNK_ROWS, hi)
-            if attached[i]:
-                roots = b.roots[taken : taken + (j - i) * per_field]
-                taken += len(roots)
-                if units is None:
-                    yield fmt.render(row_records(roots, log_branch))
-                else:
-                    yield fmt.sep.join(map(rooted.__mod__, roots))
-                continue
-            cols = [b.D[i:j].tolist(), b.d[i:j].tolist(), b.h[i:j].tolist()]
-            if units is not None:
-                cols += [
-                    map(_unit_label, units.x[i:j], units.y[i:j], cols[1], units.half_integral[i:j]),
-                    units.norm[i:j],
-                    units.regulator[i:j],
-                ]
-            yield fmt.sep.join(map(bare.__mod__, zip(*cols)))
+    b, units = summary.batch, summary.batch.units
+    pieces = re.split("%(.)", _template(fmt, _BARE if units is None else _BARE_UNIT, log_branch))
+    row, slots = [fmt.sep + pieces[0]], []
+    for spec, literal in zip(pieces[1::2], pieces[2::2]):
+        if spec != "%":  # else an escaped "%", kept as text
+            slots.append((len(row), str if spec == "s" else repr))
+        row += ["%" if spec == "%" else None, literal]
+    w, rooted = len(row), _template(fmt, _ROOT, log_branch)
+    at = b.index if b.roots else b.index[:0]  # a real scan with no unit powers attaches no root
+    per_field = len(b.roots) // max(len(at), 1)
+    yield first
+    for i in range(0, len(b.D), _JSON_CHUNK_ROWS):
+        j = min(i + _JSON_CHUNK_ROWS, len(b.D))
+        lo, hi = np.searchsorted(at, (i, j)).tolist()
+        cols = [b.D[i:j].tolist(), b.d[i:j].tolist(), b.h[i:j].tolist()]
+        if units is not None:  # labels of bare rows only: an attached row's tuples carry its own
+            keep, labels = np.ones(j - i, dtype=bool), np.empty(j - i, dtype=object)
+            keep[at[lo:hi] - i] = False
+            unit = (units.x[i:j], units.y[i:j], cols[1], units.half_integral[i:j])
+            labels[keep] = list(map(_unit_label, *(compress(c, keep) for c in unit)))
+            cols += [labels.tolist(), units.norm[i:j], units.regulator[i:j]]
+        out = row * (j - i)
+        for (slot, conv), col in zip(slots, cols):
+            out[slot::w] = map(conv, col)
+        for k, a in enumerate(at[lo:hi].tolist(), lo):
+            roots = b.roots[k * per_field : (k + 1) * per_field]
+            text = (fmt.sep.join(map(rooted.__mod__, roots)) if units is not None
+                    else fmt.render(row_records(roots, log_branch)))
+            out[(a - i) * w : (a - i + 1) * w] = [fmt.sep + text] + [""] * (w - 1)
+        out[0] = (fmt.sep if i else fmt.lead) + out[0][len(fmt.sep) :]
+        yield "".join(out)
+    yield last
 
 
 def iter_summary_json(
@@ -542,29 +553,18 @@ def iter_summary_json(
         "min_alpha_separation": _f(summary.min_alpha_separation),
         "distinct_unit_count": summary.distinct_unit_count,
     })
-    yield head[:-1] + ', "rows": ['
-    sep = ""
-    for piece in _row_text(summary, log_branch, _JSON):
-        yield sep + piece
-        sep = _JSON.sep
-    yield "]" + (", " + json.dumps(trailer)[1:] if trailer else "}")
+    tail = "]" + (", " + json.dumps(trailer)[1:] if trailer else "}")
+    return _row_text(summary, log_branch, _JSON, head[:-1] + ', "rows": [', tail)
 
 
 def summary_to_json(summary: SurveySummary, log_branch: int = 0) -> str:
     return "".join(iter_summary_json(summary, log_branch))
 
 
-def _iter_lines(first: str, summary: SurveySummary, log_branch: int, fmt: _Format) -> Iterator[str]:
-    yield first
-    for piece in _row_text(summary, log_branch, fmt):
-        yield "\n" + piece
-    yield "\n"
-
-
 def iter_summary_csv(summary: SurveySummary, log_branch: int = 0) -> Iterator[str]:
     """The row records as CSV, in pieces that concatenate to
     records_to_csv(row_records(summary.rows, log_branch))."""
-    return _iter_lines(",".join(CSV_COLUMNS), summary, log_branch, _CSV)
+    return _row_text(summary, log_branch, _CSV, ",".join(CSV_COLUMNS), "\n")
 
 
 def iter_summary_plain(summary: SurveySummary, log_branch: int = 0) -> Iterator[str]:
@@ -573,7 +573,7 @@ def iter_summary_plain(summary: SurveySummary, log_branch: int = 0) -> Iterator[
     first = (f"range {summary.range[0]}..{summary.range[1]}  fields_h1={summary.count_h1}  "
              f"distinct_alpha={summary.distinct_alpha_count}  "
              f"distinct_units={summary.distinct_unit_count}")
-    return _iter_lines(first, summary, log_branch, _PLAIN)
+    return _row_text(summary, log_branch, _PLAIN, first, "\n")
 
 
 def records_to_csv(records: Iterable[dict], columns: Sequence[str] = CSV_COLUMNS) -> str:

@@ -309,6 +309,24 @@ class TestScanCommand:
         assert captured.out == ""
         assert "2000000" in captured.err and "500000" in captured.err
 
+    @pytest.mark.parametrize("argv", [
+        ["--imaginary", "--limit", "-5"],
+        ["--real", "--limit", "-5"],
+        ["--real", "--limit", "20", "--powers", "-2"],
+    ], ids=["imaginary-limit", "real-limit", "real-powers"])
+    def test_negative_size_exit_2(self, capsys, argv):
+        assert run(["scan", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "negative" in captured.err
+
+    @pytest.mark.parametrize("mode", ["imaginary", "real"])
+    def test_limit_up_to_2_is_the_empty_scan(self, capsys, mode):
+        for limit in ("0", "1", "2"):
+            code, obj = run_json(capsys, ["scan", f"--{mode}", "--limit", limit])
+            assert code == 0
+            assert obj["rows"] == [] and obj["count_h1"] == 0
+
     def test_jobs_flag_is_gone(self, capsys):
         # scans run in one process; the worker-count flag was removed
         assert run(["scan", "--real", "--limit", "40", "--jobs", "2"]) == 64

@@ -1,7 +1,8 @@
-"""The bytes of `lgw scan --real` and of `lgw table` over it, pinned by sha256.
+"""The bytes of `lgw scan --real` and of `lgw table` over it, pinned by sha256,
+and those of `lgw scan --imaginary` at 1e6.
 
-The digests were taken from the per-field real scan, before its rows became
-columns; every later form of the scan must write the same bytes.
+The real digests were taken from the per-field real scan, before its rows
+became columns; every later form of the scan must write the same bytes.
 """
 
 import contextlib
@@ -53,6 +54,13 @@ SHA256_CSV_1E5_BY_RADICAND = "19a5ef9e88414f6dca024a0b7abe41553657290cea46aec8cb
 # still a record dict; checked by the CI workflow the same way. It pins the
 # JSON writer of the h = 1 rows where convergents leave int64.
 SHA256_JSON_1E5 = "e54f55539447bc581399f1bb3d24615f271d2efbb8440c15456ea3bc67e84a6f"
+
+# `lgw scan --imaginary --limit 1000000`, as JSON and as CSV (each under a
+# second), taken before the writers filled their chunks a column at a time;
+# checked by the CI workflow the same way. The suite pins imaginary output
+# only at 2e4.
+SHA256_IMAG_JSON_1E6 = "beb5e96f74f2625f441e11e40c6251d96c992de35cc3ea96d5794eb26e3e1a0e"
+SHA256_IMAG_CSV_1E6 = "fe4effcd6d7f2d304efe7de9979a5f9b2ef79182b6a7bfe4ac8f216e98985519"
 
 
 def stdout_of(argv, stdin=None):

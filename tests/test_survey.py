@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import lgw.fields
 import lgw.survey
-from lgw.errors import TermLimitExceeded
+from lgw.errors import DomainError, TermLimitExceeded
 from lgw.fields import class_number, fundamental_discriminants, radicand_of_discriminant
 from lgw.solver import Case, Pairing, UnitInput, alpha_real_case
 from lgw.survey import (
@@ -24,7 +24,9 @@ from lgw.survey import (
     records_to_csv,
     row_records,
     scan_imaginary,
+    iter_summary_csv,
     iter_summary_json,
+    iter_summary_plain,
     scan_real,
     summary_to_json,
 )
@@ -61,6 +63,11 @@ class TestScanImaginary:
         s = scan_imaginary(2)
         assert s.rows == ()
         assert s.count_h1 == 0
+
+    def test_negative_limit_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="-5"):
+            scan_imaginary(-5)
+        assert scan_imaginary(0).rows == scan_imaginary(1).rows == ()
 
     def test_alpha_only_on_h1_rows(self):
         s = scan_imaginary(100)
@@ -159,6 +166,11 @@ class TestScanReal:
         s = scan_real(4)
         assert s.rows == ()
         assert s.count_h1 == 0
+
+    @pytest.mark.parametrize("limit, unit_powers", [(-1, 1), (20, -2)], ids=["limit", "unit-powers"])
+    def test_negative_size_is_a_domain_error(self, limit, unit_powers):
+        with pytest.raises(DomainError, match=str(min(limit, unit_powers))):
+            scan_real(limit, unit_powers=unit_powers)
 
     def test_split_residuals(self):
         s = scan_real(100)
@@ -318,23 +330,41 @@ class TestSerialization:
         (scan_imaginary, 300, {"log_branch": 1}),
         (scan_real, 60, {"unit_powers": 2}),
         (scan_real, 4, {}),
+        (scan_real, 60, {"unit_powers": 0}),
+        (scan_real, 60, {"unit_powers": 3, "pairing": Pairing.SAME_BRANCH}),
+        (scan_imaginary, 2, {}),
     ])
     def test_chunked_json_equals_one_dumps(self, scan, limit, kwargs, monkeypatch):
-        # small chunks, so that the records of one scan span several of them
-        monkeypatch.setattr(lgw.survey, "_JSON_CHUNK_ROWS", 7)
+        # every writer against its reference, in chunks small enough that the
+        # records of one scan span several of them
         s = scan(limit, **kwargs)
         lb = kwargs.get("log_branch", 0)
+        records = row_records(s.rows, lb)
         full = {
             "range": list(s.range),
             "count_h1": s.count_h1,
             "distinct_alpha_count": s.distinct_alpha_count,
             "min_alpha_separation": s.min_alpha_separation,
             "distinct_unit_count": s.distinct_unit_count,
-            "rows": row_records(s.rows, lb),
+            "rows": records,
         }
-        assert summary_to_json(s, lb) == json.dumps(full)
         trailer = {"conventions": {"branch": 0, "log_branch": lb}}
-        assert "".join(iter_summary_json(s, lb, trailer)) == json.dumps({**full, **trailer})
+        first = (f"range {s.range[0]}..{s.range[1]}  fields_h1={s.count_h1}  "
+                 f"distinct_alpha={s.distinct_alpha_count}  distinct_units={s.distinct_unit_count}")
+        plain = "\n".join([first, *map(lgw.survey._plain_line, records)]) + "\n"
+        # one row a chunk puts every attached row first and last in a chunk
+        # of attached rows only; 2 and 7 mix attached and bare rows
+        for rows in (1, 2, 7):
+            monkeypatch.setattr(lgw.survey, "_JSON_CHUNK_ROWS", rows)
+            assert summary_to_json(s, lb) == json.dumps(full)
+            assert "".join(iter_summary_json(s, lb, trailer)) == json.dumps({**full, **trailer})
+            assert "".join(iter_summary_csv(s, lb)) == records_to_csv(records)
+            assert "".join(iter_summary_plain(s, lb)) == plain
+        at = set(s.batch.index.tolist()) if s.batch.roots else set()
+        if at:  # among the chunks of 7 that hold a bare row, one starts and one ends with an attached row
+            n = len(s.batch.D)
+            mixed = [c for c in (range(i, min(i + 7, n)) for i in range(0, n, 7)) if not at.issuperset(c)]
+            assert any(c[0] in at for c in mixed) and any(c[-1] in at for c in mixed)
 
     def test_json_round_trip(self):
         s = scan_imaginary(50)
