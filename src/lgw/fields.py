@@ -13,17 +13,17 @@ numpy sieve enumerates the reduced forms (a, b, -m) with D = b^2 + 4am,
 a, m > 0 and |a - m| < b, sums the distances log((b + sqrt(D))/(2m)) of
 their cycle steps per D, and divides by the regulator R of the fundamental
 unit: each cycle of reduced forms, up to sign, has total distance R, so the
-quotient is h. h+ is h when the unit has norm -1 and 2h otherwise. A real
-scan takes R and the norm from its units; a single D from a float walk over
-one period of the continued fraction (_regulator), with no unit built. The
-sieve takes D up to _MAX_REAL_D = 10^8.
+quotient is h. h+ is h when the unit has norm -1 and 2h otherwise. R and
+the norm come from the batched units of the radicands (_unit_columns), for
+one D as for a scan. The sieve takes D up to _MAX_REAL_D = 10^8.
 
 Fundamental units come from the continued fraction of sqrt(d) or
 (1+sqrt(d))/2: one d at a time in Python ints (_cf_unit, behind
-fundamental_unit), or for a real scan batched over all its radicands
-(_unit_columns): the state of every expansion advances in numpy at once
-and stops at the middle of the palindromic period, and the convergents
-stay in int64, in pieces multiplied into Python ints as they grow.
+fundamental_unit), or batched over the radicands of every positive D whose
+class number is asked for (_unit_columns): the state of every expansion
+advances in numpy at once and stops at the middle of the palindromic
+period, and the convergents stay in int64, in pieces multiplied into
+Python ints as they grow.
 
 Negative D go down to -_MAX_IMAG_D = -10^7. class_number(D < 0) lists the
 reduced definite forms of one D; an imaginary scan counts them for every
@@ -637,11 +637,10 @@ def class_number(D: int, narrow: bool = False) -> int:
     D < 0: count of reduced primitive forms. D > 0: the wide h (default) is
     the sum of the distances of the cycle steps of the reduced forms of D
     over the regulator, and the narrow h+ is h or 2h by the norm of the
-    fundamental unit (_real_class_numbers); the regulator and the norm come
-    from a float walk over one period of the continued fraction, with no
-    unit built. Positive D above _MAX_REAL_D (10^8) and negative D below
-    -_MAX_IMAG_D (-10^7) raise TermLimitExceeded before any work; one D near
-    either ceiling takes up to about 2 s.
+    fundamental unit, both by _real_class_numbers as in a real scan.
+    Positive D above _MAX_REAL_D (10^8) and negative D below -_MAX_IMAG_D
+    (-10^7) raise TermLimitExceeded before any work; one D near either
+    ceiling takes up to about 2 s.
     """
     h_plus, h = _class_numbers(D)
     return h_plus if narrow else h
@@ -649,7 +648,7 @@ def class_number(D: int, narrow: bool = False) -> int:
 
 def _class_numbers(D: int) -> tuple[int, int]:
     """(h+, h) of the field with fundamental discriminant D, from one run of
-    the form count (D < 0, where h+ = h) or of the distance sieve (D > 0)."""
+    the form count (D < 0, where h+ = h) or of _real_class_numbers (D > 0)."""
     _check_size(D)
     _check_fundamental(D)
     if D < 0:
@@ -657,7 +656,7 @@ def _class_numbers(D: int) -> tuple[int, int]:
         return h, h
     import numpy as np
 
-    h_plus, h = _real_class_numbers(np.array([D], dtype=np.int64))
+    h_plus, h, _ = _real_class_numbers(np.array([D], dtype=np.int64))
     return int(h_plus[0]), int(h[0])
 
 
@@ -718,37 +717,15 @@ def _runs(sizes: np.ndarray) -> list[tuple[int, int]]:
     return [(i, j) for i, j in zip(bounds, bounds[1:]) if i < j]
 
 
-def _regulator(d: int) -> tuple[float, int]:
-    """(regulator, norm) of the fundamental unit of Q(sqrt(d)), d > 1
-    squarefree, with no unit built.
-
-    Runs the continued fraction of _cf_unit over one period l: the unit is
-    the product of the complete quotients (P_k + sqrt(d))/Q_k, k = 1 ... l,
-    so the regulator is the float sum of their logs, and the norm is -1
-    exactly when l is odd. P and Q stay below 2*sqrt(d), so no big integer
-    arises.
-    """
-    s, root = isqrt(d), math.sqrt(d)
-    P, Q = (1, 2) if d % 4 == 1 else (0, 1)
-    P = (P + s) // Q * Q - P
-    Q = (d - P * P) // Q
-    first, reg, period = (P, Q), 0.0, 0
-    while True:
-        reg += math.log((P + root) / Q)
-        period += 1
-        P = (P + s) // Q * Q - P
-        Q = (d - P * P) // Q
-        if (P, Q) == first:
-            return reg, -1 if period % 2 else 1
-
-
-def _real_class_numbers(Ds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _real_class_numbers(Ds: np.ndarray) -> tuple[np.ndarray, np.ndarray, _UnitColumns]:
     """Narrow and wide class numbers (h+, h) of an ascending int64 array of
-    positive fundamental discriminants, as int64.
+    positive fundamental discriminants, as int64, and the unit columns of
+    their radicands: the one path from positive D to class numbers.
 
-    h comes from the distance sums over the regulators
-    (_wide_class_numbers), the regulator and the norm of the fundamental
-    unit of each D from _regulator; h+ = h where the norm is -1, and 2h
+    The distance sums come first (_distance_sums), so the sieve's blocks are
+    freed before the unit columns are held; the units come from one batched
+    continued fraction (_unit_columns), and h from the sums over their
+    regulators (_wide_class_numbers). h+ = h where the norm is -1, and 2h
     where it is +1, since the classes of a form and of its negative then
     differ in the narrow sense.
     """
@@ -756,12 +733,10 @@ def _real_class_numbers(Ds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     if len(Ds):
         _check_size(int(Ds[-1]))
-    d = np.where(Ds % 4 == 1, Ds, Ds // 4)
     distances = _distance_sums(Ds)
-    walks = [_regulator(di) for di in d.tolist()]
-    h = _wide_class_numbers(Ds, distances, np.array([r for r, _ in walks], dtype=np.float64))
-    norm = np.array([n for _, n in walks], dtype=np.int64)
-    return np.where(norm == -1, h, 2 * h), h
+    units = _unit_columns(np.where(Ds % 4 == 1, Ds, Ds // 4))
+    h = _wide_class_numbers(Ds, distances, np.array(units.regulator, dtype=np.float64))
+    return np.where(np.array(units.norm, dtype=np.int64) == -1, h, 2 * h), h, units
 
 
 def _wide_class_numbers(Ds: np.ndarray, distances: np.ndarray, regulator: np.ndarray

@@ -280,6 +280,8 @@ def _exp_linear_root(a: complex, b: complex, c: complex, k: int) -> complex:
         # log(-B) keeps the sign of the zero Im part that -B*C*exp(A*C) has,
         # so a real argument stays on the same side of the cut.
         t = cmath.log(-b) + cmath.log(c) + a * c
+        if not cmath.isfinite(t):  # A*C itself overflowed
+            raise NonFinite(f"log of the Lambert argument overflows: A*C = {a * c!r}")
         if abs(t.imag) > math.pi:
             t -= _TWO_PI_I * round(t.imag / _TWO_PI)
         return a - _lambert_w_log(k, t) / c

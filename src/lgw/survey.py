@@ -38,14 +38,12 @@ from .fields import (
     FundamentalUnit,
     RootsOfUnity,
     _check_size,
-    _distance_sums,
     _fundamental_discriminant_array,
     _imaginary_form_counts,
+    _real_class_numbers,
     _squarefree_mask,
-    _unit_columns,
     _unit_label,
     _UnitColumns,
-    _wide_class_numbers,
     roots_of_unity,
 )
 from .solver import Case, FixedPointReport, Pairing, UnitInput, _alpha_real, alpha_complex_case
@@ -335,6 +333,13 @@ def scan_imaginary(limit: int, *, branch: int = 0, log_branch: int = 0) -> Surve
 # grows as limit^1.5.
 _MAX_REAL_SCAN = 2 * 10**6
 
+# Most roots a real scan may attach, counted before any work as unit_powers
+# times the number of fields, set by memory: `lgw scan --real --limit 10000
+# --format csv` (3,043 fields) peaked at 34, 170 and 307 MB RSS with --powers
+# 1, 100 and 200 on a 2-vCPU VM, about 450 bytes a root, so the ceiling holds
+# a scan near 0.5 GB, below the largest scan (607,935 fields at --powers 1).
+_MAX_REAL_ROOTS = 10**6
+
 
 def scan_real(
     limit: int,
@@ -351,13 +356,14 @@ def scan_real(
     count_h1 is a raw count; it grows without any claimed bound.
 
     The scan is columnar, like the imaginary one: D and d come from the
-    squarefree sieve, the units from one batched continued fraction
-    (fields._unit_columns), h from the distance sieve over their regulators
-    (fields._distance_sums, fields._wide_class_numbers), and the roots of
-    each h = 1 field straight from its regulator (solver._alpha_real), as
-    record tuples. limit may be at most _MAX_REAL_SCAN (2*10^6), a quarter
-    of it with by_radicand=True; a larger one raises TermLimitExceeded at once.
-    A negative limit or unit_powers raises DomainError.
+    squarefree sieve, h and the unit columns from
+    fields._real_class_numbers, as for class_number, and the roots of each
+    h = 1 field straight from its regulator (solver._alpha_real), as record
+    tuples. limit may be at most _MAX_REAL_SCAN (2*10^6), a quarter of it
+    with by_radicand=True; a larger one raises TermLimitExceeded at once.
+    So does unit_powers times the number of fields above _MAX_REAL_ROOTS
+    (10^6), right after the sieve. A negative limit or unit_powers raises
+    DomainError.
     """
     import numpy as np
 
@@ -375,12 +381,14 @@ def scan_real(
         D = np.sort(np.where(d % 4 == 1, d, 4 * d))
     else:
         D = _fundamental_discriminant_array(5, limit)
+    if unit_powers * len(D) > _MAX_REAL_ROOTS:
+        raise TermLimitExceeded(
+            f"{unit_powers} unit powers of {len(D)} fields make {unit_powers * len(D)} roots, "
+            f"above {_MAX_REAL_ROOTS}, the most a real scan supports"
+        )
     # every D is fundamental: d is D or D/4
     d = np.where(D % 4 == 1, D, D // 4)
-    # the sieve's blocks are freed before the unit columns are held
-    distances = _distance_sums(D)
-    units = _unit_columns(d)
-    h = _wide_class_numbers(D, distances, np.array(units.regulator, dtype=np.float64))
+    _, h, units = _real_class_numbers(D)
     at = np.flatnonzero(h == 1)
     same_branch = pairing is Pairing.SAME_BRANCH
     x, y, half_integral, norm, regulator = units

@@ -309,6 +309,15 @@ class TestScanCommand:
         assert captured.out == ""
         assert "2000000" in captured.err and "500000" in captured.err
 
+    def test_roots_above_ceiling_exit_2_at_once(self, capsys):
+        # 100000 powers of the 3,043 fields to 1e4: past the roots ceiling
+        t0 = time.perf_counter()
+        assert run(["scan", "--real", "--limit", "10000", "--powers", "100000", "--format", "csv"]) == 2
+        assert time.perf_counter() - t0 < 2.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "1000000" in captured.err
+
     @pytest.mark.parametrize("argv", [
         ["--imaginary", "--limit", "-5"],
         ["--real", "--limit", "-5"],
@@ -364,7 +373,11 @@ class TestDomainLimits:
         ["alpha", "--case", "complex", "--eps-re", "0", "--eps-im", "1", "--beta", "-200"],
         ["verify", "--case", "complex", "--alpha-re", "0", "--alpha-im", "-1000",
          "--eps-re", "0", "--eps-im", "1"],
-    ], ids=["solve-exp-overflow", "alpha-beta-overflow", "verify-exp-overflow"])
+        # A*C = -inf + inf*i: exp of it is 0, the log of that is infinite
+        ["solve", "--a-re", "0", "--a-im", "3.8690360027392735e+231", "--b-re", "1",
+         "--c-re", "4.6463592832673334e+76", "--c-im", "4.6463592832673334e+76", "--branch", "1"],
+    ], ids=["solve-exp-overflow", "alpha-beta-overflow", "verify-exp-overflow",
+            "solve-product-overflow"])
     def test_overflow_is_a_domain_error(self, capsys, argv):
         assert run(argv) == 2
         captured = capsys.readouterr()
@@ -698,6 +711,46 @@ class TestGoldenOutput:
             "0.554524776912384,3.925231146709438e-17,3.925231146709438e-17,"
             "1.109049553824768,0,0"
         )
+
+
+class TestClassnoBytes:
+    """`lgw classno` stdout in JSON, CSV and plain, pinned by the sha256 of the
+    three outputs in that order. The digests were taken while class_number
+    of a positive D took its regulator from a float walk of its own, before
+    it shared _real_class_numbers with the real scan."""
+
+    SHA256 = {
+        "--discriminant 5": "e204998ee58f5a5a24c0ec7b42e96f4de21029f6a37489df1930de61ba1d6954",
+        "--discriminant 5 --narrow": "8514f069dc60110b8126f39b84332cac5caa57518da6c5b642ac26f0cff703a9",
+        "--discriminant 12": "9c22fd470b461b72925014df64179f4f8f326b7a4460c08ead1cce0899dbd92a",
+        "--discriminant 12 --narrow": "9ff84ec920de99fdbd9254f34aa76c5805cef81c299b92d17048bd82c4b38f36",
+        "--discriminant 40": "56e0bb120bb6a8e1b72040c630162bc40899bc5f3d46692f12b7d404daf54def",
+        "--discriminant 40 --narrow": "5162c9040d1302ed2ac1ebbfa8d4c43eea5fa33ae747a3d4eb2fb1ca410291da",
+        "--discriminant 99999989": "0ece4b87a7f0800b685ac30beccf9e888f5c0550e7cda461b83cfebb69e9f962",
+        "--discriminant 99999989 --narrow": "249f791d67a8ea1bb5fefbe1e06940482171735058030b526829744a85e6f9b9",
+        "--discriminant 99999941": "ac40a236b2c91e2013537d0672a29beaf104cd42dd7457cd73d9bb6f9fcc95a6",
+        "--discriminant 99999941 --narrow": "51db893551e2b9637c8a1b8d39324eb9232a45c3b0420b625f902ae54a20c4ff",
+        "--discriminant 99999997": "1fc77309b3aeda6388b7c275796653fa8d9991efec8ff74412018eee6593bf51",
+        "--discriminant 99999997 --narrow": "e8be1a735b4cacae378ad6444010054c64cd2ec589647ac3d8f6b06dd627c9fc",
+        "--d 10 --narrow": "5162c9040d1302ed2ac1ebbfa8d4c43eea5fa33ae747a3d4eb2fb1ca410291da",
+    }
+
+    @pytest.mark.parametrize("flags", ["5", "12", "40", "99999989", "99999941", "99999997", "--d 10"])
+    def test_bytes(self, capsys, monkeypatch, flags):
+        import functools
+
+        import lgw.fields
+
+        # a D near 10^8 takes about 0.6 s; its six runs share one class number
+        monkeypatch.setattr(lgw.fields, "_class_numbers", functools.cache(lgw.fields._class_numbers))
+        argv = flags.split() if flags.startswith("--") else ["--discriminant", flags]
+        for narrow in ([], ["--narrow"]) if argv[0] == "--discriminant" else (["--narrow"],):
+            out = ""
+            for fmt in ("json", "csv", "plain"):
+                assert run(["classno", *argv, *narrow, "--format", fmt]) == 0
+                out += capsys.readouterr().out
+            key = " ".join([*argv, *narrow])
+            assert hashlib.sha256(out.encode()).hexdigest() == self.SHA256[key], (key, out)
 
 
 class TestBenchmarkGoldens:

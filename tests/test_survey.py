@@ -273,13 +273,13 @@ class TestScanReal:
     def test_perturbed_regulator_trips_the_rounding_assert(self, monkeypatch):
         # h is the distance sum over the unit's regulator, rounded; a
         # regulator off by 1e-4 leaves every quotient far from an integer
-        columns = lgw.survey._unit_columns
+        columns = lgw.fields._unit_columns
 
         def perturbed(d):
             units = columns(d)
             return units._replace(regulator=[r * (1 + 1e-4) for r in units.regulator])
 
-        monkeypatch.setattr(lgw.survey, "_unit_columns", perturbed)
+        monkeypatch.setattr(lgw.fields, "_unit_columns", perturbed)
         with pytest.raises(AssertionError):
             scan_real(200)
 
@@ -301,6 +301,50 @@ class TestScanReal:
             scan_real(top + 1)
         with pytest.raises(TermLimitExceeded, match=str(top // 4)):
             scan_real(top // 4 + 1, by_radicand=True)
+
+    def test_roots_ceiling_is_a_term_limit_before_the_sieve(self, monkeypatch):
+        # unit_powers times the fields counts the roots; past the ceiling
+        # neither the distance sieve nor the units run
+        top = lgw.survey._MAX_REAL_ROOTS
+        monkeypatch.setattr(lgw.survey, "_real_class_numbers", None)
+        fields_1e4 = len(fundamental_discriminants(5, 10_000))
+        with pytest.raises(TermLimitExceeded, match=f"above {top},"):
+            scan_real(10_000, unit_powers=top // fields_1e4 + 1)
+        radicands_3000 = int(lgw.fields._squarefree_mask(2, 3000).sum())
+        with pytest.raises(TermLimitExceeded, match=f"above {top},"):
+            scan_real(3000, unit_powers=top // radicands_3000 + 1, by_radicand=True)
+
+    def test_roots_ceiling_admits_the_largest_scans(self, monkeypatch):
+        # --powers 1 at the scan ceiling, and by radicand with --powers 3
+        top = lgw.survey._MAX_REAL_ROOTS
+        assert len(fundamental_discriminants(5, lgw.survey._MAX_REAL_SCAN)) == 607_935 <= top
+        radicands = int(lgw.fields._squarefree_mask(2, lgw.survey._MAX_REAL_SCAN // 4).sum())
+        assert 3 * radicands == 911_871 <= top
+        # the ceiling itself is admitted, one root more is not
+        fields_60 = len(fundamental_discriminants(5, 60))
+        monkeypatch.setattr(lgw.survey, "_MAX_REAL_ROOTS", 3 * fields_60)
+        assert scan_real(60, unit_powers=3).count_h1 > 0
+        with pytest.raises(TermLimitExceeded, match=f"above {3 * fields_60},"):
+            scan_real(60, unit_powers=4)
+
+    def test_scan_and_class_number_share_one_path(self, monkeypatch):
+        # scan_real and class_number(D > 0) reach class numbers only through
+        # fields._real_class_numbers, one call each
+        calls = []
+        original = lgw.fields._real_class_numbers
+
+        def counting(Ds):
+            calls.append(len(Ds))
+            return original(Ds)
+
+        monkeypatch.setattr(lgw.fields, "_real_class_numbers", counting)
+        monkeypatch.setattr(lgw.survey, "_real_class_numbers", counting)  # imported by name
+        scan_real(3000)
+        assert calls == [len(fundamental_discriminants(5, 3000))]
+        calls.clear()
+        assert class_number(1365) == 4
+        assert calls == [1]
+        assert not {"_distance_sums", "_unit_columns", "_wide_class_numbers"} & set(vars(lgw.survey))
 
 
 class TestDeterminism:
