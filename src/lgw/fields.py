@@ -18,12 +18,12 @@ the norm come from the batched units of the radicands (_unit_columns), for
 one D as for a scan. The sieve takes D up to _MAX_REAL_D = 10^8.
 
 Fundamental units come from the continued fraction of sqrt(d) or
-(1+sqrt(d))/2: one d at a time in Python ints (_cf_unit, behind
-fundamental_unit), or batched over the radicands of every positive D whose
-class number is asked for (_unit_columns): the state of every expansion
-advances in numpy at once and stops at the middle of the palindromic
-period, and the convergents stay in int64, in pieces multiplied into
-Python ints as they grow.
+(1+sqrt(d))/2, run to the middle of its palindromic period and finished by
+one set of formulas (_unit_from_middle): one d at a time in Python ints
+(_cf_unit, behind fundamental_unit), or batched over the radicands of every
+positive D whose class number is asked for (_unit_columns), where the state
+of every expansion advances in numpy at once and the convergents stay in
+int64, in pieces multiplied into Python ints as they grow.
 
 Negative D go down to -_MAX_IMAG_D = -10^7. class_number(D < 0) lists the
 reduced definite forms of one D; an imaginary scan counts them for every
@@ -31,8 +31,7 @@ reduced definite forms of one D; an imaginary scan counts them for every
 3 mod 4 by the parity of b, so the counts live in two int32 residue classes
 of about limit/4 entries, where each a adds progressions of stride a: one
 staircase of about a/4 rows, then one periodic row of the a's whole
-pattern added over a 2-D view. class_numbers_imaginary_batch assembles the
-int64 array over all n from the two classes.
+pattern added over a 2-D view.
 
 numpy is imported inside the sieves, the batched units and
 class_number(D > 0), on first use: single units, forms of negative D and
@@ -75,7 +74,6 @@ __all__ = [
     "discriminant_of_radicand",
     "radicand_of_discriminant",
     "fundamental_discriminants",
-    "class_numbers_imaginary_batch",
 ]
 
 
@@ -312,45 +310,25 @@ _CF_STEP_LIMIT = 10_000_000
 def _cf_unit(d: int) -> tuple[int, int, int]:
     """Continued-fraction sweep; returns (x, y, norm) with x^2 - d*y^2 = 4*norm.
 
-    Expands sqrt(d) for d = 2,3 mod 4 and (1+sqrt(d))/2 for d = 1 mod 4,
-    reading the fundamental solution off the convergent just before the
-    period closes. The returned pair is normalized to the half-integral
-    coordinate system (so x = y = 0 mod 2 encodes an integral unit).
+    Expands sqrt(d) for d = 2,3 mod 4 and (1+sqrt(d))/2 for d = 1 mod 4 in
+    Python ints to the middle of the period, as _cf_units does for many d,
+    and finishes as it does (_unit_from_middle). The pair is normalized to
+    the half-integral coordinate system (x = y = 0 mod 2: an integral unit).
     """
     s = isqrt(d)
-    if d % 4 == 1:
-        p_state, q_state = 1, 2
-    else:
-        p_state, q_state = 0, 1
-    a = (p_state + s) // q_state
-    p_prev, p_cur = 1, a
-    q_prev, q_cur = 0, 1
-    first = None
-    steps = 0
-    while True:
-        steps += 1
-        if steps > _CF_STEP_LIMIT:
-            raise TermLimitExceeded(
-                f"continued fraction of d={d} did not close within {_CF_STEP_LIMIT} steps"
-            )
-        p_state = a * q_state - p_state
-        q_state = (d - p_state * p_state) // q_state
-        a = (p_state + s) // q_state
-        if first is None:
-            first = (p_state, q_state)
-            period = 1
-        elif (p_state, q_state) == first:
-            break
-        else:
-            period += 1
-        p_prev, p_cur = p_cur, a * p_cur + p_prev
-        q_prev, q_cur = q_cur, a * q_cur + q_prev
-    norm = -1 if period % 2 == 1 else 1
-    if d % 4 == 1:
-        x, y = 2 * p_prev - q_prev, q_prev
-    else:
-        x, y = 2 * p_prev, 2 * q_prev
-    return x, y, norm
+    P, Q = (1, 2) if d % 4 == 1 else (0, 1)
+    a = (P + s) // Q
+    p, p_, q, q_ = a, 1, 1, 0  # the convergents at the current step and the one before
+    for _ in range(_CF_STEP_LIMIT):
+        P_, Q_, a_ = P, Q, a
+        P = a * Q - P
+        Q = (d - P * P) // Q
+        if Q == Q_ or P == P_:
+            return _unit_from_middle(d, Q == Q_, a_, p, p_, q, q_)
+        a = (P + s) // Q
+        p, p_ = a * p + p_, p
+        q, q_ = a * q + q_, q
+    raise TermLimitExceeded(f"continued fraction of d={d} did not close within {_CF_STEP_LIMIT} steps")
 
 
 def fundamental_unit(d: int) -> FundamentalUnit:
@@ -422,14 +400,14 @@ def _unit_columns(d: np.ndarray) -> _UnitColumns:
 def _cf_units(d: np.ndarray) -> list[tuple[int, int, int]]:
     """_cf_unit(d) for every d of an int64 array.
 
-    Every row runs the continued fraction of _cf_unit, all rows in step, but
-    only to the middle of its period. With complete quotients
+    Every row runs the continued fraction of _cf_unit, all rows in step, to
+    the middle of its period. With complete quotients
     (P_k + sqrt(d))/Q_k and partial quotients a_k, the a_1 ... a_{l-1} of a
     period of length l read the same both ways, and the middle shows as
     Q_{m+1} = Q_m for l = 2m + 1 and as P_{m+1} = P_m for l = 2m (Jacobson &
     Williams, Solving the Pell Equation, 2009; Cohen, GTM 138, section 5.7).
-    The convergent p_{l-1}/q_{l-1} that _cf_unit reads at the end of the
-    period then follows from those at m (_unit_from_middle).
+    The convergent p_{l-1}/q_{l-1} at the end of the period, which gives
+    the unit, then follows from those at m (_unit_from_middle).
 
     The state (P, Q, a) stays below 2*sqrt(d) < 2^15, so float64 holds it,
     and its division exactly; it advances for all rows at once. So do the
@@ -507,7 +485,7 @@ def _times(b, m) -> tuple[int, int, int, int]:
 
 def _unit_from_middle(d: int, odd: bool, a_m: int, p: int, p_: int, q: int, q_: int
                       ) -> tuple[int, int, int]:
-    """_cf_unit's (x, y, norm) from the middle of the period: the convergents
+    """The unit's (x, y, norm) from the middle of the period: the convergents
     p/q at m and p_/q_ at m - 1, and a_m, of a period l = 2m + 1 (odd) or
     l = 2m.
 
@@ -899,25 +877,7 @@ def class_number_analytic(D: int, precision_terms: int | None = None) -> int:
     return h
 
 
-# -- batched class numbers for the imaginary survey ------------------------------
-
-def class_numbers_imaginary_batch(limit: int) -> np.ndarray:
-    """counts[n] = number of reduced forms of discriminant -n, n <= limit.
-
-    An int64 array of limit + 1 entries, assembled from the two residue
-    classes of _imaginary_form_counts: forms exist only at n = 0, 3 mod 4,
-    so every other entry is 0. Imprimitive forms are counted too; they
-    cannot occur at a fundamental -n, so entries there are exact class
-    numbers.
-    """
-    import numpy as np
-
-    counts = np.zeros(limit + 1, dtype=np.int64)
-    by_class = _imaginary_form_counts(limit)
-    counts[0::4] = by_class[:, 0]
-    counts[3::4] = by_class[: len(counts[3::4]), 1]
-    return counts
-
+# -- form counts for the imaginary scan -----------------------------------------
 
 # Periodic rows are tiled to about this many entries, so each add over the
 # 2-D view runs long contiguous inner loops.

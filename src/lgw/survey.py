@@ -8,13 +8,13 @@ fundamental-unit power for real fields.
 A scan keeps its fields as a columnar batch: int64 columns D, d and h for
 every field, for a real scan the unit columns (x, y, half-integrality, norm
 and regulator) of every field, and the roots of the attached (h = 1)
-fields: SurveyRows for an imaginary scan, one record tuple per root for a
-real one. SurveySummary.rows builds every SurveyRow on first access. The
-writers (iter_summary_json, iter_summary_csv, iter_summary_plain) fill the
+fields as record tuples, the values of CSV_COLUMNS that a root fills.
+SurveySummary.rows builds every SurveyRow on first access. The writers
+(iter_summary_json, iter_summary_csv, iter_summary_plain) fill the
 bare-record template of their format a column at a time, for a chunk of
-rows at once, then write each attached row over its place. Output is a
-pure function of the arguments, so scan output can be diffed and pinned in
-tests. numpy is imported where a scan first needs it, not with the module.
+rows at once, then fill a root template per tuple of an attached row.
+Output is a pure function of the arguments, so scan output can be diffed
+and pinned in tests. numpy is imported where a scan first needs it.
 
 read_rooted_records reads a scan's JSON back as a stream, for the
 correspondence table: it passes over runs of bare records with one match of
@@ -126,9 +126,9 @@ class SurveyRow:
 @dataclass(frozen=True, eq=False)
 class _Batch:
     """The fields of a scan, in scan order: the columns, the ascending index
-    of the attached fields into them and their roots (see the module
-    docstring; a real scan holds unit_powers record tuples per field, the
-    values of CSV_COLUMNS but log_branch), and a real scan's pairing."""
+    of the attached fields into them, one tuple of record tuples per
+    attached field (one per torsion unit or unit power; _ROOTED gives the
+    columns of each length), and the conventions of their reports."""
 
     case: Case
     D: np.ndarray
@@ -136,35 +136,33 @@ class _Batch:
     h: np.ndarray
     index: np.ndarray
     roots: tuple
+    conventions: dict
     units: _UnitColumns | None = None
-    pairing: Pairing | None = None
 
     def __eq__(self, other):  # arrays compare element by element: a generated __eq__ would raise
         import numpy as np
 
         if not isinstance(other, _Batch):
             return NotImplemented
-        return (self.case, self.roots, self.units, self.pairing) == (
-            other.case, other.roots, other.units, other.pairing
+        return (self.case, self.roots, self.units, self.conventions) == (
+            other.case, other.roots, other.units, other.conventions
         ) and all(np.array_equal(getattr(self, c), getattr(other, c)) for c in ("D", "d", "h", "index"))
 
     @cached_property
     def attached(self) -> tuple[SurveyRow, ...]:
-        """The SurveyRow of each attached field; a real scan builds them
-        from its record tuples on first access."""
-        if self.units is None:
-            return self.roots
-        n = len(self.roots) // max(len(self.index), 1)  # roots per field
-        conventions = {"log_branch": 0, "pairing": self.pairing.value, "case": Case.REAL.value}
+        """The SurveyRow of each attached field, built from its tuples on first access."""
         rows = []
-        for k, i in enumerate(self.index.tolist()):
-            alphas = tuple(
-                UnitAlpha(r[3], r[4], r[5], FixedPointReport(
-                    complex(r[6], r[7]), r[12], 0.0, *r[8:12], dict(conventions)
-                ))
-                for r in self.roots[k * n : (k + 1) * n]
-            )
-            rows.append(SurveyRow(self.D[i].item(), self.d[i].item(), 1, Case.REAL, self.unit(i), alphas))
+        for i, roots in zip(self.index.tolist(), self.roots):
+            alphas = []
+            for r in roots:  # the values of CSV_COLUMNS but log_branch, None where r has no hole
+                values = iter(r)
+                v = [None if hole is None else next(values) for hole in _ROOTED[len(r)]]
+                alphas.append(UnitAlpha(v[3], v[4], v[5], None if v[6] is None else FixedPointReport(
+                    complex(v[6], v[7]), v[12], 0.0, *v[8:12], dict(self.conventions)
+                )))
+            D = self.D[i].item()
+            unit = roots_of_unity(D) if self.units is None else self.unit(i)
+            rows.append(SurveyRow(D, self.d[i].item(), 1, self.case, unit, tuple(alphas)))
         return tuple(rows)
 
     def unit(self, i: int) -> FundamentalUnit | None:
@@ -271,20 +269,13 @@ def _gap(a: complex, b: complex) -> float:
 
 # -- imaginary scan ---------------------------------------------------------------
 
-def _imaginary_row(D: int, d: int, branch: int, log_branch: int) -> SurveyRow:
-    """The h = 1 row of discriminant D, radicand d, with its torsion roots."""
-    mu = roots_of_unity(D)
-    alphas = []
-    for eps in mu.elements:
-        if eps == 1 and log_branch == 0:
-            rep = None  # log(1) = 0 on the principal branch: no root to attach
-        else:
-            u = UnitInput.complex_unit(eps, log_branch)
-            rep = alpha_complex_case(u, j=branch, beta=0.0)
-        theta = math.atan2(eps.imag, eps.real)
-        label = next(label for label, arg in _TORSION_ARGS.items() if abs(arg - theta) < 1e-9)
-        alphas.append(UnitAlpha(label, None, None, rep))
-    return SurveyRow(D=D, d=d, h=1, case=Case.COMPLEX, unit=mu, alphas=tuple(alphas))
+def _torsion_root(D: int, d: int, eps: complex, branch: int, log_branch: int) -> tuple:
+    """The record tuple of torsion unit eps of field D, radicand d."""
+    label = next(label for label, arg in _TORSION_ARGS.items() if abs(arg - cmath.phase(eps)) < 1e-9)
+    if eps == 1 and log_branch == 0:
+        return D, d, 1, label  # log(1) = 0 on the principal branch: no root to attach
+    rep = alpha_complex_case(UnitInput.complex_unit(eps, log_branch), j=branch)
+    return D, d, 1, label, rep.alpha.real, rep.alpha.imag, rep.residual_defining, branch
 
 
 def scan_imaginary(limit: int, *, branch: int = 0, log_branch: int = 0) -> SurveySummary:
@@ -294,13 +285,14 @@ def scan_imaginary(limit: int, *, branch: int = 0, log_branch: int = 0) -> Surve
     sieve, class numbers straight from the two residue classes of the
     form-count sieve (fields._imaginary_form_counts); torsion units with a
     usable log (nonzero under the configured log branch) each contribute an
-    alpha via the complex-case root formula. limit may be at most
+    alpha via the complex-case root formula, kept as a record tuple. limit,
+    branch and log_branch are taken as ints; limit may be at most
     fields._MAX_IMAG_D (10^7); a larger one raises TermLimitExceeded at once,
     a negative one DomainError (0 to 2 give the empty scan).
     """
     import numpy as np
 
-    limit = int(limit)
+    limit, branch, log_branch = int(limit), int(branch), int(log_branch)
     if limit < 0:
         raise DomainError(f"limit {limit} is negative")
     _check_size(-limit)
@@ -311,18 +303,19 @@ def scan_imaginary(limit: int, *, branch: int = 0, log_branch: int = 0) -> Surve
     n = -D  # 0 or 3 mod 4: the form counts hold n at [n >> 2, n & 1]
     h = _imaginary_form_counts(limit)[n >> 2, n & 1].astype(np.int64)
     at = np.flatnonzero(h == 1)
-    h1_rows = tuple([
-        _imaginary_row(Di, di, branch, log_branch) for Di, di in zip(D[at].tolist(), d[at].tolist())
-    ])
-    units = [eps for r in h1_rows for eps in r.unit.elements]
-    distinct_alpha, min_sep = _distinct_stats(rep.alpha for row in h1_rows for rep in row.alpha_reports)
+    roots = [
+        tuple(_torsion_root(Di, di, eps, branch, log_branch) for eps in roots_of_unity(Di).elements)
+        for Di, di in zip(D[at].tolist(), d[at].tolist())
+    ]
+    distinct_alpha, min_sep = _distinct_stats(complex(r[4], r[5]) for f in roots for r in f if len(r) > 4)
+    conventions = {"log_branch": log_branch, "case": Case.COMPLEX.value}
     return SurveySummary(
         range=(-limit, -3),
-        count_h1=len(h1_rows),
+        count_h1=len(at),
         distinct_alpha_count=distinct_alpha,
         min_alpha_separation=min_sep,
-        distinct_unit_count=_distinct_stats(units)[0],
-        batch=_Batch(Case.COMPLEX, D, d, h, at, h1_rows),
+        distinct_unit_count=len({r[3] for f in roots for r in f}),  # each torsion unit has its own label
+        batch=_Batch(Case.COMPLEX, D, d, h, at, tuple(roots), conventions),
     )
 
 
@@ -392,26 +385,30 @@ def scan_real(
     at = np.flatnonzero(h == 1)
     same_branch = pairing is Pairing.SAME_BRANCH
     x, y, half_integral, norm, regulator = units
+    attached = at if unit_powers else at[:0]  # no unit powers attach no root
     roots = []
-    for i, Di, di in zip(at.tolist(), D[at].tolist(), d[at].tolist()):
+    for i, Di, di in zip(attached.tolist(), D[attached].tolist(), d[attached].tolist()):
         label = _unit_label(x[i], y[i], di, half_integral[i])
+        field = []
         for n in range(1, unit_powers + 1):
             L = n * regulator[i]
             if not 0.0 < L < math.inf:
                 UnitInput.from_log(L, case=Case.REAL)  # raises the error of an unusable log
             alpha, r_def, r1, r2, r_sum = _alpha_real(L, branch, same_branch)
-            roots.append((
+            field.append((
                 Di, di, 1, label if n == 1 else f"({label})^{n}", norm[i] ** n, L,
                 alpha.real, alpha.imag, r_def, r1, r2, r_sum, branch,
             ))
-    distinct_alpha, min_sep = _distinct_stats(complex(r[6], r[7]) for r in roots)
+        roots.append(tuple(field))
+    distinct_alpha, min_sep = _distinct_stats(complex(r[6], r[7]) for f in roots for r in f)
+    conventions = {"log_branch": 0, "pairing": pairing.value, "case": Case.REAL.value}
     return SurveySummary(
         range=(5, limit),
         count_h1=len(at),
         distinct_alpha_count=distinct_alpha,
         min_alpha_separation=min_sep,
         distinct_unit_count=len(at),
-        batch=_Batch(Case.REAL, D, d, h, at, tuple(roots), units, pairing),
+        batch=_Batch(Case.REAL, D, d, h, attached, tuple(roots), conventions, units),
     )
 
 
@@ -474,10 +471,17 @@ class _Format(NamedTuple):
 _HOLE, _LABEL_HOLE, _FLOAT_HOLE = "\x00", "\x01", "\x02"
 
 # The values of a record but log_branch, as holes: a row without roots and
-# without a unit (imaginary, h != 1), one with a real unit, and a real root.
+# without a unit (imaginary, h != 1), one with a real unit, a real root, a
+# torsion root, and a torsion unit without one (eps = 1 on log branch 0).
 _BARE = (_HOLE,) * 3 + (None,) * 10
 _BARE_UNIT = (_HOLE,) * 3 + (_LABEL_HOLE, _HOLE, _FLOAT_HOLE) + (None,) * 7
 _ROOT = (_HOLE,) * 3 + (_LABEL_HOLE, _HOLE) + (_FLOAT_HOLE,) * 7 + (_HOLE,)
+_TORSION_ROOT = (_HOLE,) * 3 + (_LABEL_HOLE, None, None) + (_FLOAT_HOLE,) * 3 + (None,) * 3 + (_HOLE,)
+_TORSION = (_HOLE,) * 3 + (_LABEL_HOLE,) + (None,) * 9
+
+# The holes of the record tuples of attached rows, by the tuple's length:
+# each tuple holds the values of its holes, in order.
+_ROOTED = {len(holes) - holes.count(None): holes for holes in (_ROOT, _TORSION_ROOT, _TORSION)}
 
 _JSON = _Format(", ", "", lambda recs: json.dumps(recs)[1:-1], json.dumps)
 _CSV = _Format("\n", "\n", lambda recs: "\n".join(map(_csv_line, recs)), str)
@@ -485,8 +489,8 @@ _PLAIN = _Format("\n", "\n", lambda recs: "\n".join(map(_plain_line, recs)), str
 
 
 def _template(fmt: _Format, holes: tuple, log_branch: int) -> str:
-    """fmt's text of the record of `holes` (_BARE, _BARE_UNIT or _ROOT) as a
-    %-template: %d for an integer, %s for the unit label, %r for a float."""
+    """fmt's text of the record of `holes` (_BARE, _BARE_UNIT or _ROOTED's)
+    as a %-template: %d for an integer, %s for the unit label, %r for a float."""
     text = fmt.render([_record(holes, log_branch)]).replace("%", "%%")
     for hole, spec in ((_HOLE, "%d"), (_LABEL_HOLE, fmt.quote("%s")), (_FLOAT_HOLE, "%r")):
         text = text.replace(fmt.quote(hole), spec)
@@ -504,9 +508,9 @@ def _row_text(
 
     A piece starts as the bare template split at its holes, once per row;
     each column fills its holes by one slice assignment (repr for %d and %r,
-    str for %s). An attached row's text then replaces it: row_records for an
-    imaginary scan, the root template per tuple for a real one. The values
-    are plain ints and finite floats, so repr writes them as json.dumps does.
+    str for %s). An attached row's text then replaces it: each of its record
+    tuples fills the template of its holes (_ROOTED). The values are plain
+    ints and finite floats, so repr writes them as json.dumps does.
     """
     import numpy as np
 
@@ -517,9 +521,8 @@ def _row_text(
         if spec != "%":  # else an escaped "%", kept as text
             slots.append((len(row), str if spec == "s" else repr))
         row += ["%" if spec == "%" else None, literal]
-    w, rooted = len(row), _template(fmt, _ROOT, log_branch)
-    at = b.index if b.roots else b.index[:0]  # a real scan with no unit powers attaches no root
-    per_field = len(b.roots) // max(len(at), 1)
+    w, at = len(row), b.index
+    rooted = {n: _template(fmt, holes, log_branch) for n, holes in _ROOTED.items()}
     yield first
     for i in range(0, len(b.D), _JSON_CHUNK_ROWS):
         j = min(i + _JSON_CHUNK_ROWS, len(b.D))
@@ -534,10 +537,8 @@ def _row_text(
         out = row * (j - i)
         for (slot, conv), col in zip(slots, cols):
             out[slot::w] = map(conv, col)
-        for k, a in enumerate(at[lo:hi].tolist(), lo):
-            roots = b.roots[k * per_field : (k + 1) * per_field]
-            text = (fmt.sep.join(map(rooted.__mod__, roots)) if units is not None
-                    else fmt.render(row_records(roots, log_branch)))
+        for a, roots in zip(at[lo:hi].tolist(), b.roots[lo:hi]):
+            text = fmt.sep.join([rooted[len(r)] % r for r in roots])
             out[(a - i) * w : (a - i + 1) * w] = [fmt.sep + text] + [""] * (w - 1)
         out[0] = (fmt.sep if i else fmt.lead) + out[0][len(fmt.sep) :]
         yield "".join(out)

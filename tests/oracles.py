@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from math import gcd, isqrt
 
+from lgw.errors import TermLimitExceeded
+
 
 def bisect(f, lo: float, hi: float, iters: int = 200) -> float:
     """Plain bisection; assumes one sign change on [lo, hi]."""
@@ -79,6 +81,56 @@ def pell_minimal_unit(d: int, y_cap: int) -> tuple[int, int, int] | None:
     return None
 
 
+# The step cap of lgw.fields._CF_STEP_LIMIT.
+_CF_STEP_LIMIT = 10_000_000
+
+
+def cf_unit_full_period(d: int) -> tuple[int, int, int]:
+    """Continued-fraction sweep; returns (x, y, norm) with x^2 - d*y^2 = 4*norm.
+
+    Expands sqrt(d) for d = 2,3 mod 4 and (1+sqrt(d))/2 for d = 1 mod 4,
+    reading the fundamental solution off the convergent just before the
+    period closes. The returned pair is normalized to the half-integral
+    coordinate system (so x = y = 0 mod 2 encodes an integral unit). The
+    walk over the whole period that lgw used before both of its continued
+    fractions stopped at the middle.
+    """
+    s = isqrt(d)
+    if d % 4 == 1:
+        p_state, q_state = 1, 2
+    else:
+        p_state, q_state = 0, 1
+    a = (p_state + s) // q_state
+    p_prev, p_cur = 1, a
+    q_prev, q_cur = 0, 1
+    first = None
+    steps = 0
+    while True:
+        steps += 1
+        if steps > _CF_STEP_LIMIT:
+            raise TermLimitExceeded(
+                f"continued fraction of d={d} did not close within {_CF_STEP_LIMIT} steps"
+            )
+        p_state = a * q_state - p_state
+        q_state = (d - p_state * p_state) // q_state
+        a = (p_state + s) // q_state
+        if first is None:
+            first = (p_state, q_state)
+            period = 1
+        elif (p_state, q_state) == first:
+            break
+        else:
+            period += 1
+        p_prev, p_cur = p_cur, a * p_cur + p_prev
+        q_prev, q_cur = q_cur, a * q_cur + q_prev
+    norm = -1 if period % 2 == 1 else 1
+    if d % 4 == 1:
+        x, y = 2 * p_prev - q_prev, q_prev
+    else:
+        x, y = 2 * p_prev, 2 * q_prev
+    return x, y, norm
+
+
 def legendre_euler(a: int, p: int) -> int:
     """Legendre symbol via Euler's criterion; p an odd prime."""
     a %= p
@@ -143,6 +195,27 @@ def reduced_definite_form_counts_loop(limit: int):
             counts[start : start + (n - 1) * four_a + 1 : four_a] += weight
             if weight == 2:
                 counts[start] -= 1
+    return counts
+
+
+def class_numbers_imaginary_batch(limit: int):
+    """counts[n] = number of reduced forms of discriminant -n, n <= limit.
+
+    Not an oracle: the int64 array of limit + 1 entries that lgw's form
+    sieve (lgw.fields._imaginary_form_counts) gives by its two residue
+    classes, for the tests to compare with the loops above. Forms exist only
+    at n = 0, 3 mod 4, so every other entry is 0. Imprimitive forms are
+    counted too; they cannot occur at a fundamental -n, so entries there are
+    exact class numbers.
+    """
+    import numpy as np
+
+    from lgw.fields import _imaginary_form_counts
+
+    counts = np.zeros(limit + 1, dtype=np.int64)
+    by_class = _imaginary_form_counts(limit)
+    counts[0::4] = by_class[:, 0]
+    counts[3::4] = by_class[: len(counts[3::4]), 1]
     return counts
 
 

@@ -21,7 +21,6 @@ from lgw.fields import (
     BinaryQuadraticForm,
     class_number,
     class_number_analytic,
-    class_numbers_imaginary_batch,
     describe_field,
     discriminant_of_radicand,
     fundamental_discriminants,
@@ -37,6 +36,8 @@ from lgw.fields import (
 
 import lgw.fields
 from oracles import (
+    cf_unit_full_period,
+    class_numbers_imaginary_batch,
     legendre_euler,
     narrow_class_number_brute,
     pell_minimal_unit,
@@ -230,11 +231,19 @@ class TestFundamentalUnit:
 
 
 class TestBatchedUnits:
-    """fields._cf_units runs _cf_unit's continued fraction for many d at once."""
+    """fields._cf_units runs _cf_unit's continued fraction for many d at once.
+    Both stop at the middle of the period and share its formulas, so both are
+    checked against the walk over the whole period."""
 
     @staticmethod
     def radicands(hi):
         return np.array([d for d in range(2, hi + 1) if is_squarefree(d)], dtype=np.int64)
+
+    @staticmethod
+    def assert_units_match_full_period(d):
+        expected = [cf_unit_full_period(int(v)) for v in d]
+        assert [lgw.fields._cf_unit(int(v)) for v in d] == expected
+        assert lgw.fields._cf_units(d) == expected
 
     @pytest.mark.parametrize("bound, rows", [(None, None), (1 << 6, 7)],
                              ids=["default", "tiny-bound-and-batch"])
@@ -246,7 +255,7 @@ class TestBatchedUnits:
             monkeypatch.setattr(lgw.fields, "_CF_INT64_BOUND", bound)
             monkeypatch.setattr(lgw.fields, "_CF_BATCH_ROWS", rows)
         d = self.radicands(3000)
-        assert lgw.fields._cf_units(d) == [lgw.fields._cf_unit(int(v)) for v in d]
+        self.assert_units_match_full_period(d)
         cols = lgw.fields._unit_columns(d)
         assert [lgw.fields.FundamentalUnit(int(v), *u) for v, u in zip(d, zip(*cols))] == [
             fundamental_unit(int(v)) for v in d
@@ -256,7 +265,7 @@ class TestBatchedUnits:
         # periods of thousands of steps, and units of tens of thousands of bits
         d = np.array([99_999_989, 99_999_971, 94_418_953, 12_345_679, 9_699_691], dtype=np.int64)
         assert all(is_squarefree(int(v)) for v in d)
-        assert lgw.fields._cf_units(d) == [lgw.fields._cf_unit(int(v)) for v in d]
+        self.assert_units_match_full_period(d)
 
     def test_step_cap_is_a_term_limit(self, monkeypatch):
         monkeypatch.setattr(lgw.fields, "_CF_STEP_LIMIT", 5)

@@ -1,8 +1,9 @@
-"""The bytes of `lgw scan --real` and of `lgw table` over it, pinned by sha256,
-and those of `lgw scan --imaginary` at 1e6.
+"""The bytes of `lgw scan` and of `lgw table` over it, pinned by sha256.
 
 The real digests were taken from the per-field real scan, before its rows
-became columns; every later form of the scan must write the same bytes.
+became columns; the imaginary ones (imag_conventions here, and the scans at
+1e6 that the CI workflow checks) while an imaginary scan still built its
+rows eagerly. Every later form of the scan must write the same bytes.
 """
 
 import contextlib
@@ -15,10 +16,11 @@ import pytest
 from lgw.cli import run
 
 CASES = {
-    "limit3000": ["--limit", "3000"],
-    "radicand_powers": ["--limit", "3000", "--by-radicand", "--powers", "3"],
-    "same_branch": ["--limit", "5000", "--pairing", "same-branch", "--branch", "-1"],
-    "log_branch": ["--limit", "300", "--log-branch", "1"],
+    "limit3000": ["--real", "--limit", "3000"],
+    "radicand_powers": ["--real", "--limit", "3000", "--by-radicand", "--powers", "3"],
+    "same_branch": ["--real", "--limit", "5000", "--pairing", "same-branch", "--branch", "-1"],
+    "log_branch": ["--real", "--limit", "300", "--log-branch", "1"],
+    "imag_conventions": ["--imaginary", "--limit", "5000", "--log-branch", "-2", "--branch", "2"],
 }
 
 SHA256 = {
@@ -38,6 +40,10 @@ SHA256 = {
     "log_branch/table": "d8cc596b36243dc3e1d6f2449e01028d286af892a6fa8a60a7bd87ff2426a064",
     "log_branch/csv": "22fb578e671dec772e3b7940fa955151b01c4d06e65c0a8c17164a9fe6fc75bc",
     "log_branch/plain": "5c5b9c9b8f88784b44a23fdb3de285f91fc5fca5a300f6398e51f91e906c1ca4",
+    "imag_conventions/json": "dfd19701974ebeb42536b148ad22bbe03b62a58e5358a8fd5914d7be606b5c23",
+    "imag_conventions/table": "18a7183d05251e7425f0af0ede2c1b7bb20f86c46ab0660454e689b0703883ca",
+    "imag_conventions/csv": "07801ab78086d5c68a71ce3abb630d5b1b018c77714a56c8f9ceabfa1741e35d",
+    "imag_conventions/plain": "9d75585eae5de5ce0862f87b74392fca045633d1fac210bcabd29a57fc2d5f87",
 }
 
 # `lgw scan --real --limit 100000 --format csv`: too slow for the suite, so
@@ -62,6 +68,11 @@ SHA256_JSON_1E5 = "e54f55539447bc581399f1bb3d24615f271d2efbb8440c15456ea3bc67e84
 SHA256_IMAG_JSON_1E6 = "beb5e96f74f2625f441e11e40c6251d96c992de35cc3ea96d5794eb26e3e1a0e"
 SHA256_IMAG_CSV_1E6 = "fe4effcd6d7f2d304efe7de9979a5f9b2ef79182b6a7bfe4ac8f216e98985519"
 
+# `lgw scan --imaginary --limit 1000000 --log-branch 1 --branch -1 --format
+# plain`: every torsion unit, 1 included, with a root off the principal
+# branches; checked by the CI workflow the same way.
+SHA256_IMAG_PLAIN_1E6_CONVENTIONS = "bdbd75058070e64c93d08261ef4033af71f8385e2d2b2265ef9b049beb39f4bb"
+
 
 def stdout_of(argv, stdin=None):
     out = io.StringIO()
@@ -83,7 +94,7 @@ def sha256(text):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_scan_and_table_bytes(case):
     for fmt in ("json", "csv", "plain"):
-        out = stdout_of(["scan", "--real", *CASES[case], "--format", fmt])
+        out = stdout_of(["scan", *CASES[case], "--format", fmt])
         assert sha256(out) == SHA256[f"{case}/{fmt}"], fmt
         if fmt == "json":
             assert sha256(stdout_of(["table"], stdin=out)) == SHA256[f"{case}/table"]

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 import lgw.fields
 import lgw.survey
 from lgw.errors import DomainError, TermLimitExceeded
-from lgw.fields import class_number, fundamental_discriminants, radicand_of_discriminant
-from lgw.solver import Case, Pairing, UnitInput, alpha_real_case
+from lgw.fields import class_number, fundamental_discriminants, radicand_of_discriminant, roots_of_unity
+from lgw.solver import Case, Pairing, UnitInput, alpha_complex_case, alpha_real_case
 from lgw.survey import (
     CSV_COLUMNS,
     SurveyRow,
@@ -123,19 +123,44 @@ class TestScanImaginary:
         assert s.count_h1 == 9
         assert len(calls) <= 20
 
-    def test_lazy_rows_match_eager_rows(self):
-        # the rows view, built from the columns, against rows made one D at
-        # a time: class_number by forms, the radicand, and the h = 1 roots
-        s = scan_imaginary(2000)
+    @pytest.mark.parametrize("branch, log_branch", [(0, 0), (-1, 1), (2, -2)])
+    def test_lazy_rows_match_eager_rows(self, branch, log_branch):
+        # the rows view, built from the columns and the record tuples, against
+        # rows made one D at a time: class_number by forms, the radicand, and
+        # alpha_complex_case for each torsion unit of an h = 1 field
+        s = scan_imaginary(2000, branch=branch, log_branch=log_branch)
         eager = []
         for D in reversed(fundamental_discriminants(-2000, -3)):
             h = class_number(D)
-            d = radicand_of_discriminant(D)
-            alphas = lgw.survey._imaginary_row(D, d, 0, 0).alphas if h == 1 else ()
-            eager.append((D, d, h, alphas))
-        assert [(r.D, r.d, r.h, r.alphas) for r in s.rows] == eager
+            mu = roots_of_unity(D) if h == 1 else None
+            alphas = tuple(
+                UnitAlpha(
+                    next(k for k, arg in lgw.survey._TORSION_ARGS.items()
+                         if abs(arg - cmath.phase(eps)) < 1e-9),
+                    None, None,
+                    None if eps == 1 and log_branch == 0 else
+                    alpha_complex_case(UnitInput.complex_unit(eps, log_branch), branch),
+                )
+                for eps in mu.elements
+            ) if h == 1 else ()
+            eager.append(SurveyRow(D, radicand_of_discriminant(D), h, Case.COMPLEX, mu, alphas))
+        assert s.rows == tuple(eager)
         assert s.rows is s.rows  # built once
-        assert s == scan_imaginary(2000)
+        assert s.batch.attached is s.batch.attached
+        assert s == scan_imaginary(2000, branch=branch, log_branch=log_branch)
+
+    def test_integer_like_conventions_write_plain_ints(self):
+        # numpy integers and bools are taken as the ints they stand for
+        import numpy as np
+
+        plain = summary_to_json(scan_imaginary(20, branch=-1, log_branch=1), 1)
+        assert summary_to_json(scan_imaginary(20, branch=np.int64(-1), log_branch=np.int64(1)), 1) == plain
+        assert summary_to_json(scan_imaginary(20, branch=True, log_branch=True), 1) == summary_to_json(
+            scan_imaginary(20, branch=1, log_branch=1), 1
+        )
+        assert "".join(iter_summary_csv(scan_imaginary(20, branch=np.int32(2)))) == "".join(
+            iter_summary_csv(scan_imaginary(20, branch=2))
+        )
 
     def test_ceiling_is_a_term_limit(self, monkeypatch):
         # raised before any sieve runs
