@@ -19,11 +19,13 @@ one D as for a scan. The sieve takes D up to _MAX_REAL_D = 10^8.
 
 Fundamental units come from the continued fraction of sqrt(d) or
 (1+sqrt(d))/2, run to the middle of its palindromic period and finished by
-one set of formulas (_unit_from_middle): one d at a time in Python ints
-(_cf_unit, behind fundamental_unit), or batched over the radicands of every
-positive D whose class number is asked for (_unit_columns), where the state
-of every expansion advances in numpy at once and the convergents stay in
-int64, in pieces multiplied into Python ints as they grow.
+one set of formulas, one loop over the rows (_units_from_middle): one d at
+a time in Python ints (_cf_unit, behind fundamental_unit), or batched over
+the radicands of every positive D whose class number is asked for
+(_unit_columns). The batch runs in a fixed set of numpy lanes, each of
+which takes the next radicand as soon as its row reaches the middle; the
+convergents stay in int64, in pieces multiplied into Python ints as they
+grow, all rows that pass the int64 bound at a step at once.
 
 Negative D go down to -_MAX_IMAG_D = -10^7. class_number(D < 0) lists the
 reduced definite forms of one D; an imaginary scan counts them for every
@@ -44,7 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import gcd, isqrt
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import (
     DegenerateD,
@@ -294,39 +296,27 @@ def _unit_label(x: int, y: int, d: int, half_integral: bool) -> str:
     return f"({x}+{y}*sqrt({d}))/2" if half_integral else f"{x}+{y}*sqrt({d})"
 
 
-def _log_half_sum(x: int, y: int, d: int, halves: int) -> float:
-    # log((x + y*sqrt(d)) / 2^halves) for big positive integers x, y
-    lx = math.log(x)
-    ly = 0.5 * math.log(d) + math.log(y)
-    hi, lo = (lx, ly) if lx >= ly else (ly, lx)
-    return hi + math.log1p(math.exp(lo - hi)) - halves * math.log(2.0)
-
-
-# Step cap on the continued-fraction sweep: a radicand whose period is
-# longer fails with a domain error instead of running on.
+# Step cap on the continued-fraction sweep of one radicand: a radicand whose
+# period is longer fails with a domain error instead of running on.
 _CF_STEP_LIMIT = 10_000_000
 
 
-def _cf_unit(d: int) -> tuple[int, int, int]:
-    """Continued-fraction sweep; returns (x, y, norm) with x^2 - d*y^2 = 4*norm.
-
-    Expands sqrt(d) for d = 2,3 mod 4 and (1+sqrt(d))/2 for d = 1 mod 4 in
-    Python ints to the middle of the period, as _cf_units does for many d,
-    and finishes as it does (_unit_from_middle). The pair is normalized to
-    the half-integral coordinate system (x = y = 0 mod 2: an integral unit).
-    """
+def _cf_unit(d: int) -> tuple[bool, int, int, int, int, int, int]:
+    """The continued fraction of sqrt(d) for d = 2,3 mod 4 and of
+    (1+sqrt(d))/2 for d = 1 mod 4, in Python ints, to the middle of its
+    period: (odd, a_m, q, q_, P, Q, Q_) as _cf_units gives it for many d,
+    which _units_from_middle turns into the unit."""
     s = isqrt(d)
     P, Q = (1, 2) if d % 4 == 1 else (0, 1)
     a = (P + s) // Q
-    p, p_, q, q_ = a, 1, 1, 0  # the convergents at the current step and the one before
+    q, q_ = 1, 0  # the denominators of the convergents at the current step and the one before
     for _ in range(_CF_STEP_LIMIT):
         P_, Q_, a_ = P, Q, a
         P = a * Q - P
         Q = (d - P * P) // Q
         if Q == Q_ or P == P_:
-            return _unit_from_middle(d, Q == Q_, a_, p, p_, q, q_)
+            return Q == Q_, a_, q, q_, P, Q, Q_
         a = (P + s) // Q
-        p, p_ = a * p + p_, p
         q, q_ = a * q + q_, q
     raise TermLimitExceeded(f"continued fraction of d={d} did not close within {_CF_STEP_LIMIT} steps")
 
@@ -350,19 +340,8 @@ def fundamental_unit(d: int) -> FundamentalUnit:
 
 def _unit_of_squarefree(d: int) -> FundamentalUnit:
     """fundamental_unit(d) for a d > 1 already known to be squarefree."""
-    return FundamentalUnit(d, *_unit_fields(d, *_cf_unit(d)))
-
-
-def _unit_fields(d: int, x: int, y: int, norm: int) -> tuple[int, int, bool, int, float]:
-    """(x, y, half_integral, norm, regulator) of the unit of radicand d from
-    the (x, y, norm) of its continued fraction; the Pell relation is checked
-    exactly."""
-    half = not (x % 2 == 0 and y % 2 == 0)
-    if not half:
-        x //= 2
-        y //= 2
-    assert x * x - d * y * y == (4 * norm if half else norm)
-    return x, y, half, norm, _log_half_sum(x, y, d, 1 if half else 0)
+    columns = _units_from_middle([d], *([v] for v in _cf_unit(d)))
+    return FundamentalUnit(d, *(column[0] for column in columns))
 
 
 class _UnitColumns(NamedTuple):
@@ -377,45 +356,61 @@ class _UnitColumns(NamedTuple):
 
 
 # A batched continued fraction holds a product of the matrices of its
-# partial quotients in int64 while its entries stay below this. Partial
-# quotients are below 2*sqrt(d) < 2^15 for d <= _MAX_REAL_D, so one more step
-# stays below 2^56.
-_CF_INT64_BOUND = 1 << 40
+# partial quotients in int64 while its entries stay at most this over 2^b,
+# b the bit length of 2*isqrt(d) for the largest d, which bounds every
+# partial quotient: one more step then stays at most 2^62. b = 15 for
+# d <= _MAX_REAL_D.
+_CF_INT64_BOUND = 1 << 62
 
-# Radicands one batched continued fraction expands together.
+# Lanes of the batched continued fraction, the radicands it expands at once,
+# and the rows of the runs it hands to the finish.
 _CF_BATCH_ROWS = 4096
 
 
 def _unit_columns(d: np.ndarray) -> _UnitColumns:
     """The fields of _unit_of_squarefree(d) for every d of an int64 array of
-    squarefree radicands 1 < d <= _MAX_REAL_D, by one batched continued
-    fraction (_cf_units) per _CF_BATCH_ROWS of them."""
-    rows = []
-    for i in range(0, len(d), _CF_BATCH_ROWS):
-        part = d[i : i + _CF_BATCH_ROWS]
-        rows += [_unit_fields(di, *u) for di, u in zip(part.tolist(), _cf_units(part))]
-    return _UnitColumns(*map(list, zip(*rows))) if rows else _UnitColumns([], [], [], [], [])
+    squarefree radicands 1 < d <= _MAX_REAL_D: the middles of one batched
+    continued fraction over all of them (_cf_units), finished a run of
+    _CF_BATCH_ROWS rows at a time (_units_from_middle), so the middles of
+    only one run are held as Python ints beside the columns."""
+    columns = _UnitColumns([], [], [], [], [])
+    for i, middles in zip(range(0, len(d), _CF_BATCH_ROWS), _cf_units(d)):
+        for column, part in zip(columns, _units_from_middle(d[i : i + _CF_BATCH_ROWS].tolist(), *middles)):
+            column += part
+    return columns
 
 
-def _cf_units(d: np.ndarray) -> list[tuple[int, int, int]]:
-    """_cf_unit(d) for every d of an int64 array.
+def _cf_units(d: np.ndarray) -> Iterator[list[list[int]]]:
+    """_cf_unit(d) for every d of an int64 array, as the seven columns
+    (odd, a_m, q, q_, P, Q, Q_) of each run of _CF_BATCH_ROWS radicands in
+    turn.
 
-    Every row runs the continued fraction of _cf_unit, all rows in step, to
-    the middle of its period. With complete quotients
-    (P_k + sqrt(d))/Q_k and partial quotients a_k, the a_1 ... a_{l-1} of a
-    period of length l read the same both ways, and the middle shows as
-    Q_{m+1} = Q_m for l = 2m + 1 and as P_{m+1} = P_m for l = 2m (Jacobson &
-    Williams, Solving the Pell Equation, 2009; Cohen, GTM 138, section 5.7).
-    The convergent p_{l-1}/q_{l-1} at the end of the period, which gives
-    the unit, then follows from those at m (_unit_from_middle).
+    Every row runs the continued fraction of _cf_unit to the middle of its
+    period. With complete quotients (P_k + sqrt(d))/Q_k and partial
+    quotients a_k, the a_1 ... a_{l-1} of a period of length l read the same
+    both ways, and the middle shows as Q_{m+1} = Q_m for l = 2m + 1 and as
+    P_{m+1} = P_m for l = 2m (Jacobson & Williams, Solving the Pell
+    Equation, 2009; Cohen, GTM 138, section 5.7). The denominators q at m
+    and q_ at m - 1 of the convergents p/q, with a_m and the complete
+    quotients there, then give the unit (_units_from_middle).
+
+    The rows run in _CF_BATCH_ROWS lanes that all advance at once in numpy.
+    When a lane's row reaches its middle, its result is written back by the
+    row's index and the lane takes the next radicand, so every lane stays
+    busy until the radicands run out; then the lanes drain, and the arrays
+    shed finished lanes once they are half of them. _CF_STEP_LIMIT caps the
+    steps of each row, counted from the step its lane took it.
 
     The state (P, Q, a) stays below 2*sqrt(d) < 2^15, so float64 holds it,
-    and its division exactly; it advances for all rows at once. So do the
-    convergents, as the product M = [[p, p_], [q, q_]] of the matrices
-    A_k = [[a_k, 1], [1, 0]], in int64: once p passes _CF_INT64_BOUND, M is
-    multiplied into the row's Python-int product B and starts again from the
-    identity, so the convergents are B M. A row that reaches its middle
-    drops out; the arrays shed such rows once they are half of them.
+    and its division exactly. The convergents are the product
+    M = [[p, p_], [q, q_]] of the matrices A_k = [[a_k, 1], [1, 0]], in
+    int64: once p passes _CF_INT64_BOUND over the largest partial quotient,
+    M is multiplied into the row's Python-int product B and starts again
+    from the identity, so the convergents are B M. Only the bottom row of B
+    is kept, since the unit needs only the q of the convergents. The rows
+    that pass the bound at one step are multiplied in together, as one
+    product of that row by M over numpy object arrays, and so are the rows
+    past it at their middles, a run at a time.
     """
     import numpy as np
 
@@ -423,83 +418,158 @@ def _cf_units(d: np.ndarray) -> list[tuple[int, int, int]]:
     s = np.sqrt(d).astype(np.int64)
     s -= s * s > d
     s += (s + 1) * (s + 1) <= d
-    dd, root = d.astype(np.float64), s.astype(np.float64)
-    P = (d % 4 == 1).astype(np.float64)  # sqrt(d) starts at (0, 1), (1 + sqrt(d))/2 at (1, 2)
-    Q = P + 1.0
-    a = np.floor((P + root) / Q)
-    # p1/q1 the current convergent, p0/q0 the one before: M = [[p1, p0], [q1, q0]]
-    p1, q1 = a.astype(np.int64), np.ones(n, dtype=np.int64)
-    p0, q0 = q1.copy(), np.zeros(n, dtype=np.int64)
-    idx, live, n_live = np.arange(n), np.ones(n, dtype=bool), n
-    # per radicand, at its middle: odd period, a_m and M
-    middle = np.zeros((6, n), dtype=np.int64)
-    big: dict[int, tuple[int, int, int, int]] = {}  # index -> B of a row past the bound
-    steps = 0
+    d_all, root_all = d.astype(np.float64), s.astype(np.float64)
+    P_all = (d % 4 == 1).astype(np.float64)  # sqrt(d) starts at (0, 1), (1 + sqrt(d))/2 at (1, 2)
+    Q_all = P_all + 1.0
+    a_all = np.floor((P_all + root_all) / Q_all)
+    bound = _CF_INT64_BOUND >> int(2 * s.max(initial=0)).bit_length()
+    w = min(_CF_BATCH_ROWS, n)
+    dd, root, P, Q, a = (v[:w].copy() for v in (d_all, root_all, P_all, Q_all, a_all))
+    # p1/q1 the current convergent, p0/q0 the one before: M = [[p1, p0], [q1, q0]].
+    # A lane takes a row with M = 1, and its first step makes M = A_0.
+    p1, p0, q1, q0 = (np.full(w, v, dtype=np.int64) for v in (1, 0, 0, 1))
+    idx, start, live = np.arange(w), np.zeros(w, dtype=np.int64), np.ones(w, dtype=bool)
+    n_live, loaded = w, w
+    # per radicand, at its middle: odd period, M's q, q_, p, p_, and a_m, P, Q at
+    # m + 1 and Q at m
+    middle, state = np.zeros((5, n), dtype=np.int64), np.zeros((4, n), dtype=np.int32)
+    b = None  # per radicand, the bottom row of B as Python ints, once a row passes the bound
+    steps = oldest = 0  # oldest: a lower bound on the start of every live lane
     while n_live:
+        ai = a.astype(np.int64)
+        p0 += ai * p1
+        q0 += ai * q1
+        p0, p1, q0, q1 = p1, p0, q1, q0
+        over = p1 > bound
+        if over.any():
+            j = np.flatnonzero(over)
+            if b is None:
+                b = np.zeros((2, n), dtype=object)
+                b[1] = 1
+                crossed = np.zeros(n, dtype=bool)
+            r = idx[j]
+            b[:, r] = _bottom_row(*b[:, r], p1[j], p0[j], q1[j], q0[j])
+            crossed[r] = True
+            p1[j] = q0[j] = 1
+            p0[j] = q1[j] = 0
         steps += 1
-        if steps > _CF_STEP_LIMIT:
-            raise TermLimitExceeded(
-                f"continued fraction of d={int(d[idx[live][0]])} did not close within "
-                f"{_CF_STEP_LIMIT} steps"
-            )
+        if steps - oldest > _CF_STEP_LIMIT:
+            oldest = int(start[live].min())
+            if steps - oldest > _CF_STEP_LIMIT:
+                i = idx[np.flatnonzero(live & (start == oldest))[0]]
+                raise TermLimitExceeded(
+                    f"continued fraction of d={int(d[i])} did not close within {_CF_STEP_LIMIT} steps"
+                )
         P_, Q_, a_ = P, Q, a
         P = a * Q - P
         Q = (dd - P * P) / Q
         a = np.floor((P + root) / Q)
         odd = Q == Q_
         mid = (odd | (P == P_)) & live  # at the first step, P = P_ only for d = 5, with Q = Q_
-        if mid.any():
-            j = np.flatnonzero(mid)
-            middle[:, idx[j]] = odd[j], a_[j].astype(np.int64), p1[j], p0[j], q1[j], q0[j]
+        if not mid.any():
+            continue
+        j = np.flatnonzero(mid)
+        i = idx[j]
+        middle[:, i] = odd[j], q1[j], q0[j], p1[j], p0[j]
+        state[:, i] = a_[j], P[j], Q[j], Q_[j]
+        k = min(len(j), n - loaded)
+        new, j = j[:k], j[k:]
+        if k:  # the next radicands, at their start, with M = 1
+            rows = slice(loaded, loaded + k)
+            dd[new], root[new], P[new], Q[new], a[new] = (
+                v[rows] for v in (d_all, root_all, P_all, Q_all, a_all)
+            )
+            p1[new] = q0[new] = 1
+            p0[new] = q1[new] = 0
+            idx[new] = np.arange(loaded, loaded + k)
+            start[new] = steps
+            loaded += k
+        if len(j):  # no radicand left for these lanes
             live[j] = False
             p0[j] = p1[j] = q0[j] = q1[j] = 0  # zeros stay zero, below the bound
             n_live -= len(j)
             if 2 * n_live <= len(live):
                 keep = np.flatnonzero(live)
-                dd, root, P, Q, a, p0, p1, q0, q1, idx, live = (
-                    v[keep] for v in (dd, root, P, Q, a, p0, p1, q0, q1, idx, live)
+                dd, root, P, Q, a, p0, p1, q0, q1, idx, start, live = (
+                    v[keep] for v in (dd, root, P, Q, a, p0, p1, q0, q1, idx, start, live)
                 )
-        ai = a.astype(np.int64)
-        p0 += ai * p1
-        q0 += ai * q1
-        p0, p1, q0, q1 = p1, p0, q1, q0
-        over = p1 > _CF_INT64_BOUND
-        if over.any():
-            j = np.flatnonzero(over)
-            for i, *m in zip(idx[j].tolist(), *(v[j].tolist() for v in (p1, p0, q1, q0))):
-                big[i] = _times(big[i], m) if i in big else tuple(m)
-            p1[j] = q0[j] = 1
-            p0[j] = q1[j] = 0
-    odd, a_m, p, p_, q, q_ = middle.tolist()
-    for i, b in big.items():
-        p[i], p_[i], q[i], q_[i] = _times(b, (p[i], p_[i], q[i], q_[i]))
-    return list(map(_unit_from_middle, d.tolist(), odd, a_m, p, p_, q, q_))
+    del d_all, root_all, P_all, Q_all, a_all  # not held while the runs are handed out
+    for i in range(0, n, _CF_BATCH_ROWS):
+        j = min(i + _CF_BATCH_ROWS, n)
+        (odd, q, q_), (a_m, P, Q, Q_) = middle[:3, i:j].tolist(), state[:, i:j].tolist()
+        if b is not None:  # the q of B M for the rows past the bound
+            k = np.flatnonzero(crossed[i:j])
+            r = k + i
+            _, q1, q0, p1, p0 = middle[:, r]
+            for column, values in zip((q, q_), _bottom_row(*b[:, r], p1, p0, q1, q0)):
+                for at, v in zip(k.tolist(), values.tolist()):
+                    column[at] = v
+            b[:, r] = 0
+        yield [odd, a_m, q, q_, P, Q, Q_]
 
 
-def _times(b, m) -> tuple[int, int, int, int]:
-    """The 2 x 2 product b m, each matrix given as its entries row by row."""
-    b00, b01, b10, b11 = b
-    m00, m01, m10, m11 = m
-    return b00 * m00 + b01 * m10, b00 * m01 + b01 * m11, b10 * m00 + b11 * m10, b10 * m01 + b11 * m11
+def _bottom_row(b10, b11, m00, m01, m10, m11):
+    """The bottom row of the 2 x 2 product [[., .], [b10, b11]] [[m00, m01], [m10, m11]]."""
+    return b10 * m00 + b11 * m10, b10 * m01 + b11 * m11
 
 
-def _unit_from_middle(d: int, odd: bool, a_m: int, p: int, p_: int, q: int, q_: int
-                      ) -> tuple[int, int, int]:
-    """The unit's (x, y, norm) from the middle of the period: the convergents
-    p/q at m and p_/q_ at m - 1, and a_m, of a period l = 2m + 1 (odd) or
-    l = 2m.
+# log 2, the log of the halving of a half-integral unit
+_LOG_2 = math.log(2.0)
 
-    With A_k = [[a_k, 1], [1, 0]], the convergents at k are the columns of
+
+def _units_from_middle(d: list[int], odd: list, a_m: list[int], q: list[int], q_: list[int],
+                       P: list[int], Q: list[int], Q_: list[int]) -> _UnitColumns:
+    """The unit columns of radicands d from the middles of their continued
+    fractions (_cf_unit, _cf_units): for a period l = 2m + 1 (odd) or
+    l = 2m, a_m, the denominators q at m and q_ at m - 1 of the
+    convergents, and P, Q of the complete quotient at m + 1 and Q_ at m.
+
+    The convergent p/q at l - 1 gives the unit: x + y*sqrt(d) for
+    d = 2, 3 mod 4 and (x + y*sqrt(d))/2 for d = 1 mod 4, with
+    x = Q_0 p - P_0 q and y = q, halved to integral coordinates when both
+    are even; its norm is -1 for an odd period. With
+    A_k = [[a_k, 1], [1, 0]], the convergents p_k/q_k are the columns of
     A_0 A_1 ... A_k, and the symmetric period makes A_1 ... A_{l-1} equal to
-    N N^T (odd) or N A_m N^T (even) for N = A_1 ... A_m resp. A_1 ... A_{m-1}.
+    N N^T (odd) or N A_m N^T (even), N = A_1 ... A_m resp. A_1 ... A_{m-1}.
+    The sqrt(d) parts of w = (p_k w_{k+1} + p_{k-1}) / (q_k w_{k+1} + q_{k-1})
+    for w = (P_0 + sqrt(d))/Q_0 give
+    Q_0 p_k = (P_{k+1} + P_0) q_k + Q_{k+1} q_{k-1}, which leaves only the q:
+    for an odd period (where Q = Q_ and P_m = a_m Q - P),
+    x = P (q^2 - q_^2) + 2Q q q_ and y = q^2 + q_^2; for an even one (where
+    P = P_m), x = P y + Q q_^2 + Q_ q__^2 and y = q_ (q + q__), with
+    q__ = q - a_m q_ at m - 2. The Pell relation is checked exactly on every
+    row.
+
+    One loop over the rows, with no call per row, fills x, y, half_integral
+    and norm; a second one the regulator log((x + y*sqrt(d)) / 2^half) as
+    hi + log1p(exp(lo - hi)) - half*log 2 of lx = log x and
+    ly = log(d)/2 + log y, hi the larger, from math's log mapped over the
+    columns, so a unit of any size stays finite.
     """
-    if odd:
-        p, q = p * q + p_ * q_, q * q + q_ * q_
-    else:
-        q__ = q - a_m * q_  # q at m - 2
-        p, q = p * q_ + p_ * q__, q_ * (q + q__)
-    x, y = (2 * p - q, q) if d % 4 == 1 else (2 * p, 2 * q)
-    return x, y, -1 if odd else 1
+    x, y, half_integral, norm, regulator = columns = _UnitColumns([], [], [], [], [])
+    for di, o, a, qm, qm_, Pm, Qm, Qm_ in zip(d, odd, a_m, q, q_, P, Q, Q_):
+        if o:
+            s, s_ = qm * qm, qm_ * qm_
+            xi, yi, n = Pm * (s - s_) + 2 * Qm * qm * qm_, s + s_, -1
+        else:
+            qm__ = qm - a * qm_  # q at m - 2
+            yi = qm_ * (qm + qm__)
+            xi, n = Pm * yi + Qm * qm_ * qm_ + Qm_ * qm__ * qm__, 1
+        h = di % 4 == 1
+        if h and yi % 2 == 0:
+            xi, yi, h = xi // 2, yi // 2, False
+        assert xi * xi - di * yi * yi == (4 * n if h else n), di
+        x.append(xi)
+        y.append(yi)
+        half_integral.append(h)
+        norm.append(n)
+    exp, log1p = math.exp, math.log1p
+    for lx, ld, ly, h in zip(map(math.log, x), map(math.log, d), map(math.log, y), half_integral):
+        ly = 0.5 * ld + ly
+        hi, lo = (lx, ly) if lx >= ly else (ly, lx)
+        r = hi + log1p(exp(lo - hi))
+        regulator.append(r - _LOG_2 if h else r)
+    return columns
 
 
 # -- binary quadratic forms ------------------------------------------------------

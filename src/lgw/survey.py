@@ -501,10 +501,12 @@ _JSON_CHUNK_ROWS = 4096
 
 
 def _row_text(
-    summary: SurveySummary, log_branch: int, fmt: _Format, first: str, last: str
+    summary: SurveySummary, log_branch: int | None, fmt: _Format, first: str, last: str
 ) -> Iterator[str]:
     """first, fmt's text of each row's records after fmt.sep (the first after
     fmt.lead) in scan order, then last: in pieces of _JSON_CHUNK_ROWS rows.
+    The records' log_branch is the scan's own (its conventions) when
+    log_branch is None.
 
     A piece starts as the bare template split at its holes, once per row;
     each column fills its holes by one slice assignment (repr for %d and %r,
@@ -515,6 +517,8 @@ def _row_text(
     import numpy as np
 
     b, units = summary.batch, summary.batch.units
+    if log_branch is None:
+        log_branch = b.conventions["log_branch"]
     pieces = re.split("%(.)", _template(fmt, _BARE if units is None else _BARE_UNIT, log_branch))
     row, slots = [fmt.sep + pieces[0]], []
     for spec, literal in zip(pieces[1::2], pieces[2::2]):
@@ -546,14 +550,15 @@ def _row_text(
 
 
 def iter_summary_json(
-    summary: SurveySummary, log_branch: int = 0, trailer: dict | None = None
+    summary: SurveySummary, log_branch: int | None = None, trailer: dict | None = None
 ) -> Iterator[str]:
     """The summary as one JSON object, in pieces that concatenate to it.
 
     The text equals json.dumps of the object with "rows" (the row records)
     after the summary keys and the keys of `trailer` after "rows". Records
     are written a bounded number of rows at a time, so a large scan is never
-    held as one string or one list of records.
+    held as one string or one list of records. log_branch labels the
+    records; by default it is the log branch the scan used.
     """
     head = json.dumps({
         "range": list(summary.range),
@@ -566,19 +571,21 @@ def iter_summary_json(
     return _row_text(summary, log_branch, _JSON, head[:-1] + ', "rows": [', tail)
 
 
-def summary_to_json(summary: SurveySummary, log_branch: int = 0) -> str:
+def summary_to_json(summary: SurveySummary, log_branch: int | None = None) -> str:
     return "".join(iter_summary_json(summary, log_branch))
 
 
-def iter_summary_csv(summary: SurveySummary, log_branch: int = 0) -> Iterator[str]:
+def iter_summary_csv(summary: SurveySummary, log_branch: int | None = None) -> Iterator[str]:
     """The row records as CSV, in pieces that concatenate to
-    records_to_csv(row_records(summary.rows, log_branch))."""
+    records_to_csv(row_records(summary.rows, log_branch)), log_branch by
+    default the scan's own."""
     return _row_text(summary, log_branch, _CSV, ",".join(CSV_COLUMNS), "\n")
 
 
-def iter_summary_plain(summary: SurveySummary, log_branch: int = 0) -> Iterator[str]:
+def iter_summary_plain(summary: SurveySummary, log_branch: int | None = None) -> Iterator[str]:
     """A line of summary counts, then one line per row record with its
-    non-empty columns as key=value, in pieces."""
+    non-empty columns as key=value, in pieces; log_branch by default the
+    scan's own."""
     first = (f"range {summary.range[0]}..{summary.range[1]}  fields_h1={summary.count_h1}  "
              f"distinct_alpha={summary.distinct_alpha_count}  "
              f"distinct_units={summary.distinct_unit_count}")

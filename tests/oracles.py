@@ -131,6 +131,29 @@ def cf_unit_full_period(d: int) -> tuple[int, int, int]:
     return x, y, norm
 
 
+def log_half_sum(x: int, y: int, d: int, halves: int) -> float:
+    """log((x + y*sqrt(d)) / 2^halves) for big positive integers x, y: the
+    regulator formula lgw used while it finished one unit per call, term
+    for term, so a regulator built any other way must equal it bit for bit."""
+    lx = math.log(x)
+    ly = 0.5 * math.log(d) + math.log(y)
+    hi, lo = (lx, ly) if lx >= ly else (ly, lx)
+    return hi + math.log1p(math.exp(lo - hi)) - halves * math.log(2.0)
+
+
+def unit_full_period(d: int) -> tuple[int, int, bool, int, float]:
+    """(x, y, half_integral, norm, regulator) of the fundamental unit of
+    Q(sqrt(d)), d > 1 squarefree: cf_unit_full_period's pair, halved to
+    integral coordinates when both are even, with the Pell relation checked
+    and the regulator by log_half_sum."""
+    x, y, norm = cf_unit_full_period(d)
+    half = x % 2 == 1 or y % 2 == 1
+    if not half:
+        x, y = x // 2, y // 2
+    assert x * x - d * y * y == (4 * norm if half else norm)
+    return x, y, half, norm, log_half_sum(x, y, d, 1 if half else 0)
+
+
 def legendre_euler(a: int, p: int) -> int:
     """Legendre symbol via Euler's criterion; p an odd prime."""
     a %= p

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import astuple
 from math import isqrt
 
 import numpy as np
@@ -19,6 +20,7 @@ from lgw.errors import (
 )
 from lgw.fields import (
     BinaryQuadraticForm,
+    FundamentalUnit,
     class_number,
     class_number_analytic,
     describe_field,
@@ -36,7 +38,6 @@ from lgw.fields import (
 
 import lgw.fields
 from oracles import (
-    cf_unit_full_period,
     class_numbers_imaginary_batch,
     legendre_euler,
     narrow_class_number_brute,
@@ -45,6 +46,7 @@ from oracles import (
     reduced_definite_form_counts_loop,
     reduced_definite_forms_brute,
     real_class_numbers_cycles,
+    unit_full_period,
 )
 
 HEEGNER_DISCRIMINANTS = [-3, -4, -7, -8, -11, -19, -43, -67, -163]
@@ -231,9 +233,13 @@ class TestFundamentalUnit:
 
 
 class TestBatchedUnits:
-    """fields._cf_units runs _cf_unit's continued fraction for many d at once.
-    Both stop at the middle of the period and share its formulas, so both are
-    checked against the walk over the whole period."""
+    """fields._unit_columns runs _cf_unit's continued fraction for many d at
+    once, in lanes that take the next radicand as soon as a row reaches the
+    middle of its period. Both stop at that middle and share one finish, so
+    both are checked against the walk over the whole period and the
+    regulator formula of the oracles."""
+
+    LARGE = [99_999_989, 99_999_971, 94_418_953, 12_345_679, 9_699_691]
 
     @staticmethod
     def radicands(hi):
@@ -241,16 +247,15 @@ class TestBatchedUnits:
 
     @staticmethod
     def assert_units_match_full_period(d):
-        expected = [cf_unit_full_period(int(v)) for v in d]
-        assert [lgw.fields._cf_unit(int(v)) for v in d] == expected
-        assert lgw.fields._cf_units(d) == expected
+        expected = [unit_full_period(int(v)) for v in d]
+        assert [astuple(lgw.fields._unit_of_squarefree(int(v)))[1:] for v in d] == expected
+        assert list(zip(*lgw.fields._unit_columns(d))) == expected
 
     @pytest.mark.parametrize("bound, rows", [(None, None), (1 << 6, 7)],
                              ids=["default", "tiny-bound-and-batch"])
     def test_matches_scalar_continued_fraction(self, monkeypatch, bound, rows):
-        # a tiny int64 bound hands the convergents to Python ints after a few
-        # steps and again and again after that; tiny batches cut the radicands
-        # into many runs
+        # a tiny int64 bound hands the convergents to Python ints after every
+        # step; seven lanes are refilled hundreds of times
         if bound is not None:
             monkeypatch.setattr(lgw.fields, "_CF_INT64_BOUND", bound)
             monkeypatch.setattr(lgw.fields, "_CF_BATCH_ROWS", rows)
@@ -263,14 +268,51 @@ class TestBatchedUnits:
 
     def test_large_radicands(self):
         # periods of thousands of steps, and units of tens of thousands of bits
-        d = np.array([99_999_989, 99_999_971, 94_418_953, 12_345_679, 9_699_691], dtype=np.int64)
+        d = np.array(self.LARGE, dtype=np.int64)
         assert all(is_squarefree(int(v)) for v in d)
         self.assert_units_match_full_period(d)
 
+    @pytest.mark.parametrize("bound", [None, 1 << 6], ids=["default", "tiny-bound"])
+    def test_two_lanes_keep_input_order(self, monkeypatch, bound):
+        # short and long periods mixed, so the two lanes finish their rows out
+        # of order and are refilled at different steps; each result still
+        # lands on its own row
+        monkeypatch.setattr(lgw.fields, "_CF_BATCH_ROWS", 2)
+        if bound is not None:
+            monkeypatch.setattr(lgw.fields, "_CF_INT64_BOUND", bound)
+        d = [2, 99_999_941, 94, 3, 5, 2999, 991, 6, 99_999_941, 7, 13, 94, 2]
+        d += np.random.default_rng(20261019).permutation(self.radicands(400)).tolist()
+        self.assert_units_match_full_period(np.array(d, dtype=np.int64))
+
+    def test_regulator_matches_oracle_formula(self):
+        # the regulators of the one finish equal the formula each unit was
+        # once finished with, bit for bit
+        for d in (self.radicands(3000), np.array(self.LARGE, dtype=np.int64)):
+            expected = [unit_full_period(int(v))[4] for v in d]
+            assert lgw.fields._unit_columns(d).regulator == expected
+
     def test_step_cap_is_a_term_limit(self, monkeypatch):
         monkeypatch.setattr(lgw.fields, "_CF_STEP_LIMIT", 5)
-        with pytest.raises(TermLimitExceeded):
-            lgw.fields._cf_units(np.array([2, 94], dtype=np.int64))
+        with pytest.raises(TermLimitExceeded, match="d=94 did not close within 5 steps"):
+            lgw.fields._unit_columns(np.array([2, 94], dtype=np.int64))
+
+    def test_step_cap_counts_each_rows_own_steps(self, monkeypatch):
+        # two lanes take hundreds of rows in turn, far more steps than the
+        # cap in all, but every row closes within the cap on its own steps,
+        # as it does for the scalar continued fraction
+        monkeypatch.setattr(lgw.fields, "_CF_STEP_LIMIT", 5)
+        monkeypatch.setattr(lgw.fields, "_CF_BATCH_ROWS", 2)
+        short = []
+        for v in self.radicands(3000).tolist():
+            try:
+                short.append((v, lgw.fields._unit_of_squarefree(v)))
+            except TermLimitExceeded:
+                pass
+        assert len(short) > 300 and 94 not in dict(short)
+        d = np.array([v for v, _ in short], dtype=np.int64)
+        assert list(zip(*lgw.fields._unit_columns(d))) == [astuple(u)[1:] for _, u in short]
+        with pytest.raises(TermLimitExceeded, match="d=94 did not close within 5 steps"):
+            lgw.fields._unit_columns(np.insert(d, 150, 94))
 
 
 class TestWideClassNumber:
@@ -300,6 +342,19 @@ class TestWideClassNumber:
         assert [class_number(D) for D in Ds] == expected
         assert class_number(99_999_989) >= 1  # near the ceiling
         assert calls == []
+
+    def test_h_above_1e5_against_analytic(self, monkeypatch):
+        # h = 4 and 2 (seeded D near 6.7e5) from one sieve call whose single
+        # lane is refilled, against the character sum over a regulator from
+        # the full-period oracle. A regulator wrong by an integer factor still
+        # rounds to an integer h, but not to this one.
+        rng = np.random.default_rng(20261019)
+        lo = int(rng.integers(500_000, 1_000_000 - 2000))
+        Ds = sorted(rng.choice(fundamental_discriminants(lo, lo + 2000), 2, replace=False).tolist())
+        monkeypatch.setattr(lgw.fields, "_CF_BATCH_ROWS", 1)
+        h = lgw.fields._real_class_numbers(np.array(Ds, dtype=np.int64))[1].tolist()
+        monkeypatch.setattr(lgw.fields, "fundamental_unit", lambda d: FundamentalUnit(d, *unit_full_period(d)))
+        assert h == [class_number_analytic(D) for D in Ds] == [4, 2]
 
     def test_against_the_cycle_sieve_to_1e5(self):
         # the pointer-doubling sieve lgw used before the distance sums

@@ -51,6 +51,12 @@ SHA256 = {
 # leave int64).
 SHA256_CSV_1E5 = "89cbb426fcb12146dbe22335811a2b7de326c2dfa55bc5a57c05d3a95b78c762"
 
+# `lgw scan --real --limit 1000000 --format csv` (about 15 s), taken before
+# the batched continued fraction ran in refilled lanes; checked by the CI
+# workflow the same way. Only above a few thousand radicands do lanes take
+# new rows, and units of thousands of bits pass through Python ints.
+SHA256_CSV_1E6 = "d44bd952c17b6bf6f1afce409ac88cba3745ea70f50f3e38d907aea8624941cb"
+
 # `lgw scan --real --limit 100000 --by-radicand --format csv` (D up to 4e5),
 # taken from the cycle sieve before the distance sums; checked by the CI
 # workflow the same way.

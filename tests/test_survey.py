@@ -162,6 +162,19 @@ class TestScanImaginary:
             iter_summary_csv(scan_imaginary(20, branch=2))
         )
 
+    def test_writers_default_to_the_scans_log_branch(self):
+        # without a log_branch argument the records carry the one the roots
+        # were computed at, so the unit 1 reads log eps = 2*pi*i
+        s = scan_imaginary(20, log_branch=1)
+        rows = json.loads(summary_to_json(s))["rows"]
+        assert rows and {r["log_branch"] for r in rows} == {1}
+        assert summary_to_json(s) == summary_to_json(s, 1)
+        assert "".join(iter_summary_csv(s)) == "".join(iter_summary_csv(s, 1))
+        assert "".join(iter_summary_plain(s)) == "".join(iter_summary_plain(s, 1))
+        ones = [e for e in correspondence_table(rows).entries if e["unit"] == "1"]
+        assert ones and all((e["log_eps_re"], e["log_eps_im"]) == (0.0, 2 * math.pi) for e in ones)
+        assert ones == [e for e in correspondence_table(row_records(s.rows, 1)).entries if e["unit"] == "1"]
+
     def test_ceiling_is_a_term_limit(self, monkeypatch):
         # raised before any sieve runs
         monkeypatch.setattr(lgw.survey, "_fundamental_discriminant_array", None)
