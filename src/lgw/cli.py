@@ -16,7 +16,7 @@ import os
 import re
 import sys
 
-from . import fields, solver, survey, wfunc
+from . import wfunc
 from .errors import LgwDomainError, LgwNumericalError, UsageError
 
 __all__ = ["main", "run"]
@@ -147,6 +147,8 @@ def _check_tolerance(ns) -> float:
 
 def _emit(obj, ns) -> None:
     if ns.format == "csv":  # scalar columns only; conventions stay in JSON
+        from . import survey
+
         sys.stdout.write(survey.records_to_csv([obj], [k for k in obj if k != "conventions"]))
     elif ns.format == "plain":
         for k, v in obj.items():
@@ -156,8 +158,12 @@ def _emit(obj, ns) -> None:
 
 
 def _unit_input(ns, case: solver.Case) -> solver.UnitInput:
+    from . import solver
+
     log_branch = getattr(ns, "log_branch", 0)
     if getattr(ns, "d", None) is not None and case is solver.Case.REAL:
+        from . import fields
+
         fu = fields.fundamental_unit(ns.d)
         return solver.UnitInput.from_log(fu.regulator, case=solver.Case.REAL)
     if ns.log_eps_re is not None:
@@ -188,6 +194,8 @@ def _cmd_w(ns) -> int:
 
 
 def _cmd_solve(ns) -> int:
+    from . import solver
+
     tol = _check_tolerance(ns)
     eq = solver.ExpLinearEquation(
         complex(ns.a_re, ns.a_im), complex(ns.b_re, ns.b_im), complex(ns.c_re, ns.c_im)
@@ -206,6 +214,8 @@ def _cmd_solve(ns) -> int:
 
 
 def _cmd_alpha(ns) -> int:
+    from . import solver
+
     tol = _check_tolerance(ns)
     case = solver.Case(ns.case)
     u = _unit_input(ns, case)
@@ -231,6 +241,8 @@ def _cmd_alpha(ns) -> int:
 
 
 def _cmd_unit(ns) -> int:
+    from . import fields
+
     _check_tolerance(ns)
     fu = fields.fundamental_unit(ns.d)
     out = {
@@ -248,6 +260,8 @@ def _cmd_unit(ns) -> int:
 
 
 def _cmd_classno(ns) -> int:
+    from . import fields
+
     _check_tolerance(ns)
     if ns.discriminant is not None:
         D = ns.discriminant
@@ -266,6 +280,8 @@ def _cmd_classno(ns) -> int:
 
 
 def _cmd_scan(ns) -> int:
+    from . import survey
+
     _check_tolerance(ns)
     if ns.imaginary:
         summary = survey.scan_imaginary(ns.limit, branch=ns.branch, log_branch=ns.log_branch)
@@ -273,7 +289,7 @@ def _cmd_scan(ns) -> int:
         summary = survey.scan_real(
             ns.limit,
             branch=ns.branch,
-            pairing=solver.Pairing(ns.pairing),
+            pairing=ns.pairing,
             unit_powers=ns.powers,
             by_radicand=ns.by_radicand,
         )
@@ -290,6 +306,8 @@ def _cmd_scan(ns) -> int:
 
 
 def _cmd_verify(ns) -> int:
+    from . import solver
+
     tol = _check_tolerance(ns)
     case = solver.Case(ns.case)
     u = _unit_input(ns, case)
@@ -301,6 +319,8 @@ def _cmd_verify(ns) -> int:
 
 
 def _cmd_table(ns) -> int:
+    from . import survey
+
     _check_tolerance(ns)
     try:
         if ns.input == "-":

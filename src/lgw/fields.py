@@ -558,7 +558,9 @@ def _units_from_middle(d: list[int], odd: list, a_m: list[int], q: list[int], q_
         h = di % 4 == 1
         if h and yi % 2 == 0:
             xi, yi, h = xi // 2, yi // 2, False
-        assert xi * xi - di * yi * yi == (4 * n if h else n), di
+        # a raise, not an assert, so that python -O keeps the check
+        if xi * xi - di * yi * yi != (4 * n if h else n):
+            raise AssertionError(di)
         x.append(xi)
         y.append(yi)
         half_integral.append(h)
@@ -808,9 +810,11 @@ def _wide_class_numbers(Ds: np.ndarray, distances: np.ndarray, regulator: np.nda
     q = distances / regulator
     h = np.rint(q)
     off = np.abs(q - h) >= _ROUNDING_TOL
-    assert not off.any() and (h >= 1).all(), (
-        f"distance sum over the regulator is no class number at D={Ds[off][:5].tolist()}"
-    )
+    # a raise, not an assert, so that python -O keeps the check
+    if off.any() or not (h >= 1).all():
+        raise AssertionError(
+            f"distance sum over the regulator is no class number at D={Ds[off][:5].tolist()}"
+        )
     return h.astype(np.int64)
 
 

@@ -71,6 +71,11 @@ class Pairing(str, Enum):
     CONJUGATE_BRANCH = "conjugate-branch"
 
 
+# Each Case.REAL is a class attribute lookup through the enum metaclass;
+# the per-query paths compare against these instead.
+_REAL, _COMPLEX, _SAME_BRANCH = Case.REAL, Case.COMPLEX, Pairing.SAME_BRANCH
+
+
 def _finite(z: complex, what: str) -> complex:
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
@@ -150,7 +155,7 @@ class UnitInput(_UnitFields):
                 raise DomainError("need epsilon or log_value")
         else:
             epsilon = _finite(epsilon, "epsilon")
-            if case is Case.REAL:
+            if case is _REAL:
                 if epsilon.imag != 0.0:
                     raise DomainError(f"real-case unit must be real, got {epsilon!r}")
                 if epsilon.real == 1.0:
@@ -167,17 +172,22 @@ class UnitInput(_UnitFields):
 
     @classmethod
     def complex_unit(cls, epsilon: complex, log_branch: int = 0) -> "UnitInput":
-        return cls(epsilon=epsilon, log_branch=int(log_branch), case=Case.COMPLEX)
+        log_branch = int(log_branch)
+        # __new__'s complex-case checks, without the call and its keywords
+        epsilon = _finite(epsilon, "epsilon")
+        if abs(epsilon) == 0.0:
+            raise DomainError("complex case needs |epsilon| > 0")
+        return _tuple_new(cls, (epsilon, log_branch, _COMPLEX, None))
 
     @classmethod
     def real_unit(cls, epsilon: float) -> "UnitInput":
-        return cls(epsilon=complex(float(epsilon)), case=Case.REAL)
+        return cls(epsilon=complex(float(epsilon)), case=_REAL)
 
     @classmethod
     def from_log(cls, log_value: complex, case: Case = Case.COMPLEX) -> "UnitInput":
         """Build a synthetic unit whose log is forced to log_value exactly."""
         log_value = _finite(log_value, "log_value")
-        if case is Case.REAL:
+        if case is _REAL:
             if log_value.imag != 0.0:
                 raise DomainError("real case needs a real log_value")
             if log_value.real == 0.0:
@@ -188,20 +198,22 @@ class UnitInput(_UnitFields):
             eps = complex(math.exp(log_value.real)) if log_value.real < 700.0 else None
             if eps == 1.0:  # e^L rounded to 1.0, which would read as the unit 1
                 eps = None
-            return cls(epsilon=eps, case=case, log_value=log_value)
+            # eps is None or a real e^L > 1: what __new__ checks holds already
+            return _tuple_new(cls, (eps, 0, _REAL, log_value))
         return cls(epsilon=cmath.exp(log_value), case=case, log_value=log_value)
 
 
 def unit_log(u: UnitInput) -> complex:
     """The chosen logarithm of the unit; raises ZeroLogUnit when it is 0."""
-    if u.log_value is not None:
-        base = complex(u.log_value)
+    epsilon, log_branch, case, log_value = u
+    if log_value is not None:
+        base = complex(log_value)
     else:
-        base = cmath.log(u.epsilon)
-    if u.case is Case.REAL:
+        base = cmath.log(epsilon)
+    if case is _REAL:
         value = complex(base.real)
     else:
-        value = base + _TWO_PI_I * u.log_branch
+        value = base + _TWO_PI_I * log_branch
     if value == 0:
         raise ZeroLogUnit("log(epsilon) = 0 under the chosen branch (epsilon = 1?)")
     return value
@@ -295,7 +307,7 @@ def alpha_complex_case(u: UnitInput, j: int = 0, beta: float = 0.0) -> FixedPoin
     B = log(eps)*exp(-2*pi*beta), C = 2*pi; the auxiliary constant beta
     cancels in the Lambert argument, so alpha is independent of it.
     """
-    if u.case is not Case.COMPLEX:
+    if u.case is not _COMPLEX:
         raise DomainError("alpha_complex_case needs a complex-case unit")
     beta = float(beta)
     log_eps = unit_log(u)
@@ -335,11 +347,11 @@ def alpha_real_case(
     caller's contract (<= 1e-10); the summed-equation residual
     |2a - log(eps)*(e^{2pi i a} + e^{-2pi i a})| is only recorded.
     """
-    if u.case is not Case.REAL:
+    if u.case is not _REAL:
         raise DomainError("alpha_real_case needs a real-case unit")
     if not isinstance(pairing, Pairing):
         pairing = Pairing(pairing)
-    alpha, r_def, r1, r2, r_sum = _alpha_real(unit_log(u).real, j, pairing is Pairing.SAME_BRANCH)
+    alpha, r_def, r1, r2, r_sum = _alpha_real(unit_log(u).real, j, pairing is _SAME_BRANCH)
     return _tuple_new(FixedPointReport, (
         alpha, j, 0.0, r_def, r1, r2, r_sum,
         {"log_branch": 0, "pairing": pairing._value_, "case": u.case._value_},
@@ -388,7 +400,7 @@ def verify_fixed_point(alpha: complex, u: UnitInput) -> float:
     alpha = _finite(alpha, "alpha")
     log_eps = unit_log(u)
     try:
-        if u.case is Case.COMPLEX:
+        if u.case is _COMPLEX:
             return abs(1j * alpha - cmath.exp(_TWO_PI_I * alpha) * log_eps)
         return abs(alpha - cmath.cos(_TWO_PI * alpha) * log_eps.real)
     except (OverflowError, ValueError):  # exp or cos of a huge Im alpha

@@ -779,20 +779,39 @@ class TestBenchmarkGoldens:
 # Modules that only a sieve, a scan or a worker pool needs.
 _LAZY_MODULES = ("numpy", "multiprocessing", "concurrent.futures.process", "fractions")
 
+# The public names of lgw before its layers were loaded on first use.
+_EXPORTED = frozenset("""
+    BRANCH_POINT_Z BinaryQuadraticForm BranchPointSingularity BranchSingularity Case
+    DegenerateCoefficients DegenerateD DomainError ExpLinearEquation FixedPointReport
+    FundamentalUnit LgwDomainError LgwError LgwNumericalError NoConvergence NonFinite
+    NotFundamental NotImaginary NotSquarefree OMEGA OddDegree Pairing PrecisionLoss
+    QuadraticFieldDescriptor RootsOfUnity SquareDiscriminant SurveyRow SurveySummary
+    TermLimitExceeded UnitInput UsageError WEvaluation ZeroLogUnit alpha_complex_case
+    alpha_real_case class_number class_number_analytic correspondence_table describe_field
+    discriminant_of_radicand fundamental_discriminants fundamental_unit
+    is_fundamental_discriminant is_squarefree iter_summary_json kronecker_symbol lambert_w
+    lambert_w_real radicand_of_discriminant records_to_csv reduce_form roots_of_unity
+    row_records scan_imaginary scan_real solve_exp_linear summary_to_json unit_log unit_rank
+    verify_fixed_point w_derivative w_series
+""".split())
+
 
 def _modules_loaded_by(commands: list[list[str]]) -> dict:
-    """In a fresh interpreter: which of _LAZY_MODULES `import lgw` loads, and
-    which are loaded once cli.run has run each of `commands` (stdout captured)."""
+    """In a fresh interpreter: which lgw submodules and which of
+    _LAZY_MODULES `import lgw` loads, and which are loaded once cli.run has
+    run each of `commands` (stdout captured)."""
     code = (
         "import contextlib, io, json, sys\n"
         "import lgw\n"
         f"lazy = {_LAZY_MODULES!r}\n"
-        "after_import = [m for m in lazy if m in sys.modules]\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m in lazy or m.startswith('lgw.'))\n"
+        "after_import = loaded()\n"
         "import lgw.cli\n"
         f"for argv in {commands!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert lgw.cli.run(argv) == 0, argv\n"
-        "print(json.dumps({'import': after_import, 'run': [m for m in lazy if m in sys.modules]}))\n"
+        "print(json.dumps({'import': after_import, 'run': loaded()}))\n"
     )
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
@@ -811,12 +830,61 @@ class TestLazyImports:
             ["verify", "--case", "real", "--alpha-re", "0", "--log-eps-re", "1"],
             ["classno", "--discriminant", "-163"],
         ])
-        assert loaded == {"import": [], "run": []}
+        layers = ["lgw.cli", "lgw.errors", "lgw.fields", "lgw.solver", "lgw.survey", "lgw.wfunc"]
+        assert loaded == {"import": ["lgw.errors"], "run": layers}
 
     def test_scan_loads_numpy(self):
         loaded = _modules_loaded_by([["scan", "--imaginary", "--limit", "2000"]])
-        assert loaded["import"] == []
+        assert loaded["import"] == ["lgw.errors"]
         assert "numpy" in loaded["run"]
+
+    def test_w_loads_only_wfunc(self):
+        loaded = _modules_loaded_by([["w", "--re", "1"], ["w", "--re", "-0.2", "--format", "plain"]])
+        assert loaded == {"import": ["lgw.errors"], "run": ["lgw.cli", "lgw.errors", "lgw.wfunc"]}
+
+    def test_solver_commands_load_no_fields_or_survey(self):
+        loaded = _modules_loaded_by([
+            ["solve", "--a-re", "1", "--b-re", "2", "--c-re", "0.5"],
+            ["alpha", "--case", "complex", "--eps-re", "0", "--eps-im", "1"],
+            ["alpha", "--case", "real", "--log-eps-re", "1"],
+            ["verify", "--case", "complex", "--alpha-re", "0.1", "--eps-re", "2"],
+            ["verify", "--case", "real", "--alpha-re", "0", "--log-eps-re", "1"],
+        ])
+        assert loaded["run"] == ["lgw.cli", "lgw.errors", "lgw.solver", "lgw.wfunc"]
+
+    def test_exports_are_the_layer_objects(self):
+        import lgw
+        from lgw import errors, fields, solver, survey, wfunc
+
+        assert _EXPORTED <= set(lgw.__all__)
+        assert len(lgw.__all__) == len(set(lgw.__all__))
+        layers = (errors, fields, solver, survey, wfunc)
+        for name in lgw.__all__:
+            owners = [m for m in layers if hasattr(m, name)]
+            assert owners, name
+            assert all(getattr(lgw, name) is getattr(m, name) for m in owners), name
+
+    def test_star_import_dir_and_unknown_names(self):
+        import lgw
+
+        namespace: dict = {}
+        exec("from lgw import *", namespace)
+        assert set(lgw.__all__) <= namespace.keys()
+        assert set(lgw.__all__) <= set(dir(lgw))
+        with pytest.raises(AttributeError, match="nonexistent"):
+            lgw.nonexistent
+
+    def test_layers_resolve_after_a_bare_import(self):
+        code = (
+            "import json, sys\n"
+            "import lgw\n"
+            "before = sorted(m for m in sys.modules if m.startswith('lgw'))\n"
+            "from lgw import cli\n"
+            "print(json.dumps([before, lgw.survey.__name__, lgw.fields.__name__, cli.__name__]))\n"
+        )
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout) == [["lgw", "lgw.errors"], "lgw.survey", "lgw.fields", "lgw.cli"]
 
 
 class TestSubprocess:

@@ -1,4 +1,7 @@
+import json
 import math
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import astuple
 from math import isqrt
@@ -387,6 +390,31 @@ class TestWideClassNumber:
         for factor in (1 + 1e-4, 1 - 1e-4, 2.0):
             with pytest.raises(AssertionError):
                 lgw.fields._wide_class_numbers(Ds, distances, reg * factor)
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+    def test_exactness_checks_survive_optimize(self, flags):
+        # python -O drops assert statements; the Pell check on a unit and the
+        # rounding check on h must still raise there
+        code = (
+            "import json\n"
+            "import numpy as np\n"
+            "from lgw import fields\n"
+            "def trips(fn, *args):\n"
+            "    try:\n"
+            "        fn(*args)\n"
+            "    except AssertionError:\n"
+            "        return True\n"
+            "    return False\n"
+            "odd, a_m, q, q_, P, Q, Q_ = fields._cf_unit(2)\n"
+            "pell = trips(fields._units_from_middle, [2], [odd], [a_m], [q], [q_], [P + 1], [Q], [Q_])\n"
+            "Ds = np.array(fields.fundamental_discriminants(5, 2000), dtype=np.int64)\n"
+            "reg = np.array(fields._unit_columns(np.where(Ds % 4 == 1, Ds, Ds // 4)).regulator)\n"
+            "rounding = trips(fields._wide_class_numbers, Ds, fields._distance_sums(Ds), reg * 2.0)\n"
+            "print(json.dumps([__debug__, pell, rounding]))\n"
+        )
+        res = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout) == [not flags, True, True]
 
 
 class TestClassNumberForms:
