@@ -147,34 +147,66 @@ def _squarefree_mask(lo: int, hi: int) -> np.ndarray:
 
 
 def _fundamental_magnitudes(lo: int, hi: int, negative: bool) -> np.ndarray:
-    """Ascending n in [lo, hi], 2 <= lo, with -n (negative) or n fundamental."""
+    """Ascending n in [lo, hi], 2 <= lo, with -n (negative) or n fundamental,
+    as int64.
+
+    The answer is one bool mask over [lo, hi]: the squarefree mask, kept on
+    the odd class n = 3 (negative) or 1 mod 4, where D = -n or n is 1 mod 4,
+    and on the class n = 4m, where D = 4m needs m squarefree and 2 or 3 mod 4
+    (D = -4m: 1 or 2 mod 4). That class is copied from a squarefree mask of
+    m, one stride-16 slice per allowed residue of m. No array as long as the
+    range is int64; the result is the only one.
+    """
     import numpy as np
 
     if hi < lo:
         return np.empty(0, dtype=np.int64)
-    n = np.arange(lo, hi + 1, dtype=np.int64)
-    # D = 1 mod 4 and squarefree; -n = 1 mod 4 means n = 3 mod 4
-    keep = (n % 4 == (3 if negative else 1)) & _squarefree_mask(lo, hi)
-    # D = 4m with m = 2, 3 mod 4 squarefree; for D = -n, n/4 = -m is 1, 2 mod 4
     m_lo, m_hi = -(-lo // 4), hi // 4
+    keep = _squarefree_mask(lo, hi)  # already False at every n = 0 mod 4
+    odd = 3 if negative else 1
+    for r in (2, 4 - odd):
+        keep[(r - lo) % 4 :: 4] = False
     if m_lo <= m_hi:
-        m = np.arange(m_lo, m_hi + 1, dtype=np.int64) % 4
-        good = (m == 1) | (m == 2) if negative else (m == 2) | (m == 3)
-        keep[4 * m_lo - lo :: 4] = good & _squarefree_mask(m_lo, m_hi)
-    return n[keep]
+        sf_m = _squarefree_mask(m_lo, m_hi)
+        for r in (1, 2) if negative else (2, 3):
+            j = (r - m_lo) % 4  # the first m = r mod 4
+            keep[4 * (m_lo + j) - lo :: 16] = sf_m[j::4]
+        del sf_m  # not held beside the result
+    n = np.flatnonzero(keep).astype(np.int64, copy=False)
+    n += lo
+    return n
 
 
 def _fundamental_discriminant_array(lo: int, hi: int) -> np.ndarray:
     """Fundamental discriminants D with lo <= D <= hi, ascending, as int64.
 
-    Sieves squarefree parts over the range instead of trial-dividing each D;
-    agrees with is_fundamental_discriminant term by term.
+    Sieves squarefree parts over the range with byte masks instead of
+    trial-dividing each D (_fundamental_magnitudes, once per sign); agrees
+    with is_fundamental_discriminant term by term. A range of one sign
+    returns its sieve's own array, for D < 0 negated in place and read
+    backwards (a reversed view), so that array is the only int64 one made.
     """
     import numpy as np
 
     neg = _fundamental_magnitudes(max(-hi, 2), -lo, negative=True)
     pos = _fundamental_magnitudes(max(lo, 2), hi, negative=False)
+    if not len(pos):
+        return np.negative(neg, out=neg)[::-1]
+    if not len(neg):
+        return pos
     return np.concatenate((-neg[::-1], pos))
+
+
+def _radicand_array(D: np.ndarray) -> np.ndarray:
+    """The radicand of each fundamental discriminant in D: D, or D / 4 where
+    4 divides D, worked out in place in one array of D's dtype."""
+    import numpy as np
+
+    d = np.bitwise_and(D, 3)
+    fours = d == 0
+    np.copyto(d, D)
+    np.right_shift(d, 2, out=d, where=fours)  # D >> 2 is D / 4 where 4 divides D
+    return d
 
 
 # -- Dirichlet signature bookkeeping ------------------------------------------

@@ -40,6 +40,7 @@ from .fields import (
     _check_size,
     _fundamental_discriminant_array,
     _imaginary_form_counts,
+    _radicand_array,
     _real_class_numbers,
     _squarefree_mask,
     _unit_label,
@@ -297,11 +298,15 @@ def scan_imaginary(limit: int, *, branch: int = 0, log_branch: int = 0) -> Surve
         raise DomainError(f"limit {limit} is negative")
     _check_size(-limit)
     # The sieve has already proved every D fundamental, so the radicand
-    # (D for D = 1 mod 4, D/4 otherwise) and h are read off whole arrays.
+    # (D for D = 1 mod 4, D/4 otherwise) and h are read off whole arrays,
+    # each worked out in place in its own: no int64 temporary of their length.
     D = _fundamental_discriminant_array(-limit, -3)[::-1]  # -3 first, |D| ascending
-    d = np.where(D % 4 == 0, D // 4, D)
-    n = -D  # 0 or 3 mod 4: the form counts hold n at [n >> 2, n & 1]
-    h = _imaginary_form_counts(limit)[n >> 2, n & 1].astype(np.int64)
+    # n = -D is 0 or 3 mod 4, and the form counts hold n at [n >> 2, n & 1],
+    # which is n >> 1 in their flat array
+    h = np.negative(D)
+    h >>= 1
+    h[:] = _imaginary_form_counts(limit).reshape(-1)[h]
+    d = _radicand_array(D)
     at = np.flatnonzero(h == 1)
     roots = [
         tuple(_torsion_root(Di, di, eps, branch, log_branch) for eps in roots_of_unity(Di).elements)
@@ -379,8 +384,7 @@ def scan_real(
             f"{unit_powers} unit powers of {len(D)} fields make {unit_powers * len(D)} roots, "
             f"above {_MAX_REAL_ROOTS}, the most a real scan supports"
         )
-    # every D is fundamental: d is D or D/4
-    d = np.where(D % 4 == 1, D, D // 4)
+    d = _radicand_array(D)
     _, h, units = _real_class_numbers(D)
     at = np.flatnonzero(h == 1)
     same_branch = pairing is Pairing.SAME_BRANCH
@@ -497,7 +501,12 @@ def _template(fmt: _Format, holes: tuple, log_branch: int) -> str:
     return text
 
 
-_JSON_CHUNK_ROWS = 4096
+# Rows per piece of writer text: about 135 KB of bare imaginary JSON. With
+# 4,096 rows (1 MB a piece) `lgw scan --imaginary --limit 300000` peaked 4 MB
+# higher and ran about 10% slower on a 2-vCPU VM: once no freed array had
+# raised glibc's mmap threshold past a piece, each piece and its encoded copy
+# were mapped afresh.
+_JSON_CHUNK_ROWS = 512
 
 
 def _row_text(
@@ -610,11 +619,11 @@ def records_to_csv(records: Iterable[dict], columns: Sequence[str] = CSV_COLUMNS
 # long the run. _BARE_RUN matches the rows of an imaginary scan,
 # _BARE_UNIT_RUN those of a real scan, which carry a unit.
 _JSON_WS = "[ \t\n\r]*"
-_JSON_INT = r"-?(?:0|[1-9]\d*)"
+_JSON_INT = r"-?(?:0|[1-9][0-9]*)"  # [0-9]: a str pattern's \d takes any Unicode digit
 _HOLE_GRAMMAR = (
     (_HOLE, _JSON_INT),
     (_LABEL_HOLE, r'"[^"\\\x00-\x1f]*"'),
-    (_FLOAT_HOLE, _JSON_INT + r"(?:\.\d+)?(?:[eE][-+]?\d+)?"),
+    (_FLOAT_HOLE, _JSON_INT + r"(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?"),
 )
 
 

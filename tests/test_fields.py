@@ -648,12 +648,33 @@ class TestDiscriminantHelpers:
         assert fundamental_discriminants(-20, -3) == [-20, -19, -15, -11, -8, -7, -4, -3]
         assert fundamental_discriminants(5, 30) == [5, 8, 12, 13, 17, 21, 24, 28, 29]
 
+    # the sieve slices the class D = 4m at stride 16 from the smallest |D| of
+    # each sign, so 32 consecutive ends of the range on each side of zero meet
+    # every alignment of its start and of its end twice
     @pytest.mark.parametrize(
         "lo, hi",
         [(-5000, 5000), (-5000, -1), (-9, 13), (-1, 1), (0, 0), (1, 1), (-3, -3),
-         (-4, 5), (2, 5000), (4990, 5000), (-5000, -4990), (10, 3)],
+         (-4, 5), (2, 5000), (4990, 5000), (-5000, -4990), (10, 3)]
+        + [(lo, -3) for lo in range(-5000, -4968)]
+        + [(-700, hi) for hi in range(-34, -2)]
+        + [(lo, 700) for lo in range(2, 34)]
+        + [(5, hi) for hi in range(4969, 5001)],
     )
     def test_sieve_matches_trial_division(self, lo, hi):
         assert fundamental_discriminants(lo, hi) == [
             D for D in range(lo, hi + 1) if is_fundamental_discriminant(D)
         ]
+
+    @pytest.mark.parametrize("lo, hi", [(-10**6, -3), (5, 10**6)])
+    def test_sieve_memory_peak_stays_near_result(self, lo, hi):
+        # the int64 result is 2.4 MB; the byte masks over the range and over
+        # its quarter add 1.25 bytes per integer of the range, and a range of
+        # one sign is negated in place
+        tracemalloc.start()
+        try:
+            result = lgw.fields._fundamental_discriminant_array(lo, hi)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.dtype == np.int64
+        assert peak < 2 * result.nbytes

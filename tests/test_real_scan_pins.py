@@ -79,6 +79,11 @@ SHA256_IMAG_CSV_1E6 = "fe4effcd6d7f2d304efe7de9979a5f9b2ef79182b6a7bfe4ac8f216e9
 # branches; checked by the CI workflow the same way.
 SHA256_IMAG_PLAIN_1E6_CONVENTIONS = "bdbd75058070e64c93d08261ef4033af71f8385e2d2b2265ef9b049beb39f4bb"
 
+# `lgw scan --imaginary --limit 10000000 --format csv`, the imaginary scan at
+# its ceiling (6-9 s), taken before the discriminant sieve became a byte mask;
+# checked by the CI workflow the same way.
+SHA256_IMAG_CSV_1E7 = "b447d8eb342f5218702874c0e0da4a290f6a9f2be22277ae00340f19ac104a9c"
+
 
 def stdout_of(argv, stdin=None):
     out = io.StringIO()

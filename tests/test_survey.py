@@ -714,6 +714,21 @@ class TestReadRootedRecords:
         with pytest.raises(ValueError):
             _read(text)
 
+    @pytest.mark.parametrize("text, row, bad_row", [
+        (summary_to_json(scan_imaginary(30)), '{"D": -15, ', '{"D": -1\u0665, '),
+        (summary_to_json(scan_real(30, unit_powers=0)), '{"D": 13, ', '{"D": 1\u0663, '),
+    ], ids=["imaginary", "real"])
+    def test_non_ascii_digit_in_bare_row_is_an_error(self, text, row, bad_row):
+        # json.loads takes only ASCII digits, so a bare run must not pass
+        # over an Arabic-Indic one (a Unicode decimal, as \d matches in str)
+        assert '"alpha_re": null' in text.split(row, 1)[1].split("}", 1)[0]
+        bad = text.replace(row, bad_row, 1)
+        with pytest.raises(json.JSONDecodeError):
+            json.loads(bad)
+        for chunk in (None, 7):
+            with pytest.raises(ValueError):
+                _read(bad, chunk)
+
     def test_duplicate_rows_last_wins(self):
         s = scan_imaginary(200)
         first, second = row_records(s.rows[:1]), row_records(s.rows[-1:] + s.rows[1:2])
