@@ -11,6 +11,7 @@ result is reproducible from its own output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -38,6 +39,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache  # parse_args keeps no state in the parser: build it once per process
 def _build_parser() -> _Parser:
     p = _Parser(
         prog="lgw",
@@ -147,9 +149,9 @@ def _check_tolerance(ns) -> float:
 
 def _emit(obj, ns) -> None:
     if ns.format == "csv":  # scalar columns only; conventions stay in JSON
-        from . import survey
+        from .csvtext import records_to_csv
 
-        sys.stdout.write(survey.records_to_csv([obj], [k for k in obj if k != "conventions"]))
+        sys.stdout.write(records_to_csv([obj], [k for k in obj if k != "conventions"]))
     elif ns.format == "plain":
         for k, v in obj.items():
             print(f"{k}={v}")

@@ -15,7 +15,8 @@ because nothing forces the sum of the split roots to satisfy it.
 
 Under conjugate-branch pairing the second split root needs no second Lambert
 evaluation: W_-j(2*pi*i*L) is the conjugate of W_j(-2*pi*i*L), bit for bit
-(see wfunc), since +-2*pi*i*L with L > 0 never lies on a cut.
+(see wfunc), since +-2*pi*i*L with L > 0 never lies on a cut. Nor does its
+split residual need a second exp: it equals the first, bit for bit.
 
 The records are immutable named tuples; the two input records validate
 their fields when built.
@@ -376,7 +377,9 @@ def _alpha_real(L: float, j: int, same_branch: bool) -> tuple[complex, float, fl
 
     try:
         r1 = abs(alpha1 - L * cmath.exp(_TWO_PI_I * alpha1))
-        r2 = abs(alpha2 - L * cmath.exp(-_TWO_PI_I * alpha2))
+        # m = -j: alpha2 = conj(alpha1) bit for bit (the division by 2*pi*i,
+        # the products and exp commute with conjugation), so r2 = r1
+        r2 = abs(alpha2 - L * cmath.exp(-_TWO_PI_I * alpha2)) if same_branch else r1
         r_sum = abs(2.0 * alpha - L * cmath.exp(_TWO_PI_I * alpha) - L * cmath.exp(-_TWO_PI_I * alpha))
         r_def = abs(alpha - cmath.cos(_TWO_PI * alpha) * L)
     except OverflowError:  # a tiny L puts exp(+-2*pi*i*alpha) beyond float range

@@ -31,8 +31,11 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
+from .csvtext import csv_line
+from .csvtext import records_to_csv as _records_to_csv
 from .errors import DomainError, TermLimitExceeded
 from .fields import (
     FundamentalUnit,
@@ -249,7 +252,7 @@ def _distinct_stats(values: Iterable[complex]) -> tuple[int, float | None]:
 def _least_gap(values: list[complex]) -> float:
     """The least _gap between two of the values (inf for fewer than two), by
     a sweep in real part: no later value can come closer than its real gap."""
-    values = sorted(values, key=lambda z: z.real)
+    values = sorted(values, key=attrgetter("real"))
     best = math.inf
     for i, a in enumerate(values):
         for j in range(i + 1, len(values)):  # no slice: a copy per i is quadratic
@@ -454,10 +457,6 @@ def _record(values: tuple, log_branch) -> dict:
     return dict(zip(CSV_COLUMNS, (*values, log_branch)))
 
 
-def _csv_line(rec: dict, columns: Sequence[str] = CSV_COLUMNS) -> str:
-    return ",".join(["" if rec[c] is None else str(rec[c]) for c in columns])
-
-
 def _plain_line(rec: dict) -> str:
     return "  ".join(f"{k}={rec[k]}" for k in CSV_COLUMNS if rec[k] is not None)
 
@@ -488,7 +487,7 @@ _TORSION = (_HOLE,) * 3 + (_LABEL_HOLE,) + (None,) * 9
 _ROOTED = {len(holes) - holes.count(None): holes for holes in (_ROOT, _TORSION_ROOT, _TORSION)}
 
 _JSON = _Format(", ", "", lambda recs: json.dumps(recs)[1:-1], json.dumps)
-_CSV = _Format("\n", "\n", lambda recs: "\n".join(map(_csv_line, recs)), str)
+_CSV = _Format("\n", "\n", lambda recs: "\n".join([csv_line(r, CSV_COLUMNS) for r in recs]), str)
 _PLAIN = _Format("\n", "\n", lambda recs: "\n".join(map(_plain_line, recs)), str)
 
 
@@ -517,11 +516,12 @@ def _row_text(
     The records' log_branch is the scan's own (its conventions) when
     log_branch is None.
 
-    A piece starts as the bare template split at its holes, once per row;
-    each column fills its holes by one slice assignment (repr for %d and %r,
-    str for %s). An attached row's text then replaces it: each of its record
-    tuples fills the template of its holes (_ROOTED). The values are plain
-    ints and finite floats, so repr writes them as json.dumps does.
+    A piece starts with the bare template split at its holes, once per bare
+    row; each column of the bare rows fills its holes by one slice
+    assignment (repr for %d and %r, str for %s). The text of an attached
+    row follows the piece's bare rows before it: each of its record tuples
+    fills the template of its holes (_ROOTED). The values are plain ints
+    and finite floats, so repr writes them as json.dumps does.
     """
     import numpy as np
 
@@ -540,20 +540,33 @@ def _row_text(
     for i in range(0, len(b.D), _JSON_CHUNK_ROWS):
         j = min(i + _JSON_CHUNK_ROWS, len(b.D))
         lo, hi = np.searchsorted(at, (i, j)).tolist()
+        attached = (at[lo:hi] - i).tolist()
         cols = [b.D[i:j].tolist(), b.d[i:j].tolist(), b.h[i:j].tolist()]
-        if units is not None:  # labels of bare rows only: an attached row's tuples carry its own
-            keep, labels = np.ones(j - i, dtype=bool), np.empty(j - i, dtype=object)
-            keep[at[lo:hi] - i] = False
-            unit = (units.x[i:j], units.y[i:j], cols[1], units.half_integral[i:j])
-            labels[keep] = list(map(_unit_label, *(compress(c, keep) for c in unit)))
-            cols += [labels.tolist(), units.norm[i:j], units.regulator[i:j]]
-        out = row * (j - i)
+        if units is not None:
+            cols += [c[i:j] for c in units]  # x, y, half_integral, norm, regulator
+        if attached:  # the bare rows only: an attached row's tuples carry its own values
+            keep = [True] * (j - i)
+            for a in attached:
+                keep[a] = False
+            cols = [list(compress(c, keep)) for c in cols]
+        if units is not None:
+            D, d, h, x, y, half_integral, norm, regulator = cols
+            cols = [D, d, h, list(map(_unit_label, x, y, d, half_integral)), norm, regulator]
+        out = row * len(cols[0])
         for (slot, conv), col in zip(slots, cols):
             out[slot::w] = map(conv, col)
-        for a, roots in zip(at[lo:hi].tolist(), b.roots[lo:hi]):
-            text = fmt.sep.join([rooted[len(r)] % r for r in roots])
-            out[(a - i) * w : (a - i + 1) * w] = [fmt.sep + text] + [""] * (w - 1)
-        out[0] = (fmt.sep if i else fmt.lead) + out[0][len(fmt.sep) :]
+        head = ""  # the attached rows ahead of the first bare row
+        for rank, (a, roots) in enumerate(zip(attached, b.roots[lo:hi])):
+            text = "".join([fmt.sep + rooted[len(r)] % r for r in roots])
+            k = (a - rank) * w  # the pieces of the bare rows before it
+            if k:
+                out[k - 1] += text
+            else:
+                head += text
+        if head:
+            out.insert(0, head)
+        if not i:
+            out[0] = fmt.lead + out[0][len(fmt.sep) :]
         yield "".join(out)
     yield last
 
@@ -603,9 +616,7 @@ def iter_summary_plain(summary: SurveySummary, log_branch: int | None = None) ->
 
 def records_to_csv(records: Iterable[dict], columns: Sequence[str] = CSV_COLUMNS) -> str:
     """A header line of `columns`, then one line per record; None is empty."""
-    lines = [",".join(columns)]
-    lines.extend(_csv_line(rec, columns) for rec in records)
-    return "\n".join(lines) + "\n"
+    return _records_to_csv(records, columns)
 
 
 # -- reading scan JSON back ------------------------------------------------------------

@@ -830,8 +830,12 @@ class TestLazyImports:
             ["verify", "--case", "real", "--alpha-re", "0", "--log-eps-re", "1"],
             ["classno", "--discriminant", "-163"],
         ])
-        layers = ["lgw.cli", "lgw.errors", "lgw.fields", "lgw.solver", "lgw.survey", "lgw.wfunc"]
+        layers = ["lgw.cli", "lgw.csvtext", "lgw.errors", "lgw.fields", "lgw.solver", "lgw.wfunc"]
         assert loaded == {"import": ["lgw.errors"], "run": layers}
+
+    def test_point_csv_loads_no_scan_layer(self):
+        loaded = _modules_loaded_by([["w", "--re", "1", "--format", "csv"]])
+        assert loaded == {"import": ["lgw.errors"], "run": ["lgw.cli", "lgw.csvtext", "lgw.errors", "lgw.wfunc"]}
 
     def test_scan_loads_numpy(self):
         loaded = _modules_loaded_by([["scan", "--imaginary", "--limit", "2000"]])
@@ -885,6 +889,41 @@ class TestLazyImports:
         res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
         assert json.loads(res.stdout) == [["lgw", "lgw.errors"], "lgw.survey", "lgw.fields", "lgw.cli"]
+
+
+def _help_text(parse, argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exc:
+        parse(argv)
+    assert exc.value.code == 0
+    return out.getvalue()
+
+
+class TestParserReuse:
+    def test_parser_is_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_runs_in_one_process_match_a_fresh_process(self):
+        # a usage error and a scan with other flags, then the scan under test
+        code, out, err = _run_captured(["scan", "--real", "--imaginary", "--limit", "300"])
+        assert (code, out) == (64, "")
+        assert "usage: lgw" in err
+        assert _run_captured(["scan", "--real", "--limit", "300", "--powers", "2"])[0] == 0
+        last = _run_captured(["scan", "--real", "--limit", "300"])
+        fresh = subprocess.run(
+            [sys.executable, "-m", "lgw", "scan", "--real", "--limit", "300"],
+            capture_output=True,
+            text=True,
+        )
+        assert last == (fresh.returncode, fresh.stdout, fresh.stderr)
+        assert fresh.returncode == 0 and fresh.stdout
+
+    @pytest.mark.parametrize("argv", [["--help"], ["scan", "--help"]], ids=["lgw", "scan"])
+    def test_help_matches_a_newly_built_parser(self, argv):
+        new = _help_text(_build_parser.__wrapped__().parse_args, argv)
+        assert _help_text(run, argv) == new
+        assert _run_captured(["scan", "--real", "--limit", "30", "--powers", "2"])[0] == 0
+        assert _help_text(run, argv) == new
 
 
 class TestSubprocess:

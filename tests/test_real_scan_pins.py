@@ -1,8 +1,9 @@
 """The bytes of `lgw scan` and of `lgw table` over it, pinned by sha256.
 
 The real digests were taken from the per-field real scan, before its rows
-became columns; the imaginary ones (imag_conventions here, and the scans at
-1e6 that the CI workflow checks) while an imaginary scan still built its
+became columns, and conjugate_branch before the second split residual was
+read off the first; the imaginary ones (imag_conventions here, and the scans
+at 1e6 that the CI workflow checks) while an imaginary scan still built its
 rows eagerly. Every later form of the scan must write the same bytes.
 """
 
@@ -20,6 +21,7 @@ CASES = {
     "radicand_powers": ["--real", "--limit", "3000", "--by-radicand", "--powers", "3"],
     "same_branch": ["--real", "--limit", "5000", "--pairing", "same-branch", "--branch", "-1"],
     "log_branch": ["--real", "--limit", "300", "--log-branch", "1"],
+    "conjugate_branch": ["--real", "--limit", "3000", "--branch", "3", "--powers", "2"],
     "imag_conventions": ["--imaginary", "--limit", "5000", "--log-branch", "-2", "--branch", "2"],
 }
 
@@ -40,6 +42,10 @@ SHA256 = {
     "log_branch/table": "d8cc596b36243dc3e1d6f2449e01028d286af892a6fa8a60a7bd87ff2426a064",
     "log_branch/csv": "22fb578e671dec772e3b7940fa955151b01c4d06e65c0a8c17164a9fe6fc75bc",
     "log_branch/plain": "5c5b9c9b8f88784b44a23fdb3de285f91fc5fca5a300f6398e51f91e906c1ca4",
+    "conjugate_branch/json": "0dab4dabec340296ea8b951881c01d7607b06f976f9e12edaa8e001032cc7504",
+    "conjugate_branch/table": "9aba8b4009367bccc7b19e8497411eb8533c12cea987ce645ef126fcb636726b",
+    "conjugate_branch/csv": "524d0879a15b7ee0bba6040e275e07244bd45243f6209e0815b426ee83ee0502",
+    "conjugate_branch/plain": "92c49bfde74a18d1f3db2439f5dddc7ea8c10ccd5828ba76c5a8393fe7e6e1c6",
     "imag_conventions/json": "dfd19701974ebeb42536b148ad22bbe03b62a58e5358a8fd5914d7be606b5c23",
     "imag_conventions/table": "18a7183d05251e7425f0af0ede2c1b7bb20f86c46ab0660454e689b0703883ca",
     "imag_conventions/csv": "07801ab78086d5c68a71ce3abb630d5b1b018c77714a56c8f9ceabfa1741e35d",
@@ -66,6 +72,12 @@ SHA256_CSV_1E5_BY_RADICAND = "19a5ef9e88414f6dca024a0b7abe41553657290cea46aec8cb
 # still a record dict; checked by the CI workflow the same way. It pins the
 # JSON writer of the h = 1 rows where convergents leave int64.
 SHA256_JSON_1E5 = "e54f55539447bc581399f1bb3d24615f271d2efbb8440c15456ea3bc67e84a6f"
+
+# `lgw scan --real --limit 100000 --branch -2 --powers 3 --format json`:
+# conjugate pairing off the principal branch, three roots a field, taken
+# before the second split residual was read off the first; checked by the CI
+# workflow the same way.
+SHA256_JSON_1E5_BRANCH = "f97258b0007f9464842668022d83701a35707e9d93d73bf8208305e428ce8442"
 
 # `lgw scan --imaginary --limit 1000000`, as JSON and as CSV (each under a
 # second), taken before the writers filled their chunks a column at a time;

@@ -258,6 +258,29 @@ class TestAlphaRealCase:
         for name in FixedPointReport._fields:
             assert getattr(rep, name) == getattr(expected, name), name
 
+    def test_conjugate_split_residual_2_is_taken_from_split_residual_1(self):
+        # Under conjugate pairing alpha2 = conj(alpha1) bit for bit, so the
+        # report takes residual_split_2 from residual_split_1 instead of a
+        # second exp: it must equal the residual at alpha2, bit for bit.
+        rng = np.random.default_rng(2020)
+        logs = [float(L) for L in 10 ** rng.uniform(-3, 3, 300)]
+        logs.append(sys.float_info.min / 4 / TWO_PI)  # +-2*pi*i*L is subnormal
+        for L in logs:
+            for j in range(-5, 6):
+                _, _, r1, r2, _ = solver._alpha_real(L, j, False)
+                assert r2 == _split_residual_2(L, _split_w(L, j).conjugate()) == r1, (L, j)
+            rep = alpha_real_case(UnitInput.from_log(L, Case.REAL), 3, Pairing.CONJUGATE_BRANCH)
+            assert rep.residual_split_2 == rep.residual_split_1
+
+    def test_same_branch_computes_split_residual_2(self):
+        differ = 0
+        for L in (0.05, 0.7, math.log(1 + math.sqrt(2)), 3.0, 40.0):
+            for j in (-2, 1, 3):
+                _, _, r1, r2, _ = solver._alpha_real(L, j, True)
+                assert r2 == _split_residual_2(L, lambert_w(j, 2j * math.pi * L).value), (L, j)
+                differ += r1 != r2
+        assert differ
+
     def test_tiny_log_is_not_the_unit_one(self):
         # e^1e-20 rounds to 1.0; the forced log still decides.
         u = UnitInput.from_log(1e-20, case=Case.REAL)
@@ -267,6 +290,24 @@ class TestAlphaRealCase:
         assert rep.alpha == pytest.approx(2e-20, rel=1e-12)
         assert rep.residual_split_1 <= 1e-10
         assert rep.residual_split_2 <= 1e-10
+
+
+def _split_w(L: float, j: int) -> complex:
+    """W_j(-2*pi*i*L), through the log of the argument where it is subnormal."""
+    if j and TWO_PI * L < wfunc._TINY_Z:
+        return wfunc._lambert_w_log(j, complex(math.log(TWO_PI) + math.log(L), -0.5 * math.pi))
+    return lambert_w(j, -2j * math.pi * L).value
+
+
+def _split_residual_2(L: float, w2: complex) -> float:
+    """|alpha2 - L*exp(-2*pi*i*alpha2)| at alpha2 = w2/(2*pi*i); L*exp(x) as
+    exp(x + log L) where exp(x) overflows, as the solver forms it."""
+    alpha2 = w2 / (2j * math.pi)
+    x = -2j * math.pi * alpha2
+    try:
+        return abs(alpha2 - L * cmath.exp(x))
+    except OverflowError:
+        return abs(alpha2 - solver._exp_of_sum_with_log(x, L))
 
 
 def test_injectivity_probe_reports_but_never_fails():
