@@ -45,7 +45,6 @@ _EXPORTS = {
         "ZeroLogUnit",
     ),
     "fields": (
-        "BinaryQuadraticForm",
         "FundamentalUnit",
         "QuadraticFieldDescriptor",
         "RootsOfUnity",
@@ -59,7 +58,6 @@ _EXPORTS = {
         "is_squarefree",
         "kronecker_symbol",
         "radicand_of_discriminant",
-        "reduce_form",
         "roots_of_unity",
         "unit_rank",
     ),

@@ -717,7 +717,8 @@ class TestClassnoBytes:
     """`lgw classno` stdout in JSON, CSV and plain, pinned by the sha256 of the
     three outputs in that order. The digests were taken while class_number
     of a positive D took its regulator from a float walk of its own, before
-    it shared _real_class_numbers with the real scan."""
+    it shared _real_class_numbers with the real scan, and while a negative D
+    still had its reduced forms listed one by one, before the walk over b."""
 
     SHA256 = {
         "--discriminant 5": "e204998ee58f5a5a24c0ec7b42e96f4de21029f6a37489df1930de61ba1d6954",
@@ -733,9 +734,18 @@ class TestClassnoBytes:
         "--discriminant 99999997": "1fc77309b3aeda6388b7c275796653fa8d9991efec8ff74412018eee6593bf51",
         "--discriminant 99999997 --narrow": "e8be1a735b4cacae378ad6444010054c64cd2ec589647ac3d8f6b06dd627c9fc",
         "--d 10 --narrow": "5162c9040d1302ed2ac1ebbfa8d4c43eea5fa33ae747a3d4eb2fb1ca410291da",
+        "--discriminant -3": "41086493a118b66eeeb5fdaaa5692148fd15004a9f0db5d6c877630d3030beb3",
+        "--discriminant -3 --narrow": "9a3a5c5851d7201082298378a0e75f9c0066e404d871fae692fce90db9fc5b15",
+        "--discriminant -4": "3c40c0ddb1186bfdae30cc1d24e97e64605a4b750fa9e1121cc839d67bc3824f",
+        "--discriminant -4 --narrow": "14b9d7a5ed2b6b406492808dbd3a41a3ff7714fdd7f53608a4017413273a146e",
+        "--discriminant -163": "c04912c9c1cc01a4147d61cc14f4ec353a11c30311332cebcfd5ad387e1106bc",
+        "--discriminant -163 --narrow": "0ad0d7c91bf654aa66c38c7b1b66d96907df1daecfb0debcfb279bcdf4371f76",
+        "--discriminant -9999991": "7c29888d9a38479fc5a2245698b77526fa3f28f628090b85796f57f4f1d32dae",
+        "--discriminant -9999991 --narrow": "b5b68d6258d210872ec432e53def3dfe141a12bcfb04364554cc8040a246d0a5",
     }
 
-    @pytest.mark.parametrize("flags", ["5", "12", "40", "99999989", "99999941", "99999997", "--d 10"])
+    @pytest.mark.parametrize("flags", ["5", "12", "40", "99999989", "99999941", "99999997", "--d 10",
+                                       "-3", "-4", "-163", "-9999991"])
     def test_bytes(self, capsys, monkeypatch, flags):
         import functools
 
@@ -779,9 +789,10 @@ class TestBenchmarkGoldens:
 # Modules that only a sieve, a scan or a worker pool needs.
 _LAZY_MODULES = ("numpy", "multiprocessing", "concurrent.futures.process", "fractions")
 
-# The public names of lgw before its layers were loaded on first use.
+# The public names of lgw before its layers were loaded on first use, less
+# BinaryQuadraticForm and reduce_form, which left the API with form reduction.
 _EXPORTED = frozenset("""
-    BRANCH_POINT_Z BinaryQuadraticForm BranchPointSingularity BranchSingularity Case
+    BRANCH_POINT_Z BranchPointSingularity BranchSingularity Case
     DegenerateCoefficients DegenerateD DomainError ExpLinearEquation FixedPointReport
     FundamentalUnit LgwDomainError LgwError LgwNumericalError NoConvergence NonFinite
     NotFundamental NotImaginary NotSquarefree OMEGA OddDegree Pairing PrecisionLoss
@@ -790,7 +801,7 @@ _EXPORTED = frozenset("""
     alpha_real_case class_number class_number_analytic correspondence_table describe_field
     discriminant_of_radicand fundamental_discriminants fundamental_unit
     is_fundamental_discriminant is_squarefree iter_summary_json kronecker_symbol lambert_w
-    lambert_w_real radicand_of_discriminant records_to_csv reduce_form roots_of_unity
+    lambert_w_real radicand_of_discriminant records_to_csv roots_of_unity
     row_records scan_imaginary scan_real solve_exp_linear summary_to_json unit_log unit_rank
     verify_fixed_point w_derivative w_series
 """.split())

@@ -4,7 +4,6 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import astuple
-from math import isqrt
 
 import numpy as np
 import pytest
@@ -22,7 +21,6 @@ from lgw.errors import (
     TermLimitExceeded,
 )
 from lgw.fields import (
-    BinaryQuadraticForm,
     FundamentalUnit,
     class_number,
     class_number_analytic,
@@ -34,7 +32,6 @@ from lgw.fields import (
     is_squarefree,
     kronecker_symbol,
     radicand_of_discriminant,
-    reduce_form,
     roots_of_unity,
     unit_rank,
 )
@@ -554,55 +551,16 @@ class TestKronecker:
         assert kronecker_symbol(a, m * n) == kronecker_symbol(a, m) * kronecker_symbol(a, n)
 
 
-class TestFormReduction:
-    def test_definite_reduction_reaches_reduced(self):
-        import random
-
-        rng = random.Random(5)
-        for _ in range(300):
-            a = rng.randint(1, 50)
-            b = rng.randint(-100, 100)
-            # force negative discriminant: c > b^2/(4a)
-            c = b * b // (4 * a) + rng.randint(1, 60)
-            f = BinaryQuadraticForm(a, b, c)
-            if f.discriminant() >= 0:
-                continue
-            g, steps = reduce_form(f)
-            assert g.is_reduced()
-            assert g.discriminant() == f.discriminant()
-            assert steps <= 10 * math.log2(max(abs(f.a), abs(f.c)) + 2)
-
-    def test_indefinite_reduction_reaches_reduced(self):
-        import random
-
-        rng = random.Random(6)
-        done = 0
-        while done < 300:
-            a = rng.randint(-60, 60)
-            b = rng.randint(-120, 120)
-            c = rng.randint(-60, 60)
-            if a == 0 or c == 0:
-                continue
-            f = BinaryQuadraticForm(a, b, c)
-            D = f.discriminant()
-            if D <= 0 or isqrt(D) ** 2 == D:
-                continue
-            g, steps = reduce_form(f)
-            assert g.is_reduced()
-            assert g.discriminant() == D
-            assert steps <= 10 * math.log2(max(abs(f.a), abs(f.c)) + 2)
-            done += 1
-
-    def test_square_discriminant_rejected(self):
-        with pytest.raises(SquareDiscriminant):
-            reduce_form(BinaryQuadraticForm(1, 3, 2))  # D = 1
-
-
 class TestBatchSieve:
     def test_agreement_with_direct(self):
         counts = class_numbers_imaginary_batch(1500)
         for D in fundamental_discriminants(-1500, -3):
             assert counts[-D] == class_number(D)
+        # a seeded sample up to 10^6, where the walk over b meets many divisors
+        counts = class_numbers_imaginary_batch(10**6)
+        Ds = np.random.default_rng(21).choice(fundamental_discriminants(-10**6, -3), 300, replace=False)
+        for D in Ds.tolist():
+            assert counts[-D] == class_number(D), D
 
     # every limit mod 4 and every small a, then sizes with many full
     # periodic rows and tails
@@ -664,6 +622,17 @@ class TestDiscriminantHelpers:
         assert fundamental_discriminants(lo, hi) == [
             D for D in range(lo, hi + 1) if is_fundamental_discriminant(D)
         ]
+
+    def test_range_past_a_ceiling_is_a_term_limit(self, monkeypatch):
+        # the check comes before any other: not even the sieve's mask is made
+        monkeypatch.setattr(lgw.fields, "_squarefree_mask", None)
+        for lo, hi in ((-10**7 - 1, -3), (5, 10**8 + 1), (-10**18, 10**18)):
+            with pytest.raises(TermLimitExceeded):
+                fundamental_discriminants(lo, hi)
+        monkeypatch.undo()
+        edge = fundamental_discriminants(-10**7, -10**7 + 100)
+        assert edge == [D for D in range(-10**7, -10**7 + 101) if is_fundamental_discriminant(D)]
+        assert edge
 
     @pytest.mark.parametrize("lo, hi", [(-10**6, -3), (5, 10**6)])
     def test_sieve_memory_peak_stays_near_result(self, lo, hi):
