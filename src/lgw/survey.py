@@ -28,6 +28,7 @@ import cmath
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
@@ -330,8 +331,8 @@ def scan_imaginary(limit: int, *, branch: int = 0, log_branch: int = 0) -> Surve
 # -- real scan ---------------------------------------------------------------------
 
 # Largest limit of a real scan, set by time: `lgw scan --real --limit 2000000
-# --format csv` took 46 s at a 560 MB peak RSS on a 2-vCPU VM, and the work
-# grows as limit^1.5.
+# --format csv` took 22-31 s at a 438 MB peak RSS on a 2-vCPU VM, and the
+# work grows as limit^1.5.
 _MAX_REAL_SCAN = 2 * 10**6
 
 # Most roots a real scan may attach, counted before any work as unit_powers
@@ -518,10 +519,11 @@ def _row_text(
 
     A piece starts with the bare template split at its holes, once per bare
     row; each column of the bare rows fills its holes by one slice
-    assignment (repr for %d and %r, str for %s). The text of an attached
-    row follows the piece's bare rows before it: each of its record tuples
-    fills the template of its holes (_ROOTED). The values are plain ints
-    and finite floats, so repr writes them as json.dumps does.
+    assignment (repr for %d and %r, str for %s, and for h a lookup in the
+    scan's table of h's text with the literals around it). The text of an
+    attached row follows the piece's bare rows before it: each of its record
+    tuples fills the template of its holes (_ROOTED). The values are plain
+    ints and finite floats, so repr writes them as json.dumps does.
     """
     import numpy as np
 
@@ -534,6 +536,14 @@ def _row_text(
         if spec != "%":  # else an escaped "%", kept as text
             slots.append((len(row), str if spec == "s" else repr))
         row += ["%" if spec == "%" else None, literal]
+    # h fills the third hole (CSV_COLUMNS starts D, d, h): one table entry
+    # per value up to the scan's largest h, the text from the literal before
+    # the hole to the literal after it, stands for all three pieces
+    k = slots[2][0]
+    h_text = [f"{row[k - 1]}{v!r}{row[k + 1]}" for v in range(int(b.h.max(initial=0)) + 1)]
+    row[k - 1 : k + 2] = [None]
+    slots = [(s - 2 if s > k else s, conv) for s, conv in slots]
+    slots[2] = (k - 1, h_text.__getitem__)
     w, at = len(row), b.index
     rooted = {n: _template(fmt, holes, log_branch) for n, holes in _ROOTED.items()}
     yield first
@@ -626,15 +636,21 @@ def records_to_csv(records: Iterable[dict], columns: Sequence[str] = CSV_COLUMNS
 # d, h, the norm and log_branch, a string without escapes for a unit label,
 # a number for a regulator), repeated with its separators. Text it matches
 # is records whose alpha_re is null, which the correspondence table skips.
-# The repeat is bounded, so one match keeps little backtracking state however
-# long the run. _BARE_RUN matches the rows of an imaginary scan,
-# _BARE_UNIT_RUN those of a real scan, which carry a unit.
-_JSON_WS = "[ \t\n\r]*"
-_JSON_INT = r"-?(?:0|[1-9][0-9]*)"  # [0-9]: a str pattern's \d takes any Unicode digit
+# On Python 3.11+ every repeat is possessive, so a match saves no backtrack
+# point per row: each repeated class is followed by a character it cannot
+# hold, and nothing follows the run, so the match is the one a greedy repeat
+# finds. Python 3.10's re has no possessive repeats; there the bound on the
+# repeat keeps the backtracking state of one match small however long the
+# run. _BARE_RUN matches the rows of an imaginary scan, _BARE_UNIT_RUN those
+# of a real scan, which carry a unit.
+_POSSESSIVE = "+" if sys.version_info >= (3, 11) else ""
+_JSON_WS = "[ \t\n\r]*" + _POSSESSIVE
+# [0-9]: a str pattern's \d takes any Unicode digit
+_JSON_INT = rf"-?(?:0|[1-9][0-9]*{_POSSESSIVE})"
 _HOLE_GRAMMAR = (
     (_HOLE, _JSON_INT),
-    (_LABEL_HOLE, r'"[^"\\\x00-\x1f]*"'),
-    (_FLOAT_HOLE, _JSON_INT + r"(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?"),
+    (_LABEL_HOLE, rf'"[^"\\\x00-\x1f]*{_POSSESSIVE}"'),
+    (_FLOAT_HOLE, _JSON_INT + rf"(?:\.[0-9]+{_POSSESSIVE})?(?:[eE][-+]?[0-9]+{_POSSESSIVE})?"),
 )
 
 
@@ -642,7 +658,7 @@ def _bare_run(holes: tuple) -> re.Pattern:
     text = re.escape(_JSON.render([_record(holes, _HOLE)]))
     for hole, grammar in _HOLE_GRAMMAR:
         text = text.replace(re.escape(_JSON.quote(hole)), grammar)
-    return re.compile("(?:{ws}{}{ws},){{1,1024}}".format(text, ws=_JSON_WS))
+    return re.compile("(?:{ws}{}{ws},){{1,1024}}{p}".format(text, ws=_JSON_WS, p=_POSSESSIVE))
 
 
 _BARE_RUN, _BARE_UNIT_RUN = _bare_run(_BARE), _bare_run(_BARE_UNIT)

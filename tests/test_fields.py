@@ -38,6 +38,7 @@ from lgw.fields import (
 
 import lgw.fields
 from oracles import (
+    class_number_prime_real,
     class_numbers_imaginary_batch,
     legendre_euler,
     narrow_class_number_brute,
@@ -355,6 +356,23 @@ class TestWideClassNumber:
         h = lgw.fields._real_class_numbers(np.array(Ds, dtype=np.int64))[1].tolist()
         monkeypatch.setattr(lgw.fields, "fundamental_unit", lambda d: FundamentalUnit(d, *unit_full_period(d)))
         assert h == [class_number_analytic(D) for D in Ds] == [4, 2]
+
+    def test_prime_D_near_the_ceiling_against_character_sum(self):
+        # seeded primes D = 1 mod 4 in [1e6, 2e6], past class_number_analytic's
+        # reach and up to the real scan's ceiling: h against the character
+        # sum over twice the full-period regulator, which a regulator wrong
+        # by an integer factor would miss
+        rng = np.random.default_rng(20261020)
+        Ds = []
+        while len(Ds) < 5:
+            D = 4 * int(rng.integers(250_000, 500_000)) + 1
+            if all(D % p for p in range(3, math.isqrt(D) + 1, 2)):
+                Ds.append(D)
+        for D in Ds:
+            assert abs(class_number(D) - class_number_prime_real(D)) < 1e-6, D
+        # the oracle itself, on small primes whose h is 3, 5 and 9
+        for D in (229, 401, 1129):
+            assert abs(class_number_analytic(D) - class_number_prime_real(D)) < 1e-6, D
 
     def test_against_the_cycle_sieve_to_1e5(self):
         # the pointer-doubling sieve lgw used before the distance sums

@@ -4,6 +4,7 @@ import json
 import math
 import random
 import re
+import sys
 from unittest import mock
 
 import pytest
@@ -415,11 +416,18 @@ class TestSerialization:
         (scan_real, 60, {"unit_powers": 0}),
         (scan_real, 60, {"unit_powers": 3, "pairing": Pairing.SAME_BRANCH}),
         (scan_imaginary, 2, {}),
+        (scan_imaginary, 20000, {}),
     ])
     def test_chunked_json_equals_one_dumps(self, scan, limit, kwargs, monkeypatch):
         # every writer against its reference, in chunks small enough that the
         # records of one scan span several of them
         s = scan(limit, **kwargs)
+        # the writers take h's text from a table; the scan to 20000 reaches
+        # three digits, in 7-row and default chunks only, for time
+        chunks = (1, 2, 7)
+        if limit == 20000:
+            assert (len(s.batch.D), s.batch.h.max()) == (6079, 213)
+            chunks = (7, lgw.survey._JSON_CHUNK_ROWS)
         lb = kwargs.get("log_branch", 0)
         records = row_records(s.rows, lb)
         full = {
@@ -436,7 +444,7 @@ class TestSerialization:
         plain = "\n".join([first, *map(lgw.survey._plain_line, records)]) + "\n"
         # one row a chunk puts every attached row first and last in a chunk
         # of attached rows only; 2 and 7 mix attached and bare rows
-        for rows in (1, 2, 7):
+        for rows in chunks:
             monkeypatch.setattr(lgw.survey, "_JSON_CHUNK_ROWS", rows)
             assert summary_to_json(s, lb) == json.dumps(full)
             assert "".join(iter_summary_json(s, lb, trailer)) == json.dumps({**full, **trailer})
@@ -728,6 +736,42 @@ class TestReadRootedRecords:
         for chunk in (None, 7):
             with pytest.raises(ValueError):
                 _read(bad, chunk)
+
+    @pytest.mark.parametrize("text, row, key", [
+        (summary_to_json(scan_imaginary(300)), '{"D": -15, "d": -15, "h": 2, ', '"h"'),
+        (summary_to_json(scan_real(100)), '{"D": 40, "d": 10, "h": 2, ', '"regulator"'),
+    ], ids=["imaginary", "real"])
+    def test_number_grammar_in_bare_row(self, text, row, key):
+        # a bare run takes a number in a bare row (an integer for h, a float
+        # for the regulator) as json.loads does: what it rejects is an error,
+        # and what it takes reads as json.loads reads it
+        at = text.index(row)
+        end = text.index("}", at)
+        record = text[at:end]
+        assert '"alpha_re": null' in record
+        pair = re.search(key + ": [^,]*,", record).group()
+        value = pair[len(key) + 2 : -1]
+        for n in ("02", "-", "2.", ".5", "2e", "+2", "0x2", "2_0"):
+            doc = text[:at] + record.replace(pair, f"{key}: {n},", 1) + text[end:]
+            with pytest.raises(json.JSONDecodeError):
+                json.loads(doc)
+            for chunk in (None, 7):
+                with pytest.raises(ValueError):
+                    _read(doc, chunk)
+        for variant in [f"{key}: {n}," for n in ("-0", "2e0", "2.0", "2E+1")] + [
+            f"{key}:{value},", f"{key} : {value} ,"
+        ]:
+            doc = text[:at] + record.replace(pair, variant, 1) + text[end:]
+            for chunk in (None, 7):
+                assert _read(doc, chunk) == _rooted(doc)[1], variant
+
+    def test_bare_runs_are_possessive_where_re_has_them(self):
+        # Python 3.10's re rejects possessive repeats, so there the patterns
+        # keep greedy ones; from 3.11 every repeat is possessive
+        possessive = sys.version_info >= (3, 11)
+        for run in (lgw.survey._BARE_RUN, lgw.survey._BARE_UNIT_RUN):
+            assert run.pattern.endswith("{1,1024}+") == possessive
+            assert ("[0-9]*+" in run.pattern) == possessive
 
     def test_duplicate_rows_last_wins(self):
         s = scan_imaginary(200)
