@@ -77,14 +77,17 @@ def _build_parser() -> _Parser:
         sp.add_argument(f"--{name}-im", type=float, default=0.0)
     add_common(sp)
 
+    def add_unit(sp):  # the unit that alpha and verify read through _unit_input
+        sp.add_argument("--case", choices=("complex", "real"), required=True)
+        sp.add_argument("--eps-re", type=float, default=None)
+        sp.add_argument("--eps-im", type=float, default=0.0)
+        sp.add_argument("--log-eps-re", type=float, default=None)
+        sp.add_argument("--log-eps-im", type=float, default=0.0)
+        sp.add_argument("--d", type=int, default=None,
+                        help="real case: use the fundamental unit of Q(sqrt(d))")
+
     sp = sub.add_parser("alpha", help="fixed-point root alpha for a unit")
-    sp.add_argument("--case", choices=("complex", "real"), required=True)
-    sp.add_argument("--eps-re", type=float, default=None)
-    sp.add_argument("--eps-im", type=float, default=0.0)
-    sp.add_argument("--log-eps-re", type=float, default=None)
-    sp.add_argument("--log-eps-im", type=float, default=0.0)
-    sp.add_argument("--d", type=int, default=None,
-                    help="real case: use the fundamental unit of Q(sqrt(d))")
+    add_unit(sp)
     sp.add_argument("--beta", type=float, default=0.0,
                     help="auxiliary constant; cancels in the root (default 0)")
     add_common(sp, pairing=True, log_branch=True)
@@ -112,14 +115,9 @@ def _build_parser() -> _Parser:
     add_common(sp, pairing=True, log_branch=True)
 
     sp = sub.add_parser("verify", help="residual of the defining equation at alpha")
-    sp.add_argument("--case", choices=("complex", "real"), required=True)
+    add_unit(sp)
     sp.add_argument("--alpha-re", type=float, required=True)
     sp.add_argument("--alpha-im", type=float, default=0.0)
-    sp.add_argument("--eps-re", type=float, default=None)
-    sp.add_argument("--eps-im", type=float, default=0.0)
-    sp.add_argument("--log-eps-re", type=float, default=None)
-    sp.add_argument("--log-eps-im", type=float, default=0.0)
-    sp.add_argument("--d", type=int, default=None)
     add_common(sp, log_branch=True, branch=False)
 
     sp = sub.add_parser("table", help="correspondence table from scan JSON")
@@ -129,41 +127,40 @@ def _build_parser() -> _Parser:
     return p
 
 
+def _tolerance(ns) -> float:
+    """The residual tolerance: --tolerance, checked in run, or the default."""
+    return _DEFAULT_TOL if ns.tolerance is None else ns.tolerance
+
+
 def _conventions(ns) -> dict:
     return {
         "branch": getattr(ns, "branch", 0),
         "log_branch": getattr(ns, "log_branch", 0),
         "pairing": getattr(ns, "pairing", "conjugate-branch"),
-        "tolerance": ns.tolerance if ns.tolerance is not None else _DEFAULT_TOL,
+        "tolerance": _tolerance(ns),
     }
 
 
-def _check_tolerance(ns) -> float:
-    tol = ns.tolerance
-    if tol is None:
-        return _DEFAULT_TOL
-    if not (1e-15 <= tol <= 1e-6):
-        raise UsageError(f"--tolerance must lie in [1e-15, 1e-6], got {tol}")
-    return tol
-
-
 def _emit(obj, ns) -> None:
+    """Write a point command's result, with its conventions last."""
     if ns.format == "csv":  # scalar columns only; conventions stay in JSON
         from .csvtext import records_to_csv
 
-        sys.stdout.write(records_to_csv([obj], [k for k in obj if k != "conventions"]))
-    elif ns.format == "plain":
+        sys.stdout.write(records_to_csv([obj], list(obj)))
+        return
+    obj["conventions"] = _conventions(ns)
+    if ns.format == "plain":
         for k, v in obj.items():
             print(f"{k}={v}")
     else:
         print(json.dumps(obj))
 
 
-def _unit_input(ns, case: solver.Case) -> solver.UnitInput:
+def _unit_input(ns) -> solver.UnitInput:
     from . import solver
 
-    log_branch = getattr(ns, "log_branch", 0)
-    if getattr(ns, "d", None) is not None and case is solver.Case.REAL:
+    case = solver.Case(ns.case)
+    if ns.d is not None and case is solver.Case.REAL:
         from . import fields
 
         fu = fields.fundamental_unit(ns.d)
@@ -172,16 +169,15 @@ def _unit_input(ns, case: solver.Case) -> solver.UnitInput:
         val = complex(ns.log_eps_re, ns.log_eps_im)
         if case is solver.Case.REAL:
             return solver.UnitInput.from_log(val.real, case=case)
-        return solver.UnitInput(epsilon=None, log_branch=log_branch, case=case, log_value=val)
+        return solver.UnitInput(epsilon=None, log_branch=ns.log_branch, case=case, log_value=val)
     if ns.eps_re is None:
         raise UsageError("need --eps-re/--eps-im, --log-eps-re/--log-eps-im, or --d")
     if case is solver.Case.REAL:
         return solver.UnitInput.real_unit(ns.eps_re)
-    return solver.UnitInput.complex_unit(complex(ns.eps_re, ns.eps_im), log_branch)
+    return solver.UnitInput.complex_unit(complex(ns.eps_re, ns.eps_im), ns.log_branch)
 
 
 def _cmd_w(ns) -> int:
-    tol = _check_tolerance(ns)
     ev = wfunc.lambert_w(ns.branch, complex(ns.re, ns.im))
     out = {
         "re": ev.value.real,
@@ -189,16 +185,14 @@ def _cmd_w(ns) -> int:
         "residual": ev.residual,
         "branch": ev.branch,
         "iterations": ev.iterations,
-        "conventions": _conventions(ns),
     }
     _emit(out, ns)
-    return 0 if ev.residual <= tol else _NUMERICAL_EXIT
+    return 0 if ev.residual <= _tolerance(ns) else _NUMERICAL_EXIT
 
 
 def _cmd_solve(ns) -> int:
     from . import solver
 
-    tol = _check_tolerance(ns)
     eq = solver.ExpLinearEquation(
         complex(ns.a_re, ns.a_im), complex(ns.b_re, ns.b_im), complex(ns.c_re, ns.c_im)
     )
@@ -209,19 +203,16 @@ def _cmd_solve(ns) -> int:
         "im": z.imag,
         "residual": resid,
         "branch": ns.branch,
-        "conventions": _conventions(ns),
     }
     _emit(out, ns)
-    return 0 if resid <= tol * (1.0 + abs(z)) else _NUMERICAL_EXIT
+    return 0 if resid <= _tolerance(ns) * (1.0 + abs(z)) else _NUMERICAL_EXIT
 
 
 def _cmd_alpha(ns) -> int:
     from . import solver
 
-    tol = _check_tolerance(ns)
-    case = solver.Case(ns.case)
-    u = _unit_input(ns, case)
-    if case is solver.Case.COMPLEX:
+    u = _unit_input(ns)
+    if u.case is solver.Case.COMPLEX:
         rep = solver.alpha_complex_case(u, j=ns.branch, beta=ns.beta)
         checked = rep.residual_defining
     else:
@@ -236,16 +227,14 @@ def _cmd_alpha(ns) -> int:
         "residual_split_1": rep.residual_split_1,
         "residual_split_2": rep.residual_split_2,
         "residual_sum_equation": rep.residual_sum_equation,
-        "conventions": _conventions(ns),
     }
     _emit(out, ns)
-    return 0 if checked <= tol else _NUMERICAL_EXIT
+    return 0 if checked <= _tolerance(ns) else _NUMERICAL_EXIT
 
 
 def _cmd_unit(ns) -> int:
     from . import fields
 
-    _check_tolerance(ns)
     fu = fields.fundamental_unit(ns.d)
     out = {
         "d": fu.d,
@@ -255,7 +244,6 @@ def _cmd_unit(ns) -> int:
         "norm": fu.norm,
         "regulator": fu.regulator,
         "unit": fu.as_string(),
-        "conventions": _conventions(ns),
     }
     _emit(out, ns)
     return 0
@@ -264,7 +252,6 @@ def _cmd_unit(ns) -> int:
 def _cmd_classno(ns) -> int:
     from . import fields
 
-    _check_tolerance(ns)
     if ns.discriminant is not None:
         D = ns.discriminant
     else:
@@ -276,7 +263,6 @@ def _cmd_classno(ns) -> int:
     if ns.narrow:
         out["h_narrow"] = h_narrow
     out["d"] = fields.radicand_of_discriminant(D)
-    out["conventions"] = _conventions(ns)
     _emit(out, ns)
     return 0
 
@@ -284,7 +270,6 @@ def _cmd_classno(ns) -> int:
 def _cmd_scan(ns) -> int:
     from . import survey
 
-    _check_tolerance(ns)
     if ns.imaginary:
         summary = survey.scan_imaginary(ns.limit, branch=ns.branch, log_branch=ns.log_branch)
     else:
@@ -310,20 +295,17 @@ def _cmd_scan(ns) -> int:
 def _cmd_verify(ns) -> int:
     from . import solver
 
-    tol = _check_tolerance(ns)
-    case = solver.Case(ns.case)
-    u = _unit_input(ns, case)
+    u = _unit_input(ns)
     resid = solver.verify_fixed_point(complex(ns.alpha_re, ns.alpha_im), u)
-    out = {"residual": resid, "conventions": _conventions(ns)}
+    out = {"residual": resid}
     _emit(out, ns)
     # without --tolerance, verify only reports the residual
-    return 0 if ns.tolerance is None or resid <= tol else _NUMERICAL_EXIT
+    return 0 if ns.tolerance is None or resid <= ns.tolerance else _NUMERICAL_EXIT
 
 
 def _cmd_table(ns) -> int:
     from . import survey
 
-    _check_tolerance(ns)
     try:
         if ns.input == "-":
             records = survey.read_rooted_records(sys.stdin)
@@ -373,6 +355,8 @@ def run(argv: list[str]) -> int:
     parser = _build_parser()
     try:
         ns = parser.parse_args(argv)
+        if ns.tolerance is not None and not (1e-15 <= ns.tolerance <= 1e-6):
+            raise UsageError(f"--tolerance must lie in [1e-15, 1e-6], got {ns.tolerance}")
         return _DISPATCH[ns.command](ns)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

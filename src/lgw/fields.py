@@ -45,6 +45,7 @@ all but `classno` of a positive D.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from math import isqrt
 from typing import Iterator, NamedTuple
@@ -327,7 +328,16 @@ class FundamentalUnit:
         return self.x * self.x - self.d * self.y * self.y - m
 
     def as_string(self) -> str:
-        return _unit_label(self.x, self.y, self.d, self.half_integral)
+        """The unit as text. TermLimitExceeded when x has more digits than
+        sys.get_int_max_str_digits() lets an int be written in."""
+        try:
+            return _unit_label(self.x, self.y, self.d, self.half_integral)
+        except ValueError:
+            digits = int(self.x.bit_length() * math.log10(2)) + 1
+            raise TermLimitExceeded(
+                f"the unit of d={self.d} has about {digits} digits, more than the "
+                f"{sys.get_int_max_str_digits()} an int may be written in"
+            ) from None
 
 
 def _unit_label(x: int, y: int, d: int, half_integral: bool) -> str:

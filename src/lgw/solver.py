@@ -30,7 +30,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .errors import DegenerateCoefficients, DomainError, NonFinite, ZeroLogUnit
-from .wfunc import _TINY_Z, _lambert_w_log, lambert_w
+from .wfunc import _TINY_Z, _lambert_w_log, _require_finite, lambert_w
 
 __all__ = [
     "Case",
@@ -77,20 +77,13 @@ class Pairing(str, Enum):
 _REAL, _COMPLEX, _SAME_BRANCH = Case.REAL, Case.COMPLEX, Pairing.SAME_BRANCH
 
 
-def _finite(z: complex, what: str) -> complex:
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise NonFinite(f"{what} is not finite: {z!r}")
-    return z
-
-
 def _coefficients(a: complex, b: complex, c: complex) -> tuple[complex, complex, complex]:
     """A, B, C of z = A + B*exp(C*z) as complex numbers, checked finite with B*C != 0."""
     a, b, c = complex(a), complex(b), complex(c)
     if not math.isfinite(a.real + a.imag + b.real + b.imag + c.real + c.imag):
         # A non-finite part, or finite parts whose sum overflows: check
         # each coefficient, so the first non-finite one is named.
-        a, b, c = _finite(a, "A"), _finite(b, "B"), _finite(c, "C")
+        a, b, c = _require_finite(a, "A"), _require_finite(b, "B"), _require_finite(c, "C")
     if b * c == 0:
         raise DegenerateCoefficients("B*C must be nonzero")
     return a, b, c
@@ -155,7 +148,7 @@ class UnitInput(_UnitFields):
             if log_value is None:
                 raise DomainError("need epsilon or log_value")
         else:
-            epsilon = _finite(epsilon, "epsilon")
+            epsilon = _require_finite(epsilon, "epsilon")
             if case is _REAL:
                 if epsilon.imag != 0.0:
                     raise DomainError(f"real-case unit must be real, got {epsilon!r}")
@@ -175,7 +168,7 @@ class UnitInput(_UnitFields):
     def complex_unit(cls, epsilon: complex, log_branch: int = 0) -> "UnitInput":
         log_branch = int(log_branch)
         # __new__'s complex-case checks, without the call and its keywords
-        epsilon = _finite(epsilon, "epsilon")
+        epsilon = _require_finite(epsilon, "epsilon")
         if abs(epsilon) == 0.0:
             raise DomainError("complex case needs |epsilon| > 0")
         return _tuple_new(cls, (epsilon, log_branch, _COMPLEX, None))
@@ -187,7 +180,7 @@ class UnitInput(_UnitFields):
     @classmethod
     def from_log(cls, log_value: complex, case: Case = Case.COMPLEX) -> "UnitInput":
         """Build a synthetic unit whose log is forced to log_value exactly."""
-        log_value = _finite(log_value, "log_value")
+        log_value = _require_finite(log_value, "log_value")
         if case is _REAL:
             if log_value.imag != 0.0:
                 raise DomainError("real case needs a real log_value")
@@ -400,7 +393,7 @@ def verify_fixed_point(alpha: complex, u: UnitInput) -> float:
     Complex case: |i*alpha - exp(2*pi*i*alpha)*log(eps)|.
     Real case:    |alpha - cos(2*pi*alpha)*log(eps)|.
     """
-    alpha = _finite(alpha, "alpha")
+    alpha = _require_finite(alpha, "alpha")
     log_eps = unit_log(u)
     try:
         if u.case is _COMPLEX:

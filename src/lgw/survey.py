@@ -28,7 +28,6 @@ import cmath
 import json
 import math
 import re
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
@@ -636,21 +635,18 @@ def records_to_csv(records: Iterable[dict], columns: Sequence[str] = CSV_COLUMNS
 # d, h, the norm and log_branch, a string without escapes for a unit label,
 # a number for a regulator), repeated with its separators. Text it matches
 # is records whose alpha_re is null, which the correspondence table skips.
-# On Python 3.11+ every repeat is possessive, so a match saves no backtrack
-# point per row: each repeated class is followed by a character it cannot
-# hold, and nothing follows the run, so the match is the one a greedy repeat
-# finds. Python 3.10's re has no possessive repeats; there the bound on the
-# repeat keeps the backtracking state of one match small however long the
-# run. _BARE_RUN matches the rows of an imaginary scan, _BARE_UNIT_RUN those
-# of a real scan, which carry a unit.
-_POSSESSIVE = "+" if sys.version_info >= (3, 11) else ""
-_JSON_WS = "[ \t\n\r]*" + _POSSESSIVE
+# Every repeat is possessive, so a match saves no backtrack point per row:
+# each repeated class is followed by a character it cannot hold, and
+# nothing follows the run, so the match is the one a greedy repeat finds.
+# _BARE_RUN matches the rows of an imaginary scan, _BARE_UNIT_RUN those of a
+# real scan, which carry a unit.
+_JSON_WS = "[ \t\n\r]*+"
 # [0-9]: a str pattern's \d takes any Unicode digit
-_JSON_INT = rf"-?(?:0|[1-9][0-9]*{_POSSESSIVE})"
+_JSON_INT = r"-?(?:0|[1-9][0-9]*+)"
 _HOLE_GRAMMAR = (
     (_HOLE, _JSON_INT),
-    (_LABEL_HOLE, rf'"[^"\\\x00-\x1f]*{_POSSESSIVE}"'),
-    (_FLOAT_HOLE, _JSON_INT + rf"(?:\.[0-9]+{_POSSESSIVE})?(?:[eE][-+]?[0-9]+{_POSSESSIVE})?"),
+    (_LABEL_HOLE, r'"[^"\\\x00-\x1f]*+"'),
+    (_FLOAT_HOLE, _JSON_INT + r"(?:\.[0-9]++)?(?:[eE][-+]?[0-9]++)?"),
 )
 
 
@@ -658,7 +654,7 @@ def _bare_run(holes: tuple) -> re.Pattern:
     text = re.escape(_JSON.render([_record(holes, _HOLE)]))
     for hole, grammar in _HOLE_GRAMMAR:
         text = text.replace(re.escape(_JSON.quote(hole)), grammar)
-    return re.compile("(?:{ws}{}{ws},){{1,1024}}{p}".format(text, ws=_JSON_WS, p=_POSSESSIVE))
+    return re.compile("(?:{ws}{}{ws},){{1,1024}}+".format(text, ws=_JSON_WS))
 
 
 _BARE_RUN, _BARE_UNIT_RUN = _bare_run(_BARE), _bare_run(_BARE_UNIT)

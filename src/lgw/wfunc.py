@@ -108,10 +108,11 @@ class WEvaluation(NamedTuple):
     iterations: int
 
 
-def _require_finite(z: complex) -> complex:
+def _require_finite(z: complex, what: str) -> complex:
+    """z as a complex number; NonFinite naming it as `what` unless finite."""
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise NonFinite(f"non-finite argument {z!r}")
+        raise NonFinite(f"non-finite {what} {z!r}")
     return z
 
 
@@ -124,18 +125,6 @@ def _residual(w: complex, z: complex) -> float:
     t = w + cmath.log(w) - cmath.log(z)
     t -= _TWO_PI_I * round(t.imag / _TWO_PI)
     return abs(cmath.exp(t) - 1.0) * abs(z) / (1.0 + abs(z))
-
-
-def _series_seed(z: complex) -> complex:
-    # Pade [3/2] of the Maclaurin series; good well beyond |z| = 1/e.
-    num = 1.0 + z * (1.9 + 0.2833333333333333 * z)
-    den = 1.0 + z * (2.9 + 1.6833333333333333 * z)
-    return z * num / den
-
-
-def _branch_point_seed(p: complex) -> complex:
-    # Series of W in p = +/-sqrt(2(e*z+1)) about the branch point.
-    return -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0 - p * 43.0 / 540.0)))
 
 
 def _asymptotic_seed(l1: complex, log, full: bool = True) -> complex:
@@ -158,13 +147,18 @@ def _initial_guess(k: int, z: complex, sqrt, log) -> complex:
     if (k == 0 or (k == -1 and z.imag >= 0.0) or (k == 1 and z.imag < 0.0)) and abs(
         z - BRANCH_POINT_Z
     ) <= 0.3:
+        # Series of W in p = +/-sqrt(2(e*z+1)) about the branch point.
         p = sqrt(2.0 * (math.e * z + 1.0))
-        return _branch_point_seed(-p if k else p)
+        p = -p if k else p
+        return -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0 - p * 43.0 / 540.0)))
     if k == 0:
-        # Pade seed only away from the cut, where it stays on-branch.
+        # Pade [3/2] of the Maclaurin series, only away from the cut, where
+        # it stays on-branch; good well beyond |z| = 1/e.
         x, y = z.real, abs(z.imag)
         if -1.0 < x < 1.5 and y < 1.0 and x > -2.5 * y - 0.2:
-            return _series_seed(z)
+            num = 1.0 + z * (1.9 + 0.2833333333333333 * z)
+            den = 1.0 + z * (2.9 + 1.6833333333333333 * z)
+            return z * num / den
         # Near |z| ~ 1-2 the higher terms pull Halley onto W_{+-1}.
         return _asymptotic_seed(log(z), log, abs(z) > 2.0)
     if k == -1 and z.imag == 0.0 and BRANCH_POINT_Z <= z.real < 0.0:
@@ -352,7 +346,7 @@ def lambert_w_real(k: int, x: float) -> float:
 
 def w_derivative(k: int, z: complex) -> complex:
     """dW_k/dz = 1 / (z + exp(W_k(z))); singular at the branch point."""
-    z = _require_finite(z)
+    z = _require_finite(z, "argument")
     if abs(z - BRANCH_POINT_Z) <= 1e-12:
         raise BranchPointSingularity("derivative singular at z = -1/e")
     w = lambert_w(k, z).value
@@ -368,7 +362,7 @@ def w_series(z: complex, n_terms: int) -> complex:
     """
     from fractions import Fraction
 
-    z = _require_finite(z)
+    z = _require_finite(z, "argument")
     n_terms = int(n_terms)
     if n_terms < 1:
         raise TermLimitExceeded("n_terms must be >= 1")

@@ -428,6 +428,20 @@ class TestDomainLimits:
         assert captured.out == ""
         assert "100000000" in captured.err
 
+    @pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+    def test_unit_past_the_int_digit_limit_exit_2(self, capsys, fmt):
+        # the unit of d = 99999971 has 5,346 digits, more than an int may be
+        # written in by default; alpha and verify use its regulator alone
+        assert run(["unit", "--d", "99999971", "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "d=99999971 has about 5346 digits" in captured.err
+        assert "Traceback" not in captured.err
+        assert run(["alpha", "--case", "real", "--d", "99999971", "--format", fmt]) == 0
+        assert run(["verify", "--case", "real", "--alpha-re", "0.2", "--d", "99999971",
+                    "--format", fmt]) == 0
+        assert capsys.readouterr().out.count("\n") >= 2
+
     @pytest.mark.parametrize("d", ["1000000000000000003", "-1000000000000000003"],
                              ids=["positive", "negative"])
     def test_classno_radicand_above_ceiling_exit_2_at_once(self, capsys, d):
@@ -761,6 +775,49 @@ class TestClassnoBytes:
                 out += capsys.readouterr().out
             key = " ".join([*argv, *narrow])
             assert hashlib.sha256(out.encode()).hexdigest() == self.SHA256[key], (key, out)
+
+
+class TestPointCommandBytes:
+    """stdout and exit code of the point commands and of `lgw table`, pinned by
+    the sha256 of "<exit code>\n<stdout>" for json, csv and plain in that
+    order. `table` reads `scan --imaginary --limit 2000` from stdin. The
+    digests were taken while every command checked --tolerance and built its
+    own "conventions" echo."""
+
+    SHA256 = {
+        "w --re 1": "29733af26d976b066743e5aa0f67d199ea73aa4cb71deb6c41c4ab0f82c7ea97",
+        "w --re -0.3 --im 0.2 --branch -1 --tolerance 1e-12": "eabfef8dc7b2e4fe15c01d044aa93d7336bdb5da2a8e962c6dc315e3a9988d54",
+        "w --re 1e300 --im -1e300 --branch 4": "6144f2fffd200187374fceadbc6061407226e6daa1edaa2e42ceb9ba476165f6",
+        "w --re 1 --tolerance 1e-3": "edc8cd811c9d7da791d5fca4cdf3699bcd9dbe67cee772cb877cfd56411eb0e3",
+        "solve --a-re 1 --b-re 2 --c-re -0.5 --branch 1": "a0a347252e1a378df1b01e283e5127b9f642b69eeb0cb2f0f27f3bd09f158cd8",
+        "solve --a-re 0.5 --a-im -2 --b-re 1.5 --b-im 0.25 --c-re 0.75 --c-im 1 --branch -2 --tolerance 1e-15": "217ec5dd41fe8d12fca364799881c86f9a4332ccae54dffa6c30b55a4bf2242c",
+        "alpha --case complex --eps-re 0 --eps-im 1 --branch 1 --beta 0.5": "18b0c5325cc6565cfea3e7f18216b21e76b66ed13ca8b1793d1a28521d0a3099",
+        "alpha --case complex --log-eps-re -0.4 --log-eps-im 0.7 --log-branch 2 --branch -3": "5e3b94268af59aedfe7e2e783149799950a3580f5ef2a6d34f433f78278cd7bb",
+        "alpha --case real --log-eps-re 0.8813735870195432 --branch 2 --pairing same-branch": "54d8852273c5d827affa3518525f65f8dc129b659cd18888ed84cc9d5092dc2e",
+        "alpha --case real --d 94 --branch -1": "ee169d8c17938e36f694feee10f999f077dae21b07a3094c804d23037df59a52",
+        "alpha --case real --d 5": "2cc71cd5a780fb98bd60fc0176771941b11fe9bb1992a80e817562400e0166ce",
+        "alpha --case real --eps-re 2.5 --branch 3 --tolerance 1e-8": "0ca2a36f61556f0749032e6f99812f51031b5f0961027affce7336201a63d0fe",
+        "unit --d 5": "29cb2729f0b57c1784db8f1e6937f418e1baaa881fbcca3515a688299554d697",
+        "unit --d 94": "785bdca5a3e2609e0dea94ef19833eb06bcc291dd9a85a661a952f82d751cfc9",
+        "unit --d 61 --tolerance 1e-9": "980685cf3f8022300c5cf58fd91b9abbd38a3c67530b8f737a71238dee4f0919",
+        "unit --d 12": "579df6754926501d51d60a23a65d15dacc5cfa485e604a2a5252243f8e8d1022",
+        "verify --case complex --alpha-re 0.1 --alpha-im 0.2 --eps-re 0 --eps-im 1": "f3daec7b53ede1d03e24a5c71fa53a9a0d98dad2f7eb3e4c1561084e414a9b8b",
+        "verify --case complex --alpha-re 0.1 --log-eps-re -0.4 --log-eps-im 0.7 --log-branch 1 --tolerance 1e-6": "713ebaf64a8409c8d24b94834717b657b725f1d7c388bed1ae5fc037416bdc55",
+        "verify --case real --alpha-re 0.263707115569417 --d 5 --tolerance 1e-6": "0fa2f534ee8263754f4649747be00439175df31e4a6f82dd7b2f78f6927638cf",
+        "verify --case real --alpha-re 0.2 --log-eps-re 1.5": "e94b5adafc127e968a32a515d97bf16f8704b17f118fdacb0a75230633f4af4f",
+        "table": "b7a962e0061b8d4eba5058c7d0783a29fb8a3f28dfe1b72cc3ef1088a5da7d89",
+        "table --tolerance 1e-12": "ce173121cd8947721bae3b78ffb18cd1370a15c9d00070499aa3857a2957bcb3",
+    }
+
+    @pytest.mark.parametrize("flags", list(SHA256))
+    def test_bytes(self, flags):
+        argv = flags.split()
+        stdin = _run_captured(["scan", "--imaginary", "--limit", "2000"])[1] if argv[0] == "table" else ""
+        blob = ""
+        for fmt in ("json", "csv", "plain"):
+            code, out, _ = _run_captured([*argv, "--format", fmt], stdin)
+            blob += f"{code}\n{out}"
+        assert hashlib.sha256(blob.encode()).hexdigest() == self.SHA256[flags], blob
 
 
 class TestBenchmarkGoldens:

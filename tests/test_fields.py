@@ -232,6 +232,22 @@ class TestFundamentalUnit:
             fundamental_unit(94)
         assert fundamental_unit(2).x == 1
 
+    def test_label_past_the_int_digit_limit_is_a_term_limit(self):
+        # the unit of d = 99999971 has 5,346 digits, past CPython's default
+        # 4,300-digit limit on writing an int; a limit of 0 lifts it
+        u = fundamental_unit(99999971)
+        assert u.regulator == pytest.approx(12308.38, abs=0.01)
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(4300)
+            with pytest.raises(TermLimitExceeded, match=r"d=99999971 has about 5346 digits"):
+                u.as_string()
+            sys.set_int_max_str_digits(0)
+            assert u.as_string() == f"{u.x}+{u.y}*sqrt(99999971)"
+            assert len(str(u.x)) == 5346
+        finally:
+            sys.set_int_max_str_digits(limit)
+
 
 class TestBatchedUnits:
     """fields._unit_columns runs _cf_unit's continued fraction for many d at
