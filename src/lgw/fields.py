@@ -1,9 +1,12 @@
 """Exact arithmetic for quadratic fields.
 
-Everything here is integer arithmetic: fundamental discriminants, Dirichlet
-signature/unit-rank bookkeeping, torsion units, fundamental units by the
-continued-fraction expansion of sqrt(d) or (1+sqrt(d))/2, and class numbers
-two independent ways (reduced binary quadratic forms, and the finite
+Everything here is integer arithmetic: fundamental discriminants (of a
+range, by radicand too, from one byte-mask sieve; of one D by is_squarefree,
+which trial-divides up to the cube root), Dirichlet signature/unit-rank
+bookkeeping, torsion units (one table of label, value and arg for
+roots_of_unity, the scan's labels and the table's logs), fundamental units
+by the continued-fraction expansion of sqrt(d) or (1+sqrt(d))/2, and class
+numbers two independent ways (reduced binary quadratic forms, and the finite
 Dirichlet class-number formula through the Kronecker symbol).
 
 Class numbers for positive discriminants are the ordinary (wide) h by
@@ -31,7 +34,7 @@ Negative D go down to -_MAX_IMAG_D = -10^7. class_number(D < 0) counts the
 reduced definite forms of one D in a walk over b, one divisor count per b,
 in Python ints; an imaginary scan counts them for every -n >= -limit at
 once (_imaginary_form_counts). There n = 4ac - b^2 is 0 or
-3 mod 4 by the parity of b, so the counts live in two int32 residue classes
+3 mod 4 by the parity of b, so the counts live in two int16 residue classes
 of about limit/4 entries, where each a adds progressions of stride a: one
 staircase of about a/4 rows, then one periodic row of the a's whole
 pattern added over a 2-D view.
@@ -81,17 +84,19 @@ __all__ = [
 
 
 def is_squarefree(n: int) -> bool:
-    n = abs(n)
-    if n == 0:
-        return False
-    if n % 4 == 0:
-        return False
-    q = 3
-    while q * q <= n:
-        if n % (q * q) == 0:
-            return False
-        q += 2
-    return True
+    """Whether no square of a prime divides n (0 is not squarefree): trial
+    division by q = 2 and the odd q while q^3 is at most what is left of n,
+    each divided out once (if q still divides, q^2 did). The rest then has at
+    most two prime factors, so it is squarefree unless a square. About
+    n^(1/3) / 2 divisions: 0.1 s at n = 10^18."""
+    n, q = abs(n), 2
+    while q * q * q <= n:
+        if n % q == 0:
+            n //= q
+            if n % q == 0:
+                return False
+        q += 2 if q > 2 else 1
+    return n == 1 or isqrt(n) ** 2 != n
 
 
 def discriminant_of_radicand(d: int) -> int:
@@ -110,14 +115,10 @@ def radicand_of_discriminant(D: int) -> int:
 
 
 def is_fundamental_discriminant(D: int) -> bool:
-    if D in (0, 1):
-        return False
+    # D = 1 mod 4 squarefree, or D = 4m with m = 2 or 3 mod 4 squarefree
     if D % 4 == 1:
-        return is_squarefree(D)
-    if D % 4 == 0:
-        m = D // 4
-        return m % 4 in (2, 3) and is_squarefree(m)
-    return False
+        return D != 1 and is_squarefree(D)
+    return D % 16 in (8, 12) and is_squarefree(D // 4)
 
 
 def _check_fundamental(D: int) -> None:
@@ -267,6 +268,25 @@ class RootsOfUnity:
     elements: tuple[complex, ...]
 
 
+_HALF_RT3 = math.sqrt(3.0) / 2.0
+
+# The torsion units by the order n of their group, as (label, value, arg) with
+# arg in (-pi, pi]: the label names the unit in a scan's records, and the arg
+# gives the correspondence table its log.
+_TORSION_UNITS = {
+    2: (("1", 1 + 0j, 0.0), ("-1", -1 + 0j, math.pi)),
+    4: (("1", 1 + 0j, 0.0), ("i", 1j, math.pi / 2), ("-1", -1 + 0j, math.pi), ("-i", -1j, -math.pi / 2)),
+    6: (
+        ("1", 1 + 0j, 0.0),
+        ("(1+i*sqrt(3))/2", complex(0.5, _HALF_RT3), math.pi / 3),
+        ("(-1+i*sqrt(3))/2", complex(-0.5, _HALF_RT3), 2 * math.pi / 3),
+        ("-1", -1 + 0j, math.pi),
+        ("(-1-i*sqrt(3))/2", complex(-0.5, -_HALF_RT3), -2 * math.pi / 3),
+        ("(1-i*sqrt(3))/2", complex(0.5, -_HALF_RT3), -math.pi / 3),
+    ),
+}
+
+
 def roots_of_unity(D: int) -> RootsOfUnity:
     """Torsion unit group of the imaginary quadratic field of discriminant D.
 
@@ -275,26 +295,8 @@ def roots_of_unity(D: int) -> RootsOfUnity:
     if D >= 0:
         raise NotImaginary(f"D={D} is not an imaginary discriminant")
     _check_fundamental(D)
-    if D == -4:
-        n = 4
-    elif D == -3:
-        n = 6
-    else:
-        n = 2
-    half_rt3 = math.sqrt(3.0) / 2.0
-    table = {
-        2: (1 + 0j, -1 + 0j),
-        4: (1 + 0j, 1j, -1 + 0j, -1j),
-        6: (
-            1 + 0j,
-            complex(0.5, half_rt3),
-            complex(-0.5, half_rt3),
-            -1 + 0j,
-            complex(-0.5, -half_rt3),
-            complex(0.5, -half_rt3),
-        ),
-    }
-    return RootsOfUnity(n=n, elements=table[n])
+    n = 6 if D == -3 else 4 if D == -4 else 2
+    return RootsOfUnity(n=n, elements=tuple(value for _, value, _ in _TORSION_UNITS[n]))
 
 
 # -- fundamental units via continued fractions ---------------------------------
@@ -374,7 +376,7 @@ def fundamental_unit(d: int) -> FundamentalUnit:
     """Fundamental unit of the ring of integers of Q(sqrt(d)), d squarefree > 1.
 
     d above _MAX_REAL_D (10^8) raises TermLimitExceeded before any work: the
-    squarefree test and the continued fraction both grow with sqrt(d).
+    continued fraction grows with sqrt(d).
     """
     if d in (0, 1):
         raise DegenerateD(f"d={d} does not define a real quadratic field")
@@ -672,9 +674,9 @@ def _class_numbers(D: int) -> tuple[int, int]:
 _MAX_REAL_D = 10**8
 
 # Largest |D| of a negative discriminant: an imaginary scan to -limit holds
-# its form counts in int32[limit // 4 + 1, 2] and does work that grows as
-# limit^1.5 (about 3 s of sieve at 10^7). class_number(D < 0) tries about
-# 0.07|D| candidate divisors in Python, 0.04 s at this ceiling.
+# its form counts in int16[limit // 4 + 1, 2] (10 MB at 10^7) and does work
+# that grows as limit^1.5 (2-3 s of sieve at 10^7). class_number(D < 0) tries
+# about 0.07|D| candidate divisors in Python, 0.04 s at this ceiling.
 _MAX_IMAG_D = 10**7
 
 # Reduced forms the distance sieve holds at once: it walks the (a, b) pairs
@@ -736,7 +738,7 @@ def _real_class_numbers(Ds: np.ndarray) -> tuple[np.ndarray, np.ndarray, _UnitCo
     if len(Ds):
         _check_size(int(Ds[-1]))
     distances = _distance_sums(Ds)
-    units = _unit_columns(np.where(Ds % 4 == 1, Ds, Ds // 4))
+    units = _unit_columns(_radicand_array(Ds))
     h = _wide_class_numbers(Ds, distances, np.array(units.regulator, dtype=np.float64))
     return np.where(np.array(units.norm, dtype=np.int64) == -1, h, 2 * h), h, units
 
@@ -883,7 +885,7 @@ def class_number_analytic(D: int, precision_terms: int | None = None) -> int:
     if n_terms < 1:
         raise PrecisionLoss("precision_terms must allow at least one term")
     if D < 0:
-        w = 6 if D == -3 else 4 if D == -4 else 2
+        w = roots_of_unity(D).n
         total = 0
         for a in range(1, n_terms + 1):
             total += kronecker_symbol(D, a) * a
@@ -913,7 +915,7 @@ _FORM_ROW_ENTRIES = 4096
 
 def _imaginary_form_counts(limit: int) -> np.ndarray:
     """Reduced forms (a, b, c) of discriminant -n for n <= limit, by the
-    residue class of n, as int32 of shape (limit // 4 + 1, 2).
+    residue class of n, as int16 of shape (limit // 4 + 1, 2).
 
     A reduced form has 0 <= |b| <= a <= c, b >= 0 when |b| = a or a = c,
     and n = 4ac - b^2 (Cohen, GTM 138, section 5.3). Even b = 2j gives
@@ -933,8 +935,10 @@ def _imaginary_form_counts(limit: int) -> np.ndarray:
     import numpy as np
 
     rows = limit // 4 + 1
-    # each a adds at most 2a to an entry, so a count stays below limit/3 + sqrt(limit)
-    flat = np.zeros(2 * rows, dtype=np.int32)
+    # int16 holds every count, imprimitive forms included, and no partial sum
+    # exceeds its final count: the largest is 963 at limit 3*10^5, 1,868 at
+    # 10^6 and 6,372 at _MAX_IMAG_D = 10^7.
+    flat = np.zeros(2 * rows, dtype=np.int16)
     size = len(flat)
     amax = isqrt(limit // 3)
     b = np.arange(amax + 1, dtype=np.int64)
@@ -942,11 +946,11 @@ def _imaginary_form_counts(limit: int) -> np.ndarray:
     for a in range(1, amax + 1):
         period, square = 2 * a, 2 * a * a
         start = square - q[: a + 1]  # descending: |b| = a starts first
-        w = np.full(a + 1, 2, dtype=np.int32)
+        w = np.full(a + 1, 2, dtype=np.int16)
         w[[0, a]] = 1
         # 3a^2 <= limit puts the earliest start, 1.5a^2, inside the array
         base = int(start[a]) // period * period
-        stair = np.zeros(square + period - base, dtype=np.int32)
+        stair = np.zeros(square + period - base, dtype=np.int16)
         at = start - base
         stair[at] = w
         steps = stair.reshape(-1, period)

@@ -45,7 +45,7 @@ from .fields import (
     _imaginary_form_counts,
     _radicand_array,
     _real_class_numbers,
-    _squarefree_mask,
+    _TORSION_UNITS,
     _unit_label,
     _UnitColumns,
     roots_of_unity,
@@ -197,17 +197,8 @@ class SurveySummary:
         )
 
 
-# Each torsion unit by its label in the row records, with arg(eps) in (-pi, pi]
-_TORSION_ARGS = {
-    "1": 0.0,
-    "-1": math.pi,
-    "i": math.pi / 2,
-    "-i": -math.pi / 2,
-    "(1+i*sqrt(3))/2": math.pi / 3,
-    "(-1+i*sqrt(3))/2": 2 * math.pi / 3,
-    "(-1-i*sqrt(3))/2": -2 * math.pi / 3,
-    "(1-i*sqrt(3))/2": -math.pi / 3,
-}
+# arg(eps) in (-pi, pi] of each torsion unit, by its label in the row records
+_TORSION_ARGS = {label: arg for units in _TORSION_UNITS.values() for label, _, arg in units}
 
 
 def _distinct_stats(values: Iterable[complex]) -> tuple[int, float | None]:
@@ -273,9 +264,8 @@ def _gap(a: complex, b: complex) -> float:
 
 # -- imaginary scan ---------------------------------------------------------------
 
-def _torsion_root(D: int, d: int, eps: complex, branch: int, log_branch: int) -> tuple:
-    """The record tuple of torsion unit eps of field D, radicand d."""
-    label = next(label for label, arg in _TORSION_ARGS.items() if abs(arg - cmath.phase(eps)) < 1e-9)
+def _torsion_root(D: int, d: int, label: str, eps: complex, branch: int, log_branch: int) -> tuple:
+    """The record tuple of torsion unit eps, labelled `label`, of field D, radicand d."""
     if eps == 1 and log_branch == 0:
         return D, d, 1, label  # log(1) = 0 on the principal branch: no root to attach
     rep = alpha_complex_case(UnitInput.complex_unit(eps, log_branch), j=branch)
@@ -300,9 +290,9 @@ def scan_imaginary(limit: int, *, branch: int = 0, log_branch: int = 0) -> Surve
     if limit < 0:
         raise DomainError(f"limit {limit} is negative")
     _check_size(-limit)
-    # The sieve has already proved every D fundamental, so the radicand
-    # (D for D = 1 mod 4, D/4 otherwise) and h are read off whole arrays,
-    # each worked out in place in its own: no int64 temporary of their length.
+    # The sieve has already proved every D fundamental, so d and h are read
+    # off whole arrays, each worked out in place in its own: no int64
+    # temporary of their length.
     D = _fundamental_discriminant_array(-limit, -3)[::-1]  # -3 first, |D| ascending
     # n = -D is 0 or 3 mod 4, and the form counts hold n at [n >> 2, n & 1],
     # which is n >> 1 in their flat array
@@ -312,7 +302,8 @@ def scan_imaginary(limit: int, *, branch: int = 0, log_branch: int = 0) -> Surve
     d = _radicand_array(D)
     at = np.flatnonzero(h == 1)
     roots = [
-        tuple(_torsion_root(Di, di, eps, branch, log_branch) for eps in roots_of_unity(Di).elements)
+        tuple(_torsion_root(Di, di, label, eps, branch, log_branch)
+              for label, eps, _ in _TORSION_UNITS[roots_of_unity(Di).n])
         for Di, di in zip(D[at].tolist(), d[at].tolist())
     ]
     distinct_alpha, min_sep = _distinct_stats(complex(r[4], r[5]) for f in roots for r in f if len(r) > 4)
@@ -357,7 +348,7 @@ def scan_real(
     count_h1 is a raw count; it grows without any claimed bound.
 
     The scan is columnar, like the imaginary one: D and d come from the
-    squarefree sieve, h and the unit columns from
+    fundamental-discriminant sieve, h and the unit columns from
     fields._real_class_numbers, as for class_number, and the roots of each
     h = 1 field straight from its regulator (solver._alpha_real), as record
     tuples. limit may be at most _MAX_REAL_SCAN (2*10^6), a quarter of it
@@ -377,11 +368,9 @@ def scan_real(
             f"limit {limit} exceeds {top}, the largest real scan supported"
             + (" by radicand" if by_radicand else "")
         )
-    if by_radicand:
-        d = np.flatnonzero(_squarefree_mask(2, max(limit, 1))) + 2
-        D = np.sort(np.where(d % 4 == 1, d, 4 * d))
-    else:
-        D = _fundamental_discriminant_array(5, limit)
+    D = _fundamental_discriminant_array(5, 4 * limit if by_radicand else limit)
+    if by_radicand:  # radicand d <= limit: D = d <= limit for d = 1 mod 4, else D = 4d
+        D = D[_radicand_array(D) <= limit]
     if unit_powers * len(D) > _MAX_REAL_ROOTS:
         raise TermLimitExceeded(
             f"{unit_powers} unit powers of {len(D)} fields make {unit_powers * len(D)} roots, "
@@ -806,7 +795,7 @@ def correspondence_table(records: Iterable[dict]) -> CorrespondenceTable:
     one-to-one story: every attached root appears with its unit, its log,
     and the pairwise-distinctness statistics of the roots. A record that
     lacks a key, or a torsion record whose unit label is not one of
-    _TORSION_ARGS, raises KeyError; a non-finite alpha raises ValueError.
+    fields._TORSION_UNITS, raises KeyError; a non-finite alpha raises ValueError.
     """
     entries = []
     alphas = []

@@ -29,12 +29,13 @@ lambert_w also raises it for a larger residual after a step that did fall
 below tolerance.
 
 For k != 0 and |z| below the smallest normal float, e^w at the root is
-subnormal, so w e^w = z no longer pins w down. There both entry points run
-Newton, from the same seed, on the logarithm of the equation instead:
+subnormal, so w e^w = z no longer pins w down. There lambert_w runs Newton,
+from its seed, on the logarithm of the equation instead:
 w + log(-w) = log z + 2*pi*i*k - i*pi*sign(k), with log(-w) free of cuts
 near the root (Re w < -700). It raises NoConvergence if the step does not
 fall below tolerance within 64 steps. _lambert_w_log runs the same Newton
-from log z itself, for a caller whose z would be subnormal.
+from log z itself, for a caller whose z would be subnormal, and
+lambert_w_real takes its subnormal W_-1 from it.
 
 Off the real axis W_{-k}(conj z) = conj W_k(z), and lambert_w keeps that
 symmetry bit for bit: conjugation commutes with complex +, -, *, / and with
@@ -206,14 +207,13 @@ def _halley(z: complex, w: complex, exp) -> tuple[complex, int, bool]:
     return w, _MAX_ITER, False
 
 
-def _log_newton(w, t, log) -> tuple[complex, int, bool]:
+def _log_newton(w: complex, t: complex) -> tuple[complex, int, bool]:
     """Newton on w + log(-w) = t from the seed w, for Re w < 0; returns (w,
-    iterations, converged-by-step-size). log is cmath.log, or math.log for
-    real w and t."""
+    iterations, converged-by-step-size)."""
     it = 0
     while it < _MAX_ITER:
         it += 1
-        dw = (w + log(-w) - t) / (1.0 + 1.0 / w)
+        dw = (w + _clog(-w) - t) / (1.0 + 1.0 / w)
         w = w - dw
         if abs(dw) < _STEP_TOL * (1.0 + abs(w)):
             return w, it, True
@@ -255,11 +255,12 @@ def lambert_w(k: int, z: complex) -> WEvaluation:
         # Im W_k has the sign of k, or is 0 (the real W_-1 on its cut), so
         # log w = log(-w) + i*pi*sign(k), and log(-w) has no cut near w. As
         # in the seed table, W_-1 takes a real z of either zero sign as
-        # lying on the cut from above.
+        # lying on the cut from above. Not _lambert_w_log: it sees only Log z,
+        # whose Im rounds to -pi just below the cut (z = -2.2e-308 - 5e-324j).
         if k == -1 and z.imag == 0.0:
             z = complex(z.real, 0.0)
         t = _clog(z) + _TWO_PI_I * k - (_PI_I if k > 0 else -_PI_I)
-        w, iterations, stepped = _log_newton(seed, t, _clog)
+        w, iterations, stepped = _log_newton(seed, t)
         if not stepped:
             raise NoConvergence(f"Newton failed for W_{k}({z!r}) after {iterations} iterations")
     else:
@@ -285,15 +286,12 @@ def _lambert_w_log(k: int, t: complex) -> complex:
     on the negative real axis as lying on the cut from above (Im t = -pi
     counts as +pi); the other branches keep Im t = -pi below the cut.
     """
-    if k == -1 and t.imag == -math.pi:
+    if k == -1 and abs(t.imag) == math.pi:
         t = complex(t.real, math.pi)
-    if k == -1 and t.imag == math.pi:
         seed = t.real - _clog(-t.real)  # _initial_guess's real seed: the root stays real
     else:
         seed = _asymptotic_seed(t + _TWO_PI_I * k, _clog)
-    w, iterations, stepped = _log_newton(
-        seed, t + _TWO_PI_I * k - (_PI_I if k > 0 else -_PI_I), _clog
-    )
+    w, iterations, stepped = _log_newton(seed, t + _TWO_PI_I * k - (_PI_I if k > 0 else -_PI_I))
     if not stepped:
         raise NoConvergence(f"Newton failed for W_{k}(exp({t!r})) after {iterations} iterations")
     return w
@@ -308,7 +306,8 @@ def lambert_w_real(k: int, x: float) -> float:
     the branch-point series for x <= -1/e + 0.3, the Pade seed below 1.5,
     the three-term L1 - L2 + L2/L1 up to 2, the asymptotic series beyond;
     for k = -1, the branch-point series (root -p) for x <= -1/e + 0.3,
-    L1 - log(-L1) with L1 = log(-x) beyond.
+    L1 - log(-L1) with L1 = log(-x) beyond, and for a subnormal x the
+    log-space Newton of _lambert_w_log.
 
     Raises
     ------
@@ -330,12 +329,10 @@ def lambert_w_real(k: int, x: float) -> float:
         return 0.0
     if x == BRANCH_POINT_Z:
         return -1.0
-    seed = _initial_guess(k, x, math.sqrt, math.log)
     if k == -1 and x > -_TINY_Z:
-        w, iterations, stepped = _log_newton(seed, math.log(-x), math.log)
-        if not stepped:
-            raise NoConvergence(f"Newton failed for real W_-1({x!r}) after {iterations} iterations")
-        return w
+        # x lies on W_-1's cut, taken from above: Log x = log(-x) + i*pi
+        return _lambert_w_log(-1, complex(math.log(-x), math.pi)).real
+    seed = _initial_guess(k, x, math.sqrt, math.log)
     w, iterations, stepped = _halley(x, seed, math.exp)
     # Near the branch point the last steps stall at rounding level, as in
     # lambert_w; the residual decides there.

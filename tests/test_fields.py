@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 import tracemalloc
 from dataclasses import astuple
 
@@ -81,6 +82,51 @@ class TestDescribeField:
             describe_field(1)
 
 
+def _primes_above(n: int, count: int) -> list[int]:
+    """The first `count` primes above n, by trial division."""
+    primes, p = [], n + 1
+    while len(primes) < count:
+        if p > 1 and all(p % q for q in range(2, math.isqrt(p) + 1)):
+            primes.append(p)
+        p += 1
+    return primes
+
+
+class TestSquarefree:
+    # [1, 2*10^5] whole; near 10^9 and 10^12 windows of 2*10^4 and 10^4,
+    # where the trial division runs longest per n
+    @pytest.mark.parametrize("lo, hi", [(1, 200_000), (10**9, 10**9 + 20_000),
+                                        (10**12 - 5_000, 10**12 + 5_000)])
+    def test_matches_the_sieve(self, lo, hi):
+        assert [is_squarefree(n) for n in range(lo, hi + 1)] == lgw.fields._squarefree_mask(lo, hi).tolist()
+
+    def test_factors_above_the_cube_root(self):
+        # what is left after the divisions below n^(1/3) is a prime, a product
+        # of two, or the square of one
+        p, q = _primes_above(10**6, 2)
+        assert not is_squarefree(p * p)
+        assert not is_squarefree(3 * p * p)
+        assert not is_squarefree(2 * p * p)
+        assert not is_squarefree(p**3)
+        assert is_squarefree(p * q)
+        assert is_squarefree(6 * p * q)
+        assert is_squarefree(p)
+        assert not is_squarefree(9 * p * q)
+
+    def test_small_and_negative(self):
+        assert not is_squarefree(0)
+        assert is_squarefree(1) and is_squarefree(-1)
+        assert [is_squarefree(n) for n in range(-12, 0)] == [is_squarefree(n) for n in range(12, 0, -1)]
+        assert is_squarefree(-163) and not is_squarefree(-18)
+
+    def test_huge_n_is_fast(self):
+        # about n^(1/3) / 2 divisions: a trial division up to sqrt(n) took
+        # minutes here
+        start = time.perf_counter()
+        assert is_squarefree(10**18 + 3) is True
+        assert time.perf_counter() - start < 1.0
+
+
 class TestUnitRank:
     @pytest.mark.parametrize(
         "two_r,totally_real,expected",
@@ -144,6 +190,15 @@ class TestRootsOfUnity:
         expected = {(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0),
                     (0.5, s), (-0.5, s), (-0.5, -s), (0.5, -s)}
         assert {(round(a, 12), round(b, 12)) for a, b in expected} == seen
+
+    def test_elements_and_their_order(self):
+        # the constants and order of the scan's torsion roots, signed zeros too
+        assert repr(roots_of_unity(-3).elements) == (
+            "((1+0j), (0.5+0.8660254037844386j), (-0.5+0.8660254037844386j), (-1+0j), "
+            "(-0.5-0.8660254037844386j), (0.5-0.8660254037844386j))"
+        )
+        assert repr(roots_of_unity(-4).elements) == "((1+0j), 1j, (-1+0j), (-0-1j))"
+        assert repr(roots_of_unity(-7).elements) == "((1+0j), (-1+0j))"
 
     def test_not_imaginary(self):
         with pytest.raises(NotImaginary):

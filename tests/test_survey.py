@@ -6,6 +6,7 @@ import random
 import re
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -123,6 +124,24 @@ class TestScanImaginary:
         assert s.distinct_alpha_count == 7
         assert s.min_alpha_separation > 1e-3
 
+    @pytest.mark.parametrize("branch, log_branch", [(0, 0), (-1, 1), (2, -2)])
+    def test_each_label_names_the_unit_of_its_root(self, branch, log_branch):
+        # the unit each label names, written out here, gives the row's alpha
+        s = math.sqrt(3) / 2
+        units = {"1": 1 + 0j, "-1": -1 + 0j, "i": 1j, "-i": -1j,
+                 "(1+i*sqrt(3))/2": complex(0.5, s), "(-1+i*sqrt(3))/2": complex(-0.5, s),
+                 "(-1-i*sqrt(3))/2": complex(-0.5, -s), "(1-i*sqrt(3))/2": complex(0.5, -s)}
+        summary = scan_imaginary(200, branch=branch, log_branch=log_branch)
+        for field in summary.batch.roots:
+            D = field[0][0]
+            assert sorted(r[3] for r in field) == sorted(
+                label for label, eps in units.items() if eps in roots_of_unity(D).elements
+            )
+            for r in field:
+                if len(r) > 4:
+                    rep = alpha_complex_case(UnitInput.complex_unit(units[r[3]], log_branch), branch)
+                    assert (r[4], r[5]) == (rep.alpha.real, rep.alpha.imag), (D, r)
+
     def test_sieve_discriminants_are_not_retested(self, monkeypatch):
         # only the h = 1 rows revalidate D (through roots_of_unity); the
         # rest take D and d from the sieve
@@ -166,8 +185,6 @@ class TestScanImaginary:
 
     def test_integer_like_conventions_write_plain_ints(self):
         # numpy integers and bools are taken as the ints they stand for
-        import numpy as np
-
         plain = summary_to_json(scan_imaginary(20, branch=-1, log_branch=1), 1)
         assert_same_text(
             summary_to_json(scan_imaginary(20, branch=np.int64(-1), log_branch=np.int64(1)), 1), plain
@@ -210,6 +227,28 @@ class TestScanReal:
     def test_radicand_mode_reproduces_spec_list(self):
         s = scan_real(40, by_radicand=True)
         assert sorted(r.d for r in s.rows if r.h == 1) == H1_RADICANDS_TO_40
+
+    @pytest.mark.parametrize("limits", [range(600), [4099]], ids=["0-599", "4099"])
+    def test_radicand_mode_discriminants_match_two_sieves(self, limits, monkeypatch):
+        # the scan filters the discriminant sieve to d <= limit; against the
+        # squarefree radicands in [2, limit], each sent to D = d or 4d
+        seen = []
+
+        class Stop(Exception):
+            pass
+
+        def capture(D):
+            seen.append(D)
+            raise Stop
+
+        monkeypatch.setattr(lgw.survey, "_real_class_numbers", capture)
+        for limit in limits:
+            with pytest.raises(Stop):
+                scan_real(limit, by_radicand=True)
+            d = np.flatnonzero(lgw.fields._squarefree_mask(2, max(limit, 1))) + 2
+            want = np.sort(np.where(d % 4 == 1, d, 4 * d))
+            got = seen.pop()
+            assert got.dtype == np.int64 and got.tolist() == want.tolist(), limit
 
     def test_single_row_at_5(self):
         s = scan_real(5)
@@ -353,7 +392,6 @@ class TestScanReal:
         top = lgw.survey._MAX_REAL_SCAN
         assert top < lgw.fields._MAX_REAL_D
         monkeypatch.setattr(lgw.survey, "_fundamental_discriminant_array", None)
-        monkeypatch.setattr(lgw.survey, "_squarefree_mask", None)
         with pytest.raises(TermLimitExceeded, match=str(top)):
             scan_real(top + 1)
         with pytest.raises(TermLimitExceeded, match=str(top // 4)):

@@ -1,5 +1,7 @@
 import cmath
+import hashlib
 import math
+import random
 
 import numpy as np
 import pytest
@@ -258,6 +260,20 @@ class TestTinyArguments:
             ref = float(mpmath.lambertw(x, -1).real)
             assert abs(lambert_w_real(-1, x) - ref) <= 1e-13 * abs(ref), x
             assert abs(lambert_w(-1, x).value - ref) <= 1e-13 * abs(ref), x
+
+    def test_real_minus_one_branch_bits_are_pinned(self):
+        # every subnormal bit length of the mantissa, both ends of
+        # (-_TINY_Z, 0) among them; the digest of the float bits as the
+        # real fast path's own Newton gave them, before that path was routed
+        # through _lambert_w_log
+        rng = random.Random(2026)
+        xs = [-5e-324, -2.225e-308, -math.nextafter(wfunc._TINY_Z, 0.0)]
+        xs += [-(rng.getrandbits(rng.randrange(1, 53)) or 1) * 5e-324 for _ in range(400)]
+        assert all(-wfunc._TINY_Z < x < 0.0 for x in xs)
+        text = ",".join(lambert_w_real(-1, x).hex() for x in xs)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "7e093d1138f560826077a1a906938f2d84493a030f28a60147000355bc504c0c"
+        )
 
     def test_real_value_on_the_cut_from_below(self):
         # W_1 just below the negative real axis is the real W_-1 value
