@@ -252,12 +252,7 @@ def _cmd_unit(ns) -> int:
 def _cmd_classno(ns) -> int:
     from . import fields
 
-    if ns.discriminant is not None:
-        D = ns.discriminant
-    else:
-        # the ceiling first: the squarefree test of a huge d trial-divides for minutes
-        fields._check_size(ns.d if ns.d % 4 == 1 else 4 * ns.d)
-        D = fields.discriminant_of_radicand(ns.d)
+    D = ns.discriminant if ns.discriminant is not None else fields.discriminant_of_radicand(ns.d)
     h_narrow, h = fields._class_numbers(D)  # one distance sum for both
     out: dict = {"D": D, "h": h}
     if ns.narrow:

@@ -29,13 +29,14 @@ lambert_w also raises it for a larger residual after a step that did fall
 below tolerance.
 
 For k != 0 and |z| below the smallest normal float, e^w at the root is
-subnormal, so w e^w = z no longer pins w down. There lambert_w runs Newton,
-from its seed, on the logarithm of the equation instead:
-w + log(-w) = log z + 2*pi*i*k - i*pi*sign(k), with log(-w) free of cuts
+subnormal, so w e^w = z no longer pins w down. There every caller passes
+Log z to _lambert_w_log, which runs Newton on the logarithm of the equation:
+w + log(-w) = Log z + 2*pi*i*k - i*pi*sign(k), with log(-w) free of cuts
 near the root (Re w < -700). It raises NoConvergence if the step does not
-fall below tolerance within 64 steps. _lambert_w_log runs the same Newton
-from log z itself, for a caller whose z would be subnormal, and
-lambert_w_real takes its subnormal W_-1 from it.
+fall below tolerance within 64 steps. Log z alone cannot place z on W_-1's
+cut, since its Im rounds to -pi just below the cut too, so each caller says
+which side it means from what it knows of z: lambert_w from Im z,
+lambert_w_real always on the cut, the solver from its own argument.
 
 Off the real axis W_{-k}(conj z) = conj W_k(z), and lambert_w keeps that
 symmetry bit for bit: conjugation commutes with complex +, -, *, / and with
@@ -87,7 +88,7 @@ _RESIDUAL_TOL = 1e-12
 # Below this |z|, the smallest normal float, e^w at W_k(z) for k != 0 is
 # subnormal, and Halley on w*e^w = z degrades fast: relative error 7e-15 at
 # |z| = 7e-310, 1e-10 at 1e-314 and 0.01 at 5e-324 (3.6e-16 at most above
-# the bound), so _log_newton solves the logarithm of the equation there.
+# the bound), so _lambert_w_log solves the logarithm of the equation there.
 _TINY_Z = sys.float_info.min
 
 # Bound once: lambert_w is called per query and per scan row. It builds its
@@ -207,19 +208,6 @@ def _halley(z: complex, w: complex, exp) -> tuple[complex, int, bool]:
     return w, _MAX_ITER, False
 
 
-def _log_newton(w: complex, t: complex) -> tuple[complex, int, bool]:
-    """Newton on w + log(-w) = t from the seed w, for Re w < 0; returns (w,
-    iterations, converged-by-step-size)."""
-    it = 0
-    while it < _MAX_ITER:
-        it += 1
-        dw = (w + _clog(-w) - t) / (1.0 + 1.0 / w)
-        w = w - dw
-        if abs(dw) < _STEP_TOL * (1.0 + abs(w)):
-            return w, it, True
-    return w, _MAX_ITER, False
-
-
 def lambert_w(k: int, z: complex) -> WEvaluation:
     """Evaluate the k-th branch of the Lambert W function at complex z.
 
@@ -250,21 +238,13 @@ def lambert_w(k: int, z: complex) -> WEvaluation:
         if k == 0:
             return WEvaluation(0j, 0, 0.0, 0)
         raise BranchSingularity(f"W_{k}(0) diverges")
-    seed = _initial_guess(k, z, _csqrt, _clog)
     if k and abs(z) < _TINY_Z:
-        # Im W_k has the sign of k, or is 0 (the real W_-1 on its cut), so
-        # log w = log(-w) + i*pi*sign(k), and log(-w) has no cut near w. As
-        # in the seed table, W_-1 takes a real z of either zero sign as
-        # lying on the cut from above. Not _lambert_w_log: it sees only Log z,
-        # whose Im rounds to -pi just below the cut (z = -2.2e-308 - 5e-324j).
-        if k == -1 and z.imag == 0.0:
-            z = complex(z.real, 0.0)
-        t = _clog(z) + _TWO_PI_I * k - (_PI_I if k > 0 else -_PI_I)
-        w, iterations, stepped = _log_newton(seed, t)
-        if not stepped:
-            raise NoConvergence(f"Newton failed for W_{k}({z!r}) after {iterations} iterations")
+        # As in the seed table, W_-1 takes a real z of either zero sign as
+        # lying on the cut from above.
+        w, iterations = _lambert_w_log(k, _clog(z), z.imag == 0.0 and z.real < 0.0)
+        stepped = True
     else:
-        w, iterations, stepped = _halley(z, seed, _cexp)
+        w, iterations, stepped = _halley(z, _initial_guess(k, z, _csqrt, _clog), _cexp)
     if w.real <= 500.0:
         res = abs(w * _cexp(w) - z) / (1.0 + abs(z))
     else:
@@ -278,23 +258,28 @@ def lambert_w(k: int, z: complex) -> WEvaluation:
     return _tuple_new(WEvaluation, (w, k, res, iterations))
 
 
-def _lambert_w_log(k: int, t: complex) -> complex:
-    """W_k(z) for k != 0 and |z| < _TINY_Z from t = Log z (Im t in [-pi, pi]),
-    for a caller whose z would be subnormal and keep only a few digits.
+def _lambert_w_log(k: int, t: complex, on_cut: bool) -> tuple[complex, int]:
+    """W_k(z) and its Newton steps for k != 0 and |z| < _TINY_Z, from
+    t = Log z (Im t in [-pi, pi]).
 
-    lambert_w's log-space Newton, from its seed. As there, W_-1 takes a z
-    on the negative real axis as lying on the cut from above (Im t = -pi
-    counts as +pi); the other branches keep Im t = -pi below the cut.
+    Im W_k has the sign of k, or is 0 (the real W_-1 on its cut), so
+    log w = log(-w) + i*pi*sign(k), and log(-w) has no cut near w. on_cut
+    says that z lies on the negative real axis: W_-1 then takes it as lying
+    on the cut from above (Im t = pi), from a real seed, so the root stays
+    real. The other branches keep Im t = -pi below the cut.
     """
-    if k == -1 and abs(t.imag) == math.pi:
+    if k == -1 and on_cut:
         t = complex(t.real, math.pi)
-        seed = t.real - _clog(-t.real)  # _initial_guess's real seed: the root stays real
+        w = t.real - _clog(-t.real)  # _initial_guess's real seed
     else:
-        seed = _asymptotic_seed(t + _TWO_PI_I * k, _clog)
-    w, iterations, stepped = _log_newton(seed, t + _TWO_PI_I * k - (_PI_I if k > 0 else -_PI_I))
-    if not stepped:
-        raise NoConvergence(f"Newton failed for W_{k}(exp({t!r})) after {iterations} iterations")
-    return w
+        w = _asymptotic_seed(t + _TWO_PI_I * k, _clog)
+    t = t + _TWO_PI_I * k - (_PI_I if k > 0 else -_PI_I)
+    for it in range(1, _MAX_ITER + 1):
+        dw = (w + _clog(-w) - t) / (1.0 + 1.0 / w)
+        w = w - dw
+        if abs(dw) < _STEP_TOL * (1.0 + abs(w)):
+            return w, it
+    raise NoConvergence(f"Newton failed for W_{k} at w + log(-w) = {t!r} after {_MAX_ITER} iterations")
 
 
 def lambert_w_real(k: int, x: float) -> float:
@@ -331,7 +316,7 @@ def lambert_w_real(k: int, x: float) -> float:
         return -1.0
     if k == -1 and x > -_TINY_Z:
         # x lies on W_-1's cut, taken from above: Log x = log(-x) + i*pi
-        return _lambert_w_log(-1, complex(math.log(-x), math.pi)).real
+        return _lambert_w_log(-1, complex(math.log(-x), math.pi), True)[0].real
     seed = _initial_guess(k, x, math.sqrt, math.log)
     w, iterations, stepped = _halley(x, seed, math.exp)
     # Near the branch point the last steps stall at rounding level, as in

@@ -119,6 +119,19 @@ class TestSquarefree:
         assert [is_squarefree(n) for n in range(-12, 0)] == [is_squarefree(n) for n in range(12, 0, -1)]
         assert is_squarefree(-163) and not is_squarefree(-18)
 
+    def test_ceiling(self):
+        # |n| up to 10^21 is tested; past it, and so for the calls that test
+        # a D, d or D/4 past it, TermLimitExceeded before any division
+        assert is_squarefree(10**21) is False and is_squarefree(-10**21) is False
+        for call, n in ((is_squarefree, 10**21 + 1), (is_squarefree, -(10**21 + 1)),
+                        (is_fundamental_discriminant, -(10**27 + 103)), (roots_of_unity, -(10**24 + 7)),
+                        (describe_field, 10**24 + 7), (discriminant_of_radicand, -(10**24 + 7)),
+                        (radicand_of_discriminant, 4 * (10**24 + 7))):
+            start = time.perf_counter()
+            with pytest.raises(TermLimitExceeded, match="supported"):
+                call(n)
+            assert time.perf_counter() - start < 0.1, (call, n)
+
     def test_huge_n_is_fast(self):
         # about n^(1/3) / 2 divisions: a trial division up to sqrt(n) took
         # minutes here
@@ -594,9 +607,13 @@ class TestClassNumberAnalytic:
         for D in fundamental_discriminants(-600, 600):
             assert class_number(D) == class_number_analytic(D), D
 
-    def test_undersized_term_cap_raises(self):
-        with pytest.raises(PrecisionLoss):
-            class_number_analytic(-163, precision_terms=5)
+    def test_truncated_character_sum_raises(self, monkeypatch):
+        # a sum cut after five terms does not round to the class number
+        kronecker = lgw.fields.kronecker_symbol
+        monkeypatch.setattr(lgw.fields, "kronecker_symbol", lambda D, a: kronecker(D, a) if a <= 5 else 0)
+        for D in (-163, 229):
+            with pytest.raises(PrecisionLoss):
+                class_number_analytic(D)
 
     def test_size_cap_is_a_term_limit(self):
         # fundamental just past 10^6 either side, and one far past it whose

@@ -1,5 +1,7 @@
 import cmath
+import hashlib
 import math
+import random
 import sys
 import warnings
 
@@ -103,7 +105,7 @@ def test_root_is_continuous_across_smallest_normal_argument(k, a):
     # at one argument, the two routes to W_k agree to about an ulp
     z = complex(-tiny * (1 + 2**-50), -0.0)
     w = lambert_w(k, z).value
-    assert abs(wfunc._lambert_w_log(k, cmath.log(z)) - w) <= 4e-16 * abs(w)
+    assert abs(wfunc._lambert_w_log(k, cmath.log(z), True)[0] - w) <= 4e-16 * abs(w)
 
 
 @pytest.mark.parametrize("pairing", list(Pairing))
@@ -120,6 +122,55 @@ def test_real_case_is_continuous_across_smallest_normal_argument(monkeypatch, k,
     assert abs(above.alpha - below.alpha) <= 1e-15 * 708 / math.pi, (above, below)
     for rep in (above, below):
         assert max(rep.residual_split_1, rep.residual_split_2) <= 1e-10
+
+
+def test_subnormal_argument_roots_are_pinned():
+    # Re(A*C) in [-745, -708], so -B*C*exp(A*C) is subnormal or underflows
+    # to 0; B and C at phases 0 and pi (either zero sign of Im) put a real
+    # argument on either side of W_-1's cut. The digest as the solver gave
+    # the roots before its log-space Newton was shared with lambert_w.
+    rng = random.Random(708)
+    phases = [0.0, math.pi] + [rng.uniform(-math.pi, math.pi) for _ in range(4)]
+    parts = []
+    for pb in phases:
+        for pc in phases:
+            for _ in range(6):
+                b = rng.uniform(0.5, 2.0) * complex(math.cos(pb), math.sin(pb))
+                c = rng.uniform(0.5, 4.0) * complex(math.cos(pc), math.sin(pc))
+                if pb == math.pi:
+                    b = complex(b.real, rng.choice((0.0, -0.0)))
+                if pc == math.pi:
+                    c = complex(c.real, rng.choice((0.0, -0.0)))
+                ac = complex(rng.uniform(-745.0, -708.0), rng.choice((0.0, rng.uniform(-20.0, 20.0))))
+                a = ac / c
+                assert -745.0 <= (a * c).real <= -708.0
+                eq = ExpLinearEquation(a, b, c)
+                for k in (1, -1, 2, -2, 3):
+                    z = solve_exp_linear(eq, k)
+                    parts.append(f"{z.real.hex()} {z.imag.hex()}")
+    assert len(parts) == 1080
+    assert hashlib.sha256(",".join(parts).encode()).hexdigest() == (
+        "0cef655516f2ed14e9c70b0c966036a674953f3e45283f785e79e90cac69e00a"
+    )
+
+
+def test_real_case_tiny_log_bits_are_pinned():
+    # 2*pi*L subnormal for all but L = 2e-308, which goes to lambert_w; the
+    # digest of alpha and every residual as alpha_real_case gave them before
+    # its log-space Newton was shared with lambert_w
+    parts = []
+    for L in (5e-324, 1e-320, 1e-310, 3e-309, 2e-308):
+        u = UnitInput.from_log(L, Case.REAL)
+        for j in (1, -1, 2, -2):
+            for pairing in Pairing:
+                rep = alpha_real_case(u, j, pairing)
+                parts.append(" ".join(
+                    x.hex() for x in (rep.alpha.real, rep.alpha.imag, rep.residual_defining,
+                                      rep.residual_split_1, rep.residual_split_2, rep.residual_sum_equation)
+                ))
+    assert hashlib.sha256(",".join(parts).encode()).hexdigest() == (
+        "1bab126b0cd5944bec0b4f594322cecb572c3a1a8b245dc892fd29a0a2389451"
+    )
 
 
 @pytest.mark.parametrize("log_eps", [1e-300, 1e-308, 1e-320, 5e-324])
@@ -295,7 +346,7 @@ class TestAlphaRealCase:
 def _split_w(L: float, j: int) -> complex:
     """W_j(-2*pi*i*L), through the log of the argument where it is subnormal."""
     if j and TWO_PI * L < wfunc._TINY_Z:
-        return wfunc._lambert_w_log(j, complex(math.log(TWO_PI) + math.log(L), -0.5 * math.pi))
+        return wfunc._lambert_w_log(j, complex(math.log(TWO_PI) + math.log(L), -0.5 * math.pi), False)[0]
     return lambert_w(j, -2j * math.pi * L).value
 
 

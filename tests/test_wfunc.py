@@ -109,6 +109,8 @@ class TestRealFastPath:
         monkeypatch.setattr(wfunc, "_MAX_ITER", 1)
         with pytest.raises(NoConvergence):
             lambert_w_real(0, 100.0)
+        with pytest.raises(NoConvergence):  # the log-space Newton of a subnormal x
+            lambert_w_real(-1, -1e-320)
 
     @pytest.mark.parametrize("k, x", [
         (-1, -0.3678639094400098),
@@ -273,6 +275,33 @@ class TestTinyArguments:
         text = ",".join(lambert_w_real(-1, x).hex() for x in xs)
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "7e093d1138f560826077a1a906938f2d84493a030f28a60147000355bc504c0c"
+        )
+
+    def test_subnormal_bits_are_pinned(self):
+        # value, residual and iterations of W_k, |k| <= 3, on subnormal z:
+        # magnitudes down to 5e-324 on both sides of the real axis with Im z
+        # of either zero sign or one or two units of the last place, where
+        # the side of W_-1's cut is decided (-2.2e-308 - 5e-324j among them),
+        # points on the imaginary axis, and random z; the digest as lambert_w
+        # gave them before its log-space Newton was shared with the solver
+        rng = random.Random(2025)
+        mags = [5e-324, 1e-323, 2.2e-308, math.nextafter(wfunc._TINY_Z, 0.0)]
+        mags += [(rng.getrandbits(rng.randrange(1, 53)) or 1) * 5e-324 for _ in range(60)]
+        zs = [complex(s * m, y) for m in mags for s in (1.0, -1.0)
+              for y in (0.0, -0.0, 5e-324, -5e-324, 1e-323, -1e-323)]
+        zs += [complex(x, s * m) for m in mags[:20] for s in (1.0, -1.0) for x in (0.0, -0.0)]
+        for _ in range(400):
+            r = math.ldexp(rng.uniform(0.5, 1.0), -rng.randrange(1022, 1074))
+            phi = rng.uniform(-math.pi, math.pi)
+            zs.append(complex(r * math.cos(phi), r * math.sin(phi)))
+        assert len(zs) == 1248 and all(0.0 < abs(z) < wfunc._TINY_Z for z in zs)
+        parts = []
+        for k in (1, -1, 2, -2, 3, -3):
+            for z in zs:
+                ev = lambert_w(k, z)
+                parts.append(f"{ev.value.real.hex()} {ev.value.imag.hex()} {ev.residual.hex()} {ev.iterations}")
+        assert hashlib.sha256(",".join(parts).encode()).hexdigest() == (
+            "ea6474332b779b429361e66b04a29b1235da1229b8e6feecd45ab2c4ee06a4c6"
         )
 
     def test_real_value_on_the_cut_from_below(self):
