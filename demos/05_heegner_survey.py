@@ -7,20 +7,25 @@ fixed-point root alpha. Real scans attach one root per fundamental unit
 and report a growing count, never a closed one.
 """
 
+import json
 import time
 
-from lgw import correspondence_table, scan_imaginary, scan_real
-from lgw.survey import records_to_csv, row_records
+from lgw import correspondence_table, scan_imaginary, scan_real, summary_to_json
+from lgw.survey import iter_summary_csv
 
 print("=== Imaginary scan to 100000 ===")
 t0 = time.time()
 summary = scan_imaginary(100_000)
-print(f"scanned {len(summary.rows)} fundamental discriminants in {time.time() - t0:.2f}s")
-h1 = [r for r in summary.rows if r.h == 1]
-print(f"class-number-one fields: {len(h1)}")
-for row in h1:
-    print(f"  D = {row.D:5d}  d = {row.d:5d}  torsion mu_{row.unit.n}  "
-          f"roots attached: {len(row.alpha_reports)}")
+print(f"scanned {len(summary.batch.D)} fundamental discriminants in {time.time() - t0:.2f}s")
+# one record per field, and for an h = 1 field one per torsion unit
+rows = json.loads(summary_to_json(summary))["rows"]
+h1 = [r for r in rows if r["h"] == 1]
+fields = sorted({r["D"] for r in h1}, reverse=True)
+print(f"class-number-one fields: {len(fields)}")
+for D in fields:
+    units = [r for r in h1 if r["D"] == D]
+    print(f"  D = {D:5d}  d = {units[0]['d']:5d}  torsion mu_{len(units)}  "
+          f"roots attached: {sum(r['alpha_re'] is not None for r in units)}")
 print(f"distinct torsion units across them: {summary.distinct_unit_count}")
 print(f"distinct roots: {summary.distinct_alpha_count} "
       f"(unit epsilon = 1 has log 0 on the principal log branch, so no root)")
@@ -28,7 +33,7 @@ print(f"min separation between distinct roots: {summary.min_alpha_separation:.4f
 
 print()
 print("=== Correspondence table (one line per field and unit) ===")
-tab = correspondence_table(row_records(h1))
+tab = correspondence_table(rows)
 print(f"{'D':>5} {'unit':>18} {'alpha':>24} {'residual':>10}")
 for e in tab.entries[:12]:
     alpha = complex(e["alpha_re"], e["alpha_im"])
@@ -41,11 +46,10 @@ print()
 print("=== Real scan: the open side of the story ===")
 for limit in (50, 200, 1000):
     s = scan_real(limit)
-    print(f"D <= {limit:5d}: {len(s.rows):4d} fields, h=1 count {s.count_h1:4d}")
+    print(f"D <= {limit:5d}: {len(s.batch.D):4d} fields, h=1 count {s.count_h1:4d}")
 print("The h=1 count keeps climbing; the scan measures, it does not extrapolate.")
 
 print()
 print("=== Stable row serialization (first rows as CSV) ===")
-s = scan_real(40)
-csv_text = records_to_csv(row_records(s.rows))
+csv_text = "".join(iter_summary_csv(scan_real(40)))
 print("\n".join(csv_text.splitlines()[:6]))

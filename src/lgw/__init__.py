@@ -74,12 +74,10 @@ _EXPORTS = {
         "verify_fixed_point",
     ),
     "survey": (
-        "SurveyRow",
         "SurveySummary",
         "correspondence_table",
         "iter_summary_json",
         "records_to_csv",
-        "row_records",
         "scan_imaginary",
         "scan_real",
         "summary_to_json",

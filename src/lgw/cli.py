@@ -252,7 +252,7 @@ def _cmd_unit(ns) -> int:
 def _cmd_classno(ns) -> int:
     from . import fields
 
-    D = ns.discriminant if ns.discriminant is not None else fields.discriminant_of_radicand(ns.d)
+    D = ns.discriminant if ns.discriminant is not None else fields._sized_discriminant_of_radicand(ns.d)
     h_narrow, h = fields._class_numbers(D)  # one distance sum for both
     out: dict = {"D": D, "h": h}
     if ns.narrow:

@@ -113,7 +113,20 @@ def discriminant_of_radicand(d: int) -> int:
         raise DegenerateD(f"d={d} does not define a quadratic field")
     if not is_squarefree(d):
         raise NotSquarefree(f"d={d} has a square factor")
+    return _discriminant_rule(d)
+
+
+def _discriminant_rule(d: int) -> int:
+    """The discriminant a squarefree radicand d gives, unchecked."""
     return d if d % 4 == 1 else 4 * d
+
+
+def _sized_discriminant_of_radicand(d: int) -> int:
+    """discriminant_of_radicand(d) for a class number: TermLimitExceeded
+    first if the D it would give lies past _check_size's ceilings, so a d
+    whose class number is out of reach costs no squarefree test."""
+    _check_size(_discriminant_rule(d))
+    return discriminant_of_radicand(d)
 
 
 def radicand_of_discriminant(D: int) -> int:

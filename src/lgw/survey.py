@@ -9,17 +9,17 @@ A scan keeps its fields as a columnar batch: int64 columns D, d and h for
 every field, for a real scan the unit columns (x, y, half-integrality, norm
 and regulator) of every field, and the roots of the attached (h = 1)
 fields as record tuples, the values of CSV_COLUMNS that a root fills.
-SurveySummary.rows builds every SurveyRow on first access. The writers
-(iter_summary_json, iter_summary_csv, iter_summary_plain) fill the
-bare-record template of their format a column at a time, for a chunk of
-rows at once, then fill a root template per tuple of an attached row.
+There is no row object: the writers (iter_summary_json, iter_summary_csv,
+iter_summary_plain) fill the bare-record template of their format a column
+at a time, for a chunk of rows at once, then fill a root template per
+tuple of an attached row.
 Output is a pure function of the arguments, so scan output can be diffed
 and pinned in tests. numpy is imported where a scan first needs it.
 
 read_rooted_records reads a scan's JSON back as a stream, for the
 correspondence table: it passes over runs of bare records with one match of
 a pattern built from the same JSON template, and decodes only the records
-that may carry a root.
+that may carry a root. Records read back are dicts keyed by CSV_COLUMNS.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import json
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import compress
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
@@ -38,8 +37,6 @@ from .csvtext import csv_line
 from .csvtext import records_to_csv as _records_to_csv
 from .errors import DomainError, TermLimitExceeded
 from .fields import (
-    FundamentalUnit,
-    RootsOfUnity,
     _check_size,
     _fundamental_discriminant_array,
     _imaginary_form_counts,
@@ -50,16 +47,13 @@ from .fields import (
     _UnitColumns,
     roots_of_unity,
 )
-from .solver import Case, FixedPointReport, Pairing, UnitInput, _alpha_real, alpha_complex_case
+from .solver import Case, Pairing, UnitInput, _alpha_real, alpha_complex_case
 
 __all__ = [
-    "UnitAlpha",
-    "SurveyRow",
     "SurveySummary",
     "scan_imaginary",
     "scan_real",
     "correspondence_table",
-    "row_records",
     "summary_to_json",
     "iter_summary_json",
     "iter_summary_csv",
@@ -103,36 +97,12 @@ TABLE_COLUMNS = (
 _DISTINCT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class UnitAlpha:
-    """One attached root: the unit it came from and the full report."""
-
-    unit_label: str | None
-    norm: int | None
-    regulator: float | None
-    report: FixedPointReport | None  # None when the unit has no usable log
-
-
-@dataclass(frozen=True)
-class SurveyRow:
-    D: int
-    d: int
-    h: int
-    case: Case
-    unit: FundamentalUnit | RootsOfUnity | None
-    alphas: tuple[UnitAlpha, ...]
-
-    @property
-    def alpha_reports(self) -> tuple[FixedPointReport, ...]:
-        return tuple(a.report for a in self.alphas if a.report is not None)
-
-
 @dataclass(frozen=True, eq=False)
 class _Batch:
     """The fields of a scan, in scan order: the columns, the ascending index
     of the attached fields into them, one tuple of record tuples per
     attached field (one per torsion unit or unit power; _ROOTED gives the
-    columns of each length), and the conventions of their reports."""
+    columns of each length), and the conventions of the scan."""
 
     case: Case
     D: np.ndarray
@@ -152,30 +122,6 @@ class _Batch:
             other.case, other.roots, other.units, other.conventions
         ) and all(np.array_equal(getattr(self, c), getattr(other, c)) for c in ("D", "d", "h", "index"))
 
-    @cached_property
-    def attached(self) -> tuple[SurveyRow, ...]:
-        """The SurveyRow of each attached field, built from its tuples on first access."""
-        rows = []
-        for i, roots in zip(self.index.tolist(), self.roots):
-            alphas = []
-            for r in roots:  # the values of CSV_COLUMNS but log_branch, None where r has no hole
-                values = iter(r)
-                v = [None if hole is None else next(values) for hole in _ROOTED[len(r)]]
-                alphas.append(UnitAlpha(v[3], v[4], v[5], None if v[6] is None else FixedPointReport(
-                    complex(v[6], v[7]), v[12], 0.0, *v[8:12], dict(self.conventions)
-                )))
-            D = self.D[i].item()
-            unit = roots_of_unity(D) if self.units is None else self.unit(i)
-            rows.append(SurveyRow(D, self.d[i].item(), 1, self.case, unit, tuple(alphas)))
-        return tuple(rows)
-
-    def unit(self, i: int) -> FundamentalUnit | None:
-        """The fundamental unit of field i of a real scan; None for an imaginary one."""
-        if self.units is None:
-            return None
-        x, y, half_integral, norm, regulator = self.units
-        return FundamentalUnit(int(self.d[i]), x[i], y[i], half_integral[i], norm[i], regulator[i])
-
 
 @dataclass(frozen=True)
 class SurveySummary:
@@ -185,16 +131,6 @@ class SurveySummary:
     min_alpha_separation: float | None
     distinct_unit_count: int
     batch: _Batch
-
-    @cached_property
-    def rows(self) -> tuple[SurveyRow, ...]:
-        """Every row of the scan, in scan order; built on first access."""
-        b = self.batch
-        attached = dict(zip(b.index.tolist(), b.attached))
-        return tuple(
-            attached.get(i) or SurveyRow(D=Di, d=di, h=hi, case=b.case, unit=b.unit(i), alphas=())
-            for i, (Di, di, hi) in enumerate(zip(b.D.tolist(), b.d.tolist(), b.h.tolist()))
-        )
 
 
 # arg(eps) in (-pi, pi] of each torsion unit, by its label in the row records
@@ -410,37 +346,6 @@ def scan_real(
 
 # -- serialization -------------------------------------------------------------------
 
-def _f(x: float | None) -> float | None:
-    return None if x is None else float(x)
-
-
-# A row without attached roots still gets one record; for a field with no
-# fundamental unit (imaginary, h != 1) every unit column of it is empty.
-_NO_UNIT = (UnitAlpha(None, None, None, None),)
-
-
-def row_records(rows: Iterable[SurveyRow], log_branch: int = 0) -> list[dict]:
-    """Flatten rows to one record per (field, unit, branch), fixed key order."""
-    records = []
-    for row in rows:
-        alphas = row.alphas
-        if not alphas:
-            fu = row.unit
-            alphas = (
-                (UnitAlpha(fu.as_string(), fu.norm, fu.regulator, None),)
-                if isinstance(fu, FundamentalUnit) else _NO_UNIT
-            )
-        for ua in alphas:
-            rep = ua.report
-            root = (None,) * 7 if rep is None else (
-                rep.alpha.real, rep.alpha.imag, _f(rep.residual_defining), _f(rep.residual_split_1),
-                _f(rep.residual_split_2), _f(rep.residual_sum_equation), rep.branch,
-            )
-            values = (row.D, row.d, row.h, ua.unit_label, ua.norm, _f(ua.regulator), *root)
-            records.append(_record(values, log_branch))
-    return records
-
-
 def _record(values: tuple, log_branch) -> dict:
     """The record of the values of CSV_COLUMNS but log_branch."""
     return dict(zip(CSV_COLUMNS, (*values, log_branch)))
@@ -584,7 +489,7 @@ def iter_summary_json(
         "range": list(summary.range),
         "count_h1": summary.count_h1,
         "distinct_alpha_count": summary.distinct_alpha_count,
-        "min_alpha_separation": _f(summary.min_alpha_separation),
+        "min_alpha_separation": summary.min_alpha_separation,
         "distinct_unit_count": summary.distinct_unit_count,
     })
     tail = "]" + (", " + json.dumps(trailer)[1:] if trailer else "}")
@@ -596,8 +501,8 @@ def summary_to_json(summary: SurveySummary, log_branch: int | None = None) -> st
 
 
 def iter_summary_csv(summary: SurveySummary, log_branch: int | None = None) -> Iterator[str]:
-    """The row records as CSV, in pieces that concatenate to
-    records_to_csv(row_records(summary.rows, log_branch)), log_branch by
+    """The row records as CSV, in pieces that concatenate to records_to_csv
+    of the "rows" of summary_to_json(summary, log_branch), log_branch by
     default the scan's own."""
     return _row_text(summary, log_branch, _CSV, ",".join(CSV_COLUMNS), "\n")
 
@@ -789,8 +694,8 @@ class CorrespondenceTable:
 def correspondence_table(records: Iterable[dict]) -> CorrespondenceTable:
     """One entry (keys TABLE_COLUMNS) per record with an attached root.
 
-    `records` are row records: the output of row_records, or the "rows" of
-    a scan's JSON. log eps is the regulator for a real unit and
+    `records` are row records, dicts keyed by CSV_COLUMNS such as the
+    "rows" of a scan's JSON. log eps is the regulator for a real unit and
     i*(arg eps + 2*pi*log_branch) for a torsion unit. Supports the measured
     one-to-one story: every attached root appears with its unit, its log,
     and the pairwise-distinctness statistics of the roots. A record that

@@ -4,7 +4,12 @@ W_k(z) is the k-th branch of the multivalued inverse of w -> w*exp(w).
 Branch indexing follows the standard convention (Corless, Gonnet, Hare,
 Jeffrey & Knuth, Adv. Comput. Math. 5, 1996): W_0 is the principal branch,
 real on [-1/e, inf); Im W_k(z) lives in horizontal strips indexed by k,
-and values on the cuts are continuous from above.
+and values on the cuts are continuous from above. On the negative real axis
+Im z = -0.0 does not yet follow that rule everywhere: the branch-point
+series and W_-1's real segment read it as above, every other seed through
+cmath.log as below. So W_1(-0.2 - 0i) and W_-1(-0.2 - 0i) are both -2.5426...,
+and W_0(x - 0i) jumps from +1.055i at x = -0.6669 to -1.058i at x = -0.6689
+(ROADMAP item 4 is to choose one rule).
 
 Both entry points share one seed table (_initial_guess) and one Halley
 loop (_halley); lambert_w runs them in complex arithmetic, lambert_w_real

@@ -10,7 +10,16 @@ from __future__ import annotations
 import math
 from math import gcd, isqrt
 
-from lgw.errors import TermLimitExceeded
+from lgw.errors import TermLimitExceeded, ZeroLogUnit
+from lgw.fields import (
+    class_number,
+    fundamental_discriminants,
+    fundamental_unit,
+    radicand_of_discriminant,
+    roots_of_unity,
+)
+from lgw.solver import Case, Pairing, UnitInput, alpha_complex_case, alpha_real_case
+from lgw.survey import CSV_COLUMNS
 
 
 def bisect(f, lo: float, hi: float, iters: int = 200) -> float:
@@ -408,3 +417,97 @@ def _real_class_numbers_window(Ds):
     n = hi - lo + 1
     h = np.bincount(D[head] - lo, minlength=n)[Ds - lo]
     return h + np.bincount(D[even] - lo, minlength=n)[Ds - lo], h
+
+
+# -- scan records from the point API ---------------------------------------------------
+#
+# A scan's records rebuilt one field at a time from the public point API:
+# fundamental_discriminants, class_number, radicand_of_discriminant,
+# fundamental_unit, roots_of_unity and the two alpha cases. This checks the
+# scan's sieves, columns, record tuples and writers against the per-field
+# functions, which their own tests check against the brute-force oracles
+# above.
+
+# Each torsion unit by the label a scan's records give it.
+_HALF_RT3 = math.sqrt(3.0) / 2.0
+TORSION_UNIT_LABELS = {
+    "1": 1 + 0j, "-1": -1 + 0j, "i": 1j, "-i": -1j,
+    "(1+i*sqrt(3))/2": complex(0.5, _HALF_RT3), "(-1+i*sqrt(3))/2": complex(-0.5, _HALF_RT3),
+    "(-1-i*sqrt(3))/2": complex(-0.5, -_HALF_RT3), "(1-i*sqrt(3))/2": complex(0.5, -_HALF_RT3),
+}
+
+# Roots closer than this count as one in a scan's distinctness statistics.
+SCAN_DISTINCT_TOL = 1e-9
+
+
+def _scan_record(D, d, h, log_branch, unit=None, norm=None, regulator=None, report=None) -> dict:
+    root = (None,) * 7 if report is None else (
+        report.alpha.real, report.alpha.imag, report.residual_defining, report.residual_split_1,
+        report.residual_split_2, report.residual_sum_equation, report.branch,
+    )
+    return dict(zip(CSV_COLUMNS, (D, d, h, unit, norm, regulator, *root, log_branch)))
+
+
+def _scan_object(lo: int, hi: int, records: list[dict], units: set) -> dict:
+    """The JSON object of a scan of [lo, hi] with these records, whose h = 1
+    fields have these distinct units."""
+    fields = {r["D"]: r["h"] for r in records}
+    n_alpha, separation = distinct_stats_pairwise(
+        [complex(r["alpha_re"], r["alpha_im"]) for r in records if r["alpha_re"] is not None],
+        SCAN_DISTINCT_TOL,
+    )
+    return {
+        "range": [lo, hi],
+        "count_h1": sum(h == 1 for h in fields.values()),
+        "distinct_alpha_count": n_alpha,
+        "min_alpha_separation": separation,
+        "distinct_unit_count": len(units),
+        "rows": records,
+    }
+
+
+def imaginary_scan_oracle(limit: int, branch: int = 0, log_branch: int = 0) -> dict:
+    """What summary_to_json(scan_imaginary(limit, ...)) decodes to: one record
+    per field with D in [-limit, -3], |D| ascending, and for an h = 1 field
+    one per torsion unit, with its root unless its log is zero."""
+    records, units = [], set()
+    for D in reversed(fundamental_discriminants(-limit, -3)):
+        h, d = class_number(D), radicand_of_discriminant(D)
+        if h != 1:
+            records.append(_scan_record(D, d, h, log_branch))
+            continue
+        for eps in roots_of_unity(D).elements:
+            (label,) = [k for k, v in TORSION_UNIT_LABELS.items() if abs(v - eps) < 1e-12]
+            try:
+                report = alpha_complex_case(UnitInput.complex_unit(eps, log_branch), branch)
+            except ZeroLogUnit:
+                report = None
+            records.append(_scan_record(D, d, 1, log_branch, label, report=report))
+            units.add(label)
+    return _scan_object(-limit, -3, records, units)
+
+
+def real_scan_oracle(limit: int, branch: int = 0, pairing="conjugate-branch", unit_powers: int = 1,
+                     by_radicand: bool = False) -> dict:
+    """What summary_to_json(scan_real(limit, ...)) decodes to: one record per
+    field with D in [5, limit] (radicand d <= limit by_radicand), D ascending,
+    each with its fundamental unit, and for an h = 1 field one per power n of
+    the unit, with the root of log eps^n = n*R."""
+    pairing = Pairing(pairing)
+    records, units = [], set()
+    for D in fundamental_discriminants(5, 4 * limit if by_radicand else limit):
+        d = radicand_of_discriminant(D)
+        if d > limit:
+            continue
+        h, unit = class_number(D), fundamental_unit(d)
+        label = unit.as_string()
+        if h == 1:
+            units.add(label)
+        if h != 1 or not unit_powers:
+            records.append(_scan_record(D, d, h, 0, label, unit.norm, unit.regulator))
+        for n in range(1, unit_powers + 1) if h == 1 else ():
+            L = n * unit.regulator
+            report = alpha_real_case(UnitInput.from_log(L, Case.REAL), branch, pairing)
+            records.append(_scan_record(D, d, 1, 0, label if n == 1 else f"({label})^{n}", unit.norm**n, L,
+                                        report))
+    return _scan_object(5, limit, records, units)

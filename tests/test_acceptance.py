@@ -174,7 +174,8 @@ def test_criterion_08_heegner_list_at_1e5():
     t0 = time.time()
     summary = scan_imaginary(100_000)
     elapsed = time.time() - t0
-    h1 = sorted(r.D for r in summary.rows if r.h == 1)
+    b = summary.batch
+    h1 = sorted(b.D[b.h == 1].tolist())
     ok = h1 == sorted(HEEGNER) and elapsed < 600.0
     _report(8, "Heegner list", ok,
             f"scan_imaginary(1e5) -> {h1} in {elapsed:.1f}s")
@@ -182,10 +183,8 @@ def test_criterion_08_heegner_list_at_1e5():
 
 def test_criterion_09_unit_list_is_the_eight():
     summary = scan_imaginary(200)
-    units = []
-    for row in summary.rows:
-        if row.h == 1:
-            units.extend(row.unit.elements)
+    b = summary.batch
+    units = [eps for D in b.D[b.h == 1].tolist() for eps in roots_of_unity(D).elements]
     reps: list[complex] = []
     for v in units:
         if all(abs(v - r) > 1e-14 for r in reps):

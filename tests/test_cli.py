@@ -20,11 +20,12 @@ from lgw.survey import (
     CSV_COLUMNS,
     correspondence_table,
     records_to_csv,
-    row_records,
     scan_imaginary,
     scan_real,
     summary_to_json,
 )
+
+from oracles import imaginary_scan_oracle, real_scan_oracle
 
 OMEGA = 0.5671432904097838
 
@@ -268,22 +269,26 @@ class TestScanCommand:
         ) + "\n"
         assert out == expected
 
-    @pytest.mark.parametrize("argv, kwargs", [
-        ([], {}),
-        (["--log-branch", "1"], {"log_branch": 1}),
-        (["--branch", "-1"], {"branch": -1}),
-    ], ids=["default", "log-branch-1", "branch-minus-1"])
-    def test_imaginary_csv_and_plain_match_row_records(self, capsys, argv, kwargs):
-        # the template path against the records of every row, one by one
-        s = scan_imaginary(2000, **kwargs)
-        records = row_records(s.rows, kwargs.get("log_branch", 0))
-        assert run(["scan", "--imaginary", "--limit", "2000", "--format", "csv", *argv]) == 0
-        assert capsys.readouterr().out == records_to_csv(records)
-        assert run(["scan", "--imaginary", "--limit", "2000", "--format", "plain", *argv]) == 0
-        lines = [f"range -2000..-3  fields_h1={s.count_h1}  distinct_alpha={s.distinct_alpha_count}  "
-                 f"distinct_units={s.distinct_unit_count}"]
+    @pytest.mark.parametrize("argv, want", [
+        (["--imaginary", "--limit", "2000"], lambda: imaginary_scan_oracle(2000)),
+        (["--imaginary", "--limit", "2000", "--log-branch", "1"], lambda: imaginary_scan_oracle(2000, log_branch=1)),
+        (["--imaginary", "--limit", "2000", "--branch", "-1"], lambda: imaginary_scan_oracle(2000, branch=-1)),
+        (["--real", "--limit", "500", "--powers", "3", "--branch", "-1"],
+         lambda: real_scan_oracle(500, branch=-1, unit_powers=3)),
+        (["--real", "--limit", "500", "--powers", "3", "--pairing", "same-branch"],
+         lambda: real_scan_oracle(500, pairing=Pairing.SAME_BRANCH, unit_powers=3)),
+    ], ids=["default", "log-branch-1", "branch-minus-1", "real-powers-3", "real-same-branch-powers-3"])
+    def test_csv_and_plain_match_the_point_api(self, capsys, argv, want):
+        # the template path against records made one field at a time from
+        # the point API
+        want = want()
+        assert run(["scan", *argv, "--format", "csv"]) == 0
+        assert capsys.readouterr().out == records_to_csv(want["rows"])
+        assert run(["scan", *argv, "--format", "plain"]) == 0
+        lines = [f"range {want['range'][0]}..{want['range'][1]}  fields_h1={want['count_h1']}  "
+                 f"distinct_alpha={want['distinct_alpha_count']}  distinct_units={want['distinct_unit_count']}"]
         lines += ["  ".join(f"{k}={rec[k]}" for k in CSV_COLUMNS if rec[k] is not None)
-                  for rec in records]
+                  for rec in want["rows"]]
         assert capsys.readouterr().out == "\n".join(lines) + "\n"
 
     def test_imaginary_limit_above_ceiling_exit_2(self, capsys):
@@ -445,14 +450,27 @@ class TestDomainLimits:
     @pytest.mark.parametrize("d", ["1000000000000000003", "-1000000000000000003"],
                              ids=["positive", "negative"])
     def test_classno_radicand_above_ceiling_exit_2_at_once(self, capsys, d):
-        # D = 4d or d lies beyond the class-number ceiling; the squarefree
-        # test of d, below its own ceiling, takes about 0.1 s first
+        # D = 4d or d lies beyond the class-number ceiling, which is checked
+        # before the squarefree test of d
         t0 = time.perf_counter()
         assert run(["classno", f"--d={d}"]) == 2
         assert time.perf_counter() - t0 < 2.0
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "supported" in captured.err
+
+    def test_classno_radicand_past_the_ceiling_skips_the_squarefree_test(self, capsys, monkeypatch):
+        # a prime d near 10^18 costs about a second of trial division, all of
+        # it for a D = 4d that no class number reaches
+        import lgw.fields
+
+        calls = []
+        monkeypatch.setattr(lgw.fields, "is_squarefree", lambda n: calls.append(n) or True)
+        assert run(["classno", "--d", "999999999999999999899"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "supported" in captured.err
+        assert calls == []
 
     def test_tiny_real_log_is_usable(self, capsys):
         code, obj = run_json(capsys, ["alpha", "--case", "real", "--log-eps-re", "1e-20"])
@@ -633,18 +651,20 @@ class TestTableCommand:
         assert code == 0
         assert {e["D"] for e in obj["entries"]} == {5, 8}
 
-    @pytest.mark.parametrize("scan, log_branch, argv", [
-        (lambda: scan_imaginary(2000, log_branch=1), 1,
+    @pytest.mark.parametrize("scan, argv", [
+        (lambda: imaginary_scan_oracle(2000, log_branch=1),
          ["scan", "--imaginary", "--limit", "2000", "--log-branch", "1"]),
-        (lambda: scan_real(300, unit_powers=2), 0,
+        (lambda: real_scan_oracle(300, unit_powers=2),
          ["scan", "--real", "--limit", "300", "--powers", "2"]),
     ], ids=["imaginary", "real"])
-    def test_matches_library_table(self, capsys, monkeypatch, scan, log_branch, argv):
+    def test_matches_library_table(self, capsys, monkeypatch, scan, argv):
+        # the table of the command's scan against the table of the records
+        # made one field at a time from the point API
         run(argv)
         monkeypatch.setattr("sys.stdin", io.StringIO(capsys.readouterr().out))
         code, obj = run_json(capsys, ["table"])
         assert code == 0
-        lib = list(correspondence_table(row_records(scan().rows, log_branch)).entries)
+        lib = list(correspondence_table(scan()["rows"]).entries)
         assert lib == obj["entries"]
         # torsion units (D < 0) have |eps| = 1, so log |eps| is exactly 0
         assert all(e["log_eps_re"] == 0.0 for e in lib if e["D"] < 0)
@@ -665,7 +685,8 @@ class TestTableCommand:
          '"residual_defining": 0.0, "residual_split_1": 0.0, "residual_split_2": 0.0, "branch": 0}]', []),
         (summary_to_json(scan_imaginary(20))[:-40], []),
         (summary_to_json(scan_imaginary(20)) + ' {"rows": []}', []),
-        (json.dumps(row_records(scan_imaginary(15).rows[-1:])).replace('"D": -15,', '"D": -015,'), []),
+        (json.dumps(json.loads(summary_to_json(scan_imaginary(15)))["rows"][-1:]).replace('"D": -15,', '"D": -015,'),
+         []),
         ("5", []),
         (json.dumps([_torsion_record(1.7976931348623157e308j), _torsion_record(1.8941775056029057e300)]),
          []),
@@ -847,19 +868,20 @@ class TestBenchmarkGoldens:
 _LAZY_MODULES = ("numpy", "multiprocessing", "concurrent.futures.process", "fractions")
 
 # The public names of lgw before its layers were loaded on first use, less
-# BinaryQuadraticForm and reduce_form, which left the API with form reduction.
+# BinaryQuadraticForm and reduce_form, which left the API with form reduction,
+# and SurveyRow and row_records, which left it with the row objects.
 _EXPORTED = frozenset("""
     BRANCH_POINT_Z BranchPointSingularity BranchSingularity Case
     DegenerateCoefficients DegenerateD DomainError ExpLinearEquation FixedPointReport
     FundamentalUnit LgwDomainError LgwError LgwNumericalError NoConvergence NonFinite
     NotFundamental NotImaginary NotSquarefree OMEGA OddDegree Pairing PrecisionLoss
-    QuadraticFieldDescriptor RootsOfUnity SquareDiscriminant SurveyRow SurveySummary
+    QuadraticFieldDescriptor RootsOfUnity SquareDiscriminant SurveySummary
     TermLimitExceeded UnitInput UsageError WEvaluation ZeroLogUnit alpha_complex_case
     alpha_real_case class_number class_number_analytic correspondence_table describe_field
     discriminant_of_radicand fundamental_discriminants fundamental_unit
     is_fundamental_discriminant is_squarefree iter_summary_json kronecker_symbol lambert_w
     lambert_w_real radicand_of_discriminant records_to_csv roots_of_unity
-    row_records scan_imaginary scan_real solve_exp_linear summary_to_json unit_log unit_rank
+    scan_imaginary scan_real solve_exp_linear summary_to_json unit_log unit_rank
     verify_fixed_point w_derivative w_series
 """.split())
 
@@ -929,6 +951,7 @@ class TestLazyImports:
         from lgw import errors, fields, solver, survey, wfunc
 
         assert _EXPORTED <= set(lgw.__all__)
+        assert not {"SurveyRow", "UnitAlpha", "row_records"} & {*lgw.__all__, *survey.__all__}
         assert len(lgw.__all__) == len(set(lgw.__all__))
         layers = (errors, fields, solver, survey, wfunc)
         for name in lgw.__all__:

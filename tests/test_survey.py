@@ -14,16 +14,13 @@ from hypothesis import strategies as st
 import lgw.fields
 import lgw.survey
 from lgw.errors import DomainError, TermLimitExceeded
-from lgw.fields import class_number, fundamental_discriminants, radicand_of_discriminant, roots_of_unity
-from lgw.solver import Case, Pairing, UnitInput, alpha_complex_case, alpha_real_case
+from lgw.fields import FundamentalUnit, class_number, fundamental_discriminants, roots_of_unity
+from lgw.solver import Pairing, UnitInput, alpha_complex_case
 from lgw.survey import (
     CSV_COLUMNS,
-    SurveyRow,
-    UnitAlpha,
     correspondence_table,
     read_rooted_records,
     records_to_csv,
-    row_records,
     scan_imaginary,
     iter_summary_csv,
     iter_summary_json,
@@ -32,7 +29,7 @@ from lgw.survey import (
     summary_to_json,
 )
 
-from oracles import distinct_stats_pairwise
+from oracles import TORSION_UNIT_LABELS, distinct_stats_pairwise, imaginary_scan_oracle, real_scan_oracle
 
 HEEGNER_DISCRIMINANTS = [-163, -67, -43, -19, -11, -8, -7, -4, -3]
 HEEGNER_RADICANDS = [-163, -67, -43, -19, -11, -7, -3, -2, -1]
@@ -40,6 +37,27 @@ HEEGNER_RADICANDS = [-163, -67, -43, -19, -11, -7, -3, -2, -1]
 # h = 1 radicands for squarefree d <= 40, frozen after dual-route
 # (forms vs analytic) agreement checks in test_fields
 H1_RADICANDS_TO_40 = [2, 3, 5, 6, 7, 11, 13, 14, 17, 19, 21, 22, 23, 29, 31, 33, 37, 38]
+
+
+def records(summary, log_branch=None) -> list[dict]:
+    """The row records of a scan, as its JSON gives them."""
+    return json.loads(summary_to_json(summary, log_branch))["rows"]
+
+
+def rooted(summary) -> list[dict]:
+    """The records of a scan that carry a root."""
+    return [r for r in records(summary) if r["alpha_re"] is not None]
+
+
+def h1_column(summary, column: str = "D") -> list[int]:
+    """A batch column over the h = 1 fields, sorted."""
+    b = summary.batch
+    return sorted(getattr(b, column)[b.h == 1].tolist())
+
+
+def units(summary) -> list[FundamentalUnit]:
+    """The fundamental unit of each field of a real scan, from its unit columns."""
+    return [FundamentalUnit(d, *u) for d, *u in zip(summary.batch.d.tolist(), *summary.batch.units)]
 
 
 def assert_same_text(got: str, want: str, context: int = 60) -> None:
@@ -60,14 +78,14 @@ def assert_same_text(got: str, want: str, context: int = 60) -> None:
 class TestScanImaginary:
     def test_heegner_at_200(self):
         s = scan_imaginary(200)
-        assert sorted(r.D for r in s.rows if r.h == 1) == sorted(HEEGNER_DISCRIMINANTS)
-        assert sorted(r.d for r in s.rows if r.h == 1) == sorted(HEEGNER_RADICANDS)
+        assert h1_column(s) == sorted(HEEGNER_DISCRIMINANTS)
+        assert h1_column(s, "d") == sorted(HEEGNER_RADICANDS)
         assert s.count_h1 == 9
         assert s.distinct_unit_count == 8
 
     def test_small_limit(self):
         s = scan_imaginary(10)
-        assert sorted(r.D for r in s.rows if r.h == 1) == [-8, -7, -4, -3]
+        assert h1_column(s) == [-8, -7, -4, -3]
 
     def test_heegner_complete_from_163(self):
         # the ninth field enters exactly at limit 163 and the count stays 9
@@ -77,70 +95,61 @@ class TestScanImaginary:
 
     def test_empty_range(self):
         s = scan_imaginary(2)
-        assert s.rows == ()
+        assert len(s.batch.D) == 0 and records(s) == []
         assert s.count_h1 == 0
 
     def test_negative_limit_is_a_domain_error(self):
         with pytest.raises(DomainError, match="-5"):
             scan_imaginary(-5)
-        assert scan_imaginary(0).rows == scan_imaginary(1).rows == ()
+        assert records(scan_imaginary(0)) == records(scan_imaginary(1)) == []
 
     def test_alpha_only_on_h1_rows(self):
         s = scan_imaginary(100)
-        for r in s.rows:
-            if r.h == 1:
-                assert len(r.alpha_reports) > 0
-            else:
-                assert r.alpha_reports == ()
+        assert sorted({r["D"] for r in rooted(s)}) == h1_column(s)
 
     def test_residuals(self):
-        s = scan_imaginary(200)
-        for r in s.rows:
-            for rep in r.alpha_reports:
-                assert rep.residual_defining <= 1e-10
+        assert all(r["residual_defining"] <= 1e-10 for r in rooted(scan_imaginary(200)))
 
     def test_unit_one_skipped_on_principal_log(self):
-        s = scan_imaginary(50)
-        row3 = next(r for r in s.rows if r.D == -3)
-        labels_with_alpha = [a.unit_label for a in row3.alphas if a.report is not None]
+        labels_with_alpha = [r["unit"] for r in rooted(scan_imaginary(50)) if r["D"] == -3]
         assert "1" not in labels_with_alpha
         assert len(labels_with_alpha) == 5  # six torsion units minus epsilon = 1
 
     def test_shifted_log_branch_includes_unit_one(self):
-        s = scan_imaginary(50, log_branch=1)
-        row7 = next(r for r in s.rows if r.D == -7)
-        labels_with_alpha = [a.unit_label for a in row7.alphas if a.report is not None]
-        assert set(labels_with_alpha) == {"1", "-1"}
-        for r in s.rows:
-            for rep in r.alpha_reports:
-                assert rep.residual_defining <= 1e-10
+        recs = rooted(scan_imaginary(50, log_branch=1))
+        assert {r["unit"] for r in recs if r["D"] == -7} == {"1", "-1"}
+        assert all(r["residual_defining"] <= 1e-10 for r in recs)
 
     def test_distinct_alpha_counts_units_not_fields(self):
         # the same torsion unit recurs across fields with the same alpha, so
         # distinct roots = distinct units with usable logs (7 on principal log)
         s = scan_imaginary(200)
-        n_attached = sum(len(r.alpha_reports) for r in s.rows)
-        assert n_attached == 15
+        assert len(rooted(s)) == 15
         assert s.distinct_alpha_count == 7
         assert s.min_alpha_separation > 1e-3
 
     @pytest.mark.parametrize("branch, log_branch", [(0, 0), (-1, 1), (2, -2)])
     def test_each_label_names_the_unit_of_its_root(self, branch, log_branch):
         # the unit each label names, written out here, gives the row's alpha
-        s = math.sqrt(3) / 2
-        units = {"1": 1 + 0j, "-1": -1 + 0j, "i": 1j, "-i": -1j,
-                 "(1+i*sqrt(3))/2": complex(0.5, s), "(-1+i*sqrt(3))/2": complex(-0.5, s),
-                 "(-1-i*sqrt(3))/2": complex(-0.5, -s), "(1-i*sqrt(3))/2": complex(0.5, -s)}
         summary = scan_imaginary(200, branch=branch, log_branch=log_branch)
         for field in summary.batch.roots:
             D = field[0][0]
             assert sorted(r[3] for r in field) == sorted(
-                label for label, eps in units.items() if eps in roots_of_unity(D).elements
+                label for label, eps in TORSION_UNIT_LABELS.items() if eps in roots_of_unity(D).elements
             )
             for r in field:
                 if len(r) > 4:
-                    rep = alpha_complex_case(UnitInput.complex_unit(units[r[3]], log_branch), branch)
+                    rep = alpha_complex_case(UnitInput.complex_unit(TORSION_UNIT_LABELS[r[3]], log_branch), branch)
                     assert (r[4], r[5]) == (rep.alpha.real, rep.alpha.imag), (D, r)
+
+    @pytest.mark.parametrize("branch, log_branch", [(0, 0), (-1, 1), (2, -2)])
+    def test_lazy_rows_match_eager_rows(self, branch, log_branch):
+        # the records the JSON writer renders, a chunk of rows at a time from
+        # the columns and the record tuples, against records made one D at a
+        # time from the point API
+        s = scan_imaginary(2000, branch=branch, log_branch=log_branch)
+        assert json.loads(summary_to_json(s)) == imaginary_scan_oracle(2000, branch, log_branch)
+        assert s == scan_imaginary(2000, branch=branch, log_branch=log_branch)
 
     def test_sieve_discriminants_are_not_retested(self, monkeypatch):
         # only the h = 1 rows revalidate D (through roots_of_unity); the
@@ -156,32 +165,6 @@ class TestScanImaginary:
         s = scan_imaginary(20000)
         assert s.count_h1 == 9
         assert len(calls) <= 20
-
-    @pytest.mark.parametrize("branch, log_branch", [(0, 0), (-1, 1), (2, -2)])
-    def test_lazy_rows_match_eager_rows(self, branch, log_branch):
-        # the rows view, built from the columns and the record tuples, against
-        # rows made one D at a time: class_number by forms, the radicand, and
-        # alpha_complex_case for each torsion unit of an h = 1 field
-        s = scan_imaginary(2000, branch=branch, log_branch=log_branch)
-        eager = []
-        for D in reversed(fundamental_discriminants(-2000, -3)):
-            h = class_number(D)
-            mu = roots_of_unity(D) if h == 1 else None
-            alphas = tuple(
-                UnitAlpha(
-                    next(k for k, arg in lgw.survey._TORSION_ARGS.items()
-                         if abs(arg - cmath.phase(eps)) < 1e-9),
-                    None, None,
-                    None if eps == 1 and log_branch == 0 else
-                    alpha_complex_case(UnitInput.complex_unit(eps, log_branch), branch),
-                )
-                for eps in mu.elements
-            ) if h == 1 else ()
-            eager.append(SurveyRow(D, radicand_of_discriminant(D), h, Case.COMPLEX, mu, alphas))
-        assert s.rows == tuple(eager)
-        assert s.rows is s.rows  # built once
-        assert s.batch.attached is s.batch.attached
-        assert s == scan_imaginary(2000, branch=branch, log_branch=log_branch)
 
     def test_integer_like_conventions_write_plain_ints(self):
         # numpy integers and bools are taken as the ints they stand for
@@ -209,7 +192,8 @@ class TestScanImaginary:
         assert_same_text("".join(iter_summary_plain(s)), "".join(iter_summary_plain(s, 1)))
         ones = [e for e in correspondence_table(rows).entries if e["unit"] == "1"]
         assert ones and all((e["log_eps_re"], e["log_eps_im"]) == (0.0, 2 * math.pi) for e in ones)
-        assert ones == [e for e in correspondence_table(row_records(s.rows, 1)).entries if e["unit"] == "1"]
+        oracle = imaginary_scan_oracle(20, log_branch=1)["rows"]
+        assert ones == [e for e in correspondence_table(oracle).entries if e["unit"] == "1"]
 
     def test_ceiling_is_a_term_limit(self, monkeypatch):
         # raised before any sieve runs
@@ -221,12 +205,12 @@ class TestScanImaginary:
 class TestScanReal:
     def test_discriminant_mode_at_40(self):
         s = scan_real(40)
-        assert sorted(r.D for r in s.rows if r.h == 1) == [5, 8, 12, 13, 17, 21, 24, 28, 29, 33, 37]
-        assert all(r.h == 2 for r in s.rows if r.D == 40)
+        assert h1_column(s) == [5, 8, 12, 13, 17, 21, 24, 28, 29, 33, 37]
+        assert s.batch.h[s.batch.D == 40].tolist() == [2]
 
     def test_radicand_mode_reproduces_spec_list(self):
         s = scan_real(40, by_radicand=True)
-        assert sorted(r.d for r in s.rows if r.h == 1) == H1_RADICANDS_TO_40
+        assert h1_column(s, "d") == H1_RADICANDS_TO_40
 
     @pytest.mark.parametrize("limits", [range(600), [4099]], ids=["0-599", "4099"])
     def test_radicand_mode_discriminants_match_two_sieves(self, limits, monkeypatch):
@@ -251,16 +235,13 @@ class TestScanReal:
             assert got.dtype == np.int64 and got.tolist() == want.tolist(), limit
 
     def test_single_row_at_5(self):
-        s = scan_real(5)
-        assert len(s.rows) == 1
-        row = s.rows[0]
-        assert (row.D, row.d, row.h) == (5, 5, 1)
-        rep = row.alpha_reports[0]
-        assert abs(rep.alpha.imag) <= 1e-12
+        (row,) = records(scan_real(5))
+        assert (row["D"], row["d"], row["h"]) == (5, 5, 1)
+        assert abs(row["alpha_im"]) <= 1e-12
 
     def test_empty_range(self):
         s = scan_real(4)
-        assert s.rows == ()
+        assert len(s.batch.D) == 0 and records(s) == []
         assert s.count_h1 == 0
 
     @pytest.mark.parametrize("limit, unit_powers", [(-1, 1), (20, -2)], ids=["limit", "unit-powers"])
@@ -271,32 +252,27 @@ class TestScanReal:
     def test_split_residuals(self):
         s = scan_real(100)
         assert s.count_h1 > 0
-        for r in s.rows:
-            for rep in r.alpha_reports:
-                assert rep.residual_split_1 <= 1e-10
-                assert rep.residual_split_2 <= 1e-10
-                assert abs(rep.alpha.imag) <= 1e-12
-                assert rep.residual_sum_equation is not None
+        for r in rooted(s):
+            assert r["residual_split_1"] <= 1e-10
+            assert r["residual_split_2"] <= 1e-10
+            assert abs(r["alpha_im"]) <= 1e-12
+            assert r["residual_sum_equation"] is not None
 
     def test_count_nondecreasing_in_limit(self):
         counts = [scan_real(L).count_h1 for L in (5, 20, 50, 100, 150)]
         assert counts == sorted(counts)
 
     def test_unit_powers(self):
-        s = scan_real(10, unit_powers=3)
-        row = next(r for r in s.rows if r.D == 8)
-        assert len(row.alpha_reports) == 3
-        regs = [a.regulator for a in row.alphas]
+        recs = [r for r in rooted(scan_real(10, unit_powers=3)) if r["D"] == 8]
+        assert len(recs) == 3
+        regs = [r["regulator"] for r in recs]
         assert regs[1] == pytest.approx(2 * regs[0])
         assert regs[2] == pytest.approx(3 * regs[0])
-        for a in row.alphas:
-            assert a.report.residual_split_1 <= 1e-10
+        assert all(r["residual_split_1"] <= 1e-10 for r in recs)
 
     def test_same_branch_pairing_flag(self):
         s = scan_real(10, pairing=Pairing.SAME_BRANCH)
-        for r in s.rows:
-            for rep in r.alpha_reports:
-                assert rep.conventions["pairing"] == "same-branch"
+        assert s.count_h1 and s.batch.conventions["pairing"] == "same-branch"
 
     @pytest.mark.parametrize("kwargs", [{}, {"by_radicand": True}], ids=["discriminant", "radicand"])
     def test_sieve_discriminants_are_not_retested(self, monkeypatch, kwargs):
@@ -311,8 +287,8 @@ class TestScanReal:
 
         monkeypatch.setattr(lgw.fields, "is_squarefree", counting)
         s = scan_real(2000, **kwargs)
-        assert len(s.rows) > 600
-        assert len(calls) <= len(s.rows)
+        assert len(s.batch.D) > 600
+        assert len(calls) <= len(s.batch.D)
 
     def test_unit_takes_d_squarefree_from_the_sieve(self, monkeypatch):
         calls = []
@@ -324,8 +300,8 @@ class TestScanReal:
 
         monkeypatch.setattr(lgw.fields, "is_squarefree", counting)
         s = scan_real(2000)
-        assert len(s.rows) > 600
-        assert all(r.unit.pell_residual() == 0 for r in s.rows)
+        assert len(s.batch.D) > 600
+        assert all(u.pell_residual() == 0 for u in units(s))
         assert calls == []
 
     @pytest.mark.parametrize("limit, kwargs", [(20000, {}), (5000, {"by_radicand": True})],
@@ -333,38 +309,27 @@ class TestScanReal:
     def test_batched_units_match_scalar_units(self, limit, kwargs):
         # every row's unit, h = 1 or not, from the batched continued fraction
         s = scan_real(limit, **kwargs)
-        assert len(s.rows) > 1500
-        assert [r.unit for r in s.rows] == [lgw.fields._unit_of_squarefree(r.d) for r in s.rows]
+        assert len(s.batch.D) > 1500
+        assert units(s) == [lgw.fields._unit_of_squarefree(d) for d in s.batch.d.tolist()]
 
     @pytest.mark.parametrize("pairing", list(Pairing))
     def test_lazy_rows_match_eager_rows(self, pairing):
-        # the rows built from the record tuples on first access, against rows
-        # made one field at a time: the scalar unit, and alpha_real_case on
-        # a unit forced to log n*R for each power n
+        # the records the JSON writer renders against records made one field
+        # at a time: the scalar unit, and alpha_real_case on a unit forced to
+        # log n*R for each power n
         kwargs = {"branch": -1, "pairing": pairing, "unit_powers": 3}
         s = scan_real(3000, **kwargs)
-        eager = []
-        for D, h in zip(fundamental_discriminants(5, 3000), [r.h for r in s.rows]):
-            unit = lgw.fields._unit_of_squarefree(radicand_of_discriminant(D))
-            label = unit.as_string()
-            alphas = tuple(
-                UnitAlpha(
-                    label if n == 1 else f"({label})^{n}", unit.norm**n, n * unit.regulator,
-                    alpha_real_case(UnitInput.from_log(n * unit.regulator, Case.REAL), -1, pairing),
-                )
-                for n in (1, 2, 3)
-            ) if h == 1 else ()
-            eager.append(SurveyRow(D, unit.d, h, Case.REAL, unit, alphas))
-        assert s.rows == tuple(eager)
-        assert s.rows is s.rows  # built once
-        assert s.batch.attached is s.batch.attached
+        assert json.loads(summary_to_json(s)) == real_scan_oracle(3000, **kwargs)
         assert s == scan_real(3000, **kwargs)
 
     def test_only_h1_rows_are_built_by_the_scan(self):
         s = scan_real(3000)
-        assert [r.D for r in s.batch.attached] == [r.D for r in s.rows if r.h == 1]
-        assert s.count_h1 == len(s.batch.attached) == s.distinct_unit_count
-        assert all(r.alphas == () and r.unit.pell_residual() == 0 for r in s.rows if r.h != 1)
+        b = s.batch
+        assert b.index.tolist() == np.flatnonzero(b.h == 1).tolist()
+        assert [f[0][0] for f in b.roots] == h1_column(s)
+        assert s.count_h1 == len(b.roots) == s.distinct_unit_count
+        assert sorted({r["D"] for r in rooted(s)}) == h1_column(s)
+        assert all(u.pell_residual() == 0 for u in units(s))
 
     def test_perturbed_regulator_trips_the_rounding_assert(self, monkeypatch):
         # h is the distance sum over the unit's regulator, rounded; a
@@ -447,19 +412,70 @@ class TestDeterminism:
         assert_same_text(summary_to_json(scan_imaginary(100)), summary_to_json(scan_imaginary(100)))
 
 
+def csv_text(recs: list[dict]) -> str:
+    """The CSV of row records: the column line, then the values of each, an
+    empty field for None."""
+    lines = [",".join(CSV_COLUMNS)]
+    lines += [",".join("" if r[k] is None else str(r[k]) for k in CSV_COLUMNS) for r in recs]
+    return "\n".join(lines) + "\n"
+
+
+def plain_text(obj: dict) -> str:
+    """The plain text of a scan's JSON object: its counts, then each record's
+    non-empty columns as key=value."""
+    lines = [f"range {obj['range'][0]}..{obj['range'][1]}  fields_h1={obj['count_h1']}  "
+             f"distinct_alpha={obj['distinct_alpha_count']}  distinct_units={obj['distinct_unit_count']}"]
+    lines += ["  ".join(f"{k}={r[k]}" for k in CSV_COLUMNS if r[k] is not None) for r in obj["rows"]]
+    return "\n".join(lines) + "\n"
+
+
+_SCANS = {"imaginary": (scan_imaginary, imaginary_scan_oracle), "real": (scan_real, real_scan_oracle)}
+
+
+class TestWritersAgainstThePointApi:
+    """Every writer's text against a scan rebuilt one field at a time from the
+    point API (oracles.imaginary_scan_oracle and oracles.real_scan_oracle)."""
+
+    @pytest.mark.parametrize("kind, limit, kwargs", [
+        *[("imaginary", 2000, {"branch": j, "log_branch": lb}) for lb in (0, 1) for j in (0, -1, 2)],
+        *[("real", 1000, {"pairing": p, "unit_powers": 3}) for p in Pairing],
+        ("real", 600, {"unit_powers": 2, "by_radicand": True}),
+    ], ids=lambda v: ",".join(f"{k}={getattr(x, 'value', x)}" for k, x in v.items()) if isinstance(v, dict) else None)
+    def test_json_csv_and_plain(self, kind, limit, kwargs):
+        scan, oracle = _SCANS[kind]
+        s = scan(limit, **kwargs)
+        want = oracle(limit, **kwargs)
+        trailer = {"conventions": {"branch": kwargs.get("branch", 0), "log_branch": kwargs.get("log_branch", 0)}}
+        assert_same_text(summary_to_json(s), json.dumps(want))
+        assert_same_text("".join(iter_summary_json(s, trailer=trailer)), json.dumps({**want, **trailer}))
+        assert_same_text("".join(iter_summary_csv(s)), csv_text(want["rows"]))
+        assert_same_text("".join(iter_summary_plain(s)), plain_text(want))
+
+    def test_a_shifted_log_branch_relabels_the_records(self):
+        # the writers' log_branch argument labels the records, whatever
+        # branch the roots were computed at
+        s = scan_imaginary(200)
+        want = imaginary_scan_oracle(200)
+        want["rows"] = [{**r, "log_branch": 3} for r in want["rows"]]
+        assert_same_text(summary_to_json(s, 3), json.dumps(want))
+        assert_same_text("".join(iter_summary_csv(s, 3)), csv_text(want["rows"]))
+        assert_same_text("".join(iter_summary_plain(s, 3)), plain_text(want))
+
+
 class TestSerialization:
     def test_record_schema(self):
-        recs = row_records(scan_imaginary(20).rows)
+        recs = records(scan_imaginary(20))
         assert recs
         for rec in recs:
             assert tuple(rec.keys()) == CSV_COLUMNS
 
     def test_csv_header_and_rows(self):
-        s = scan_real(30)
-        text = records_to_csv(row_records(s.rows))
+        recs = records(scan_real(30))
+        text = records_to_csv(recs)
+        assert text == csv_text(recs)
         lines = text.strip().split("\n")
         assert lines[0] == ",".join(CSV_COLUMNS)
-        assert len(lines) == 1 + len(row_records(s.rows))
+        assert len(lines) == 1 + len(recs)
 
     def test_csv_empty(self):
         assert records_to_csv([]) == ",".join(CSV_COLUMNS) + "\n"
@@ -475,37 +491,23 @@ class TestSerialization:
         (scan_imaginary, 20000, {}),
     ])
     def test_chunked_json_equals_one_dumps(self, scan, limit, kwargs, monkeypatch):
-        # every writer against its reference, in chunks small enough that the
-        # records of one scan span several of them
+        # every writer against the point-API scan, in chunks small enough
+        # that the records of one scan span several of them
         s = scan(limit, **kwargs)
-        # the writers take h's text from a table; the scan to 20000 reaches
-        # three digits, in 7-row and default chunks only, for time
-        chunks = (1, 2, 7)
-        if limit == 20000:
+        if limit == 20000:  # h's text comes from a table: here h reaches three digits
             assert (len(s.batch.D), s.batch.h.max()) == (6079, 213)
-            chunks = (7, lgw.survey._JSON_CHUNK_ROWS)
-        lb = kwargs.get("log_branch", 0)
-        records = row_records(s.rows, lb)
-        full = {
-            "range": list(s.range),
-            "count_h1": s.count_h1,
-            "distinct_alpha_count": s.distinct_alpha_count,
-            "min_alpha_separation": s.min_alpha_separation,
-            "distinct_unit_count": s.distinct_unit_count,
-            "rows": records,
-        }
-        trailer = {"conventions": {"branch": 0, "log_branch": lb}}
-        first = (f"range {s.range[0]}..{s.range[1]}  fields_h1={s.count_h1}  "
-                 f"distinct_alpha={s.distinct_alpha_count}  distinct_units={s.distinct_unit_count}")
-        plain = "\n".join([first, *map(lgw.survey._plain_line, records)]) + "\n"
+        want = (imaginary_scan_oracle if scan is scan_imaginary else real_scan_oracle)(limit, **kwargs)
+        trailer = {"conventions": {"branch": 0, "log_branch": kwargs.get("log_branch", 0)}}
+        # the scan to 20000 (6079 rows), in 7-row chunks only, for time
+        chunks = (7,) if limit == 20000 else (1, 2, 7)
         # one row a chunk puts every attached row first and last in a chunk
         # of attached rows only; 2 and 7 mix attached and bare rows
         for rows in chunks:
             monkeypatch.setattr(lgw.survey, "_JSON_CHUNK_ROWS", rows)
-            assert_same_text(summary_to_json(s, lb), json.dumps(full))
-            assert_same_text("".join(iter_summary_json(s, lb, trailer)), json.dumps({**full, **trailer}))
-            assert_same_text("".join(iter_summary_csv(s, lb)), records_to_csv(records))
-            assert_same_text("".join(iter_summary_plain(s, lb)), plain)
+            assert_same_text(summary_to_json(s), json.dumps(want))
+            assert_same_text("".join(iter_summary_json(s, trailer=trailer)), json.dumps({**want, **trailer}))
+            assert_same_text("".join(iter_summary_csv(s)), csv_text(want["rows"]))
+            assert_same_text("".join(iter_summary_plain(s)), plain_text(want))
         at = set(s.batch.index.tolist()) if s.batch.roots else set()
         if at:  # among the chunks of 7 that hold a bare row, one starts and one ends with an attached row
             n = len(s.batch.D)
@@ -517,10 +519,10 @@ class TestSerialization:
         obj = json.loads(summary_to_json(s))
         assert obj["count_h1"] == s.count_h1
         assert obj["distinct_unit_count"] == s.distinct_unit_count
-        assert len(obj["rows"]) == len(row_records(s.rows))
+        assert len(obj["rows"]) == len(s.batch.D) + sum(len(f) - 1 for f in s.batch.roots)
 
     def test_real_rows_carry_unit_and_norm(self):
-        recs = row_records(scan_real(40).rows)
+        recs = records(scan_real(40))
         d2 = [r for r in recs if r["d"] == 2]
         assert d2
         assert d2[0]["unit"] == "1+1*sqrt(2)"
@@ -610,8 +612,7 @@ class TestCorrespondenceTable:
         assert tab.min_alpha_separation is None
 
     def test_imaginary_table(self):
-        s = scan_imaginary(200)
-        tab = correspondence_table(row_records(s.rows))
+        tab = correspondence_table(records(scan_imaginary(200)))
         assert tab.n_alpha == 15
         assert tab.distinct_alpha_count == 7
         assert tab.min_alpha_separation > 1e-3
@@ -619,8 +620,7 @@ class TestCorrespondenceTable:
             assert e["residual_defining"] <= 1e-10
 
     def test_real_rows(self):
-        s = scan_real(10)
-        tab = correspondence_table(row_records(s.rows))
+        tab = correspondence_table(records(scan_real(10)))
         ds = {e["D"] for e in tab.entries}
         assert ds == {5, 8}
         for e in tab.entries:
@@ -829,8 +829,9 @@ class TestReadRootedRecords:
             assert "[ \t\n\r]*+" in run.pattern
 
     def test_duplicate_rows_last_wins(self):
-        s = scan_imaginary(200)
-        first, second = row_records(s.rows[:1]), row_records(s.rows[-1:] + s.rows[1:2])
+        recs = records(scan_imaginary(200))  # the fields -3, -4, ... -199
+        first = [r for r in recs if r["D"] == -3]
+        second = recs[-1:] + [r for r in recs if r["D"] == -4]
         for doc in (
             f'{{"rows": {json.dumps(first)}, "count_h1": 9, "rows": {json.dumps(second)}}}',
             f'{{"rows": 5, "rows": {json.dumps(second)}}}',

@@ -310,6 +310,53 @@ class TestTinyArguments:
         assert lambert_w(1, z).value == lambert_w(-1, z).value == complex(lambert_w_real(-1, z.real))
 
 
+def _seed_boundary_points(seed: int = 2026) -> tuple[list[complex], list[complex]]:
+    """Seeded points on both sides of every boundary of the seed table, off
+    the real axis: the circle |z + 1/e| = 0.3, the four edges of the Pade box
+    (x = -1, x = 1.5, |y| = 1 and x = -2.5|y| - 0.2), the circle |z| = 2,
+    and (second list) the circle |z| = _TINY_Z. Each point sits a relative
+    distance of 1e-12 to 1e-3 inside or outside its boundary."""
+    rng = random.Random(seed)
+
+    def offset():
+        return rng.choice((-1.0, 1.0)) * 10.0 ** -rng.uniform(3, 12)
+
+    def angle():  # off the real axis
+        return rng.choice((-1.0, 1.0)) * rng.uniform(1e-3, math.pi - 1e-3)
+
+    zs = []
+    for _ in range(900):
+        zs += [BRANCH_POINT_Z + cmath.rect(0.3 * (1 + offset()), angle()), cmath.rect(2.0 * (1 + offset()), angle())]
+    for _ in range(550):
+        y = rng.choice((-1.0, 1.0)) * rng.uniform(0.32, 1.0)  # where x = -1 bounds the box
+        zs.append(complex(-1.0 + offset(), y))
+        zs.append(complex(1.5 * (1 + offset()), rng.choice((-1.0, 1.0)) * rng.uniform(1e-3, 1.0)))
+        zs.append(complex(rng.uniform(-1.0, 1.5), rng.choice((-1.0, 1.0)) * (1 + offset())))
+        y = rng.uniform(1e-3, 0.32)  # where x = -2.5|y| - 0.2 bounds it
+        zs.append(complex(-2.5 * y - 0.2 + offset(), rng.choice((-1.0, 1.0)) * y))
+    tiny = [cmath.rect(wfunc._TINY_Z * (1 + offset()), angle()) for _ in range(400)]
+    return zs, tiny
+
+
+class TestSeedBoundaries:
+    def test_every_branch_against_mpmath_and_distinct(self):
+        # each W_k, |k| <= 3, on both sides of every seed boundary, against
+        # mpmath; no two branches share a value at any point
+        mpmath = pytest.importorskip("mpmath")
+        zs, tiny = _seed_boundary_points()
+        assert len(zs) + len(tiny) == 4400 and all(z.imag for z in zs + tiny)
+        off, shared = [], []
+        for z, lambertw in [(z, mpmath.fp.lambertw) for z in zs] + [(z, mpmath.lambertw) for z in tiny]:
+            ws = [lambert_w(k, z).value for k in range(-3, 4)]
+            for k, w in zip(range(-3, 4), ws):
+                ref = complex(lambertw(z, k))
+                if abs(w - ref) > 1e-10 * abs(ref):
+                    off.append((k, z, w, ref))
+            if any(abs(a - b) <= 1e-9 for i, a in enumerate(ws) for b in ws[i + 1 :]):
+                shared.append(z)
+        assert (off[:5], shared[:5]) == ([], [])
+
+
 class TestDerivative:
     def test_at_zero(self):
         assert abs(w_derivative(0, 0) - 1.0) < 1e-14
