@@ -102,7 +102,8 @@ class _Batch:
     """The fields of a scan, in scan order: the columns, the ascending index
     of the attached fields into them, one tuple of record tuples per
     attached field (one per torsion unit or unit power; _ROOTED gives the
-    columns of each length), and the conventions of the scan."""
+    columns of each length), and the log branch its records are labelled
+    with."""
 
     case: Case
     D: np.ndarray
@@ -110,7 +111,7 @@ class _Batch:
     h: np.ndarray
     index: np.ndarray
     roots: tuple
-    conventions: dict
+    log_branch: int
     units: _UnitColumns | None = None
 
     def __eq__(self, other):  # arrays compare element by element: a generated __eq__ would raise
@@ -118,8 +119,8 @@ class _Batch:
 
         if not isinstance(other, _Batch):
             return NotImplemented
-        return (self.case, self.roots, self.units, self.conventions) == (
-            other.case, other.roots, other.units, other.conventions
+        return (self.case, self.roots, self.units, self.log_branch) == (
+            other.case, other.roots, other.units, other.log_branch
         ) and all(np.array_equal(getattr(self, c), getattr(other, c)) for c in ("D", "d", "h", "index"))
 
 
@@ -243,14 +244,13 @@ def scan_imaginary(limit: int, *, branch: int = 0, log_branch: int = 0) -> Surve
         for Di, di in zip(D[at].tolist(), d[at].tolist())
     ]
     distinct_alpha, min_sep = _distinct_stats(complex(r[4], r[5]) for f in roots for r in f if len(r) > 4)
-    conventions = {"log_branch": log_branch, "case": Case.COMPLEX.value}
     return SurveySummary(
         range=(-limit, -3),
         count_h1=len(at),
         distinct_alpha_count=distinct_alpha,
         min_alpha_separation=min_sep,
         distinct_unit_count=len({r[3] for f in roots for r in f}),  # each torsion unit has its own label
-        batch=_Batch(Case.COMPLEX, D, d, h, at, tuple(roots), conventions),
+        batch=_Batch(Case.COMPLEX, D, d, h, at, tuple(roots), log_branch),
     )
 
 
@@ -333,14 +333,13 @@ def scan_real(
             ))
         roots.append(tuple(field))
     distinct_alpha, min_sep = _distinct_stats(complex(r[6], r[7]) for f in roots for r in f)
-    conventions = {"log_branch": 0, "pairing": pairing.value, "case": Case.REAL.value}
     return SurveySummary(
         range=(5, limit),
         count_h1=len(at),
         distinct_alpha_count=distinct_alpha,
         min_alpha_separation=min_sep,
         distinct_unit_count=len(at),
-        batch=_Batch(Case.REAL, D, d, h, attached, tuple(roots), conventions, units),
+        batch=_Batch(Case.REAL, D, d, h, attached, tuple(roots), 0, units),
     )
 
 
@@ -407,7 +406,7 @@ def _row_text(
 ) -> Iterator[str]:
     """first, fmt's text of each row's records after fmt.sep (the first after
     fmt.lead) in scan order, then last: in pieces of _JSON_CHUNK_ROWS rows.
-    The records' log_branch is the scan's own (its conventions) when
+    The records' log_branch is the scan's own (batch.log_branch) when
     log_branch is None.
 
     A piece starts with the bare template split at its holes, once per bare
@@ -422,7 +421,7 @@ def _row_text(
 
     b, units = summary.batch, summary.batch.units
     if log_branch is None:
-        log_branch = b.conventions["log_branch"]
+        log_branch = b.log_branch
     pieces = re.split("%(.)", _template(fmt, _BARE if units is None else _BARE_UNIT, log_branch))
     row, slots = [fmt.sep + pieces[0]], []
     for spec, literal in zip(pieces[1::2], pieces[2::2]):

@@ -271,8 +271,13 @@ class TestScanReal:
         assert all(r["residual_split_1"] <= 1e-10 for r in recs)
 
     def test_same_branch_pairing_flag(self):
-        s = scan_real(10, pairing=Pairing.SAME_BRANCH)
-        assert s.count_h1 and s.batch.conventions["pairing"] == "same-branch"
+        # at branch -1 the pairing decides alpha: W_-1 with W_1 gives a real
+        # alpha, W_-1 with itself a complex one
+        kwargs = {"branch": -1, "pairing": Pairing.SAME_BRANCH}
+        recs = rooted(scan_real(10, **kwargs))
+        assert recs == [r for r in real_scan_oracle(10, **kwargs)["rows"] if r["alpha_re"] is not None]
+        assert recs and all(r["alpha_im"] != 0 for r in recs)
+        assert all(r["alpha_im"] == 0 for r in rooted(scan_real(10, branch=-1)))
 
     @pytest.mark.parametrize("kwargs", [{}, {"by_radicand": True}], ids=["discriminant", "radicand"])
     def test_sieve_discriminants_are_not_retested(self, monkeypatch, kwargs):
@@ -429,39 +434,6 @@ def plain_text(obj: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-_SCANS = {"imaginary": (scan_imaginary, imaginary_scan_oracle), "real": (scan_real, real_scan_oracle)}
-
-
-class TestWritersAgainstThePointApi:
-    """Every writer's text against a scan rebuilt one field at a time from the
-    point API (oracles.imaginary_scan_oracle and oracles.real_scan_oracle)."""
-
-    @pytest.mark.parametrize("kind, limit, kwargs", [
-        *[("imaginary", 2000, {"branch": j, "log_branch": lb}) for lb in (0, 1) for j in (0, -1, 2)],
-        *[("real", 1000, {"pairing": p, "unit_powers": 3}) for p in Pairing],
-        ("real", 600, {"unit_powers": 2, "by_radicand": True}),
-    ], ids=lambda v: ",".join(f"{k}={getattr(x, 'value', x)}" for k, x in v.items()) if isinstance(v, dict) else None)
-    def test_json_csv_and_plain(self, kind, limit, kwargs):
-        scan, oracle = _SCANS[kind]
-        s = scan(limit, **kwargs)
-        want = oracle(limit, **kwargs)
-        trailer = {"conventions": {"branch": kwargs.get("branch", 0), "log_branch": kwargs.get("log_branch", 0)}}
-        assert_same_text(summary_to_json(s), json.dumps(want))
-        assert_same_text("".join(iter_summary_json(s, trailer=trailer)), json.dumps({**want, **trailer}))
-        assert_same_text("".join(iter_summary_csv(s)), csv_text(want["rows"]))
-        assert_same_text("".join(iter_summary_plain(s)), plain_text(want))
-
-    def test_a_shifted_log_branch_relabels_the_records(self):
-        # the writers' log_branch argument labels the records, whatever
-        # branch the roots were computed at
-        s = scan_imaginary(200)
-        want = imaginary_scan_oracle(200)
-        want["rows"] = [{**r, "log_branch": 3} for r in want["rows"]]
-        assert_same_text(summary_to_json(s, 3), json.dumps(want))
-        assert_same_text("".join(iter_summary_csv(s, 3)), csv_text(want["rows"]))
-        assert_same_text("".join(iter_summary_plain(s, 3)), plain_text(want))
-
-
 class TestSerialization:
     def test_record_schema(self):
         recs = records(scan_imaginary(20))
@@ -489,30 +461,48 @@ class TestSerialization:
         (scan_real, 60, {"unit_powers": 3, "pairing": Pairing.SAME_BRANCH}),
         (scan_imaginary, 2, {}),
         (scan_imaginary, 20000, {}),
+        *[(scan_imaginary, 2000, {"branch": j, "log_branch": lb}) for lb in (0, 1) for j in (0, -1, 2)],
+        *[(scan_real, 1000, {"pairing": p, "unit_powers": 3}) for p in Pairing],
+        (scan_real, 600, {"unit_powers": 2, "by_radicand": True}),
     ])
     def test_chunked_json_equals_one_dumps(self, scan, limit, kwargs, monkeypatch):
-        # every writer against the point-API scan, in chunks small enough
-        # that the records of one scan span several of them
+        # every writer against the scan rebuilt one field at a time from the
+        # point API (tests/oracles.py), in chunks small enough that the
+        # records of one scan span several of them
         s = scan(limit, **kwargs)
-        if limit == 20000:  # h's text comes from a table: here h reaches three digits
-            assert (len(s.batch.D), s.batch.h.max()) == (6079, 213)
         want = (imaginary_scan_oracle if scan is scan_imaginary else real_scan_oracle)(limit, **kwargs)
-        trailer = {"conventions": {"branch": 0, "log_branch": kwargs.get("log_branch", 0)}}
-        # the scan to 20000 (6079 rows), in 7-row chunks only, for time
-        chunks = (7,) if limit == 20000 else (1, 2, 7)
+        trailer = {"conventions": {"branch": kwargs.get("branch", 0), "log_branch": kwargs.get("log_branch", 0)}}
+        texts = (json.dumps(want), json.dumps({**want, **trailer}), csv_text(want["rows"]), plain_text(want))
         # one row a chunk puts every attached row first and last in a chunk
-        # of attached rows only; 2 and 7 mix attached and bare rows
+        # of attached rows only; 2 and 7 mix attached and bare rows. The
+        # scans to 600 and more run at the default chunk, and the one to
+        # 20000 also in 7-row chunks: its h reaches three digits, and the
+        # writers take h's text from a table.
+        chunks = (1, 2, 7) if limit < 600 else (lgw.survey._JSON_CHUNK_ROWS,)
+        if limit == 20000:
+            assert (len(s.batch.D), s.batch.h.max()) == (6079, 213)
+            chunks = (7, lgw.survey._JSON_CHUNK_ROWS)
         for rows in chunks:
             monkeypatch.setattr(lgw.survey, "_JSON_CHUNK_ROWS", rows)
-            assert_same_text(summary_to_json(s), json.dumps(want))
-            assert_same_text("".join(iter_summary_json(s, trailer=trailer)), json.dumps({**want, **trailer}))
-            assert_same_text("".join(iter_summary_csv(s)), csv_text(want["rows"]))
-            assert_same_text("".join(iter_summary_plain(s)), plain_text(want))
+            assert_same_text(summary_to_json(s), texts[0])
+            assert_same_text("".join(iter_summary_json(s, trailer=trailer)), texts[1])
+            assert_same_text("".join(iter_summary_csv(s)), texts[2])
+            assert_same_text("".join(iter_summary_plain(s)), texts[3])
         at = set(s.batch.index.tolist()) if s.batch.roots else set()
-        if at:  # among the chunks of 7 that hold a bare row, one starts and one ends with an attached row
+        if at and 7 in chunks:  # among the chunks of 7 that hold a bare row, one starts and one ends with an attached row
             n = len(s.batch.D)
             mixed = [c for c in (range(i, min(i + 7, n)) for i in range(0, n, 7)) if not at.issuperset(c)]
             assert any(c[0] in at for c in mixed) and any(c[-1] in at for c in mixed)
+
+    def test_a_shifted_log_branch_relabels_the_records(self):
+        # the writers' log_branch argument labels the records, whatever
+        # branch the roots were computed at
+        s = scan_imaginary(200)
+        want = imaginary_scan_oracle(200)
+        want["rows"] = [{**r, "log_branch": 3} for r in want["rows"]]
+        assert_same_text(summary_to_json(s, 3), json.dumps(want))
+        assert_same_text("".join(iter_summary_csv(s, 3)), csv_text(want["rows"]))
+        assert_same_text("".join(iter_summary_plain(s, 3)), plain_text(want))
 
     def test_json_round_trip(self):
         s = scan_imaginary(50)
