@@ -283,15 +283,14 @@ def _exp_linear_root(a: complex, b: complex, c: complex, k: int) -> complex:
             raise NonFinite(f"Lambert argument -B*C*exp(A*C) overflows: A*C = {a * c!r}") from None
     if k and abs(arg) < _TINY_Z:
         # A subnormal argument keeps only a few digits: pass its log instead.
-        # log(-B) keeps the sign of the zero Im part that -B*C*exp(A*C) has,
-        # so a real argument stays on the same side of the cut.
         t = cmath.log(-b) + cmath.log(c) + a * c
         if not cmath.isfinite(t):  # A*C itself overflowed
             raise NonFinite(f"log of the Lambert argument overflows: A*C = {a * c!r}")
-        if abs(t.imag) > math.pi:
-            t -= _TWO_PI_I * round(t.imag / _TWO_PI)
-        # Im t = +-pi: a negative real argument, on W_-1's cut from above
-        return a - _lambert_w_log(k, t, abs(t.imag) == math.pi)[0] / c
+        if not -math.pi < t.imag <= math.pi:
+            # Into (-pi, pi], as lambert_w reads its input: a negative real
+            # argument, of either zero sign, lies on the cut from above.
+            t -= _TWO_PI_I * math.ceil(t.imag / _TWO_PI - 0.5)
+        return a - _lambert_w_log(k, t)[0] / c
     return a - lambert_w(k, arg).value / c
 
 
@@ -359,8 +358,8 @@ def _alpha_real(L: float, j: int, same_branch: bool) -> tuple[complex, float, fl
     if j and _TWO_PI * L < _TINY_Z:
         # +-2*pi*i*L is subnormal: pass its log, as _exp_linear_root does
         t = math.log(_TWO_PI) + math.log(L)
-        w1 = _lambert_w_log(j, complex(t, -0.5 * math.pi), False)[0]
-        w2 = _lambert_w_log(j, complex(t, 0.5 * math.pi), False)[0] if same_branch else w1.conjugate()
+        w1 = _lambert_w_log(j, complex(t, -0.5 * math.pi))[0]
+        w2 = _lambert_w_log(j, complex(t, 0.5 * math.pi))[0] if same_branch else w1.conjugate()
     else:
         w1 = lambert_w(j, -_TWO_PI_I * L).value
         # m = -j: W_-j(conj z) = conj W_j(z) off the cut

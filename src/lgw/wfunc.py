@@ -4,12 +4,10 @@ W_k(z) is the k-th branch of the multivalued inverse of w -> w*exp(w).
 Branch indexing follows the standard convention (Corless, Gonnet, Hare,
 Jeffrey & Knuth, Adv. Comput. Math. 5, 1996): W_0 is the principal branch,
 real on [-1/e, inf); Im W_k(z) lives in horizontal strips indexed by k,
-and values on the cuts are continuous from above. On the negative real axis
-Im z = -0.0 does not yet follow that rule everywhere: the branch-point
-series and W_-1's real segment read it as above, every other seed through
-cmath.log as below. So W_1(-0.2 - 0i) and W_-1(-0.2 - 0i) are both -2.5426...,
-and W_0(x - 0i) jumps from +1.055i at x = -0.6669 to -1.058i at x = -0.6689
-(ROADMAP item 4 is to choose one rule).
+and values on the cuts are continuous from above. A zero Im z of either
+sign lies on the cut: lambert_w adds 0j to its input, which turns a -0.0
+part into +0.0 and changes no other bit, so every seed and cmath.log see
+the negative real axis from above, as mpmath does.
 
 Both entry points share one seed table (_initial_guess) and one Halley
 loop (_halley); lambert_w runs them in complex arithmetic, lambert_w_real
@@ -35,13 +33,12 @@ below tolerance.
 
 For k != 0 and |z| below the smallest normal float, e^w at the root is
 subnormal, so w e^w = z no longer pins w down. There every caller passes
-Log z to _lambert_w_log, which runs Newton on the logarithm of the equation:
-w + log(-w) = Log z + 2*pi*i*k - i*pi*sign(k), with log(-w) free of cuts
-near the root (Re w < -700). It raises NoConvergence if the step does not
-fall below tolerance within 64 steps. Log z alone cannot place z on W_-1's
-cut, since its Im rounds to -pi just below the cut too, so each caller says
-which side it means from what it knows of z: lambert_w from Im z,
-lambert_w_real always on the cut, the solver from its own argument.
+Log z, with Im in (-pi, pi], to _lambert_w_log, which runs Newton on the
+logarithm of the equation: w + log(-w) = Log z + 2*pi*i*k - i*pi*sign(k),
+with log(-w) free of cuts near the root (Re w < -700). It raises
+NoConvergence if the step does not fall below tolerance within 64 steps.
+By the rule above, Im Log z = pi means on or above the cut, and -pi strictly
+below it.
 
 Off the real axis W_{-k}(conj z) = conj W_k(z), and lambert_w keeps that
 symmetry bit for bit: conjugation commutes with complex +, -, *, / and with
@@ -89,6 +86,9 @@ _MAX_ITER = 64
 _STEP_TOL = 1e-15
 _STALL_TOL = 1e-13
 _RESIDUAL_TOL = 1e-12
+# |1 + W| within which w_derivative calls dW/dz singular: near the branch
+# point 1 + W ~ sqrt(2e(z + 1/e)), so this is |z + 1/e| <= 1e-12 there.
+_SINGULAR_W = math.sqrt(2.0 * math.e * 1e-12)
 
 # Below this |z|, the smallest normal float, e^w at W_k(z) for k != 0 is
 # subnormal, and Halley on w*e^w = z degrades fast: relative error 7e-15 at
@@ -235,7 +235,8 @@ def lambert_w(k: int, z: complex) -> WEvaluation:
     """
     # _require_finite and the common branch of _residual, inlined: this is
     # the per-query path, and each saved call is a measurable share of it.
-    z = complex(z)
+    # + 0j turns Im z = -0.0 into +0.0: the cut is taken from above.
+    z = complex(z) + 0j
     if not (_isfinite(z.real) and _isfinite(z.imag)):
         raise NonFinite(f"non-finite argument {z!r}")
     k = int(k)
@@ -244,9 +245,7 @@ def lambert_w(k: int, z: complex) -> WEvaluation:
             return WEvaluation(0j, 0, 0.0, 0)
         raise BranchSingularity(f"W_{k}(0) diverges")
     if k and abs(z) < _TINY_Z:
-        # As in the seed table, W_-1 takes a real z of either zero sign as
-        # lying on the cut from above.
-        w, iterations = _lambert_w_log(k, _clog(z), z.imag == 0.0 and z.real < 0.0)
+        w, iterations = _lambert_w_log(k, _clog(z))
         stepped = True
     else:
         w, iterations, stepped = _halley(z, _initial_guess(k, z, _csqrt, _clog), _cexp)
@@ -263,18 +262,16 @@ def lambert_w(k: int, z: complex) -> WEvaluation:
     return _tuple_new(WEvaluation, (w, k, res, iterations))
 
 
-def _lambert_w_log(k: int, t: complex, on_cut: bool) -> tuple[complex, int]:
+def _lambert_w_log(k: int, t: complex) -> tuple[complex, int]:
     """W_k(z) and its Newton steps for k != 0 and |z| < _TINY_Z, from
-    t = Log z (Im t in [-pi, pi]).
+    t = Log z (Im t in (-pi, pi]).
 
     Im W_k has the sign of k, or is 0 (the real W_-1 on its cut), so
-    log w = log(-w) + i*pi*sign(k), and log(-w) has no cut near w. on_cut
-    says that z lies on the negative real axis: W_-1 then takes it as lying
-    on the cut from above (Im t = pi), from a real seed, so the root stays
-    real. The other branches keep Im t = -pi below the cut.
+    log w = log(-w) + i*pi*sign(k), and log(-w) has no cut near w. Im t = pi
+    puts z on or above the negative real axis, where W_-1 starts from a real
+    seed, so its root on the cut stays real.
     """
-    if k == -1 and on_cut:
-        t = complex(t.real, math.pi)
+    if k == -1 and t.imag == math.pi:
         w = t.real - _clog(-t.real)  # _initial_guess's real seed
     else:
         w = _asymptotic_seed(t + _TWO_PI_I * k, _clog)
@@ -321,7 +318,7 @@ def lambert_w_real(k: int, x: float) -> float:
         return -1.0
     if k == -1 and x > -_TINY_Z:
         # x lies on W_-1's cut, taken from above: Log x = log(-x) + i*pi
-        return _lambert_w_log(-1, complex(math.log(-x), math.pi), True)[0].real
+        return _lambert_w_log(-1, complex(math.log(-x), math.pi))[0].real
     seed = _initial_guess(k, x, math.sqrt, math.log)
     w, iterations, stepped = _halley(x, seed, math.exp)
     # Near the branch point the last steps stall at rounding level, as in
@@ -332,11 +329,12 @@ def lambert_w_real(k: int, x: float) -> float:
 
 
 def w_derivative(k: int, z: complex) -> complex:
-    """dW_k/dz = 1 / (z + exp(W_k(z))); singular at the branch point."""
+    """dW_k/dz = w / (z (1 + w)) = 1 / (z + exp(w)) at w = W_k(z); singular
+    where w = -1, at the branch point on the branches that reach it."""
     z = _require_finite(z, "argument")
-    if abs(z - BRANCH_POINT_Z) <= 1e-12:
-        raise BranchPointSingularity("derivative singular at z = -1/e")
     w = lambert_w(k, z).value
+    if abs(1.0 + w) <= _SINGULAR_W:
+        raise BranchPointSingularity(f"derivative singular at z = {z!r}: W_{k}(z) = -1")
     return 1.0 / (z + cmath.exp(w))
 
 

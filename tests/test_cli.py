@@ -64,6 +64,13 @@ class TestWCommand:
         assert code == 0
         assert complex(obj["re"], obj["im"]) == pytest.approx(expected, abs=1e-12)
 
+    def test_negative_zero_imaginary_part_is_above_the_cut(self, capsys):
+        outs = []
+        for im in ("-0.0", "0.0"):
+            assert run(["w", "--re", "-0.2", "--im", im, "--branch", "1"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+
     def test_scientific_notation_accepted(self, capsys):
         code, obj = run_json(capsys, ["w", "--re", "1e-3"])
         assert code == 0
@@ -150,6 +157,20 @@ class TestAlphaCommand:
 
     def test_unit_one_exit_2(self, capsys):
         assert run(["alpha", "--case", "complex", "--eps-re", "1"]) == 2
+
+    def test_branches_one_and_minus_one_stay_apart_on_the_cut(self, capsys):
+        # the Lambert argument -2*pi*0.05 reaches W as x - 0i, on the cut
+        mpmath = pytest.importorskip("mpmath")
+        alphas = []
+        for j in (1, -1):
+            code, obj = run_json(capsys, ["alpha", "--case", "complex", "--log-eps-re", "0.05", "--branch", str(j)])
+            assert code == 0
+            alpha = complex(obj["alpha_re"], obj["alpha_im"])
+            w = mpmath.lambertw(-2 * mpmath.pi * mpmath.mpf(0.05), j)
+            ref = complex(-w / (2j * mpmath.pi))
+            assert abs(alpha - ref) <= 1e-10 * abs(ref), (j, alpha, ref)
+            alphas.append(alpha)
+        assert alphas[0] != alphas[1]
 
 
 class TestUnitCommand:

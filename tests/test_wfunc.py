@@ -240,11 +240,8 @@ class TestTinyArguments:
     """|z| around and below the smallest normal float, where e^w at W_k(z),
     k != 0, becomes subnormal."""
 
-    # an imaginary part that underflows to -0.0 is taken as +0.0: mpmath
-    # reads no sign of zero, and the cut values are continuous from above
     RADII = (5e-324, 6.283e-320, 1e-315, 1e-310, 2.2e-308, 2.3e-308, 1e-305)
-    ZS = [z if z.imag else complex(z.real, 0.0)
-          for z in (cmath.rect(r, t) for r in RADII for t in np.linspace(-math.pi, math.pi, 24)[1:])]
+    ZS = [cmath.rect(r, t) for r in RADII for t in np.linspace(-math.pi, math.pi, 24)[1:]]
     ZS += [-6.283e-320, 1e-315, -5e-324]
 
     def test_nonzero_branches_against_mpmath(self):
@@ -283,7 +280,9 @@ class TestTinyArguments:
         # of either zero sign or one or two units of the last place, where
         # the side of W_-1's cut is decided (-2.2e-308 - 5e-324j among them),
         # points on the imaginary axis, and random z; the digest as lambert_w
-        # gave them before its log-space Newton was shared with the solver
+        # gave them before its log-space Newton was shared with the solver,
+        # but that a real negative z with Im z = -0.0 now gives, on every
+        # branch, the bits it gives with Im z = +0.0
         rng = random.Random(2025)
         mags = [5e-324, 1e-323, 2.2e-308, math.nextafter(wfunc._TINY_Z, 0.0)]
         mags += [(rng.getrandbits(rng.randrange(1, 53)) or 1) * 5e-324 for _ in range(60)]
@@ -301,13 +300,8 @@ class TestTinyArguments:
                 ev = lambert_w(k, z)
                 parts.append(f"{ev.value.real.hex()} {ev.value.imag.hex()} {ev.residual.hex()} {ev.iterations}")
         assert hashlib.sha256(",".join(parts).encode()).hexdigest() == (
-            "ea6474332b779b429361e66b04a29b1235da1229b8e6feecd45ab2c4ee06a4c6"
+            "719af5bc6c184c97d88496ee26056588a8cea2d281bf96b50427cb25b28a150f"
         )
-
-    def test_real_value_on_the_cut_from_below(self):
-        # W_1 just below the negative real axis is the real W_-1 value
-        z = complex(-6.283e-320, -0.0)
-        assert lambert_w(1, z).value == lambert_w(-1, z).value == complex(lambert_w_real(-1, z.real))
 
 
 def _seed_boundary_points(seed: int = 2026) -> tuple[list[complex], list[complex]]:
@@ -338,6 +332,18 @@ def _seed_boundary_points(seed: int = 2026) -> tuple[list[complex], list[complex
     return zs, tiny
 
 
+def _axis_points(seed: int = 2027) -> list[float]:
+    """Seeded x on the negative real axis, where the seed table changes:
+    a relative 1e-12 to 1e-3 on either side of x = -1/e + 0.3, -1/e - 0.3,
+    -2 and -_TINY_Z, and subnormal x."""
+    rng = random.Random(seed)
+    xs = []
+    for edge in (BRANCH_POINT_Z + 0.3, BRANCH_POINT_Z - 0.3, -2.0, -wfunc._TINY_Z):
+        xs += [edge * (1 + rng.choice((-1.0, 1.0)) * 10.0 ** -rng.uniform(3, 12)) for _ in range(80)]
+    xs += [-(rng.getrandbits(rng.randrange(1, 53)) or 1) * 5e-324 for _ in range(80)]
+    return xs
+
+
 class TestSeedBoundaries:
     def test_every_branch_against_mpmath_and_distinct(self):
         # each W_k, |k| <= 3, on both sides of every seed boundary, against
@@ -355,6 +361,36 @@ class TestSeedBoundaries:
             if any(abs(a - b) <= 1e-9 for i, a in enumerate(ws) for b in ws[i + 1 :]):
                 shared.append(z)
         assert (off[:5], shared[:5]) == ([], [])
+
+    def test_the_negative_real_axis_at_both_zero_signs(self):
+        # the same on the cut, where a zero Im z of either sign is taken from
+        # above; mpmath reads no sign of zero
+        mpmath = pytest.importorskip("mpmath")
+        xs = _axis_points()
+        assert len(xs) == 400 and all(x < 0.0 for x in xs)
+        off, shared = [], []
+        for x in xs:
+            refs = [complex(mpmath.lambertw(x, k)) for k in range(-3, 4)]
+            for y in (0.0, -0.0):
+                ws = [lambert_w(k, complex(x, y)).value for k in range(-3, 4)]
+                for k, w, ref in zip(range(-3, 4), ws, refs):
+                    if abs(w - ref) > 1e-10 * abs(ref):
+                        off.append((k, complex(x, y), w, ref))
+                if any(abs(a - b) <= 1e-9 for i, a in enumerate(ws) for b in ws[i + 1 :]):
+                    shared.append(complex(x, y))
+        assert (off[:5], shared[:5]) == ([], [])
+
+    @pytest.mark.parametrize("x", [-6.283e-320, -0.2, -0.6669, -0.6689, -5.0])
+    def test_a_zero_imaginary_part_of_either_sign_is_above_the_cut(self, x):
+        # one rule in every seed region: Im z = -0.0 gives the bits of
+        # Im z = +0.0 on every branch, and W_1 and W_-1 stay apart
+        def bits(k, y):
+            ev = lambert_w(k, complex(x, y))
+            return ev.value.real.hex(), ev.value.imag.hex(), ev.residual.hex(), ev.iterations
+
+        for k in range(-3, 4):
+            assert bits(k, -0.0) == bits(k, 0.0), k
+        assert lambert_w(1, complex(x, -0.0)).value != lambert_w(-1, complex(x, -0.0)).value
 
 
 class TestDerivative:
@@ -390,6 +426,15 @@ class TestDerivative:
             w_derivative(0, BRANCH_POINT_Z)
         with pytest.raises(BranchPointSingularity):
             w_derivative(0, BRANCH_POINT_Z + 1e-13)
+        with pytest.raises(BranchPointSingularity):
+            w_derivative(-1, complex(BRANCH_POINT_Z, 0.0))
+        # only W_0 and W_-1 reach w = -1 at -1/e + 0i; on the other branches
+        # dW/dz is w / (z (1 + w)) there
+        mpmath = pytest.importorskip("mpmath")
+        for k in (1, 2, -2, 3):
+            w = mpmath.lambertw(BRANCH_POINT_Z, k)
+            ref = complex(w / (BRANCH_POINT_Z * (1 + w)))
+            assert abs(w_derivative(k, complex(BRANCH_POINT_Z, 0.0)) - ref) <= 1e-10 * abs(ref), k
 
 
 class TestSeries:
