@@ -290,6 +290,11 @@ def _exp_linear_root(a: complex, b: complex, c: complex, k: int) -> complex:
             # Into (-pi, pi], as lambert_w reads its input: a negative real
             # argument, of either zero sign, lies on the cut from above.
             t -= _TWO_PI_I * math.ceil(t.imag / _TWO_PI - 0.5)
+        if t.imag == math.pi and ((-b / abs(b)) * (c / abs(c)) * cmath.exp(1j * (a * c).imag)).imag < 0:
+            # An angle within rounding of the cut: the direction of the
+            # argument tells a point strictly below it (B = 1 + 1e-20j
+            # against 1 + 0j), whose angle rounds to -pi all the same.
+            t = complex(t.real, -math.pi)
         return a - _lambert_w_log(k, t)[0] / c
     return a - lambert_w(k, arg).value / c
 

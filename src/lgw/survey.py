@@ -7,12 +7,15 @@ fundamental-unit power for real fields.
 
 A scan keeps its fields as a columnar batch: int64 columns D, d and h for
 every field, for a real scan the unit columns (x, y, half-integrality, norm
-and regulator) of every field, and the roots of the attached (h = 1)
-fields as record tuples, the values of CSV_COLUMNS that a root fills.
-There is no row object: the writers (iter_summary_json, iter_summary_csv,
-iter_summary_plain) fill the bare-record template of their format a column
-at a time, for a chunk of rows at once, then fill a root template per
-tuple of an attached row.
+and regulator) of every field, and the roots of the attached (h = 1) fields
+in one float64 array, six values a root: alpha, its defining residual and
+the three residuals of the real case. There is no row object and no record
+per root: the writers (iter_summary_json, iter_summary_csv,
+iter_summary_plain) fill the templates of their format a column at a time,
+for a chunk of rows at once; the bare rows take their values from the
+columns, and the root rows from the root array and the columns of their
+field (D, d, the unit label and its powers, the norm and n times the
+regulator).
 Output is a pure function of the arguments, so scan output can be diffed
 and pinned in tests. numpy is imported where a scan first needs it.
 
@@ -28,9 +31,11 @@ import cmath
 import json
 import math
 import re
+from array import array
 from dataclasses import dataclass
-from itertools import compress
-from operator import attrgetter
+from functools import partial
+from itertools import chain, compress
+from operator import attrgetter, not_
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from .csvtext import csv_line
@@ -96,32 +101,46 @@ TABLE_COLUMNS = (
 
 _DISTINCT_TOL = 1e-9
 
+# Floats a root holds in _Batch.roots: alpha_re, alpha_im, residual_defining,
+# residual_split_1, residual_split_2 and residual_sum_equation.
+_ROOT_FLOATS = 6
+
 
 @dataclass(frozen=True, eq=False)
 class _Batch:
     """The fields of a scan, in scan order: the columns, the ascending index
-    of the attached fields into them, one tuple of record tuples per
-    attached field (one per torsion unit or unit power; _ROOTED gives the
-    columns of each length), and the log branch its records are labelled
-    with."""
+    of the attached fields into them, and their roots, _ROOT_FLOATS floats a
+    root in `roots`, field after field. A real scan gives each attached
+    field `powers` roots, one per power n of its unit; the writers take the
+    label, norm and log n*R of each from the unit columns. An imaginary
+    scan gives the k-th attached field one root per torsion unit that has
+    one (_has_root) of its group, of order torsion[k], with NaN for the
+    three residuals of the real case. The roots were computed at `branch`
+    and `log_branch`."""
 
     case: Case
     D: np.ndarray
     d: np.ndarray
     h: np.ndarray
     index: np.ndarray
-    roots: tuple
+    roots: array
+    branch: int
     log_branch: int
     units: _UnitColumns | None = None
+    powers: int = 0
+    torsion: bytes = b""
 
     def __eq__(self, other):  # arrays compare element by element: a generated __eq__ would raise
         import numpy as np
 
         if not isinstance(other, _Batch):
             return NotImplemented
-        return (self.case, self.roots, self.units, self.log_branch) == (
-            other.case, other.roots, other.units, other.log_branch
-        ) and all(np.array_equal(getattr(self, c), getattr(other, c)) for c in ("D", "d", "h", "index"))
+        fields = ("case", "branch", "log_branch", "units", "powers", "torsion")
+        return (
+            [getattr(self, f) for f in fields] == [getattr(other, f) for f in fields]
+            and self.roots.tobytes() == other.roots.tobytes()  # NaN != NaN: compare the bits
+            and all(np.array_equal(getattr(self, c), getattr(other, c)) for c in ("D", "d", "h", "index"))
+        )
 
 
 @dataclass(frozen=True)
@@ -152,14 +171,20 @@ def _distinct_stats(values: Iterable[complex]) -> tuple[int, float | None]:
     reps = list(values)
     best = _least_gap(reps)
     if best <= _DISTINCT_TOL:
-        # Representatives by grid cell. A cell side of twice the tolerance
+        # Only a value within the tolerance of another can absorb one or be
+        # absorbed, so every other value is a representative, and the grid
+        # holds the close ones alone. A cell side of twice the tolerance
         # keeps two values within it in neighbouring cells whatever the
         # rounding of the cell index, so the 3 x 3 cells around a value hold
         # every representative that can absorb it.
+        close = _close_values(reps)
         side = 2 * _DISTINCT_TOL
         cells: dict[tuple[float, float], list[complex]] = {}
         values, reps = reps, []
         for v in values:
+            if v not in close:
+                reps.append(v)
+                continue
             x, y = v.real // side, v.imag // side
             if all(
                 _gap(v, r) > _DISTINCT_TOL
@@ -191,6 +216,21 @@ def _least_gap(values: list[complex]) -> float:
     return best
 
 
+def _close_values(values: list[complex]) -> set[complex]:
+    """The values that lie within _DISTINCT_TOL of another of them (a value
+    held twice among them), by a sweep in real part as in _least_gap."""
+    values = sorted(values, key=attrgetter("real"))
+    close = set()
+    for i, a in enumerate(values):
+        for j in range(i + 1, len(values)):
+            b = values[j]
+            if b.real - a.real > _DISTINCT_TOL:
+                break
+            if _gap(b, a) <= _DISTINCT_TOL:
+                close.update((a, b))
+    return close
+
+
 def _gap(a: complex, b: complex) -> float:
     """|a - b|, or inf where it exceeds the largest float."""
     try:
@@ -201,12 +241,10 @@ def _gap(a: complex, b: complex) -> float:
 
 # -- imaginary scan ---------------------------------------------------------------
 
-def _torsion_root(D: int, d: int, label: str, eps: complex, branch: int, log_branch: int) -> tuple:
-    """The record tuple of torsion unit eps, labelled `label`, of field D, radicand d."""
-    if eps == 1 and log_branch == 0:
-        return D, d, 1, label  # log(1) = 0 on the principal branch: no root to attach
-    rep = alpha_complex_case(UnitInput.complex_unit(eps, log_branch), j=branch)
-    return D, d, 1, label, rep.alpha.real, rep.alpha.imag, rep.residual_defining, branch
+def _has_root(eps: complex, log_branch: int) -> bool:
+    """Whether torsion unit eps has a root at log_branch: log(1) = 0 on the
+    principal branch leaves none to attach."""
+    return eps != 1 or log_branch != 0
 
 
 def scan_imaginary(limit: int, *, branch: int = 0, log_branch: int = 0) -> SurveySummary:
@@ -216,7 +254,7 @@ def scan_imaginary(limit: int, *, branch: int = 0, log_branch: int = 0) -> Surve
     sieve, class numbers straight from the two residue classes of the
     form-count sieve (fields._imaginary_form_counts); torsion units with a
     usable log (nonzero under the configured log branch) each contribute an
-    alpha via the complex-case root formula, kept as a record tuple. limit,
+    alpha via the complex-case root formula, kept in the root array. limit,
     branch and log_branch are taken as ints; limit may be at most
     fields._MAX_IMAG_D (10^7); a larger one raises TermLimitExceeded at once,
     a negative one DomainError (0 to 2 give the empty scan).
@@ -238,19 +276,23 @@ def scan_imaginary(limit: int, *, branch: int = 0, log_branch: int = 0) -> Surve
     h[:] = _imaginary_form_counts(limit).reshape(-1)[h]
     d = _radicand_array(D)
     at = np.flatnonzero(h == 1)
-    roots = [
-        tuple(_torsion_root(Di, di, label, eps, branch, log_branch)
-              for label, eps, _ in _TORSION_UNITS[roots_of_unity(Di).n])
-        for Di, di in zip(D[at].tolist(), d[at].tolist())
-    ]
-    distinct_alpha, min_sep = _distinct_stats(complex(r[4], r[5]) for f in roots for r in f if len(r) > 4)
+    torsion = bytes(roots_of_unity(Di).n for Di in D[at].tolist())
+    roots = array("d")
+    for n in torsion:
+        for _, eps, _ in _TORSION_UNITS[n]:
+            if _has_root(eps, log_branch):
+                rep = alpha_complex_case(UnitInput.complex_unit(eps, log_branch), j=branch)
+                alpha = rep.alpha
+                roots.extend((alpha.real, alpha.imag, rep.residual_defining, math.nan, math.nan, math.nan))
+    distinct_alpha, min_sep = _distinct_stats(map(complex, roots[0::_ROOT_FLOATS], roots[1::_ROOT_FLOATS]))
     return SurveySummary(
         range=(-limit, -3),
         count_h1=len(at),
         distinct_alpha_count=distinct_alpha,
         min_alpha_separation=min_sep,
-        distinct_unit_count=len({r[3] for f in roots for r in f}),  # each torsion unit has its own label
-        batch=_Batch(Case.COMPLEX, D, d, h, at, tuple(roots), log_branch),
+        # each torsion unit has its own label
+        distinct_unit_count=len({label for n in set(torsion) for label, _, _ in _TORSION_UNITS[n]}),
+        batch=_Batch(Case.COMPLEX, D, d, h, at, roots, branch, log_branch, torsion=torsion),
     )
 
 
@@ -262,11 +304,13 @@ def scan_imaginary(limit: int, *, branch: int = 0, log_branch: int = 0) -> Surve
 _MAX_REAL_SCAN = 2 * 10**6
 
 # Most roots a real scan may attach, counted before any work as unit_powers
-# times the number of fields, set by memory: `lgw scan --real --limit 10000
-# --format csv` (3,043 fields) peaked at 34, 170 and 307 MB RSS with --powers
-# 1, 100 and 200 on a 2-vCPU VM, about 450 bytes a root, so the ceiling holds
-# a scan near 0.5 GB, below the largest scan (607,935 fields at --powers 1).
-_MAX_REAL_ROOTS = 10**6
+# times the number of fields, set by time, as _MAX_REAL_SCAN is: `lgw scan
+# --real --limit 20 --powers 400000 --format csv` (5 fields, all of h = 1, so
+# every counted root is made) took 31 s at a 384 MB peak RSS on a 2-vCPU VM,
+# and `--limit 10000 --powers 300` (384,600 roots) 5.6 s at 91 MB. A root
+# costs about 15 us; it keeps 48 bytes, and its distinctness check holds
+# about 130 more while it runs.
+_MAX_REAL_ROOTS = 2 * 10**6
 
 
 def scan_real(
@@ -286,11 +330,11 @@ def scan_real(
     The scan is columnar, like the imaginary one: D and d come from the
     fundamental-discriminant sieve, h and the unit columns from
     fields._real_class_numbers, as for class_number, and the roots of each
-    h = 1 field straight from its regulator (solver._alpha_real), as record
-    tuples. limit may be at most _MAX_REAL_SCAN (2*10^6), a quarter of it
+    h = 1 field straight from its regulator (solver._alpha_real), into the
+    root array. limit may be at most _MAX_REAL_SCAN (2*10^6), a quarter of it
     with by_radicand=True; a larger one raises TermLimitExceeded at once.
     So does unit_powers times the number of fields above _MAX_REAL_ROOTS
-    (10^6), right after the sieve. A negative limit or unit_powers raises
+    (2*10^6), right after the sieve. A negative limit or unit_powers raises
     DomainError.
     """
     import numpy as np
@@ -316,30 +360,23 @@ def scan_real(
     _, h, units = _real_class_numbers(D)
     at = np.flatnonzero(h == 1)
     same_branch = pairing is Pairing.SAME_BRANCH
-    x, y, half_integral, norm, regulator = units
     attached = at if unit_powers else at[:0]  # no unit powers attach no root
-    roots = []
-    for i, Di, di in zip(attached.tolist(), D[attached].tolist(), d[attached].tolist()):
-        label = _unit_label(x[i], y[i], di, half_integral[i])
-        field = []
+    roots = array("d")
+    for R in map(units.regulator.__getitem__, attached.tolist()):
         for n in range(1, unit_powers + 1):
-            L = n * regulator[i]
+            L = n * R
             if not 0.0 < L < math.inf:
                 UnitInput.from_log(L, case=Case.REAL)  # raises the error of an unusable log
             alpha, r_def, r1, r2, r_sum = _alpha_real(L, branch, same_branch)
-            field.append((
-                Di, di, 1, label if n == 1 else f"({label})^{n}", norm[i] ** n, L,
-                alpha.real, alpha.imag, r_def, r1, r2, r_sum, branch,
-            ))
-        roots.append(tuple(field))
-    distinct_alpha, min_sep = _distinct_stats(complex(r[6], r[7]) for f in roots for r in f)
+            roots.extend((alpha.real, alpha.imag, r_def, r1, r2, r_sum))
+    distinct_alpha, min_sep = _distinct_stats(map(complex, roots[0::_ROOT_FLOATS], roots[1::_ROOT_FLOATS]))
     return SurveySummary(
         range=(5, limit),
         count_h1=len(at),
         distinct_alpha_count=distinct_alpha,
         min_alpha_separation=min_sep,
         distinct_unit_count=len(at),
-        batch=_Batch(Case.REAL, D, d, h, attached, tuple(roots), 0, units),
+        batch=_Batch(Case.REAL, D, d, h, attached, roots, branch, 0, units, unit_powers),
     )
 
 
@@ -367,17 +404,16 @@ class _Format(NamedTuple):
 _HOLE, _LABEL_HOLE, _FLOAT_HOLE = "\x00", "\x01", "\x02"
 
 # The values of a record but log_branch, as holes: a row without roots and
-# without a unit (imaginary, h != 1), one with a real unit, a real root, a
-# torsion root, and a torsion unit without one (eps = 1 on log branch 0).
+# without a unit (imaginary, h != 1), and one with a real unit.
 _BARE = (_HOLE,) * 3 + (None,) * 10
 _BARE_UNIT = (_HOLE,) * 3 + (_LABEL_HOLE, _HOLE, _FLOAT_HOLE) + (None,) * 7
-_ROOT = (_HOLE,) * 3 + (_LABEL_HOLE, _HOLE) + (_FLOAT_HOLE,) * 7 + (_HOLE,)
-_TORSION_ROOT = (_HOLE,) * 3 + (_LABEL_HOLE, None, None) + (_FLOAT_HOLE,) * 3 + (None,) * 3 + (_HOLE,)
-_TORSION = (_HOLE,) * 3 + (_LABEL_HOLE,) + (None,) * 9
 
-# The holes of the record tuples of attached rows, by the tuple's length:
-# each tuple holds the values of its holes, in order.
-_ROOTED = {len(holes) - holes.count(None): holes for holes in (_ROOT, _TORSION_ROOT, _TORSION)}
+# The values but branch and log_branch of an attached row, whose h is 1: a
+# real root, a torsion root, and a torsion unit without one (eps = 1 on log
+# branch 0). The writers add the scan's branch to a row with a root.
+_ROOT = (_HOLE, _HOLE, 1, _LABEL_HOLE, _HOLE) + (_FLOAT_HOLE,) * 7
+_TORSION_ROOT = (_HOLE, _HOLE, 1, _LABEL_HOLE, None, None) + (_FLOAT_HOLE,) * 3 + (None,) * 3
+_TORSION = (_HOLE, _HOLE, 1, _LABEL_HOLE) + (None,) * 8
 
 _JSON = _Format(", ", "", lambda recs: json.dumps(recs)[1:-1], json.dumps)
 _CSV = _Format("\n", "\n", lambda recs: "\n".join([csv_line(r, CSV_COLUMNS) for r in recs]), str)
@@ -385,12 +421,117 @@ _PLAIN = _Format("\n", "\n", lambda recs: "\n".join(map(_plain_line, recs)), str
 
 
 def _template(fmt: _Format, holes: tuple, log_branch: int) -> str:
-    """fmt's text of the record of `holes` (_BARE, _BARE_UNIT or _ROOTED's)
-    as a %-template: %d for an integer, %s for the unit label, %r for a float."""
+    """fmt's text of the record of `holes` (the values but log_branch, as
+    holes) as a %-template: %d for an integer, %s for the unit label, %r
+    for a float."""
     text = fmt.render([_record(holes, log_branch)]).replace("%", "%%")
     for hole, spec in ((_HOLE, "%d"), (_LABEL_HOLE, fmt.quote("%s")), (_FLOAT_HOLE, "%r")):
         text = text.replace(fmt.quote(hole), spec)
     return text
+
+
+# A row template split at its holes: the pieces of one row, fmt.sep first
+# and None at each hole, and the positions of the holes.
+_Split = tuple[list, list[int]]
+
+
+def _split(fmt: _Format, holes: tuple, log_branch: int) -> _Split:
+    """fmt's text of a row of `holes` after fmt.sep, split at its holes."""
+    pieces = re.split("%(.)", _template(fmt, holes, log_branch))
+    row, slots = [fmt.sep + pieces[0]], []
+    for spec, literal in zip(pieces[1::2], pieces[2::2]):
+        if spec != "%":  # else an escaped "%", kept as text
+            slots.append(len(row))
+        row += ["%" if spec == "%" else None, literal]
+    return row, slots
+
+
+def _fill(split: _Split, n: int, cols: Iterable[Iterable[str]]) -> list[str]:
+    """The pieces of n rows of a split template, each column of text
+    filling its holes by one slice assignment."""
+    row, slots = split
+    out = row * n
+    for slot, col in zip(slots, cols):
+        out[slot :: len(row)] = col
+    return out
+
+
+def _joined(pieces: list[str], w: int) -> list[str]:
+    """The text of each run of w pieces."""
+    return ["".join(pieces[k : k + w]) for k in range(0, len(pieces), w)]
+
+
+def _interleave(cols: list[list]) -> list:
+    """The columns read row by row: cols[0][0], cols[1][0], ..., cols[0][1], ..."""
+    return cols[0] if len(cols) == 1 else list(chain.from_iterable(zip(*cols)))
+
+
+def _float_texts(floats: array, width: int) -> list[list[str]]:
+    """The repr of each of the first `width` of the _ROOT_FLOATS interleaved
+    columns of floats; two columns of the same bits (residual_split_2 and
+    residual_split_1 under conjugate pairing) share one text."""
+    texts: dict[bytes, list[str]] = {}
+    cols = []
+    for c in range(width):
+        col = floats[c::_ROOT_FLOATS]
+        key = col.tobytes()
+        if key not in texts:
+            texts[key] = list(map(repr, col))
+        cols.append(texts[key])
+    return cols
+
+
+def _real_root_texts(
+    b: _Batch, root: _Split, lo: int, fields: list[list]
+) -> Iterator[list[tuple[int, str]]]:
+    """The text of the root rows of the attached fields lo, lo + 1, ... of a
+    real scan, whose columns (D, d, h, unit label, norm, regulator) `fields`
+    gives: b.powers rows a field, the row of power n with the label
+    (label)^n, the norm norm^n and the log n*R. The rows come in groups of
+    at most _JSON_CHUNK_ROWS (whole fields, or the powers of one field in
+    parts), one list of (field, text) a group, field counted from lo, so the
+    text held stays bounded however many powers a field has."""
+    D, d, _, labels, norms, regulators = fields
+    p = b.powers
+    per, q = max(1, _JSON_CHUNK_ROWS // p), min(p, _JSON_CHUNK_ROWS)  # fields and powers a group
+    for g in range(0, len(D), per):
+        k = slice(g, g + per)
+        for n0 in range(1, p + 1, q):
+            ns = range(n0, min(n0 + q, p + 1))
+            start = ((lo + g) * p + n0 - 1) * _ROOT_FLOATS
+            floats = b.roots[start : start + len(D[k]) * len(ns) * _ROOT_FLOATS]
+            cols = [
+                _interleave([list(map(repr, D[k]))] * len(ns)),
+                _interleave([list(map(repr, d[k]))] * len(ns)),
+                _interleave([labels[k] if n == 1 else [f"({label})^{n}" for label in labels[k]] for n in ns]),
+                _interleave([[repr(v**n) for v in norms[k]] for n in ns]),
+                _interleave([[repr(n * R) for R in regulators[k]] for n in ns]),
+                *_float_texts(floats, _ROOT_FLOATS),
+            ]
+            yield list(enumerate(_joined(_fill(root, len(cols[0]), cols), len(ns) * len(root[0])), g))
+
+
+def _torsion_root_texts(
+    b: _Batch, rooted: _Split, rootless: _Split, lo: int, fields: list[list]
+) -> Iterator[list[tuple[int, str]]]:
+    """The text of the rows of each of the attached fields lo, lo + 1, ... of
+    an imaginary scan, whose columns (D, d, h) `fields` gives, in one group
+    of (field, text), field counted from lo: one row per torsion unit of
+    its group, in the order of _TORSION_UNITS, with the next root of the
+    root array where the unit has one."""
+    has_root = [[_has_root(eps, b.log_branch) for _, eps, _ in _TORSION_UNITS[n]] for n in b.torsion]
+    rows: dict[bool, list[tuple[str, str, str]]] = {True: [], False: []}  # D, d and label of each row
+    for Di, di, n, flags in zip(fields[0], fields[1], b.torsion[lo:], has_root[lo:]):
+        for (label, _, _), flag in zip(_TORSION_UNITS[n], flags):
+            rows[flag].append((repr(Di), repr(di), label))
+    start = sum(map(sum, has_root[:lo])) * _ROOT_FLOATS
+    floats = b.roots[start : start + len(rows[True]) * _ROOT_FLOATS]
+    row_texts = {
+        flag: iter(_joined(_fill(split, len(rows[flag]), [*zip(*rows[flag]), *extra]), len(split[0])))
+        for flag, split, extra in ((True, rooted, _float_texts(floats, 3)), (False, rootless, ()))
+    }
+    yield [(rank, "".join([next(row_texts[flag]) for flag in flags]))
+           for rank, flags in enumerate(has_root[lo : lo + len(fields[0])])]
 
 
 # Rows per piece of writer text: about 135 KB of bare imaginary JSON. With
@@ -405,71 +546,84 @@ def _row_text(
     summary: SurveySummary, log_branch: int | None, fmt: _Format, first: str, last: str
 ) -> Iterator[str]:
     """first, fmt's text of each row's records after fmt.sep (the first after
-    fmt.lead) in scan order, then last: in pieces of _JSON_CHUNK_ROWS rows.
-    The records' log_branch is the scan's own (batch.log_branch) when
-    log_branch is None.
+    fmt.lead) in scan order, then last: in pieces of the rows of up to
+    _JSON_CHUNK_ROWS fields, cut again before each later group of root rows
+    (_real_root_texts). The records' log_branch is the scan's own
+    (batch.log_branch) when log_branch is None.
 
-    A piece starts with the bare template split at its holes, once per bare
-    row; each column of the bare rows fills its holes by one slice
-    assignment (repr for %d and %r, str for %s, and for h a lookup in the
-    scan's table of h's text with the literals around it). The text of an
-    attached row follows the piece's bare rows before it: each of its record
-    tuples fills the template of its holes (_ROOTED). The values are plain
-    ints and finite floats, so repr writes them as json.dumps does.
+    The fields of a piece fill the bare template split at its holes, once
+    per bare row; each column of the bare rows fills its holes by one slice
+    assignment (repr for integers and floats, and for h a lookup in the
+    scan's table of h's text with the literals around it). The rows of the
+    attached fields fill their own templates the same way (_ROOT, or
+    _TORSION_ROOT and _TORSION, with h and the branch written in): a column
+    of text per hole, from the columns of the attached fields and the root
+    array. The text of an attached field goes in after the bare rows before
+    it. The values are plain ints and finite floats, so repr writes them as
+    json.dumps does.
     """
     import numpy as np
 
     b, units = summary.batch, summary.batch.units
     if log_branch is None:
         log_branch = b.log_branch
-    pieces = re.split("%(.)", _template(fmt, _BARE if units is None else _BARE_UNIT, log_branch))
-    row, slots = [fmt.sep + pieces[0]], []
-    for spec, literal in zip(pieces[1::2], pieces[2::2]):
-        if spec != "%":  # else an escaped "%", kept as text
-            slots.append((len(row), str if spec == "s" else repr))
-        row += ["%" if spec == "%" else None, literal]
+    row, slots = _split(fmt, _BARE if units is None else _BARE_UNIT, log_branch)
     # h fills the third hole (CSV_COLUMNS starts D, d, h): one table entry
     # per value up to the scan's largest h, the text from the literal before
     # the hole to the literal after it, stands for all three pieces
-    k = slots[2][0]
+    k = slots[2]
     h_text = [f"{row[k - 1]}{v!r}{row[k + 1]}" for v in range(int(b.h.max(initial=0)) + 1)]
     row[k - 1 : k + 2] = [None]
-    slots = [(s - 2 if s > k else s, conv) for s, conv in slots]
-    slots[2] = (k - 1, h_text.__getitem__)
+    slots = [s - 2 if s > k else s for s in slots]
+    slots[2] = k - 1
+    # D, d and h, and a real unit's label (text already), norm and regulator
+    convs = (repr, repr, h_text.__getitem__, None, repr, repr)
     w, at = len(row), b.index
-    rooted = {n: _template(fmt, holes, log_branch) for n, holes in _ROOTED.items()}
+    if units is None:
+        rooted, rootless = (_split(fmt, (*holes, branch), log_branch)
+                            for holes, branch in ((_TORSION_ROOT, b.branch), (_TORSION, None)))
+        root_texts = partial(_torsion_root_texts, b, rooted, rootless)
+    else:
+        root_texts = partial(_real_root_texts, b, _split(fmt, (*_ROOT, b.branch), log_branch))
+
+    def chunks() -> Iterator[str]:  # the text of the rows, each row after fmt.sep
+        for i in range(0, len(b.D), _JSON_CHUNK_ROWS):
+            j = min(i + _JSON_CHUNK_ROWS, len(b.D))
+            lo, hi = np.searchsorted(at, (i, j)).tolist()
+            attached = (at[lo:hi] - i).tolist()
+            cols = [b.D[i:j].tolist(), b.d[i:j].tolist(), b.h[i:j].tolist()]
+            if units is not None:
+                x, y, half_integral, norm, regulator = (c[i:j] for c in units)
+                cols += [list(map(_unit_label, x, y, cols[1], half_integral)), norm, regulator]
+            groups = ()
+            if attached:  # the attached fields apart, then the bare rows only
+                mask = [False] * (j - i)
+                for a in attached:
+                    mask[a] = True
+                groups = root_texts(lo, [list(compress(c, mask)) for c in cols])
+                mask = list(map(not_, mask))
+                cols = [list(compress(c, mask)) for c in cols]
+            cols = [c if conv is None else map(conv, c) for conv, c in zip(convs, cols)]
+            out = _fill((row, slots), j - i - len(attached), cols)
+            text, start = [], 0  # the text not yet written, and the pieces of out in it
+            for group in groups:
+                if text:  # what comes before a later group is final: write it
+                    yield "".join(text)
+                    text = []
+                for rank, field in group:
+                    k = (attached[rank] - rank) * w  # the pieces of the bare rows before it
+                    text += out[start:k]
+                    text.append(field)
+                    start = k
+            out[:start] = text  # the pieces of out before `start` are in `text`, or written
+            yield "".join(out)
+
     yield first
-    for i in range(0, len(b.D), _JSON_CHUNK_ROWS):
-        j = min(i + _JSON_CHUNK_ROWS, len(b.D))
-        lo, hi = np.searchsorted(at, (i, j)).tolist()
-        attached = (at[lo:hi] - i).tolist()
-        cols = [b.D[i:j].tolist(), b.d[i:j].tolist(), b.h[i:j].tolist()]
-        if units is not None:
-            cols += [c[i:j] for c in units]  # x, y, half_integral, norm, regulator
-        if attached:  # the bare rows only: an attached row's tuples carry its own values
-            keep = [True] * (j - i)
-            for a in attached:
-                keep[a] = False
-            cols = [list(compress(c, keep)) for c in cols]
-        if units is not None:
-            D, d, h, x, y, half_integral, norm, regulator = cols
-            cols = [D, d, h, list(map(_unit_label, x, y, d, half_integral)), norm, regulator]
-        out = row * len(cols[0])
-        for (slot, conv), col in zip(slots, cols):
-            out[slot::w] = map(conv, col)
-        head = ""  # the attached rows ahead of the first bare row
-        for rank, (a, roots) in enumerate(zip(attached, b.roots[lo:hi])):
-            text = "".join([fmt.sep + rooted[len(r)] % r for r in roots])
-            k = (a - rank) * w  # the pieces of the bare rows before it
-            if k:
-                out[k - 1] += text
-            else:
-                head += text
-        if head:
-            out.insert(0, head)
-        if not i:
-            out[0] = fmt.lead + out[0][len(fmt.sep) :]
-        yield "".join(out)
+    texts = chunks()
+    for text in texts:  # the first row after fmt.lead
+        yield fmt.lead + text[len(fmt.sep) :]
+        break
+    yield from texts
     yield last
 
 

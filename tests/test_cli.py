@@ -342,7 +342,7 @@ class TestScanCommand:
         assert time.perf_counter() - t0 < 2.0
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "1000000" in captured.err
+        assert "above 2000000," in captured.err
 
     @pytest.mark.parametrize("argv", [
         ["--imaginary", "--limit", "-5"],

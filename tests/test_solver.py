@@ -156,6 +156,21 @@ def test_subnormal_argument_roots_are_pinned():
     )
 
 
+@pytest.mark.parametrize("b", [1 + 1e-20j, 1 - 1e-20j, 1 + 0j], ids=["below", "above", "on"])
+@pytest.mark.parametrize("k", [-2, -1, 0, 1, 2])
+def test_subnormal_argument_side_of_the_cut_against_mpmath(k, b):
+    # -B*C*exp(A*C) is subnormal and within 1e-20 of the negative real axis,
+    # so its angle rounds to -pi (pi for B = 1 - 1e-20j); only B = 1 + 1e-20j
+    # puts it below the cut, which each branch must see
+    mpmath = pytest.importorskip("mpmath")
+    a, c = -720.0, 1.0
+    with mpmath.workdps(60):
+        A, B, C = mpmath.mpc(a), mpmath.mpc(b.real, b.imag), mpmath.mpc(c)
+        ref = complex(A - mpmath.lambertw(-B * C * mpmath.exp(A * C), k) / C)
+    z = solve_exp_linear(ExpLinearEquation(a, b, c), k)
+    assert abs(z - ref) <= 1e-12 * (1 + abs(ref)), (z, ref)
+
+
 def test_real_case_tiny_log_bits_are_pinned():
     # 2*pi*L subnormal for all but L = 2e-308, which goes to lambert_w; the
     # digest of alpha and every residual as alpha_real_case gave them before

@@ -4,6 +4,7 @@ import json
 import math
 import random
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -130,17 +131,22 @@ class TestScanImaginary:
 
     @pytest.mark.parametrize("branch, log_branch", [(0, 0), (-1, 1), (2, -2)])
     def test_each_label_names_the_unit_of_its_root(self, branch, log_branch):
-        # the unit each label names, written out here, gives the row's alpha
-        summary = scan_imaginary(200, branch=branch, log_branch=log_branch)
-        for field in summary.batch.roots:
-            D = field[0][0]
-            assert sorted(r[3] for r in field) == sorted(
+        # the unit each label names, written out here, gives the alpha of the
+        # next root in the root array, unless it is 1 on the principal log
+        b = scan_imaginary(200, branch=branch, log_branch=log_branch).batch
+        width = lgw.survey._ROOT_FLOATS
+        roots = iter(zip(b.roots[0::width], b.roots[1::width]))
+        for D, n in zip(b.D[b.index].tolist(), b.torsion, strict=True):
+            labels = [label for label, _, _ in lgw.fields._TORSION_UNITS[n]]
+            assert sorted(labels) == sorted(
                 label for label, eps in TORSION_UNIT_LABELS.items() if eps in roots_of_unity(D).elements
             )
-            for r in field:
-                if len(r) > 4:
-                    rep = alpha_complex_case(UnitInput.complex_unit(TORSION_UNIT_LABELS[r[3]], log_branch), branch)
-                    assert (r[4], r[5]) == (rep.alpha.real, rep.alpha.imag), (D, r)
+            for label in labels:
+                if label == "1" and log_branch == 0:
+                    continue
+                rep = alpha_complex_case(UnitInput.complex_unit(TORSION_UNIT_LABELS[label], log_branch), branch)
+                assert next(roots) == (rep.alpha.real, rep.alpha.imag), (D, label)
+        assert next(roots, None) is None
 
     @pytest.mark.parametrize("branch, log_branch", [(0, 0), (-1, 1), (2, -2)])
     def test_lazy_rows_match_eager_rows(self, branch, log_branch):
@@ -331,10 +337,28 @@ class TestScanReal:
         s = scan_real(3000)
         b = s.batch
         assert b.index.tolist() == np.flatnonzero(b.h == 1).tolist()
-        assert [f[0][0] for f in b.roots] == h1_column(s)
-        assert s.count_h1 == len(b.roots) == s.distinct_unit_count
+        assert b.D[b.index].tolist() == h1_column(s)
+        assert s.count_h1 == len(b.index) == s.distinct_unit_count
+        assert len(b.roots) == len(b.index) * b.powers * lgw.survey._ROOT_FLOATS
         assert sorted({r["D"] for r in rooted(s)}) == h1_column(s)
         assert all(u.pell_residual() == 0 for u in units(s))
+
+    def test_a_root_is_kept_in_a_few_bytes(self):
+        # a root is six floats of the root array, 48 bytes: the scan keeps at
+        # most 64 bytes for each root past the first power of each field
+        scan_real(100, unit_powers=2)  # imports and first-call state outside the trace
+
+        def retained(unit_powers):
+            tracemalloc.start()
+            try:
+                s = scan_real(10_000, unit_powers=unit_powers)
+                return tracemalloc.get_traced_memory()[0], s
+            finally:
+                tracemalloc.stop()
+
+        (one, s), (twenty, _) = retained(1), retained(20)
+        assert s.count_h1 == 1282
+        assert twenty - one <= 64 * 19 * s.count_h1
 
     def test_perturbed_regulator_trips_the_rounding_assert(self, monkeypatch):
         # h is the distance sum over the unit's regulator, rounded; a
@@ -464,6 +488,7 @@ class TestSerialization:
         *[(scan_imaginary, 2000, {"branch": j, "log_branch": lb}) for lb in (0, 1) for j in (0, -1, 2)],
         *[(scan_real, 1000, {"pairing": p, "unit_powers": 3}) for p in Pairing],
         (scan_real, 600, {"unit_powers": 2, "by_radicand": True}),
+        *[(scan_real, 5000, {"pairing": p, "unit_powers": 2}) for p in Pairing],
     ])
     def test_chunked_json_equals_one_dumps(self, scan, limit, kwargs, monkeypatch):
         # every writer against the scan rebuilt one field at a time from the
@@ -477,10 +502,17 @@ class TestSerialization:
         # of attached rows only; 2 and 7 mix attached and bare rows. The
         # scans to 600 and more run at the default chunk, and the one to
         # 20000 also in 7-row chunks: its h reaches three digits, and the
-        # writers take h's text from a table.
+        # writers take h's text from a table. The real scans to 5000 run
+        # over three default chunks, each of which starts with an attached
+        # field, and the first and last of which end with one; and also in
+        # 7-row chunks.
         chunks = (1, 2, 7) if limit < 600 else (lgw.survey._JSON_CHUNK_ROWS,)
         if limit == 20000:
             assert (len(s.batch.D), s.batch.h.max()) == (6079, 213)
+            chunks = (7, lgw.survey._JSON_CHUNK_ROWS)
+        if limit == 5000:
+            assert len(s.batch.D) == 1516 and lgw.survey._JSON_CHUNK_ROWS == 512
+            assert {0, 511, 512, 1024, 1515}.issubset(s.batch.index.tolist())
             chunks = (7, lgw.survey._JSON_CHUNK_ROWS)
         for rows in chunks:
             monkeypatch.setattr(lgw.survey, "_JSON_CHUNK_ROWS", rows)
@@ -488,7 +520,7 @@ class TestSerialization:
             assert_same_text("".join(iter_summary_json(s, trailer=trailer)), texts[1])
             assert_same_text("".join(iter_summary_csv(s)), texts[2])
             assert_same_text("".join(iter_summary_plain(s)), texts[3])
-        at = set(s.batch.index.tolist()) if s.batch.roots else set()
+        at = set(s.batch.index.tolist())
         if at and 7 in chunks:  # among the chunks of 7 that hold a bare row, one starts and one ends with an attached row
             n = len(s.batch.D)
             mixed = [c for c in (range(i, min(i + 7, n)) for i in range(0, n, 7)) if not at.issuperset(c)]
@@ -509,7 +541,8 @@ class TestSerialization:
         obj = json.loads(summary_to_json(s))
         assert obj["count_h1"] == s.count_h1
         assert obj["distinct_unit_count"] == s.distinct_unit_count
-        assert len(obj["rows"]) == len(s.batch.D) + sum(len(f) - 1 for f in s.batch.roots)
+        # one row a bare field, one a torsion unit of an attached field
+        assert len(obj["rows"]) == len(s.batch.D) + sum(n - 1 for n in s.batch.torsion)
 
     def test_real_rows_carry_unit_and_norm(self):
         recs = records(scan_real(40))
