@@ -16,7 +16,8 @@ because nothing forces the sum of the split roots to satisfy it.
 Under conjugate-branch pairing the second split root needs no second Lambert
 evaluation: W_-j(2*pi*i*L) is the conjugate of W_j(-2*pi*i*L), bit for bit
 (see wfunc), since +-2*pi*i*L with L > 0 never lies on a cut. Nor does its
-split residual need a second exp: it equals the first, bit for bit.
+split residual need a second exp: it equals the first, bit for bit. The
+sum alpha is then real, and its two residuals take one real cosine.
 
 The records are immutable named tuples; the two input records validate
 their fields when built.
@@ -375,11 +376,20 @@ def _alpha_real(L: float, j: int, same_branch: bool) -> tuple[complex, float, fl
 
     try:
         r1 = abs(alpha1 - L * cmath.exp(_TWO_PI_I * alpha1))
-        # m = -j: alpha2 = conj(alpha1) bit for bit (the division by 2*pi*i,
-        # the products and exp commute with conjugation), so r2 = r1
-        r2 = abs(alpha2 - L * cmath.exp(-_TWO_PI_I * alpha2)) if same_branch else r1
-        r_sum = abs(2.0 * alpha - L * cmath.exp(_TWO_PI_I * alpha) - L * cmath.exp(-_TWO_PI_I * alpha))
-        r_def = abs(alpha - cmath.cos(_TWO_PI * alpha) * L)
+        if same_branch:
+            r2 = abs(alpha2 - L * cmath.exp(-_TWO_PI_I * alpha2))
+            r_sum = abs(2.0 * alpha - L * cmath.exp(_TWO_PI_I * alpha) - L * cmath.exp(-_TWO_PI_I * alpha))
+            r_def = abs(alpha - cmath.cos(_TWO_PI * alpha) * L)
+        else:
+            # m = -j: alpha2 = conj(alpha1) bit for bit (the division by
+            # 2*pi*i, the products and exp commute with conjugation), so
+            # r2 = r1 and alpha = a + 0j. Then exp(+-2*pi*i*alpha) is
+            # cos(2*pi*a) +- i*sin(2*pi*a), whose sine parts cancel in the
+            # sum residual, and cos(2*pi*alpha) is cos(2*pi*a): the same bits
+            # as the four complex exponentials, from one real cosine.
+            a = alpha.real
+            c = math.cos(_TWO_PI * a)
+            r2, r_sum, r_def = r1, abs(2.0 * a - L * c - L * c), abs(a - c * L)
     except OverflowError:  # a tiny L puts exp(+-2*pi*i*alpha) beyond float range
         # each L*exp(x) as exp(x + log L); cos(2*pi*alpha)*L as the mean of two
         x = _TWO_PI_I * alpha

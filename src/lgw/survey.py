@@ -34,8 +34,8 @@ import re
 from array import array
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, compress
-from operator import attrgetter, not_
+from itertools import chain, compress, islice
+from operator import not_, sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from .csvtext import csv_line
@@ -157,9 +157,10 @@ class SurveySummary:
 _TORSION_ARGS = {label: arg for units in _TORSION_UNITS.values() for label, _, arg in units}
 
 
-def _distinct_stats(values: Iterable[complex]) -> tuple[int, float | None]:
-    """How many values are distinct (farther apart than _DISTINCT_TOL), and
-    the least distance between two distinct ones (None if fewer than two).
+def _distinct_stats(real: Sequence[float], imag: Sequence[float]) -> tuple[int, float | None]:
+    """How many of the values real[p] + i*imag[p] are distinct (farther apart
+    than _DISTINCT_TOL), and the least distance between two distinct ones
+    (None if fewer than two).
 
     The same unit recurs across fields and contributes the same root, so
     separation is measured between distinct roots, not raw attachments.
@@ -167,9 +168,13 @@ def _distinct_stats(values: Iterable[complex]) -> tuple[int, float | None]:
     unless an earlier representative lies within _DISTINCT_TOL of it. The
     values must be finite, and so must the least distance: when every two
     distinct values lie farther apart than the largest float, ValueError.
+    The columns are read where they lie (strided views of a scan's root
+    array, or lists), through one order of their indices by real part: no
+    value is kept as a Python object.
     """
-    reps = list(values)
-    best = _least_gap(reps)
+    order = _by_real(real)
+    close: set[int] = set()
+    best = _sweep(order, real, imag, close)
     if best <= _DISTINCT_TOL:
         # Only a value within the tolerance of another can absorb one or be
         # absorbed, so every other value is a representative, and the grid
@@ -177,66 +182,95 @@ def _distinct_stats(values: Iterable[complex]) -> tuple[int, float | None]:
         # keeps two values within it in neighbouring cells whatever the
         # rounding of the cell index, so the 3 x 3 cells around a value hold
         # every representative that can absorb it.
-        close = _close_values(reps)
         side = 2 * _DISTINCT_TOL
-        cells: dict[tuple[float, float], list[complex]] = {}
-        values, reps = reps, []
-        for v in values:
-            if v not in close:
-                reps.append(v)
-                continue
-            x, y = v.real // side, v.imag // side
+        cells: dict[tuple[float, float], list[tuple[float, float]]] = {}
+        rep = bytearray(b"\1") * len(real)
+        for p in sorted(close):  # in input order
+            x, y = real[p], imag[p]
+            cx, cy = x // side, y // side
             if all(
-                _gap(v, r) > _DISTINCT_TOL
+                _gap(x - rx, y - ry) > _DISTINCT_TOL
                 for dx in (-1.0, 0.0, 1.0)
                 for dy in (-1.0, 0.0, 1.0)
-                for r in cells.get((x + dx, y + dy), ())
+                for rx, ry in cells.get((cx + dx, cy + dy), ())
             ):
-                cells.setdefault((x, y), []).append(v)
-                reps.append(v)
-        best = _least_gap(reps)
-    if len(reps) < 2:
-        return len(reps), None
+                cells.setdefault((cx, cy), []).append((x, y))
+            else:
+                rep[p] = 0
+        order = array("q", compress(order, map(rep.__getitem__, order)))
+        best = _sweep(order, real, imag)
+    if len(order) < 2:
+        return len(order), None
     if best == math.inf:
         raise ValueError("the least distance between the values exceeds the float range")
-    return len(reps), best
+    return len(order), best
 
 
-def _least_gap(values: list[complex]) -> float:
-    """The least _gap between two of the values (inf for fewer than two), by
-    a sweep in real part: no later value can come closer than its real gap."""
-    values = sorted(values, key=attrgetter("real"))
-    best = math.inf
-    for i, a in enumerate(values):
-        for j in range(i + 1, len(values)):  # no slice: a copy per i is quadratic
-            b = values[j]
-            if b.real - a.real >= best:
+# A sort holds an index and a key, about 80 bytes, for each value it sorts:
+# above this many values _by_real sorts two halves one after the other.
+_SORT_AT_ONCE = 1 << 16
+
+
+def _by_real(real: Sequence[float]) -> array:
+    """The indices of `real`, ascending in value, 8 bytes an index. Above
+    _SORT_AT_ONCE values they are sorted in two halves, split at the median
+    of every 64th value."""
+    key, index = real.__getitem__, range(len(real))
+    if len(real) <= _SORT_AT_ONCE:
+        return array("q", sorted(index, key=key))
+    sample = sorted(real[::64])
+    below = bytes(map(sample[len(sample) // 2].__gt__, real))
+    order = array("q", sorted(compress(index, below), key=key))
+    order.extend(sorted(compress(index, map(not_, below)), key=key))
+    return order
+
+
+def _sweep(order: array, real: Sequence[float], imag: Sequence[float], close: set[int] | None = None
+           ) -> float:
+    """The least _gap between two of the values at the indices `order`
+    (inf for fewer than two), which ascend in real part, by a sweep: no
+    later value can come closer than its real gap. Given `close`, it also
+    adds to it every index within _DISTINCT_TOL of another value.
+
+    The neighbours of least real gap give a first least gap, and the sweep
+    starts only at the i whose next real gap lies within it (or within the
+    tolerance, given close): the real gaps are taken at C speed."""
+    n = len(order)
+    if n < 2:
+        return math.inf
+    dx = array("d", map(sub, map(real.__getitem__, islice(order, 1, None)), map(real.__getitem__, order)))
+    i = dx.index(min(dx))
+    best = _gap(dx[i], imag[order[i + 1]] - imag[order[i]])
+    tol = -math.inf if close is None else _DISTINCT_TOL
+    for i in compress(range(n - 1), map(max(best, tol).__ge__, dx)):
+        p = order[i]
+        x, y = real[p], imag[p]
+        for j in range(i + 1, n):
+            q = order[j]
+            d = real[q] - x
+            if d >= best and d > tol:
                 break
-            best = min(best, _gap(b, a))
+            gap = _gap(d, imag[q] - y)
+            if gap < best:
+                best = gap
+            if gap <= tol:
+                close.update((p, q))
     return best
 
 
-def _close_values(values: list[complex]) -> set[complex]:
-    """The values that lie within _DISTINCT_TOL of another of them (a value
-    held twice among them), by a sweep in real part as in _least_gap."""
-    values = sorted(values, key=attrgetter("real"))
-    close = set()
-    for i, a in enumerate(values):
-        for j in range(i + 1, len(values)):
-            b = values[j]
-            if b.real - a.real > _DISTINCT_TOL:
-                break
-            if _gap(b, a) <= _DISTINCT_TOL:
-                close.update((a, b))
-    return close
-
-
-def _gap(a: complex, b: complex) -> float:
-    """|a - b|, or inf where it exceeds the largest float."""
+def _gap(dx: float, dy: float) -> float:
+    """|dx + i*dy|, or inf where it exceeds the largest float. abs(complex),
+    not math.hypot: on CPython 3.11 the two differ in the last bit."""
     try:
-        return abs(a - b)
+        return abs(complex(dx, dy))
     except OverflowError:  # finite parts whose modulus overflows
         return math.inf
+
+
+def _alpha_columns(roots: array) -> tuple[memoryview, memoryview]:
+    """alpha_re and alpha_im of every root, as strided views of the root array."""
+    view = memoryview(roots)
+    return view[0::_ROOT_FLOATS], view[1::_ROOT_FLOATS]
 
 
 # -- imaginary scan ---------------------------------------------------------------
@@ -284,7 +318,7 @@ def scan_imaginary(limit: int, *, branch: int = 0, log_branch: int = 0) -> Surve
                 rep = alpha_complex_case(UnitInput.complex_unit(eps, log_branch), j=branch)
                 alpha = rep.alpha
                 roots.extend((alpha.real, alpha.imag, rep.residual_defining, math.nan, math.nan, math.nan))
-    distinct_alpha, min_sep = _distinct_stats(map(complex, roots[0::_ROOT_FLOATS], roots[1::_ROOT_FLOATS]))
+    distinct_alpha, min_sep = _distinct_stats(*_alpha_columns(roots))
     return SurveySummary(
         range=(-limit, -3),
         count_h1=len(at),
@@ -299,17 +333,17 @@ def scan_imaginary(limit: int, *, branch: int = 0, log_branch: int = 0) -> Surve
 # -- real scan ---------------------------------------------------------------------
 
 # Largest limit of a real scan, set by time: `lgw scan --real --limit 2000000
-# --format csv` took 22-31 s at a 438 MB peak RSS on a 2-vCPU VM, and the
+# --format csv` took 19-21 s at a 280 MB peak RSS on a 2-vCPU VM, and the
 # work grows as limit^1.5.
 _MAX_REAL_SCAN = 2 * 10**6
 
 # Most roots a real scan may attach, counted before any work as unit_powers
 # times the number of fields, set by time, as _MAX_REAL_SCAN is: `lgw scan
 # --real --limit 20 --powers 400000 --format csv` (5 fields, all of h = 1, so
-# every counted root is made) took 31 s at a 384 MB peak RSS on a 2-vCPU VM,
-# and `--limit 10000 --powers 300` (384,600 roots) 5.6 s at 91 MB. A root
+# every counted root is made) took 30 s at a 283 MB peak RSS on a 2-vCPU VM,
+# and `--limit 10000 --powers 300` (384,600 roots) 6.9 s at 67 MB. A root
 # costs about 15 us; it keeps 48 bytes, and its distinctness check holds
-# about 130 more while it runs.
+# about 46 more while it runs.
 _MAX_REAL_ROOTS = 2 * 10**6
 
 
@@ -369,7 +403,7 @@ def scan_real(
                 UnitInput.from_log(L, case=Case.REAL)  # raises the error of an unusable log
             alpha, r_def, r1, r2, r_sum = _alpha_real(L, branch, same_branch)
             roots.extend((alpha.real, alpha.imag, r_def, r1, r2, r_sum))
-    distinct_alpha, min_sep = _distinct_stats(map(complex, roots[0::_ROOT_FLOATS], roots[1::_ROOT_FLOATS]))
+    distinct_alpha, min_sep = _distinct_stats(*_alpha_columns(roots))
     return SurveySummary(
         range=(5, limit),
         count_h1=len(at),
@@ -856,14 +890,15 @@ def correspondence_table(records: Iterable[dict]) -> CorrespondenceTable:
     fields._TORSION_UNITS, raises KeyError; a non-finite alpha raises ValueError.
     """
     entries = []
-    alphas = []
+    alpha_re, alpha_im = [], []
     for rec in records:
         if rec.get("alpha_re") is None:
             continue
         alpha = complex(rec["alpha_re"], rec["alpha_im"])
         if not cmath.isfinite(alpha):
             raise ValueError(f"non-finite alpha {alpha!r} at D={rec.get('D')!r}")
-        alphas.append(alpha)
+        alpha_re.append(alpha.real)
+        alpha_im.append(alpha.imag)
         if rec.get("regulator") is not None:
             log_re, log_im = rec["regulator"], 0.0
         else:
@@ -873,5 +908,5 @@ def correspondence_table(records: Iterable[dict]) -> CorrespondenceTable:
             rec["D"], rec["unit"], log_re, log_im, alpha.real, alpha.imag, rec["residual_defining"],
             rec["residual_split_1"], rec["residual_split_2"], rec["branch"],
         ))))
-    distinct, min_sep = _distinct_stats(alphas)
-    return CorrespondenceTable(tuple(entries), len(alphas), distinct, min_sep)
+    distinct, min_sep = _distinct_stats(alpha_re, alpha_im)
+    return CorrespondenceTable(tuple(entries), len(alpha_re), distinct, min_sep)

@@ -7,6 +7,7 @@ into the code paths it is checking.
 
 from __future__ import annotations
 
+import cmath
 import math
 from math import gcd, isqrt
 
@@ -316,6 +317,33 @@ def narrow_class_number_brute(D: int) -> int:
     return cycles
 
 
+def real_case_residuals(L: float, alpha1: complex, alpha2: complex) -> tuple[float, float, float, float]:
+    """(defining, split 1, split 2, sum) residuals of the real case at the
+    split roots alpha1, alpha2 of log(eps) = L > 0, alpha = alpha1 + alpha2,
+    each from the complex exponentials the equations name, with no use of
+    conjugate symmetry:
+
+        |alpha - cos(2*pi*alpha)*L|, |alpha1 - L*exp(2*pi*i*alpha1)|,
+        |alpha2 - L*exp(-2*pi*i*alpha2)|,
+        |2*alpha - L*exp(2*pi*i*alpha) - L*exp(-2*pi*i*alpha)|.
+
+    Where one exp overflows (a tiny L), all four take each L*exp(x) as
+    exp(x + log L), and cos(2*pi*alpha)*L as the mean of the last two."""
+    two_pi_i = 2j * math.pi
+    alpha = alpha1 + alpha2
+    try:
+        return (
+            abs(alpha - cmath.cos(2.0 * math.pi * alpha) * L),
+            abs(alpha1 - L * cmath.exp(two_pi_i * alpha1)),
+            abs(alpha2 - L * cmath.exp(-two_pi_i * alpha2)),
+            abs(2.0 * alpha - L * cmath.exp(two_pi_i * alpha) - L * cmath.exp(-two_pi_i * alpha)),
+        )
+    except OverflowError:
+        x, log_L = two_pi_i * alpha, cmath.log(L)
+        p1, p2, p, q = (cmath.exp(y + log_L) for y in (two_pi_i * alpha1, -two_pi_i * alpha2, x, -x))
+        return abs(alpha - (p + q) / 2), abs(alpha1 - p1), abs(alpha2 - p2), abs(2.0 * alpha - p - q)
+
+
 def _distance(a: complex, b: complex) -> float:
     try:
         return abs(a - b)
@@ -337,6 +365,25 @@ def distinct_stats_pairwise(values, tol: float) -> tuple[int, float | None]:
     if least == math.inf:
         raise ValueError("the least distance exceeds the float range")
     return len(reps), least
+
+
+def form_distance_sum(D: int) -> float:
+    """The distance sum of a positive non-square D form by form: over the
+    reduced forms (a, b, -m), a, m > 0, D = b^2 + 4am and |a - m| < b, of the
+    distance log((b + sqrt(D)) / (2m)) of each one's rho step. The a of
+    each b are the divisors of (D - b^2)/4 strictly between (sqrt(D) - b)/2
+    and (sqrt(D) + b)/2, found by trial division, and no form is paired
+    with its mirror (m, b, a). Divided by the regulator, it is the wide h."""
+    import numpy as np
+
+    root, s, total = math.sqrt(D), isqrt(D), 0.0
+    for b in range(2 - D % 2, s + 1, 2):  # b = D mod 2, b >= 1
+        n = (D - b * b) // 4
+        a = np.arange(max((s - b) // 2, 1), (s + b) // 2 + 1)
+        a = a[n % a == 0]
+        m = n // a
+        total += float(np.log((b + root) / (2 * m[np.abs(a - m) < b])).sum())
+    return total
 
 
 def real_class_numbers_cycles(Ds):

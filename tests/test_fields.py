@@ -41,6 +41,7 @@ import lgw.fields
 from oracles import (
     class_number_prime_real,
     class_numbers_imaginary_batch,
+    form_distance_sum,
     legendre_euler,
     narrow_class_number_brute,
     pell_minimal_unit,
@@ -578,6 +579,37 @@ class TestRealFormSieve:
         Ds = sorted(d if d % 4 == 1 else 4 * d for d in range(2, 751) if is_squarefree(d))
         got = lgw.fields._real_class_numbers(np.array(Ds, dtype=np.int64))[0]
         assert got.tolist() == [narrow_brute[D] for D in Ds]
+
+    @pytest.mark.parametrize("lo, hi", [(5, 3000), (2001, 4000)])
+    @pytest.mark.parametrize("window_forms", [None, 64], ids=["default-windows", "tiny-windows"])
+    def test_distance_sums_against_forms(self, monkeypatch, window_forms, lo, hi):
+        # the sieve adds one log per (D, b) for a form and its mirror, and
+        # takes half of it off once per (a, b) pair for the form a = m at
+        # D = b^2 + 4a^2; 64 forms a block put a few b's in each block of
+        # pairs, so the pairs a = m of one range fall in many blocks, and a
+        # range from above 5 leaves out those whose D lies below it
+        if window_forms is not None:
+            monkeypatch.setattr(lgw.fields, "_SIEVE_WINDOW_FORMS", window_forms)
+        Ds = fundamental_discriminants(lo, hi)
+        assert any(math.isqrt(D - 4) ** 2 == D - 4 for D in Ds)  # (1, b, 1) at D = b^2 + 4
+        sums = lgw.fields._distance_sums(np.array(Ds, dtype=np.int64))
+        for D, got in zip(Ds, sums.tolist()):
+            assert abs(got - form_distance_sum(D)) <= 1e-12 * got, D
+
+    def test_distance_sums_round_to_h_at_the_ceiling(self):
+        # sqrt(D) - b loses up to about D * 2^-54 of its value: seeded
+        # fundamental D in the top 10^4 below _MAX_REAL_D, whose sums over the
+        # regulator must still lie within 1e-9 of the h of the form-by-form sum
+        top = lgw.fields._MAX_REAL_D
+        rng = np.random.default_rng(20261029)
+        Ds = sorted(rng.choice(fundamental_discriminants(top - 10**4, top), 5, replace=False).tolist())
+        sums = lgw.fields._distance_sums(np.array(Ds, dtype=np.int64))
+        for D, got in zip(Ds, sums.tolist()):
+            regulator = fundamental_unit(radicand_of_discriminant(D)).regulator
+            q = form_distance_sum(D) / regulator
+            h = round(q)
+            assert h >= 1 and abs(q - h) < 1e-9, (D, q)
+            assert abs(got / regulator - h) < 1e-9, (D, got / regulator, h)
 
     def test_single_discriminants_against_brute_cycles(self, narrow_brute):
         for D in (5, 8, 12, 13, 40, 60, 65, 85, 136, 145, 221, 1365, 2029, 2920, 2993):

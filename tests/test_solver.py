@@ -26,7 +26,7 @@ from lgw.solver import (
 )
 from lgw.wfunc import lambert_w
 
-from oracles import bisect, count_real_roots_sign_changes
+from oracles import bisect, count_real_roots_sign_changes, real_case_residuals
 
 TWO_PI = 2 * math.pi
 
@@ -340,6 +340,35 @@ class TestAlphaRealCase:
             rep = alpha_real_case(UnitInput.from_log(L, Case.REAL), 3, Pairing.CONJUGATE_BRANCH)
             assert rep.residual_split_2 == rep.residual_split_1
 
+    @pytest.mark.parametrize("pairing", list(Pairing))
+    def test_residuals_equal_the_four_exponentials_bit_for_bit(self, pairing):
+        # Under conjugate pairing the sum and defining residuals come from one
+        # real cosine and split 2 is split 1; each must equal the residual
+        # the equations name (oracles.real_case_residuals), hex for hex, as
+        # under same-branch pairing. L spans the floats from 1e-320 up: below
+        # about 5e-307 the exp of split 1 overflows, and below about 3.5e-309
+        # +-2*pi*i*L is subnormal.
+        rng = random.Random(29)
+        logs = [10 ** rng.uniform(-300.0, 300.0) for _ in range(300)]
+        logs += [10 ** rng.uniform(-320.0, -300.0) for _ in range(60)]
+        same_branch = pairing is Pairing.SAME_BRANCH
+        overflowed = 0
+        for L in logs:
+            for j in range(-5, 6):
+                w1 = _split_w(L, j)
+                w2 = _split_w(L, j, 1) if same_branch else w1.conjugate()
+                alpha1, alpha2 = -w1 / (2j * math.pi), w2 / (2j * math.pi)
+                alpha, *residuals = solver._alpha_real(L, j, same_branch)
+                expected = real_case_residuals(L, alpha1, alpha2)
+                got = [x.hex() for x in (alpha.real, alpha.imag, *residuals)]
+                want = [x.hex() for x in ((alpha1 + alpha2).real, (alpha1 + alpha2).imag, *expected)]
+                assert got == want, (L, j)
+                try:
+                    cmath.exp(2j * math.pi * alpha1)
+                except OverflowError:
+                    overflowed += 1
+        assert overflowed > 100
+
     def test_same_branch_computes_split_residual_2(self):
         differ = 0
         for L in (0.05, 0.7, math.log(1 + math.sqrt(2)), 3.0, 40.0):
@@ -360,11 +389,11 @@ class TestAlphaRealCase:
         assert rep.residual_split_2 <= 1e-10
 
 
-def _split_w(L: float, j: int) -> complex:
-    """W_j(-2*pi*i*L), through the log of the argument where it is subnormal."""
+def _split_w(L: float, j: int, sign: int = -1) -> complex:
+    """W_j(sign*2*pi*i*L), through the log of the argument where it is subnormal."""
     if j and TWO_PI * L < wfunc._TINY_Z:
-        return wfunc._lambert_w_log(j, complex(math.log(TWO_PI) + math.log(L), -0.5 * math.pi))[0]
-    return lambert_w(j, -2j * math.pi * L).value
+        return wfunc._lambert_w_log(j, complex(math.log(TWO_PI) + math.log(L), sign * 0.5 * math.pi))[0]
+    return lambert_w(j, sign * 2j * math.pi * L).value
 
 
 def _split_residual_2(L: float, w2: complex) -> float:

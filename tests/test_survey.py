@@ -572,11 +572,41 @@ def _clustered_values(draw):
     return draw(st.permutations(pts + [pts[i] for i in dups]))
 
 
+def _distinct_stats(values):
+    """survey._distinct_stats of complex values, given as its two columns."""
+    return lgw.survey._distinct_stats([v.real for v in values], [v.imag for v in values])
+
+
+def _check_seeded_inputs(seed):
+    """_distinct_stats against the pairwise reference on seeded spread values
+    (the sweep decides alone), one value just within 1e-9 of another,
+    clusters within 1e-9 of some of them (the grid decides) and values whose
+    distances overflow."""
+    rng = random.Random(seed)
+    spread = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(rng.randint(0, 80))]
+    cluster = [
+        c + complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * TOL * rng.choice((0.3, 0.7, 1.5))
+        for c in rng.sample(spread, min(len(spread), 5))
+        for _ in range(rng.randint(1, 4))
+    ]
+    near = [c + cmath.rect(rng.uniform(0.5, 1.0) * TOL, rng.uniform(-3, 3)) for c in spread[:1]]
+    far = [1.7e308 + 1.7e308j, -1.7e308 - 1.7e308j, 1.7976931348623157e308j][: rng.randint(1, 3)]
+    for values in (spread, spread + near, spread + cluster, spread[:1] + far, spread + cluster + far):
+        values = rng.sample(values, len(values))
+        try:
+            expected = distinct_stats_pairwise(values, TOL)
+        except ValueError:
+            with pytest.raises(ValueError):
+                _distinct_stats(values)
+        else:
+            assert _distinct_stats(values) == expected
+
+
 class TestDistinctStats:
     @settings(max_examples=300, deadline=None)
     @given(values=_clustered_values())
     def test_matches_pairwise_reference(self, values):
-        assert lgw.survey._distinct_stats(values) == distinct_stats_pairwise(values, TOL)
+        assert _distinct_stats(values) == distinct_stats_pairwise(values, TOL)
 
     @pytest.mark.parametrize("values", [
         [],
@@ -587,7 +617,7 @@ class TestDistinctStats:
         [complex(k * TOL, -k * TOL) for k in range(12)][::-1],
     ], ids=["none", "one", "duplicate", "chain-0.6", "chain-1.0", "diagonal-chain"])
     def test_edge_cases(self, values):
-        assert lgw.survey._distinct_stats(values) == distinct_stats_pairwise(values, TOL)
+        assert _distinct_stats(values) == distinct_stats_pairwise(values, TOL)
 
     @pytest.mark.parametrize("values", [
         [1.7976931348623157e308j, 1.8941775056029057e300],  # |difference| overflows
@@ -596,35 +626,56 @@ class TestDistinctStats:
     ], ids=["modulus", "real-gap", "same-cell"])
     def test_separation_beyond_float_range_raises(self, values):
         with pytest.raises(ValueError):
-            lgw.survey._distinct_stats(values)
+            _distinct_stats(values)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_pairwise_reference_on_seeded_inputs(self, seed):
-        # spread values (the sweep decides alone), one value just within 1e-9
-        # of another, clusters within 1e-9 of some of them (the grid decides)
-        # and values whose distances overflow
-        rng = random.Random(seed)
-        spread = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(rng.randint(0, 80))]
-        cluster = [
-            c + complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * TOL * rng.choice((0.3, 0.7, 1.5))
-            for c in rng.sample(spread, min(len(spread), 5))
-            for _ in range(rng.randint(1, 4))
-        ]
-        near = [c + cmath.rect(rng.uniform(0.5, 1.0) * TOL, rng.uniform(-3, 3)) for c in spread[:1]]
-        far = [1.7e308 + 1.7e308j, -1.7e308 - 1.7e308j, 1.7976931348623157e308j][: rng.randint(1, 3)]
-        for values in (spread, spread + near, spread + cluster, spread[:1] + far, spread + cluster + far):
-            values = rng.sample(values, len(values))
-            try:
-                expected = distinct_stats_pairwise(values, TOL)
-            except ValueError:
-                with pytest.raises(ValueError):
-                    lgw.survey._distinct_stats(values)
-            else:
-                assert lgw.survey._distinct_stats(values) == expected
+        _check_seeded_inputs(seed)
+
+    def test_order_sorted_in_two_halves(self, monkeypatch):
+        # past _SORT_AT_ONCE values the order is sorted in two halves, split
+        # at a sampled median; the same seeded inputs must give the same stats
+        monkeypatch.setattr(lgw.survey, "_SORT_AT_ONCE", 3)
+        for seed in range(10):
+            _check_seeded_inputs(seed)
 
     def test_far_values_keep_a_finite_least_separation(self):
         values = [1.7e308 + 1.7e308j, 1e300 + 1e300j, 1.7976931348623157e308j, 1.0, 1.25]
-        assert lgw.survey._distinct_stats(values) == (5, 0.25)
+        assert _distinct_stats(values) == (5, 0.25)
+
+    def test_separation_keeps_the_bits_of_abs_not_hypot(self):
+        # math.hypot on CPython 3.11 is not libm's hypot, which abs(complex)
+        # calls: on seeded pairs where the two differ in the last bit, the
+        # least separation is the abs of the difference, as the pairwise
+        # reference takes it
+        rng = random.Random(29)
+        pairs = []
+        while len(pairs) < 20:
+            a, b = (complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(2))
+            dx, dy = b.real - a.real, b.imag - a.imag
+            if math.hypot(dx, dy) != abs(complex(dx, dy)):
+                pairs.append((a, b))
+        for a, b in pairs:
+            assert _distinct_stats([a, b]) == (2, abs(b - a)) == distinct_stats_pairwise([a, b], TOL)
+            assert abs(b - a) != math.hypot(b.real - a.real, b.imag - a.imag)
+
+    def test_scan_roots_are_checked_in_little_memory(self):
+        # 384,600 roots, read from the root array where they lie: the check
+        # held about 100 bytes a root as complex numbers and sorted them
+        # three times (38.9 MB traced); one order of their indices, sorted in
+        # two halves, takes 18 MB. The stats are those the complex numbers gave.
+        s = scan_real(10_000, unit_powers=300)
+        assert len(s.batch.roots) == 384_600 * lgw.survey._ROOT_FLOATS
+        columns = lgw.survey._alpha_columns(s.batch.roots)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            stats = lgw.survey._distinct_stats(*columns)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert stats == (378_248, 1.0000724137704253e-09)
+        assert peak <= 24e6, peak
 
 
 class TestCorrespondenceTable:
