@@ -858,9 +858,11 @@ def _distance_sums(Ds: np.ndarray) -> np.ndarray:
         for k, n in _runs(np.maximum(m_hi - m_lo + 1, 0)):
             ip, m = _ranges(m_lo[k:n], m_hi[k:n])
             ip += k
-            D = sq[ip] + step[ip] * m
-            keep = np.flatnonzero(member[D - lo])
-            np.add.at(total, D[keep] - lo, _pair_distance(D[keep], bb[ip[keep]]))
+            at = sq[ip] + step[ip] * m
+            at -= lo
+            keep = np.flatnonzero(member[at])
+            at = at[keep]
+            np.add.at(total, at, _pair_distance(at + lo, bb[ip[keep]]))
     return total[Ds - lo]
 
 
