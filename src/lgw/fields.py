@@ -818,9 +818,8 @@ def _distance_sums(Ds: np.ndarray) -> np.ndarray:
     float64 array over the range. sqrt(D) - b loses up to about D * 2^-54
     of its value, so a sum over the regulator could move by up to about
     1e-9 of its integer at _MAX_REAL_D; on seeded D there it moved by
-    about 1e-14. It takes about 2.0 s of CPU at 10^6 on a 2-vCPU VM (2.3 s
-    with one log per form of (a, b, m)), and 0.4 s for one D near
-    _MAX_REAL_D.
+    about 1e-14. It takes about 1.9 s of CPU at 10^6 on a 2-vCPU VM, and
+    0.4 s for one D near _MAX_REAL_D.
     """
     import numpy as np
 
