@@ -31,7 +31,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .errors import DegenerateCoefficients, DomainError, NonFinite, ZeroLogUnit
-from .wfunc import _TINY_Z, _lambert_w_log, _require_finite, lambert_w
+from .wfunc import _TINY_Z, _branch_index, _lambert_w_log, _require_finite, lambert_w
 
 __all__ = [
     "Case",
@@ -52,8 +52,10 @@ _TWO_PI_I = 2j * math.pi
 # The per-query paths build their reports with every field given, in
 # declaration order, through tuple.__new__: FixedPointReport.__new__ would
 # only add a Python frame and keyword matching. Enum members are read
-# through _value_ for the same reason (.value is a Python-level property).
+# through _value_ for the same reason (.value is a Python-level property),
+# and cmath.exp is bound once.
 _tuple_new = tuple.__new__
+_cexp = cmath.exp
 
 
 class Case(str, Enum):
@@ -81,7 +83,7 @@ _REAL, _COMPLEX, _SAME_BRANCH = Case.REAL, Case.COMPLEX, Pairing.SAME_BRANCH
 def _coefficients(a: complex, b: complex, c: complex) -> tuple[complex, complex, complex]:
     """A, B, C of z = A + B*exp(C*z) as complex numbers, checked finite with B*C != 0."""
     a, b, c = complex(a), complex(b), complex(c)
-    if not math.isfinite(a.real + a.imag + b.real + b.imag + c.real + c.imag):
+    if not cmath.isfinite(a + b + c):
         # A non-finite part, or finite parts whose sum overflows: check
         # each coefficient, so the first non-finite one is named.
         a, b, c = _require_finite(a, "A"), _require_finite(b, "B"), _require_finite(c, "C")
@@ -111,7 +113,7 @@ class ExpLinearEquation(_ExpLinearFields):
     def residual(self, z: complex) -> float:
         """|z - A - B*exp(C*z)|, the defining-equation residual."""
         try:
-            return abs(z - self.a - self.b * cmath.exp(self.c * z))
+            return abs(z - self.a - self.b * _cexp(self.c * z))
         except (OverflowError, ValueError):
             product = _exp_of_sum_with_log(self.c * z, self.b)
             if product is None:
@@ -145,6 +147,8 @@ class UnitInput(_UnitFields):
         case: Case = Case.COMPLEX,
         log_value: complex | None = None,
     ) -> "UnitInput":
+        if type(log_branch) is not int:
+            log_branch = _branch_index(log_branch, "log_branch")
         if epsilon is None:
             if log_value is None:
                 raise DomainError("need epsilon or log_value")
@@ -167,7 +171,8 @@ class UnitInput(_UnitFields):
 
     @classmethod
     def complex_unit(cls, epsilon: complex, log_branch: int = 0) -> "UnitInput":
-        log_branch = int(log_branch)
+        if type(log_branch) is not int:
+            log_branch = _branch_index(log_branch, "log_branch")
         # __new__'s complex-case checks, without the call and its keywords
         epsilon = _require_finite(epsilon, "epsilon")
         if abs(epsilon) == 0.0:
@@ -195,7 +200,7 @@ class UnitInput(_UnitFields):
                 eps = None
             # eps is None or a real e^L > 1: what __new__ checks holds already
             return _tuple_new(cls, (eps, 0, _REAL, log_value))
-        return cls(epsilon=cmath.exp(log_value), case=case, log_value=log_value)
+        return cls(epsilon=_cexp(log_value), case=case, log_value=log_value)
 
 
 def unit_log(u: UnitInput) -> complex:
@@ -260,8 +265,11 @@ def solve_exp_linear(eq: ExpLinearEquation, k: int = 0) -> complex:
     """Root of z = A + B*exp(C*z) on Lambert branch k.
 
     z = A - W_k(-B*C*exp(A*C))/C; the returned root satisfies the equation
-    with residual <= 1e-10*(1+|z|).
+    with residual <= 1e-10*(1+|z|). A k that is not integral raises
+    DomainError.
     """
+    if type(k) is not int:
+        k = _branch_index(k, "k")
     return _exp_linear_root(eq.a, eq.b, eq.c, k)
 
 
@@ -269,7 +277,7 @@ def _exp_of_sum_with_log(x: complex, y: complex) -> complex | None:
     """y*exp(x) formed as exp(x + log(y)), for an exp(x) beyond float range
     times a small y; None when that overflows too (or y is 0)."""
     try:
-        return cmath.exp(x + cmath.log(y))
+        return _cexp(x + cmath.log(y))
     except (OverflowError, ValueError):
         return None
 
@@ -277,7 +285,7 @@ def _exp_of_sum_with_log(x: complex, y: complex) -> complex | None:
 def _exp_linear_root(a: complex, b: complex, c: complex, k: int) -> complex:
     """z = A - W_k(-B*C*exp(A*C))/C for finite complex A, B, C with B*C != 0."""
     try:
-        arg = -b * c * cmath.exp(a * c)
+        arg = -b * c * _cexp(a * c)
     except (OverflowError, ValueError):  # exp of a huge or an infinite A*C
         arg = _exp_of_sum_with_log(a * c, -b * c)
         if arg is None:
@@ -291,7 +299,7 @@ def _exp_linear_root(a: complex, b: complex, c: complex, k: int) -> complex:
             # Into (-pi, pi], as lambert_w reads its input: a negative real
             # argument, of either zero sign, lies on the cut from above.
             t -= _TWO_PI_I * math.ceil(t.imag / _TWO_PI - 0.5)
-        if t.imag == math.pi and ((-b / abs(b)) * (c / abs(c)) * cmath.exp(1j * (a * c).imag)).imag < 0:
+        if t.imag == math.pi and ((-b / abs(b)) * (c / abs(c)) * _cexp(1j * (a * c).imag)).imag < 0:
             # An angle within rounding of the cut: the direction of the
             # argument tells a point strictly below it (B = 1 + 1e-20j
             # against 1 + 0j), whose angle rounds to -pi all the same.
@@ -309,6 +317,8 @@ def alpha_complex_case(u: UnitInput, j: int = 0, beta: float = 0.0) -> FixedPoin
     """
     if u.case is not _COMPLEX:
         raise DomainError("alpha_complex_case needs a complex-case unit")
+    if type(j) is not int:
+        j = _branch_index(j, "j")
     beta = float(beta)
     log_eps = unit_log(u)
     try:
@@ -320,7 +330,7 @@ def alpha_complex_case(u: UnitInput, j: int = 0, beta: float = 0.0) -> FixedPoin
     z = _exp_linear_root(*_coefficients(beta, log_eps * scale, _TWO_PI), j)
     alpha = (z - beta) / 1j
     try:
-        residual = abs(1j * alpha - cmath.exp(_TWO_PI_I * alpha) * log_eps)
+        residual = abs(1j * alpha - _cexp(_TWO_PI_I * alpha) * log_eps)
     except OverflowError:  # a tiny log(eps) puts exp(2*pi*i*alpha) beyond float range
         product = _exp_of_sum_with_log(_TWO_PI_I * alpha, log_eps)
         if product is None:
@@ -349,6 +359,8 @@ def alpha_real_case(
     """
     if u.case is not _REAL:
         raise DomainError("alpha_real_case needs a real-case unit")
+    if type(j) is not int:
+        j = _branch_index(j, "j")
     if not isinstance(pairing, Pairing):
         pairing = Pairing(pairing)
     alpha, r_def, r1, r2, r_sum = _alpha_real(unit_log(u).real, j, pairing is _SAME_BRANCH)
@@ -375,10 +387,10 @@ def _alpha_real(L: float, j: int, same_branch: bool) -> tuple[complex, float, fl
     alpha = alpha1 + alpha2
 
     try:
-        r1 = abs(alpha1 - L * cmath.exp(_TWO_PI_I * alpha1))
+        r1 = abs(alpha1 - L * _cexp(_TWO_PI_I * alpha1))
         if same_branch:
-            r2 = abs(alpha2 - L * cmath.exp(-_TWO_PI_I * alpha2))
-            r_sum = abs(2.0 * alpha - L * cmath.exp(_TWO_PI_I * alpha) - L * cmath.exp(-_TWO_PI_I * alpha))
+            r2 = abs(alpha2 - L * _cexp(-_TWO_PI_I * alpha2))
+            r_sum = abs(2.0 * alpha - L * _cexp(_TWO_PI_I * alpha) - L * _cexp(-_TWO_PI_I * alpha))
             r_def = abs(alpha - cmath.cos(_TWO_PI * alpha) * L)
         else:
             # m = -j: alpha2 = conj(alpha1) bit for bit (the division by
@@ -412,7 +424,7 @@ def verify_fixed_point(alpha: complex, u: UnitInput) -> float:
     log_eps = unit_log(u)
     try:
         if u.case is _COMPLEX:
-            return abs(1j * alpha - cmath.exp(_TWO_PI_I * alpha) * log_eps)
+            return abs(1j * alpha - _cexp(_TWO_PI_I * alpha) * log_eps)
         return abs(alpha - cmath.cos(_TWO_PI * alpha) * log_eps.real)
     except (OverflowError, ValueError):  # exp or cos of a huge Im alpha
         raise NonFinite(f"residual overflows at alpha = {alpha!r}") from None

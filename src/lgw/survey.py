@@ -53,6 +53,7 @@ from .fields import (
     roots_of_unity,
 )
 from .solver import Case, Pairing, UnitInput, _alpha_real, alpha_complex_case
+from .wfunc import _branch_index
 
 __all__ = [
     "SurveySummary",
@@ -288,14 +289,16 @@ def scan_imaginary(limit: int, *, branch: int = 0, log_branch: int = 0) -> Surve
     sieve, class numbers straight from the two residue classes of the
     form-count sieve (fields._imaginary_form_counts); torsion units with a
     usable log (nonzero under the configured log branch) each contribute an
-    alpha via the complex-case root formula, kept in the root array. limit,
-    branch and log_branch are taken as ints; limit may be at most
-    fields._MAX_IMAG_D (10^7); a larger one raises TermLimitExceeded at once,
-    a negative one DomainError (0 to 2 give the empty scan).
+    alpha via the complex-case root formula, kept in the root array. limit
+    is taken as an int and may be at most fields._MAX_IMAG_D (10^7); a
+    larger one raises TermLimitExceeded at once, a negative one DomainError
+    (0 to 2 give the empty scan), as does a branch or log_branch that is not
+    integral.
     """
     import numpy as np
 
-    limit, branch, log_branch = int(limit), int(branch), int(log_branch)
+    limit = int(limit)
+    branch, log_branch = _branch_index(branch, "branch"), _branch_index(log_branch, "log_branch")
     if limit < 0:
         raise DomainError(f"limit {limit} is negative")
     _check_size(-limit)
@@ -368,12 +371,13 @@ def scan_real(
     root array. limit may be at most _MAX_REAL_SCAN (2*10^6), a quarter of it
     with by_radicand=True; a larger one raises TermLimitExceeded at once.
     So does unit_powers times the number of fields above _MAX_REAL_ROOTS
-    (2*10^6), right after the sieve. A negative limit or unit_powers raises
-    DomainError.
+    (2*10^6), right after the sieve. A negative limit or unit_powers, or a
+    branch that is not integral, raises DomainError.
     """
     import numpy as np
 
-    limit, unit_powers, branch, pairing = int(limit), int(unit_powers), int(branch), Pairing(pairing)
+    limit, unit_powers, pairing = int(limit), int(unit_powers), Pairing(pairing)
+    branch = _branch_index(branch, "branch")
     if min(limit, unit_powers) < 0:
         raise DomainError(f"limit {limit} and unit_powers {unit_powers} may not be negative")
     top = _MAX_REAL_SCAN // 4 if by_radicand else _MAX_REAL_SCAN

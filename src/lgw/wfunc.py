@@ -11,7 +11,8 @@ the negative real axis from above, as mpmath does.
 
 Both entry points share one seed table (_initial_guess) and one Halley
 loop (_halley); lambert_w runs them in complex arithmetic, lambert_w_real
-in floats. The seed regions, first match wins:
+in floats. The seed regions, first match wins (a branch with |k| >= 2
+goes straight to the last):
 
 - |z + 1/e| <= 0.3: the branch-point series in p = sqrt(2(e*z+1)), with
   +p for W_0 and -p for W_-1 (Im z >= 0) and W_+1 (Im z < 0);
@@ -23,13 +24,16 @@ in floats. The seed regions, first match wins:
 - otherwise: the asymptotic series in L2/L1 through its 1/L1^3 terms,
   with L1 = log z + 2*pi*i*k.
 
-Halley stops when its step falls below 1e-15 relative. It also stops when
-it stalls at rounding level, as it does near the branch point: a step below
-1e-13 relative that did not shrink from the one before. If it stalled or
-has not converged after 64 steps, either entry point raises NoConvergence
-unless the residual |w e^w - z| / (1 + |z|) is already <= 1e-12;
-lambert_w also raises it for a larger residual after a step that did fall
-below tolerance.
+Halley stops when its step falls below 1e-15 relative, or before a step
+when w e^w - z is exactly 0 (an exact root keeps its w, zero signs too) or
+the update's denominator is. It also stops when it stalls at rounding
+level, as it does near the branch point: a step below 1e-13 relative that
+did not shrink from the one before. At w = -1 exactly, where the update
+divides by 2(w + 1) = 0, it moves w by 1e-8 and counts that as a step. If
+it stalled or has not converged after 64 steps, either entry point raises
+NoConvergence unless the residual |w e^w - z| / (1 + |z|) is already
+<= 1e-12; lambert_w also raises it for a larger residual after a step that
+did fall below tolerance.
 
 For k != 0 and |z| below the smallest normal float, e^w at the root is
 subnormal, so w e^w = z no longer pins w down. There every caller passes
@@ -96,10 +100,11 @@ _SINGULAR_W = math.sqrt(2.0 * math.e * 1e-12)
 # the bound), so _lambert_w_log solves the logarithm of the equation there.
 _TINY_Z = sys.float_info.min
 
-# Bound once: lambert_w is called per query and per scan row. It builds its
-# WEvaluation through tuple.__new__, without the Python frame of the named
-# tuple's own __new__.
-_cexp, _clog, _csqrt, _isfinite = cmath.exp, cmath.log, cmath.sqrt, math.isfinite
+# Bound once: lambert_w is called per query and per scan row, lambert_w_real
+# per query. lambert_w builds its WEvaluation through tuple.__new__, without
+# the Python frame of the named tuple's own __new__.
+_cexp, _clog, _csqrt, _cisfinite = cmath.exp, cmath.log, cmath.sqrt, cmath.isfinite
+_exp, _log, _sqrt, _isfinite = math.exp, math.log, math.sqrt, math.isfinite
 _tuple_new = tuple.__new__
 
 
@@ -118,9 +123,25 @@ class WEvaluation(NamedTuple):
 def _require_finite(z: complex, what: str) -> complex:
     """z as a complex number; NonFinite naming it as `what` unless finite."""
     z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+    if not _cisfinite(z):
         raise NonFinite(f"non-finite {what} {z!r}")
     return z
+
+
+def _branch_index(k, what: str) -> int:
+    """k as an int; DomainError naming it as `what` unless k is integral.
+
+    Bools, numpy integers and integral floats are; 1.5, nan, inf and "1"
+    are not. The per-query callers test type(k) is not int first, so an int
+    costs them no call.
+    """
+    try:
+        i = int(k)
+    except (TypeError, ValueError, OverflowError):
+        i = None
+    if i is None or i != k:
+        raise DomainError(f"branch index {what} must be an integer; got {k!r}")
+    return i
 
 
 def _residual(w: complex, z: complex) -> float:
@@ -147,6 +168,8 @@ def _asymptotic_seed(l1: complex, log, full: bool = True) -> complex:
 
 def _initial_guess(k: int, z: complex, sqrt, log) -> complex:
     """The seed table; sqrt and log are cmath's for complex z, math's for real z."""
+    if k > 1 or k < -1:  # most branches have one region: test them first
+        return _asymptotic_seed(log(z) + _TWO_PI_I * k, log)
     # Branches -1 and +1 pinch onto the -1 - p cluster at the branch point:
     # W_-1 owns it for Im z >= 0 (cut values continuous from above), W_+1
     # for Im z < 0; on the other side both run in their asymptotic strips.
@@ -181,34 +204,40 @@ def _halley(z: complex, w: complex, exp) -> tuple[complex, int, bool]:
     exp is cmath.exp for complex z and w, math.exp for real ones. A step
     below _STALL_TOL relative that is no smaller than the one before is
     rounding noise: the loop stops there too, unconverged, and the caller's
-    residual check decides.
+    residual check decides. At w = -1 the update divides by 2(w + 1) = 0:
+    w moves by 1e-8 and the step counts. A zero denominator of the update
+    stops the loop, as does f = 0, which keeps an exact root's w as it is.
     """
     it = 0
     last = math.inf
     while it < _MAX_ITER:  # cheaper than a range() per call on the real path
         it += 1
         wp1 = w + 1.0
-        if wp1 == 0.0:
-            w += 1e-8
-            continue
-        if w.real > 0.0:
-            # Rearranged update avoids overflow in exp(w) for large Re w.
-            f = w - z * exp(-w)
-            denom = wp1 - (w + 2.0) * f / (2.0 * wp1)
-        else:
-            ew = exp(w)
-            f = w * ew - z
-            denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
-        if denom == 0.0 or f == 0.0:
+        try:
+            if w.real > 0.0:
+                # Rearranged update avoids overflow in exp(w) for large Re w.
+                f = w - z * exp(-w)
+                denom = wp1 - (w + 2.0) * f / (2.0 * wp1)
+            else:
+                ew = exp(w)
+                f = w * ew - z
+                denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
+            if f == 0.0:
+                return w, it, True
+            dw = f / denom
+        except ZeroDivisionError:
+            if wp1 == 0.0:
+                w += 1e-8
+                continue
             return w, it, True
-        dw = f / denom
-        w = w - dw
+        w -= dw
         step = abs(dw)
         scale = 1.0 + abs(w)
-        if step < _STEP_TOL * scale:
-            return w, it, True
-        if step < _STALL_TOL * scale and step >= last:
-            return w, it, False
+        if step < _STALL_TOL * scale:
+            if step < _STEP_TOL * scale:
+                return w, it, True
+            if step >= last:
+                return w, it, False
         last = step
     return w, _MAX_ITER, False
 
@@ -219,7 +248,9 @@ def lambert_w(k: int, z: complex) -> WEvaluation:
     Parameters
     ----------
     k : int
-        Branch index; any integer, |k| <= 64 exercised routinely.
+        Branch index; any integer, |k| <= 64 exercised routinely. An
+        integral float, bool or numpy integer is taken as its int; any other
+        k raises DomainError.
     z : complex
         Finite evaluation point. z = 0 is only valid on the principal
         branch (W_k(0) diverges for k != 0).
@@ -231,26 +262,28 @@ def lambert_w(k: int, z: complex) -> WEvaluation:
 
     Raises
     ------
-    NonFinite, BranchSingularity, NoConvergence
+    NonFinite, DomainError, BranchSingularity, NoConvergence
     """
     # _require_finite and the common branch of _residual, inlined: this is
     # the per-query path, and each saved call is a measurable share of it.
     # + 0j turns Im z = -0.0 into +0.0: the cut is taken from above.
     z = complex(z) + 0j
-    if not (_isfinite(z.real) and _isfinite(z.imag)):
+    if not _cisfinite(z):
         raise NonFinite(f"non-finite argument {z!r}")
-    k = int(k)
-    if z == 0:
+    if type(k) is not int:
+        k = _branch_index(k, "k")
+    r = abs(z)  # 0 only at z = 0
+    if r == 0.0:
         if k == 0:
             return WEvaluation(0j, 0, 0.0, 0)
         raise BranchSingularity(f"W_{k}(0) diverges")
-    if k and abs(z) < _TINY_Z:
+    if k and r < _TINY_Z:
         w, iterations = _lambert_w_log(k, _clog(z))
         stepped = True
     else:
         w, iterations, stepped = _halley(z, _initial_guess(k, z, _csqrt, _clog), _cexp)
     if w.real <= 500.0:
-        res = abs(w * _cexp(w) - z) / (1.0 + abs(z))
+        res = abs(w * _cexp(w) - z) / (1.0 + r)
     else:
         res = _residual(w, z)
     if res > _RESIDUAL_TOL:
@@ -302,7 +335,7 @@ def lambert_w_real(k: int, x: float) -> float:
     residual exceeds 1e-12)
     """
     x = float(x)
-    if not math.isfinite(x):
+    if not _isfinite(x):
         raise NonFinite(f"non-finite argument {x!r}")
     if k == 0:
         if x < BRANCH_POINT_Z:
@@ -319,8 +352,7 @@ def lambert_w_real(k: int, x: float) -> float:
     if k == -1 and x > -_TINY_Z:
         # x lies on W_-1's cut, taken from above: Log x = log(-x) + i*pi
         return _lambert_w_log(-1, complex(math.log(-x), math.pi))[0].real
-    seed = _initial_guess(k, x, math.sqrt, math.log)
-    w, iterations, stepped = _halley(x, seed, math.exp)
+    w, iterations, stepped = _halley(x, _initial_guess(k, x, _sqrt, _log), _exp)
     # Near the branch point the last steps stall at rounding level, as in
     # lambert_w; the residual decides there.
     if not stepped and _residual(w, x) > _RESIDUAL_TOL:

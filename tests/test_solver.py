@@ -471,6 +471,51 @@ class TestRecords:
         assert (a.beta, a.residual_defining, a.residual_split_1) == (0.0, 0.0, None)
 
 
+class TestBranchIndex:
+    """A branch index that is not integral raises DomainError at every entry
+    point, before any path (the log-space one of a subnormal Lambert argument
+    too) can use it; an integral one is taken, and recorded, as its int."""
+
+    @pytest.mark.parametrize("k", [1.5, -0.5, math.inf, "1"])
+    def test_solve_exp_linear(self, k):
+        for eq in (ExpLinearEquation(0, 1, 1), ExpLinearEquation(0, 1e-320, 1)):
+            with pytest.raises(DomainError, match="k"):
+                solve_exp_linear(eq, k)
+
+    @pytest.mark.parametrize("j", [1.5, -0.5, math.nan, "1"])
+    def test_alpha_cases(self, j):
+        with pytest.raises(DomainError, match="j"):
+            alpha_complex_case(UnitInput.complex_unit(1j), j)
+        for L in (1e-320, 2.0):
+            for pairing in Pairing:
+                with pytest.raises(DomainError, match="j"):
+                    alpha_real_case(UnitInput.from_log(L, case=Case.REAL), j, pairing)
+
+    @pytest.mark.parametrize("log_branch", [0.5, -1.5, "1"])
+    def test_unit_input(self, log_branch):
+        with pytest.raises(DomainError, match="log_branch"):
+            UnitInput(1j, log_branch)
+        with pytest.raises(DomainError, match="log_branch"):
+            UnitInput.complex_unit(1j, log_branch)
+        with pytest.raises(DomainError, match="log_branch"):
+            UnitInput.complex_unit(1j)._replace(log_branch=log_branch)
+
+    @pytest.mark.parametrize("k, as_int", [(2.0, 2), (True, 1), (np.int64(-3), -3), (np.float64(-1.0), -1)])
+    def test_integral_indices_are_taken_as_ints(self, k, as_int):
+        for eq in (ExpLinearEquation(0.5, 1 - 1j, 2), ExpLinearEquation(0, 1e-320, 1)):
+            assert solve_exp_linear(eq, k) == solve_exp_linear(eq, as_int)
+        for u in (UnitInput(1j, k), UnitInput.complex_unit(1j, k)):
+            assert type(u.log_branch) is int and u == UnitInput.complex_unit(1j, as_int)
+        u = UnitInput.complex_unit(complex(0.5, math.sqrt(3) / 2))
+        rep = alpha_complex_case(u, k)
+        assert type(rep.branch) is int and rep == alpha_complex_case(u, as_int)
+        for L in (1e-320, 2.0):
+            u = UnitInput.from_log(L, case=Case.REAL)
+            for pairing in Pairing:
+                rep = alpha_real_case(u, k, pairing)
+                assert type(rep.branch) is int and rep == alpha_real_case(u, as_int, pairing)
+
+
 class TestUnitInput:
     def test_real_validation(self):
         with pytest.raises(DomainError):

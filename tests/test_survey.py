@@ -104,6 +104,16 @@ class TestScanImaginary:
             scan_imaginary(-5)
         assert records(scan_imaginary(0)) == records(scan_imaginary(1)) == []
 
+    @pytest.mark.parametrize("branches", [{"branch": 0.5}, {"log_branch": -1.5}, {"branch": "1"}])
+    def test_non_integral_branch_is_a_domain_error(self, branches):
+        with pytest.raises(DomainError, match="branch"):
+            scan_imaginary(100, **branches)
+
+    def test_integral_branches_are_recorded_as_ints(self):
+        s = scan_imaginary(100, branch=np.int64(1), log_branch=-1.0)
+        assert (type(s.batch.branch), type(s.batch.log_branch)) == (int, int)
+        assert summary_to_json(s) == summary_to_json(scan_imaginary(100, branch=1, log_branch=-1))
+
     def test_alpha_only_on_h1_rows(self):
         s = scan_imaginary(100)
         assert sorted({r["D"] for r in rooted(s)}) == h1_column(s)
@@ -254,6 +264,16 @@ class TestScanReal:
     def test_negative_size_is_a_domain_error(self, limit, unit_powers):
         with pytest.raises(DomainError, match=str(min(limit, unit_powers))):
             scan_real(limit, unit_powers=unit_powers)
+
+    @pytest.mark.parametrize("branch", [0.5, math.nan, None])
+    def test_non_integral_branch_is_a_domain_error(self, branch):
+        with pytest.raises(DomainError, match="branch"):
+            scan_real(100, branch=branch)
+
+    def test_integral_branch_is_recorded_as_int(self):
+        s = scan_real(100, branch=-2.0)
+        assert type(s.batch.branch) is int
+        assert summary_to_json(s) == summary_to_json(scan_real(100, branch=-2))
 
     def test_split_residuals(self):
         s = scan_real(100)

@@ -78,6 +78,72 @@ class TestErrors:
             lambert_w_real(2, 1.0)
 
 
+class TestBranchIndex:
+    @pytest.mark.parametrize("k", [1.5, -0.5, math.nan, math.inf, "1", 1 + 0j, np.float64(2.5)])
+    def test_non_integral_branch_raises(self, k):
+        with pytest.raises(DomainError):
+            lambert_w(k, 1 + 1j)
+        with pytest.raises(DomainError):  # before the log-space path of a subnormal z
+            lambert_w(k, 1e-320)
+
+    @pytest.mark.parametrize("k, as_int", [(2.0, 2), (-1.0, -1), (True, 1), (False, 0), (np.int64(-3), -3),
+                                           (np.int32(7), 7), (np.float64(1.0), 1)])
+    def test_integral_branch_is_recorded_as_int(self, k, as_int):
+        for z in (1 + 1j, 1e-320, BRANCH_POINT_Z):
+            ev = lambert_w(k, z)
+            assert type(ev.branch) is int and ev == lambert_w(as_int, z)
+        assert w_derivative(k, 1 + 1j) == w_derivative(as_int, 1 + 1j)
+
+    def test_real_path_takes_integral_floats_only(self):
+        assert lambert_w_real(-1.0, -0.1) == lambert_w_real(-1, -0.1)
+        with pytest.raises(DomainError):
+            lambert_w_real(-0.5, -0.1)
+
+
+class TestHalleyGuards:
+    """The paths of the Halley loop that stop or move it outside its step
+    test, on both entry points."""
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_branch_point_nudge(self, k):
+        # the seed is exactly -1, where the update divides by 2(w + 1) = 0:
+        # step 1 moves w by 1e-8, and step 5 stops on f = 0
+        assert wfunc._initial_guess(k, BRANCH_POINT_Z + 0j, cmath.sqrt, cmath.log) == -1
+        ev = lambert_w(k, BRANCH_POINT_Z)
+        assert repr(ev.value) == "(-1.0000000025384745+0j)"
+        assert (ev.residual, ev.iterations) == (0.0, 5)
+        assert ev.value * cmath.exp(ev.value) == BRANCH_POINT_Z
+
+    @pytest.mark.parametrize("x, w, iterations", [(math.e, "(1+0j)", 1), (2 * math.e**2, "(2+0j)", 3)])
+    def test_exact_roots(self, x, w, iterations):
+        ev = lambert_w(0, x)
+        assert (repr(ev.value), ev.iterations) == (w, iterations)
+        assert lambert_w_real(0, x) == ev.value.real
+
+    def test_loop_returns_w_as_it_is(self):
+        # f = 0 before a step: the seed comes back with its zero signs, where
+        # a zero step would turn 1 - 0j into 1 + 0j
+        w, it, stepped = wfunc._halley(math.e + 0j, complex(1.0, -0.0), cmath.exp)
+        assert (repr(w), it, stepped) == ("(1-0j)", 1, True)
+        # w = 0 at z = -1: f = 1 and the update's denominator 1 + z is 0
+        assert wfunc._halley(-1.0, 0.0, math.exp) == (0.0, 1, True)
+        assert wfunc._halley(-1 + 0j, 0j, cmath.exp) == (0j, 1, True)
+
+    def test_real_path_stops_on_a_zero_residual(self, monkeypatch):
+        calls, real_halley = [], wfunc._halley
+
+        def halley(z, w, exp):
+            calls.append(real_halley(z, w, exp))
+            return calls[-1]
+
+        monkeypatch.setattr(wfunc, "_halley", halley)
+        x = math.nextafter(BRANCH_POINT_Z, 0.0)
+        w = lambert_w_real(-1, x)
+        assert calls == [(w, 2, True)]
+        assert w * math.exp(w) - x == 0.0
+        assert repr(w) == "-1.0000000124475061"
+
+
 class TestRealFastPath:
     def test_examples(self):
         assert lambert_w_real(0, 0.0) == 0.0
