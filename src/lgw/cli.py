@@ -205,7 +205,11 @@ def _cmd_solve(ns) -> int:
         "branch": ns.branch,
     }
     _emit(out, ns)
-    return 0 if resid <= _tolerance(ns) * (1.0 + abs(z)) else _NUMERICAL_EXIT
+    try:
+        ok = resid <= _tolerance(ns) * (1.0 + abs(z))
+    except OverflowError:  # |z| is past the float range, and the finite residual within it
+        ok = True
+    return 0 if ok else _NUMERICAL_EXIT
 
 
 def _cmd_alpha(ns) -> int:
@@ -274,15 +278,14 @@ def _cmd_scan(ns) -> int:
             pairing=ns.pairing,
             unit_powers=ns.powers,
             by_radicand=ns.by_radicand,
+            log_branch=ns.log_branch,
         )
     if ns.format == "csv":
-        sys.stdout.writelines(survey.iter_summary_csv(summary, ns.log_branch))
+        sys.stdout.writelines(survey.iter_summary_csv(summary))
     elif ns.format == "plain":
-        sys.stdout.writelines(survey.iter_summary_plain(summary, ns.log_branch))
+        sys.stdout.writelines(survey.iter_summary_plain(summary))
     else:
-        sys.stdout.writelines(
-            survey.iter_summary_json(summary, ns.log_branch, {"conventions": _conventions(ns)})
-        )
+        sys.stdout.writelines(survey.iter_summary_json(summary, trailer={"conventions": _conventions(ns)}))
         sys.stdout.write("\n")
     return 0
 

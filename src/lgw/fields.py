@@ -32,12 +32,13 @@ grow, all rows that pass the int64 bound at a step at once.
 
 Negative D go down to -_MAX_IMAG_D = -10^7. class_number(D < 0) counts the
 reduced definite forms of one D in a walk over b, one divisor count per b,
-in Python ints; an imaginary scan counts them for every -n >= -limit at
-once (_imaginary_form_counts). There n = 4ac - b^2 is 0 or
-3 mod 4 by the parity of b, so the counts live in two int16 residue classes
-of about limit/4 entries, where each a adds progressions of stride a: one
-staircase of about a/4 rows, then one periodic row of the a's whole
-pattern added over a 2-D view.
+in Python ints; an imaginary scan reads its class numbers
+(_imaginary_class_numbers) off the counts of every -n >= -limit at once
+(_imaginary_form_counts). There n = 4ac - b^2 is 0 or 3 mod 4 by the
+parity of b, so the counts live in two int16 residue classes of about
+limit/4 entries, where each a adds progressions of stride a: one staircase
+of about a/4 rows, then one periodic row of the a's whole pattern added
+over a 2-D view.
 
 numpy is imported inside the sieves, the batched units and
 class_number(D > 0), on first use: single units, forms of negative D and
@@ -946,6 +947,17 @@ def class_number_analytic(D: int) -> int:
 
 
 # -- form counts for the imaginary scan -----------------------------------------
+
+def _imaginary_class_numbers(D: np.ndarray) -> np.ndarray:
+    """Class numbers of an int64 array of negative fundamental discriminants,
+    as int64 worked out in place, read off the form counts to the largest |D|."""
+    import numpy as np
+
+    h = np.negative(D)
+    h >>= 1  # n = -D is 0 or 3 mod 4, at [n >> 2, n & 1] of the counts: n >> 1 in their flat array
+    h[:] = _imaginary_form_counts(-int(D.min(initial=0))).reshape(-1)[h]
+    return h
+
 
 # Periodic rows are tiled to about this many entries, so each add over the
 # 2-D view runs long contiguous inner loops.

@@ -31,7 +31,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .errors import DegenerateCoefficients, DomainError, NonFinite, ZeroLogUnit
-from .wfunc import _TINY_Z, _branch_index, _lambert_w_log, _require_finite, lambert_w
+from .wfunc import _TINY_Z, _integer, _lambert_w_log, _require_finite, lambert_w
 
 __all__ = [
     "Case",
@@ -148,7 +148,7 @@ class UnitInput(_UnitFields):
         log_value: complex | None = None,
     ) -> "UnitInput":
         if type(log_branch) is not int:
-            log_branch = _branch_index(log_branch, "log_branch")
+            log_branch = _integer(log_branch, "log_branch")
         if epsilon is None:
             if log_value is None:
                 raise DomainError("need epsilon or log_value")
@@ -161,7 +161,7 @@ class UnitInput(_UnitFields):
                     raise ZeroLogUnit("epsilon = 1 has log 0")
                 if epsilon.real <= 1.0:
                     raise DomainError(f"real-case unit must exceed 1, got {epsilon!r}")
-            elif abs(epsilon) == 0.0:
+            elif epsilon == 0:
                 raise DomainError("complex case needs |epsilon| > 0")
         return tuple.__new__(cls, (epsilon, log_branch, case, log_value))
 
@@ -172,10 +172,10 @@ class UnitInput(_UnitFields):
     @classmethod
     def complex_unit(cls, epsilon: complex, log_branch: int = 0) -> "UnitInput":
         if type(log_branch) is not int:
-            log_branch = _branch_index(log_branch, "log_branch")
+            log_branch = _integer(log_branch, "log_branch")
         # __new__'s complex-case checks, without the call and its keywords
         epsilon = _require_finite(epsilon, "epsilon")
-        if abs(epsilon) == 0.0:
+        if epsilon == 0:
             raise DomainError("complex case needs |epsilon| > 0")
         return _tuple_new(cls, (epsilon, log_branch, _COMPLEX, None))
 
@@ -269,7 +269,7 @@ def solve_exp_linear(eq: ExpLinearEquation, k: int = 0) -> complex:
     DomainError.
     """
     if type(k) is not int:
-        k = _branch_index(k, "k")
+        k = _integer(k, "branch index k")
     return _exp_linear_root(eq.a, eq.b, eq.c, k)
 
 
@@ -290,7 +290,8 @@ def _exp_linear_root(a: complex, b: complex, c: complex, k: int) -> complex:
         arg = _exp_of_sum_with_log(a * c, -b * c)
         if arg is None:
             raise NonFinite(f"Lambert argument -B*C*exp(A*C) overflows: A*C = {a * c!r}") from None
-    if k and abs(arg) < _TINY_Z:
+    # |arg| is taken only where Re arg is tiny, so it cannot pass the float range
+    if k and -_TINY_Z < arg.real < _TINY_Z and abs(arg) < _TINY_Z:
         # A subnormal argument keeps only a few digits: pass its log instead.
         t = cmath.log(-b) + cmath.log(c) + a * c
         if not cmath.isfinite(t):  # A*C itself overflowed
@@ -318,7 +319,7 @@ def alpha_complex_case(u: UnitInput, j: int = 0, beta: float = 0.0) -> FixedPoin
     if u.case is not _COMPLEX:
         raise DomainError("alpha_complex_case needs a complex-case unit")
     if type(j) is not int:
-        j = _branch_index(j, "j")
+        j = _integer(j, "branch index j")
     beta = float(beta)
     log_eps = unit_log(u)
     try:
@@ -360,7 +361,7 @@ def alpha_real_case(
     if u.case is not _REAL:
         raise DomainError("alpha_real_case needs a real-case unit")
     if type(j) is not int:
-        j = _branch_index(j, "j")
+        j = _integer(j, "branch index j")
     if not isinstance(pairing, Pairing):
         pairing = Pairing(pairing)
     alpha, r_def, r1, r2, r_sum = _alpha_real(unit_log(u).real, j, pairing is _SAME_BRANCH)

@@ -19,10 +19,13 @@ regulator).
 Output is a pure function of the arguments, so scan output can be diffed
 and pinned in tests. numpy is imported where a scan first needs it.
 
+Every record carries the scan's log_branch: a real unit's log is real, so
+a real scan's only labels its records.
+
 read_rooted_records reads a scan's JSON back as a stream, for the
 correspondence table: it passes over runs of bare records with one match of
-a pattern built from the same JSON template, and decodes only the records
-that may carry a root. Records read back are dicts keyed by CSV_COLUMNS.
+a pattern built from the writers' split JSON template, and decodes only the
+records that may carry a root. Records read back are dicts keyed by CSV_COLUMNS.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from .errors import DomainError, TermLimitExceeded
 from .fields import (
     _check_size,
     _fundamental_discriminant_array,
-    _imaginary_form_counts,
+    _imaginary_class_numbers,
     _radicand_array,
     _real_class_numbers,
     _TORSION_UNITS,
@@ -52,8 +55,8 @@ from .fields import (
     _UnitColumns,
     roots_of_unity,
 )
-from .solver import Case, Pairing, UnitInput, _alpha_real, alpha_complex_case
-from .wfunc import _branch_index
+from .solver import Pairing, UnitInput, _alpha_real, alpha_complex_case
+from .wfunc import _integer
 
 __all__ = [
     "SurveySummary",
@@ -116,10 +119,10 @@ class _Batch:
     label, norm and log n*R of each from the unit columns. An imaginary
     scan gives the k-th attached field one root per torsion unit that has
     one (_has_root) of its group, of order torsion[k], with NaN for the
-    three residuals of the real case. The roots were computed at `branch`
-    and `log_branch`."""
+    three residuals of the real case. The roots were computed at `branch`,
+    and an imaginary scan's at `log_branch`; a real unit's log is real, so a
+    real scan's `log_branch` is a label only. Every record carries it."""
 
-    case: Case
     D: np.ndarray
     d: np.ndarray
     h: np.ndarray
@@ -136,7 +139,7 @@ class _Batch:
 
         if not isinstance(other, _Batch):
             return NotImplemented
-        fields = ("case", "branch", "log_branch", "units", "powers", "torsion")
+        fields = ("branch", "log_branch", "units", "powers", "torsion")
         return (
             [getattr(self, f) for f in fields] == [getattr(other, f) for f in fields]
             and self.roots.tobytes() == other.roots.tobytes()  # NaN != NaN: compare the bits
@@ -286,31 +289,25 @@ def scan_imaginary(limit: int, *, branch: int = 0, log_branch: int = 0) -> Surve
     """Scan fundamental D in [-limit, -3]; attach alpha to every h = 1 field.
 
     Discriminants and radicands come from the fundamental-discriminant
-    sieve, class numbers straight from the two residue classes of the
-    form-count sieve (fields._imaginary_form_counts); torsion units with a
-    usable log (nonzero under the configured log branch) each contribute an
-    alpha via the complex-case root formula, kept in the root array. limit
-    is taken as an int and may be at most fields._MAX_IMAG_D (10^7); a
-    larger one raises TermLimitExceeded at once, a negative one DomainError
-    (0 to 2 give the empty scan), as does a branch or log_branch that is not
-    integral.
+    sieve, class numbers from the form-count sieve
+    (fields._imaginary_class_numbers); torsion units with a usable log
+    (nonzero under the configured log branch) each contribute an alpha via
+    the complex-case root formula, kept in the root array. limit may be at
+    most fields._MAX_IMAG_D (10^7); a larger one raises TermLimitExceeded at
+    once, a negative one DomainError (0 to 2 give the empty scan), as does a
+    limit, branch or log_branch that is not integral.
     """
     import numpy as np
 
-    limit = int(limit)
-    branch, log_branch = _branch_index(branch, "branch"), _branch_index(log_branch, "log_branch")
+    limit = _integer(limit, "limit")
+    branch, log_branch = _integer(branch, "branch"), _integer(log_branch, "log_branch")
     if limit < 0:
         raise DomainError(f"limit {limit} is negative")
     _check_size(-limit)
-    # The sieve has already proved every D fundamental, so d and h are read
-    # off whole arrays, each worked out in place in its own: no int64
-    # temporary of their length.
+    # The sieve has proved every D fundamental: d and h are read off whole
+    # arrays, each worked out in place (no int64 temporary of their length).
     D = _fundamental_discriminant_array(-limit, -3)[::-1]  # -3 first, |D| ascending
-    # n = -D is 0 or 3 mod 4, and the form counts hold n at [n >> 2, n & 1],
-    # which is n >> 1 in their flat array
-    h = np.negative(D)
-    h >>= 1
-    h[:] = _imaginary_form_counts(limit).reshape(-1)[h]
+    h = _imaginary_class_numbers(D)
     d = _radicand_array(D)
     at = np.flatnonzero(h == 1)
     torsion = bytes(roots_of_unity(Di).n for Di in D[at].tolist())
@@ -329,7 +326,7 @@ def scan_imaginary(limit: int, *, branch: int = 0, log_branch: int = 0) -> Surve
         min_alpha_separation=min_sep,
         # each torsion unit has its own label
         distinct_unit_count=len({label for n in set(torsion) for label, _, _ in _TORSION_UNITS[n]}),
-        batch=_Batch(Case.COMPLEX, D, d, h, at, roots, branch, log_branch, torsion=torsion),
+        batch=_Batch(D, d, h, at, roots, branch, log_branch, torsion=torsion),
     )
 
 
@@ -357,12 +354,14 @@ def scan_real(
     pairing: Pairing = Pairing.CONJUGATE_BRANCH,
     unit_powers: int = 1,
     by_radicand: bool = False,
+    log_branch: int = 0,
 ) -> SurveySummary:
     """Scan fundamental D in [5, limit]; attach alpha to every h = 1 field.
 
     With by_radicand=True the range bounds the squarefree radicand d
     instead of the discriminant (so d <= limit, D possibly 4*limit).
-    count_h1 is a raw count; it grows without any claimed bound.
+    count_h1 is a raw count; it grows without any claimed bound. A real
+    unit's log is real, so log_branch only labels the records.
 
     The scan is columnar, like the imaginary one: D and d come from the
     fundamental-discriminant sieve, h and the unit columns from
@@ -372,12 +371,14 @@ def scan_real(
     with by_radicand=True; a larger one raises TermLimitExceeded at once.
     So does unit_powers times the number of fields above _MAX_REAL_ROOTS
     (2*10^6), right after the sieve. A negative limit or unit_powers, or a
-    branch that is not integral, raises DomainError.
+    limit, unit_powers, branch or log_branch that is not integral, raises
+    DomainError.
     """
     import numpy as np
 
-    limit, unit_powers, pairing = int(limit), int(unit_powers), Pairing(pairing)
-    branch = _branch_index(branch, "branch")
+    limit, unit_powers = _integer(limit, "limit"), _integer(unit_powers, "unit_powers")
+    branch, log_branch = _integer(branch, "branch"), _integer(log_branch, "log_branch")
+    pairing = Pairing(pairing)
     if min(limit, unit_powers) < 0:
         raise DomainError(f"limit {limit} and unit_powers {unit_powers} may not be negative")
     top = _MAX_REAL_SCAN // 4 if by_radicand else _MAX_REAL_SCAN
@@ -402,10 +403,7 @@ def scan_real(
     roots = array("d")
     for R in map(units.regulator.__getitem__, attached.tolist()):
         for n in range(1, unit_powers + 1):
-            L = n * R
-            if not 0.0 < L < math.inf:
-                UnitInput.from_log(L, case=Case.REAL)  # raises the error of an unusable log
-            alpha, r_def, r1, r2, r_sum = _alpha_real(L, branch, same_branch)
+            alpha, r_def, r1, r2, r_sum = _alpha_real(n * R, branch, same_branch)
             roots.extend((alpha.real, alpha.imag, r_def, r1, r2, r_sum))
     distinct_alpha, min_sep = _distinct_stats(*_alpha_columns(roots))
     return SurveySummary(
@@ -414,16 +412,11 @@ def scan_real(
         distinct_alpha_count=distinct_alpha,
         min_alpha_separation=min_sep,
         distinct_unit_count=len(at),
-        batch=_Batch(Case.REAL, D, d, h, attached, roots, branch, 0, units, unit_powers),
+        batch=_Batch(D, d, h, attached, roots, branch, log_branch, units, unit_powers),
     )
 
 
 # -- serialization -------------------------------------------------------------------
-
-def _record(values: tuple, log_branch) -> dict:
-    """The record of the values of CSV_COLUMNS but log_branch."""
-    return dict(zip(CSV_COLUMNS, (*values, log_branch)))
-
 
 def _plain_line(rec: dict) -> str:
     return "  ".join(f"{k}={rec[k]}" for k in CSV_COLUMNS if rec[k] is not None)
@@ -433,13 +426,15 @@ class _Format(NamedTuple):
     sep: str  # between two records
     lead: str  # before the first record, in place of sep
     render: Callable[[list[dict]], str]  # records, joined by sep
-    quote: Callable[[str], str]  # how a string value reads in the text of render
 
 
-# Strings no record holds, standing in for the integers (_HOLE), the unit
-# label (_LABEL_HOLE) and the floats (_FLOAT_HOLE) of a record while its
-# template is made.
-_HOLE, _LABEL_HOLE, _FLOAT_HOLE = "\x00", "\x01", "\x02"
+# Values no record holds, standing in for the integers (_HOLE), the floats
+# (_FLOAT_HOLE) and the unit label (_LABEL_HOLE) of a record while its
+# template is made. Each reads the same in all three formats: floats written
+# with an exponent, which no literal of a template holds (every number in it
+# is an int), and an ASCII mark that JSON quotes as it quotes any label.
+_HOLE, _FLOAT_HOLE, _LABEL_HOLE = 1e300, 2e300, "#"
+_HOLE_TEXT = re.compile("(%s)" % "|".join(re.escape(str(v)) for v in (_HOLE, _FLOAT_HOLE, _LABEL_HOLE)))
 
 # The values of a record but log_branch, as holes: a row without roots and
 # without a unit (imaginary, h != 1), and one with a real unit.
@@ -453,35 +448,22 @@ _ROOT = (_HOLE, _HOLE, 1, _LABEL_HOLE, _HOLE) + (_FLOAT_HOLE,) * 7
 _TORSION_ROOT = (_HOLE, _HOLE, 1, _LABEL_HOLE, None, None) + (_FLOAT_HOLE,) * 3 + (None,) * 3
 _TORSION = (_HOLE, _HOLE, 1, _LABEL_HOLE) + (None,) * 8
 
-_JSON = _Format(", ", "", lambda recs: json.dumps(recs)[1:-1], json.dumps)
-_CSV = _Format("\n", "\n", lambda recs: "\n".join([csv_line(r, CSV_COLUMNS) for r in recs]), str)
-_PLAIN = _Format("\n", "\n", lambda recs: "\n".join(map(_plain_line, recs)), str)
+_JSON = _Format(", ", "", lambda recs: json.dumps(recs)[1:-1])
+_CSV = _Format("\n", "\n", lambda recs: "\n".join([csv_line(r, CSV_COLUMNS) for r in recs]))
+_PLAIN = _Format("\n", "\n", lambda recs: "\n".join(map(_plain_line, recs)))
 
 
-def _template(fmt: _Format, holes: tuple, log_branch: int) -> str:
-    """fmt's text of the record of `holes` (the values but log_branch, as
-    holes) as a %-template: %d for an integer, %s for the unit label, %r
-    for a float."""
-    text = fmt.render([_record(holes, log_branch)]).replace("%", "%%")
-    for hole, spec in ((_HOLE, "%d"), (_LABEL_HOLE, fmt.quote("%s")), (_FLOAT_HOLE, "%r")):
-        text = text.replace(fmt.quote(hole), spec)
-    return text
-
-
-# A row template split at its holes: the pieces of one row, fmt.sep first
-# and None at each hole, and the positions of the holes.
+# A row template split at its holes: the pieces of one row, fmt.sep first,
+# and the positions of the holes.
 _Split = tuple[list, list[int]]
 
 
-def _split(fmt: _Format, holes: tuple, log_branch: int) -> _Split:
-    """fmt's text of a row of `holes` after fmt.sep, split at its holes."""
-    pieces = re.split("%(.)", _template(fmt, holes, log_branch))
-    row, slots = [fmt.sep + pieces[0]], []
-    for spec, literal in zip(pieces[1::2], pieces[2::2]):
-        if spec != "%":  # else an escaped "%", kept as text
-            slots.append(len(row))
-        row += ["%" if spec == "%" else None, literal]
-    return row, slots
+def _split(fmt: _Format, holes: tuple, log_branch) -> _Split:
+    """fmt's text of a row of `holes` (the values but log_branch, as holes)
+    after fmt.sep, cut at the text of its holes: the literals, with each
+    hole's own text between two of them, and the positions of the holes."""
+    row = _HOLE_TEXT.split(fmt.sep + fmt.render([dict(zip(CSV_COLUMNS, (*holes, log_branch)))]))
+    return row, list(range(1, len(row), 2))
 
 
 def _fill(split: _Split, n: int, cols: Iterable[Iterable[str]]) -> list[str]:
@@ -580,14 +562,11 @@ def _torsion_root_texts(
 _JSON_CHUNK_ROWS = 512
 
 
-def _row_text(
-    summary: SurveySummary, log_branch: int | None, fmt: _Format, first: str, last: str
-) -> Iterator[str]:
+def _row_text(summary: SurveySummary, fmt: _Format, first: str, last: str) -> Iterator[str]:
     """first, fmt's text of each row's records after fmt.sep (the first after
     fmt.lead) in scan order, then last: in pieces of the rows of up to
     _JSON_CHUNK_ROWS fields, cut again before each later group of root rows
-    (_real_root_texts). The records' log_branch is the scan's own
-    (batch.log_branch) when log_branch is None.
+    (_real_root_texts). The records carry the scan's batch.log_branch.
 
     The fields of a piece fill the bare template split at its holes, once
     per bare row; each column of the bare rows fills its holes by one slice
@@ -603,9 +582,7 @@ def _row_text(
     import numpy as np
 
     b, units = summary.batch, summary.batch.units
-    if log_branch is None:
-        log_branch = b.log_branch
-    row, slots = _split(fmt, _BARE if units is None else _BARE_UNIT, log_branch)
+    row, slots = _split(fmt, _BARE if units is None else _BARE_UNIT, b.log_branch)
     # h fills the third hole (CSV_COLUMNS starts D, d, h): one table entry
     # per value up to the scan's largest h, the text from the literal before
     # the hole to the literal after it, stands for all three pieces
@@ -618,11 +595,11 @@ def _row_text(
     convs = (repr, repr, h_text.__getitem__, None, repr, repr)
     w, at = len(row), b.index
     if units is None:
-        rooted, rootless = (_split(fmt, (*holes, branch), log_branch)
+        rooted, rootless = (_split(fmt, (*holes, branch), b.log_branch)
                             for holes, branch in ((_TORSION_ROOT, b.branch), (_TORSION, None)))
         root_texts = partial(_torsion_root_texts, b, rooted, rootless)
     else:
-        root_texts = partial(_real_root_texts, b, _split(fmt, (*_ROOT, b.branch), log_branch))
+        root_texts = partial(_real_root_texts, b, _split(fmt, (*_ROOT, b.branch), b.log_branch))
 
     def chunks() -> Iterator[str]:  # the text of the rows, each row after fmt.sep
         for i in range(0, len(b.D), _JSON_CHUNK_ROWS):
@@ -665,16 +642,13 @@ def _row_text(
     yield last
 
 
-def iter_summary_json(
-    summary: SurveySummary, log_branch: int | None = None, trailer: dict | None = None
-) -> Iterator[str]:
+def iter_summary_json(summary: SurveySummary, *, trailer: dict | None = None) -> Iterator[str]:
     """The summary as one JSON object, in pieces that concatenate to it.
 
     The text equals json.dumps of the object with "rows" (the row records)
     after the summary keys and the keys of `trailer` after "rows". Records
     are written a bounded number of rows at a time, so a large scan is never
-    held as one string or one list of records. log_branch labels the
-    records; by default it is the log branch the scan used.
+    held as one string or one list of records.
     """
     head = json.dumps({
         "range": list(summary.range),
@@ -684,28 +658,26 @@ def iter_summary_json(
         "distinct_unit_count": summary.distinct_unit_count,
     })
     tail = "]" + (", " + json.dumps(trailer)[1:] if trailer else "}")
-    return _row_text(summary, log_branch, _JSON, head[:-1] + ', "rows": [', tail)
+    return _row_text(summary, _JSON, head[:-1] + ', "rows": [', tail)
 
 
-def summary_to_json(summary: SurveySummary, log_branch: int | None = None) -> str:
-    return "".join(iter_summary_json(summary, log_branch))
+def summary_to_json(summary: SurveySummary) -> str:
+    return "".join(iter_summary_json(summary))
 
 
-def iter_summary_csv(summary: SurveySummary, log_branch: int | None = None) -> Iterator[str]:
+def iter_summary_csv(summary: SurveySummary) -> Iterator[str]:
     """The row records as CSV, in pieces that concatenate to records_to_csv
-    of the "rows" of summary_to_json(summary, log_branch), log_branch by
-    default the scan's own."""
-    return _row_text(summary, log_branch, _CSV, ",".join(CSV_COLUMNS), "\n")
+    of the "rows" of summary_to_json(summary)."""
+    return _row_text(summary, _CSV, ",".join(CSV_COLUMNS), "\n")
 
 
-def iter_summary_plain(summary: SurveySummary, log_branch: int | None = None) -> Iterator[str]:
+def iter_summary_plain(summary: SurveySummary) -> Iterator[str]:
     """A line of summary counts, then one line per row record with its
-    non-empty columns as key=value, in pieces; log_branch by default the
-    scan's own."""
+    non-empty columns as key=value, in pieces."""
     first = (f"range {summary.range[0]}..{summary.range[1]}  fields_h1={summary.count_h1}  "
              f"distinct_alpha={summary.distinct_alpha_count}  "
              f"distinct_units={summary.distinct_unit_count}")
-    return _row_text(summary, log_branch, _PLAIN, first, "\n")
+    return _row_text(summary, _PLAIN, first, "\n")
 
 
 def records_to_csv(records: Iterable[dict], columns: Sequence[str] = CSV_COLUMNS) -> str:
@@ -716,29 +688,29 @@ def records_to_csv(records: Iterable[dict], columns: Sequence[str] = CSV_COLUMNS
 # -- reading scan JSON back ------------------------------------------------------------
 
 # A run of bare records in a scan's JSON: the JSON template of a bare row,
-# with a pattern of JSON's grammar for each of its holes (an integer for D,
-# d, h, the norm and log_branch, a string without escapes for a unit label,
-# a number for a regulator), repeated with its separators. Text it matches
-# is records whose alpha_re is null, which the correspondence table skips.
-# Every repeat is possessive, so a match saves no backtrack point per row:
-# each repeated class is followed by a character it cannot hold, and
-# nothing follows the run, so the match is the one a greedy repeat finds.
-# _BARE_RUN matches the rows of an imaginary scan, _BARE_UNIT_RUN those of a
-# real scan, which carry a unit.
+# split at its holes as the writers split it, with each literal escaped and
+# a pattern of JSON's grammar for each hole (an integer for D, d, h, the norm
+# and log_branch, the text of a string without escapes for a unit label,
+# whose quotes are literals, a number for a regulator), repeated with its
+# separators. Text it matches is records whose alpha_re is null, which the
+# correspondence table skips. Every repeat is possessive, so a match saves
+# no backtrack point per row: each repeated class is followed by a
+# character it cannot hold, and nothing follows the run, so the match is
+# the one a greedy repeat finds. _BARE_RUN matches the rows of an imaginary
+# scan, _BARE_UNIT_RUN those of a real scan, which carry a unit.
 _JSON_WS = "[ \t\n\r]*+"
 # [0-9]: a str pattern's \d takes any Unicode digit
 _JSON_INT = r"-?(?:0|[1-9][0-9]*+)"
-_HOLE_GRAMMAR = (
-    (_HOLE, _JSON_INT),
-    (_LABEL_HOLE, r'"[^"\\\x00-\x1f]*+"'),
-    (_FLOAT_HOLE, _JSON_INT + r"(?:\.[0-9]++)?(?:[eE][-+]?[0-9]++)?"),
-)
+_HOLE_GRAMMAR = {
+    str(_HOLE): _JSON_INT,
+    str(_FLOAT_HOLE): _JSON_INT + r"(?:\.[0-9]++)?(?:[eE][-+]?[0-9]++)?",
+    _LABEL_HOLE: r'[^"\\\x00-\x1f]*+',
+}
 
 
 def _bare_run(holes: tuple) -> re.Pattern:
-    text = re.escape(_JSON.render([_record(holes, _HOLE)]))
-    for hole, grammar in _HOLE_GRAMMAR:
-        text = text.replace(re.escape(_JSON.quote(hole)), grammar)
+    row, _ = _split(_JSON._replace(sep=""), holes, _HOLE)
+    text = "".join(_HOLE_GRAMMAR[p] if k % 2 else re.escape(p) for k, p in enumerate(row))
     return re.compile("(?:{ws}{}{ws},){{1,1024}}+".format(text, ws=_JSON_WS))
 
 

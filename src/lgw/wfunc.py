@@ -128,8 +128,9 @@ def _require_finite(z: complex, what: str) -> complex:
     return z
 
 
-def _branch_index(k, what: str) -> int:
-    """k as an int; DomainError naming it as `what` unless k is integral.
+def _integer(k, what: str) -> int:
+    """k as an int; DomainError naming it as `what` unless k is integral: the
+    rule of a branch index and of a count (a scan's sizes, w_series' terms).
 
     Bools, numpy integers and integral floats are; 1.5, nan, inf and "1"
     are not. The per-query callers test type(k) is not int first, so an int
@@ -140,7 +141,7 @@ def _branch_index(k, what: str) -> int:
     except (TypeError, ValueError, OverflowError):
         i = None
     if i is None or i != k:
-        raise DomainError(f"branch index {what} must be an integer; got {k!r}")
+        raise DomainError(f"{what} must be an integer; got {k!r}")
     return i
 
 
@@ -271,8 +272,11 @@ def lambert_w(k: int, z: complex) -> WEvaluation:
     if not _cisfinite(z):
         raise NonFinite(f"non-finite argument {z!r}")
     if type(k) is not int:
-        k = _branch_index(k, "k")
-    r = abs(z)  # 0 only at z = 0
+        k = _integer(k, "branch index k")
+    try:
+        r = abs(z)  # 0 only at z = 0
+    except OverflowError:  # finite parts whose modulus is past the float range
+        raise NonFinite(f"the modulus of the argument {z!r} is past the float range") from None
     if r == 0.0:
         if k == 0:
             return WEvaluation(0j, 0, 0.0, 0)
@@ -375,12 +379,13 @@ def w_series(z: complex, n_terms: int) -> complex:
 
     Converges for |z| < 1/e. Coefficients are formed from exact integers,
     so each term is correctly rounded; n_terms is capped at 170 where the
-    float dynamic range of the coefficients runs out.
+    float dynamic range of the coefficients runs out. An n_terms that is not
+    integral raises DomainError.
     """
     from fractions import Fraction
 
     z = _require_finite(z, "argument")
-    n_terms = int(n_terms)
+    n_terms = _integer(n_terms, "n_terms")
     if n_terms < 1:
         raise TermLimitExceeded("n_terms must be >= 1")
     if n_terms > 170:

@@ -282,12 +282,10 @@ class TestScanCommand:
         if mode == "imaginary":
             s = scan_imaginary(limit, branch=branch, log_branch=log_branch)
         else:
-            s = scan_real(limit, branch=branch, pairing=Pairing.CONJUGATE_BRANCH)
+            s = scan_real(limit, branch=branch, pairing=Pairing.CONJUGATE_BRANCH, log_branch=log_branch)
         conventions = {"branch": branch, "log_branch": log_branch,
                        "pairing": "conjugate-branch", "tolerance": 1e-10}
-        expected = json.dumps(
-            {**json.loads(summary_to_json(s, log_branch)), "conventions": conventions}
-        ) + "\n"
+        expected = json.dumps({**json.loads(summary_to_json(s)), "conventions": conventions}) + "\n"
         assert out == expected
 
     @pytest.mark.parametrize("argv, want", [
@@ -411,6 +409,30 @@ class TestDomainLimits:
         assert "overflows" in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("argv", [
+        ["w", "--re", "1.7e308", "--im", "1.7e308"],
+        ["w", "--re", "-1.7e308", "--im", "1.7e308", "--branch", "-1"],
+        ["solve", "--a-re", "0", "--b-re", "1.7e308", "--b-im", "1.7e308", "--c-re", "1", "--branch", "1"],
+        ["solve", "--a-re", "0", "--b-re", "1.7e308", "--b-im", "1.7e308", "--c-re", "1"],
+    ], ids=["w", "w-branch", "solve-branch", "solve"])
+    def test_a_modulus_past_the_float_range_is_a_domain_error(self, capsys, argv):
+        # finite parts whose modulus overflows: exit 2, not a traceback
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "float range" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--a-re", "1.7e308", "--a-im", "1.7e308", "--b-re", "1.7e308", "--c-re", "0", "--c-im", "1"],
+        ["alpha", "--case", "complex", "--eps-re", "1.7e308", "--eps-im", "1.7e308"],
+    ], ids=["solve-root", "alpha-unit"])
+    def test_a_value_past_the_float_range_in_modulus_is_still_answered(self, capsys, argv):
+        # a root, or a unit, whose modulus overflows, with finite parts: its
+        # residual is checked, and the command answers
+        code, obj = run_json(capsys, argv)
+        assert code == 0
+        assert all(math.isfinite(v) for v in obj.values() if isinstance(v, float))
+
     @pytest.mark.parametrize("argv, key", [
         (["solve", "--a-re", "800", "--b-re", "1e-300", "--c-re", "1"], "residual"),
         (["alpha", "--case", "complex", "--log-eps-re", "1.1e-308", "--branch", "1"],
@@ -501,7 +523,14 @@ class TestDomainLimits:
 
 _PARSER = _build_parser()
 _COMMANDS = next(a for a in _PARSER._actions if isinstance(a, argparse._SubParsersAction)).choices
-_FLOAT = st.one_of(st.floats(-10.0, 10.0), st.floats(-1e308, 1e308))
+# Beside the two ranges, the edges of float: +-1.7e308, whose modulus as
+# both parts of a complex number is past the float range, subnormals and
+# both zeros.
+_FLOAT = st.one_of(
+    st.floats(-10.0, 10.0),
+    st.floats(-1e308, 1e308),
+    st.sampled_from([1.7e308, -1.7e308, 5e-324, 2.2e-308, 0.0, -0.0]),
+)
 
 
 def _flag_value(action):
@@ -588,7 +617,7 @@ def _check_parses(text, fmt):
 
 
 class TestPointCommandFuzz:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=1000, deadline=None)
     @given(argv=_point_argv())
     def test_exit_contract(self, argv):
         out, err = io.StringIO(), io.StringIO()

@@ -546,6 +546,14 @@ class TestClassNumberForms:
         with pytest.raises(NotFundamental):
             class_number(15)
 
+    def test_batched_imaginary_class_numbers(self):
+        # the scan's class numbers, in the scan's order (|D| ascending), read
+        # off the form counts, against the walk over b of one D at a time
+        D = np.array(fundamental_discriminants(-3000, -3)[::-1], dtype=np.int64)
+        h = lgw.fields._imaginary_class_numbers(D)
+        assert h.dtype == np.int64 and h.tolist() == [class_number(int(Di)) for Di in D]
+        assert lgw.fields._imaginary_class_numbers(D[:0]).tolist() == []
+
     def test_imaginary_ceiling_is_a_term_limit(self, monkeypatch):
         # the check comes before any other: not even the squarefree test runs
         monkeypatch.setattr(lgw.fields, "is_squarefree", None)

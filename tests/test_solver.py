@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lgw import solver, wfunc
-from lgw.errors import DegenerateCoefficients, DomainError, ZeroLogUnit
+from lgw.errors import DegenerateCoefficients, DomainError, NonFinite, ZeroLogUnit
 from lgw.solver import (
     Case,
     ExpLinearEquation,
@@ -42,6 +42,21 @@ class TestSolveExpLinear:
         z = solve_exp_linear(eq, 0)
         assert abs(z - EXP_FIXED_POINT) < 1e-12
         assert eq.residual(z) <= 1e-10 * (1 + abs(z))
+
+    @pytest.mark.parametrize("k", [0, 1, -1, 3])
+    def test_lambert_argument_past_the_float_range(self, k):
+        # -B*C*exp(A*C) has finite parts whose modulus overflows
+        eq = ExpLinearEquation(0, complex(1.7e308, 1.7e308), 1)
+        with pytest.raises(NonFinite, match="float range"):
+            solve_exp_linear(eq, k)
+
+    def test_unit_past_the_float_range_in_modulus(self):
+        # |eps| overflows, its log does not
+        eps = complex(1.7e308, 1.7e308)
+        for u in (UnitInput.complex_unit(eps), UnitInput(eps)):
+            assert u.epsilon == eps
+        rep = alpha_complex_case(UnitInput.complex_unit(eps), 1)
+        assert rep.residual_defining <= 1e-10
 
     def test_degenerate_coefficients(self):
         with pytest.raises(DegenerateCoefficients):

@@ -40,9 +40,9 @@ HEEGNER_RADICANDS = [-163, -67, -43, -19, -11, -7, -3, -2, -1]
 H1_RADICANDS_TO_40 = [2, 3, 5, 6, 7, 11, 13, 14, 17, 19, 21, 22, 23, 29, 31, 33, 37, 38]
 
 
-def records(summary, log_branch=None) -> list[dict]:
+def records(summary) -> list[dict]:
     """The row records of a scan, as its JSON gives them."""
-    return json.loads(summary_to_json(summary, log_branch))["rows"]
+    return json.loads(summary_to_json(summary))["rows"]
 
 
 def rooted(summary) -> list[dict]:
@@ -108,6 +108,18 @@ class TestScanImaginary:
     def test_non_integral_branch_is_a_domain_error(self, branches):
         with pytest.raises(DomainError, match="branch"):
             scan_imaginary(100, **branches)
+
+    @pytest.mark.parametrize("limit", [50.7, math.nan, math.inf, "50"])
+    def test_non_integral_limit_is_a_domain_error(self, limit):
+        # a limit is read by the rule of a branch index, not truncated
+        with pytest.raises(DomainError, match="limit"):
+            scan_imaginary(limit)
+
+    def test_integral_limits_are_taken_as_ints(self):
+        want = summary_to_json(scan_imaginary(50))
+        for limit in (50.0, np.int64(50), np.float64(50.0)):
+            s = scan_imaginary(limit)
+            assert s.range == (-50, -3) and summary_to_json(s) == want
 
     def test_integral_branches_are_recorded_as_ints(self):
         s = scan_imaginary(100, branch=np.int64(1), log_branch=-1.0)
@@ -184,32 +196,36 @@ class TestScanImaginary:
 
     def test_integer_like_conventions_write_plain_ints(self):
         # numpy integers and bools are taken as the ints they stand for
-        plain = summary_to_json(scan_imaginary(20, branch=-1, log_branch=1), 1)
+        plain = summary_to_json(scan_imaginary(20, branch=-1, log_branch=1))
         assert_same_text(
-            summary_to_json(scan_imaginary(20, branch=np.int64(-1), log_branch=np.int64(1)), 1), plain
+            summary_to_json(scan_imaginary(20, branch=np.int64(-1), log_branch=np.int64(1))), plain
         )
         assert_same_text(
-            summary_to_json(scan_imaginary(20, branch=True, log_branch=True), 1),
-            summary_to_json(scan_imaginary(20, branch=1, log_branch=1), 1),
+            summary_to_json(scan_imaginary(20, branch=True, log_branch=True)),
+            summary_to_json(scan_imaginary(20, branch=1, log_branch=1)),
         )
         assert_same_text(
             "".join(iter_summary_csv(scan_imaginary(20, branch=np.int32(2)))),
             "".join(iter_summary_csv(scan_imaginary(20, branch=2))),
         )
 
-    def test_writers_default_to_the_scans_log_branch(self):
-        # without a log_branch argument the records carry the one the roots
-        # were computed at, so the unit 1 reads log eps = 2*pi*i
+    def test_writers_take_the_scans_log_branch(self):
+        # every writer labels the records with the log branch the roots were
+        # computed at, so the unit 1 reads log eps = 2*pi*i
         s = scan_imaginary(20, log_branch=1)
+        want = imaginary_scan_oracle(20, log_branch=1)
         rows = json.loads(summary_to_json(s))["rows"]
-        assert rows and {r["log_branch"] for r in rows} == {1}
-        assert_same_text(summary_to_json(s), summary_to_json(s, 1))
-        assert_same_text("".join(iter_summary_csv(s)), "".join(iter_summary_csv(s, 1)))
-        assert_same_text("".join(iter_summary_plain(s)), "".join(iter_summary_plain(s, 1)))
+        assert rows == want["rows"] and {r["log_branch"] for r in rows} == {1}
+        assert_same_text("".join(iter_summary_csv(s)), csv_text(want["rows"]))
+        assert_same_text("".join(iter_summary_plain(s)), plain_text(want))
         ones = [e for e in correspondence_table(rows).entries if e["unit"] == "1"]
         assert ones and all((e["log_eps_re"], e["log_eps_im"]) == (0.0, 2 * math.pi) for e in ones)
-        oracle = imaginary_scan_oracle(20, log_branch=1)["rows"]
-        assert ones == [e for e in correspondence_table(oracle).entries if e["unit"] == "1"]
+
+    def test_the_trailer_is_a_keyword(self):
+        # a log branch passed where the writers once took one is an error,
+        # not a trailer
+        with pytest.raises(TypeError):
+            iter_summary_json(scan_imaginary(20), 1)
 
     def test_ceiling_is_a_term_limit(self, monkeypatch):
         # raised before any sieve runs
@@ -269,6 +285,24 @@ class TestScanReal:
     def test_non_integral_branch_is_a_domain_error(self, branch):
         with pytest.raises(DomainError, match="branch"):
             scan_real(100, branch=branch)
+        with pytest.raises(DomainError, match="log_branch"):
+            scan_real(100, log_branch=branch)
+
+    @pytest.mark.parametrize("limit, unit_powers, what", [
+        (100.9, 1, "limit"), (math.inf, 1, "limit"), ("100", 1, "limit"),
+        (20, 1.5, "unit_powers"), (20, math.nan, "unit_powers"),
+    ])
+    def test_non_integral_counts_are_domain_errors(self, limit, unit_powers, what):
+        # counts are read by the rule of a branch index, not truncated
+        with pytest.raises(DomainError, match=what):
+            scan_real(limit, unit_powers=unit_powers)
+
+    def test_integral_counts_are_taken_as_ints(self):
+        want = summary_to_json(scan_real(100, unit_powers=2))
+        for limit, unit_powers in ((100.0, 2.0), (np.int64(100), np.int32(2)), (np.float64(100.0), 2)):
+            s = scan_real(limit, unit_powers=unit_powers)
+            assert (s.range, s.batch.powers) == ((5, 100), 2) and summary_to_json(s) == want
+        assert summary_to_json(scan_real(100, unit_powers=True)) == summary_to_json(scan_real(100))
 
     def test_integral_branch_is_recorded_as_int(self):
         s = scan_real(100, branch=-2.0)
@@ -547,14 +581,15 @@ class TestSerialization:
             assert any(c[0] in at for c in mixed) and any(c[-1] in at for c in mixed)
 
     def test_a_shifted_log_branch_relabels_the_records(self):
-        # the writers' log_branch argument labels the records, whatever
-        # branch the roots were computed at
-        s = scan_imaginary(200)
-        want = imaginary_scan_oracle(200)
+        # a real unit's log is real: a real scan's log_branch changes no root
+        # and labels every record
+        s = scan_real(300, log_branch=3)
+        assert s.batch.log_branch == 3 and s.batch.roots == scan_real(300).batch.roots
+        want = real_scan_oracle(300)
         want["rows"] = [{**r, "log_branch": 3} for r in want["rows"]]
-        assert_same_text(summary_to_json(s, 3), json.dumps(want))
-        assert_same_text("".join(iter_summary_csv(s, 3)), csv_text(want["rows"]))
-        assert_same_text("".join(iter_summary_plain(s, 3)), plain_text(want))
+        assert_same_text(summary_to_json(s), json.dumps(want))
+        assert_same_text("".join(iter_summary_csv(s)), csv_text(want["rows"]))
+        assert_same_text("".join(iter_summary_plain(s)), plain_text(want))
 
     def test_json_round_trip(self):
         s = scan_imaginary(50)
@@ -798,7 +833,7 @@ class TestReadRootedRecords:
 
     @pytest.mark.parametrize("chunk", [1, 7, 4096, None])
     @pytest.mark.parametrize("text", [
-        summary_to_json(scan_imaginary(2000, log_branch=1), 1),
+        summary_to_json(scan_imaginary(2000, log_branch=1)),
         summary_to_json(scan_imaginary(300, branch=-1)),
         summary_to_json(scan_real(120, unit_powers=2)),
         summary_to_json(scan_imaginary(2)),

@@ -61,6 +61,14 @@ class TestErrors:
         with pytest.raises(NonFinite):
             lambert_w(0, complex(1, math.inf))
 
+    @pytest.mark.parametrize("z", [complex(1.7e308, 1.7e308), complex(-1.7e308, 1.7e308),
+                                   complex(1.7e308, -1.7e308), complex(-1.7e308, -1.7e308)])
+    @pytest.mark.parametrize("k", [0, 1, -1, 2, -5])
+    def test_modulus_past_the_float_range(self, k, z):
+        # finite parts, but |z| overflows: NonFinite, not OverflowError
+        with pytest.raises(NonFinite, match="float range"):
+            lambert_w(k, z)
+
     def test_branch_singularity(self):
         with pytest.raises(BranchSingularity):
             lambert_w(3, 0)
@@ -519,6 +527,17 @@ class TestSeries:
         for _ in range(100):
             z = 0.2 * cmath.exp(1j * rng.uniform(-math.pi, math.pi)) * rng.uniform(0.1, 1.0)
             assert abs(w_series(z, 40) - lambert_w(0, z).value) <= 1e-10
+
+    @pytest.mark.parametrize("n_terms", [3.7, math.nan, math.inf, "3"])
+    def test_non_integral_terms_are_a_domain_error(self, n_terms):
+        # n_terms is read by the rule of a branch index, not truncated
+        with pytest.raises(DomainError, match="n_terms"):
+            w_series(0.1, n_terms)
+
+    def test_integral_terms_are_taken_as_ints(self):
+        for n_terms in (3.0, np.int64(3), np.float64(3.0)):
+            assert w_series(0.1, n_terms) == w_series(0.1, 3)
+        assert w_series(0.1, True) == w_series(0.1, 1)
 
     def test_term_limit(self):
         with pytest.raises(TermLimitExceeded):
