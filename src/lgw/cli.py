@@ -89,7 +89,7 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("alpha", help="fixed-point root alpha for a unit")
     add_unit(sp)
     sp.add_argument("--beta", type=float, default=0.0,
-                    help="auxiliary constant; cancels in the root (default 0)")
+                    help="complex case: auxiliary constant; cancels in the root (default 0)")
     add_common(sp, pairing=True, log_branch=True)
 
     sp = sub.add_parser("unit", help="fundamental unit of Q(sqrt(d))")
@@ -127,6 +127,21 @@ def _build_parser() -> _Parser:
     return p
 
 
+# Flags one case alone reads, by dest: that case, and the default that leaves
+# the flag unset. Set with the other case, a flag would be ignored.
+_CASE_FLAGS = {"d": ("real", None), "beta": ("complex", 0.0), "pairing": ("real", "conjugate-branch"),
+               "powers": ("real", 1), "by_radicand": ("real", False)}
+
+
+def _check_case_flags(ns) -> None:
+    """UsageError naming a flag set with the case (scan's --imaginary is the
+    complex one) that does not read it."""
+    case = ("real" if ns.real else "complex") if ns.command == "scan" else getattr(ns, "case", None)
+    for dest, (only, default) in _CASE_FLAGS.items():
+        if case not in (None, only) and getattr(ns, dest, default) != default:
+            raise UsageError(f"--{dest.replace('_', '-')} applies to the {only} case only")
+
+
 def _tolerance(ns) -> float:
     """The residual tolerance: --tolerance, checked in run, or the default."""
     return _DEFAULT_TOL if ns.tolerance is None else ns.tolerance
@@ -157,24 +172,26 @@ def _emit(obj, ns) -> None:
 
 
 def _unit_input(ns) -> solver.UnitInput:
+    """The unit of alpha and verify; a real one keeps its imaginary part, for
+    UnitInput to reject. run has rejected --d with the complex case."""
     from . import solver
 
     case = solver.Case(ns.case)
-    if ns.d is not None and case is solver.Case.REAL:
+    if ns.d is not None:
         from . import fields
 
-        fu = fields.fundamental_unit(ns.d)
-        return solver.UnitInput.from_log(fu.regulator, case=solver.Case.REAL)
+        return solver.UnitInput.from_log(fields.fundamental_unit(ns.d).regulator, case=case)
     if ns.log_eps_re is not None:
         val = complex(ns.log_eps_re, ns.log_eps_im)
         if case is solver.Case.REAL:
-            return solver.UnitInput.from_log(val.real, case=case)
+            return solver.UnitInput.from_log(val, case=case)
         return solver.UnitInput(epsilon=None, log_branch=ns.log_branch, case=case, log_value=val)
     if ns.eps_re is None:
         raise UsageError("need --eps-re/--eps-im, --log-eps-re/--log-eps-im, or --d")
+    eps = complex(ns.eps_re, ns.eps_im)
     if case is solver.Case.REAL:
-        return solver.UnitInput.real_unit(ns.eps_re)
-    return solver.UnitInput.complex_unit(complex(ns.eps_re, ns.eps_im), ns.log_branch)
+        return solver.UnitInput(eps, case=case)
+    return solver.UnitInput.complex_unit(eps, ns.log_branch)
 
 
 def _cmd_w(ns) -> int:
@@ -355,6 +372,7 @@ def run(argv: list[str]) -> int:
         ns = parser.parse_args(argv)
         if ns.tolerance is not None and not (1e-15 <= ns.tolerance <= 1e-6):
             raise UsageError(f"--tolerance must lie in [1e-15, 1e-6], got {ns.tolerance}")
+        _check_case_flags(ns)
         return _DISPATCH[ns.command](ns)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -6,16 +6,15 @@ alpha of the unit layer: one per torsion unit for imaginary fields, one per
 fundamental-unit power for real fields.
 
 A scan keeps its fields as a columnar batch: int64 columns D, d and h for
-every field, for a real scan the unit columns (x, y, half-integrality, norm
-and regulator) of every field, and the roots of the attached (h = 1) fields
-in one float64 array, six values a root: alpha, its defining residual and
-the three residuals of the real case. There is no row object and no record
-per root: the writers (iter_summary_json, iter_summary_csv,
+every field; a real scan also the unit columns (x, y, half-integrality,
+norm and regulator) of every field and the roots of its attached (h = 1)
+fields in one float64 array, six values a root (alpha, its defining
+residual and the three residuals of the real case); an imaginary scan the
+records of each torsion group of its attached fields, built once. There is
+no row object: the writers (iter_summary_json, iter_summary_csv,
 iter_summary_plain) fill the templates of their format a column at a time,
-for a chunk of rows at once; the bare rows take their values from the
-columns, and the root rows from the root array and the columns of their
-field (D, d, the unit label and its powers, the norm and n times the
-regulator).
+for a chunk of rows at once, from the columns and a real scan's root array,
+and render an imaginary attached field as its group's records.
 Output is a pure function of the arguments, so scan output can be diffed
 and pinned in tests. numpy is imported where a scan first needs it.
 
@@ -112,37 +111,36 @@ _ROOT_FLOATS = 6
 
 @dataclass(frozen=True, eq=False)
 class _Batch:
-    """The fields of a scan, in scan order: the columns, the ascending index
-    of the attached fields into them, and their roots, _ROOT_FLOATS floats a
-    root in `roots`, field after field. A real scan gives each attached
-    field `powers` roots, one per power n of its unit; the writers take the
-    label, norm and log n*R of each from the unit columns. An imaginary
-    scan gives the k-th attached field one root per torsion unit that has
-    one (_has_root) of its group, of order torsion[k], with NaN for the
-    three residuals of the real case. The roots were computed at `branch`,
-    and an imaginary scan's at `log_branch`; a real unit's log is real, so a
-    real scan's `log_branch` is a label only. Every record carries it."""
+    """The fields of a scan, in scan order: the columns and the ascending
+    index of the attached fields into them. A real scan gives each attached
+    field `powers` roots, one per power n of its unit, _ROOT_FLOATS floats a
+    root in `roots`, field after field; the writers take the label, norm and
+    log n*R of each from the unit columns. An imaginary scan gives the k-th
+    attached field the records of its torsion group, groups[torsion[k]],
+    with its own D and d. The roots were computed at `branch`, and an
+    imaginary scan's at `log_branch`; a real unit's log is real, so a real
+    scan's `log_branch` is a label only. Every record carries it."""
 
     D: np.ndarray
     d: np.ndarray
     h: np.ndarray
     index: np.ndarray
-    roots: array
     branch: int
     log_branch: int
+    roots: array | None = None
     units: _UnitColumns | None = None
     powers: int = 0
     torsion: bytes = b""
+    groups: dict[int, list[dict]] | None = None
 
     def __eq__(self, other):  # arrays compare element by element: a generated __eq__ would raise
         import numpy as np
 
         if not isinstance(other, _Batch):
             return NotImplemented
-        fields = ("branch", "log_branch", "units", "powers", "torsion")
+        fields = ("branch", "log_branch", "roots", "units", "powers", "torsion", "groups")
         return (
             [getattr(self, f) for f in fields] == [getattr(other, f) for f in fields]
-            and self.roots.tobytes() == other.roots.tobytes()  # NaN != NaN: compare the bits
             and all(np.array_equal(getattr(self, c), getattr(other, c)) for c in ("D", "d", "h", "index"))
         )
 
@@ -279,10 +277,18 @@ def _alpha_columns(roots: array) -> tuple[memoryview, memoryview]:
 
 # -- imaginary scan ---------------------------------------------------------------
 
-def _has_root(eps: complex, log_branch: int) -> bool:
-    """Whether torsion unit eps has a root at log_branch: log(1) = 0 on the
-    principal branch leaves none to attach."""
-    return eps != 1 or log_branch != 0
+def _torsion_records(n: int, branch: int, log_branch: int) -> list[dict]:
+    """The records of the torsion units of order n, in the order of
+    _TORSION_UNITS, with D and d None: each with the root of its unit, but
+    the unit 1 on the principal log branch, whose log(1) = 0 has none."""
+    records = []
+    for label, eps, _ in _TORSION_UNITS[n]:
+        root = (None,) * 7
+        if eps != 1 or log_branch != 0:
+            rep = alpha_complex_case(UnitInput.complex_unit(eps, log_branch), j=branch)
+            root = (rep.alpha.real, rep.alpha.imag, rep.residual_defining, None, None, None, branch)
+        records.append(dict(zip(CSV_COLUMNS, (None, None, 1, label, None, None, *root, log_branch))))
+    return records
 
 
 def scan_imaginary(limit: int, *, branch: int = 0, log_branch: int = 0) -> SurveySummary:
@@ -290,12 +296,12 @@ def scan_imaginary(limit: int, *, branch: int = 0, log_branch: int = 0) -> Surve
 
     Discriminants and radicands come from the fundamental-discriminant
     sieve, class numbers from the form-count sieve
-    (fields._imaginary_class_numbers); torsion units with a usable log
-    (nonzero under the configured log branch) each contribute an alpha via
-    the complex-case root formula, kept in the root array. limit may be at
-    most fields._MAX_IMAG_D (10^7); a larger one raises TermLimitExceeded at
-    once, a negative one DomainError (0 to 2 give the empty scan), as does a
-    limit, branch or log_branch that is not integral.
+    (fields._imaginary_class_numbers); each torsion group of the h = 1
+    fields gets its records once (_torsion_records), with an alpha from the
+    complex-case root formula for each unit with a usable log. limit may be
+    at most fields._MAX_IMAG_D (10^7); a larger one raises TermLimitExceeded
+    at once, a negative one DomainError (0 to 2 give the empty scan), as
+    does a limit, branch or log_branch that is not integral.
     """
     import numpy as np
 
@@ -311,22 +317,19 @@ def scan_imaginary(limit: int, *, branch: int = 0, log_branch: int = 0) -> Surve
     d = _radicand_array(D)
     at = np.flatnonzero(h == 1)
     torsion = bytes(roots_of_unity(Di).n for Di in D[at].tolist())
-    roots = array("d")
-    for n in torsion:
-        for _, eps, _ in _TORSION_UNITS[n]:
-            if _has_root(eps, log_branch):
-                rep = alpha_complex_case(UnitInput.complex_unit(eps, log_branch), j=branch)
-                alpha = rep.alpha
-                roots.extend((alpha.real, alpha.imag, rep.residual_defining, math.nan, math.nan, math.nan))
-    distinct_alpha, min_sep = _distinct_stats(*_alpha_columns(roots))
+    # a group's roots, once a group in the order the groups first appear:
+    # a root again is an exact copy, which the statistics absorb
+    groups = {n: _torsion_records(n, branch, log_branch) for n in dict.fromkeys(torsion)}
+    rooted = [r for records in groups.values() for r in records if r["alpha_re"] is not None]
+    distinct_alpha, min_sep = _distinct_stats(*([r[c] for r in rooted] for c in ("alpha_re", "alpha_im")))
     return SurveySummary(
         range=(-limit, -3),
         count_h1=len(at),
         distinct_alpha_count=distinct_alpha,
         min_alpha_separation=min_sep,
         # each torsion unit has its own label
-        distinct_unit_count=len({label for n in set(torsion) for label, _, _ in _TORSION_UNITS[n]}),
-        batch=_Batch(D, d, h, at, roots, branch, log_branch, torsion=torsion),
+        distinct_unit_count=len({r["unit"] for records in groups.values() for r in records}),
+        batch=_Batch(D, d, h, at, branch, log_branch, torsion=torsion, groups=groups),
     )
 
 
@@ -412,7 +415,7 @@ def scan_real(
         distinct_alpha_count=distinct_alpha,
         min_alpha_separation=min_sep,
         distinct_unit_count=len(at),
-        batch=_Batch(D, d, h, attached, roots, branch, log_branch, units, unit_powers),
+        batch=_Batch(D, d, h, attached, branch, log_branch, roots, units, unit_powers),
     )
 
 
@@ -441,12 +444,9 @@ _HOLE_TEXT = re.compile("(%s)" % "|".join(re.escape(str(v)) for v in (_HOLE, _FL
 _BARE = (_HOLE,) * 3 + (None,) * 10
 _BARE_UNIT = (_HOLE,) * 3 + (_LABEL_HOLE, _HOLE, _FLOAT_HOLE) + (None,) * 7
 
-# The values but branch and log_branch of an attached row, whose h is 1: a
-# real root, a torsion root, and a torsion unit without one (eps = 1 on log
-# branch 0). The writers add the scan's branch to a row with a root.
+# The values but branch and log_branch of a real root's row, whose h is 1.
+# The writers add the scan's branch.
 _ROOT = (_HOLE, _HOLE, 1, _LABEL_HOLE, _HOLE) + (_FLOAT_HOLE,) * 7
-_TORSION_ROOT = (_HOLE, _HOLE, 1, _LABEL_HOLE, None, None) + (_FLOAT_HOLE,) * 3 + (None,) * 3
-_TORSION = (_HOLE, _HOLE, 1, _LABEL_HOLE) + (None,) * 8
 
 _JSON = _Format(", ", "", lambda recs: json.dumps(recs)[1:-1])
 _CSV = _Format("\n", "\n", lambda recs: "\n".join([csv_line(r, CSV_COLUMNS) for r in recs]))
@@ -476,23 +476,18 @@ def _fill(split: _Split, n: int, cols: Iterable[Iterable[str]]) -> list[str]:
     return out
 
 
-def _joined(pieces: list[str], w: int) -> list[str]:
-    """The text of each run of w pieces."""
-    return ["".join(pieces[k : k + w]) for k in range(0, len(pieces), w)]
-
-
 def _interleave(cols: list[list]) -> list:
     """The columns read row by row: cols[0][0], cols[1][0], ..., cols[0][1], ..."""
     return cols[0] if len(cols) == 1 else list(chain.from_iterable(zip(*cols)))
 
 
-def _float_texts(floats: array, width: int) -> list[list[str]]:
-    """The repr of each of the first `width` of the _ROOT_FLOATS interleaved
-    columns of floats; two columns of the same bits (residual_split_2 and
-    residual_split_1 under conjugate pairing) share one text."""
+def _float_texts(floats: array) -> list[list[str]]:
+    """The repr of each of the _ROOT_FLOATS interleaved columns of floats;
+    two columns of the same bits (residual_split_2 and residual_split_1
+    under conjugate pairing) share one text."""
     texts: dict[bytes, list[str]] = {}
     cols = []
-    for c in range(width):
+    for c in range(_ROOT_FLOATS):
         col = floats[c::_ROOT_FLOATS]
         key = col.tobytes()
         if key not in texts:
@@ -526,32 +521,20 @@ def _real_root_texts(
                 _interleave([labels[k] if n == 1 else [f"({label})^{n}" for label in labels[k]] for n in ns]),
                 _interleave([[repr(v**n) for v in norms[k]] for n in ns]),
                 _interleave([[repr(n * R) for R in regulators[k]] for n in ns]),
-                *_float_texts(floats, _ROOT_FLOATS),
+                *_float_texts(floats),
             ]
-            yield list(enumerate(_joined(_fill(root, len(cols[0]), cols), len(ns) * len(root[0])), g))
+            pieces, w = _fill(root, len(cols[0]), cols), len(ns) * len(root[0])  # w pieces a field
+            yield list(enumerate(["".join(pieces[k : k + w]) for k in range(0, len(pieces), w)], g))
 
 
-def _torsion_root_texts(
-    b: _Batch, rooted: _Split, rootless: _Split, lo: int, fields: list[list]
-) -> Iterator[list[tuple[int, str]]]:
+def _torsion_root_texts(b: _Batch, fmt: _Format, lo: int, fields: list[list]
+                        ) -> Iterator[list[tuple[int, str]]]:
     """The text of the rows of each of the attached fields lo, lo + 1, ... of
     an imaginary scan, whose columns (D, d, h) `fields` gives, in one group
-    of (field, text), field counted from lo: one row per torsion unit of
-    its group, in the order of _TORSION_UNITS, with the next root of the
-    root array where the unit has one."""
-    has_root = [[_has_root(eps, b.log_branch) for _, eps, _ in _TORSION_UNITS[n]] for n in b.torsion]
-    rows: dict[bool, list[tuple[str, str, str]]] = {True: [], False: []}  # D, d and label of each row
-    for Di, di, n, flags in zip(fields[0], fields[1], b.torsion[lo:], has_root[lo:]):
-        for (label, _, _), flag in zip(_TORSION_UNITS[n], flags):
-            rows[flag].append((repr(Di), repr(di), label))
-    start = sum(map(sum, has_root[:lo])) * _ROOT_FLOATS
-    floats = b.roots[start : start + len(rows[True]) * _ROOT_FLOATS]
-    row_texts = {
-        flag: iter(_joined(_fill(split, len(rows[flag]), [*zip(*rows[flag]), *extra]), len(split[0])))
-        for flag, split, extra in ((True, rooted, _float_texts(floats, 3)), (False, rootless, ()))
-    }
-    yield [(rank, "".join([next(row_texts[flag]) for flag in flags]))
-           for rank, flags in enumerate(has_root[lo : lo + len(fields[0])])]
+    of (field, text), field counted from lo: the records of its torsion
+    group, with its D and d."""
+    yield [(rank, fmt.sep + fmt.render([dict(r, D=Di, d=di) for r in b.groups[n]]))
+           for rank, (Di, di, n) in enumerate(zip(fields[0], fields[1], b.torsion[lo:]))]
 
 
 # Rows per piece of writer text: about 135 KB of bare imaginary JSON. With
@@ -572,12 +555,12 @@ def _row_text(summary: SurveySummary, fmt: _Format, first: str, last: str) -> It
     per bare row; each column of the bare rows fills its holes by one slice
     assignment (repr for integers and floats, and for h a lookup in the
     scan's table of h's text with the literals around it). The rows of the
-    attached fields fill their own templates the same way (_ROOT, or
-    _TORSION_ROOT and _TORSION, with h and the branch written in): a column
-    of text per hole, from the columns of the attached fields and the root
-    array. The text of an attached field goes in after the bare rows before
-    it. The values are plain ints and finite floats, so repr writes them as
-    json.dumps does.
+    attached fields of a real scan fill their own template the same way
+    (_ROOT, with h and the branch written in): a column of text per hole,
+    from the columns of the attached fields and the root array; those of an
+    imaginary scan are its group's records, rendered by fmt. The text of an
+    attached field goes in after the bare rows before it. The values are
+    plain ints and finite floats, so repr writes them as json.dumps does.
     """
     import numpy as np
 
@@ -594,12 +577,8 @@ def _row_text(summary: SurveySummary, fmt: _Format, first: str, last: str) -> It
     # D, d and h, and a real unit's label (text already), norm and regulator
     convs = (repr, repr, h_text.__getitem__, None, repr, repr)
     w, at = len(row), b.index
-    if units is None:
-        rooted, rootless = (_split(fmt, (*holes, branch), b.log_branch)
-                            for holes, branch in ((_TORSION_ROOT, b.branch), (_TORSION, None)))
-        root_texts = partial(_torsion_root_texts, b, rooted, rootless)
-    else:
-        root_texts = partial(_real_root_texts, b, _split(fmt, (*_ROOT, b.branch), b.log_branch))
+    root_texts = (partial(_torsion_root_texts, b, fmt) if units is None
+                  else partial(_real_root_texts, b, _split(fmt, (*_ROOT, b.branch), b.log_branch)))
 
     def chunks() -> Iterator[str]:  # the text of the rows, each row after fmt.sep
         for i in range(0, len(b.D), _JSON_CHUNK_ROWS):

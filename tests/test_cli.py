@@ -118,6 +118,43 @@ class TestUsageErrors:
         assert run(["scan", "--limit", "10"]) == 64
         assert run(["scan", "--imaginary", "--real", "--limit", "10"]) == 64
 
+    @pytest.mark.parametrize("argv, flag", [
+        ("alpha --case complex --d 5 --eps-re 0 --eps-im 1", "--d"),
+        ("verify --case complex --alpha-re 0.1 --d 5 --eps-re 0 --eps-im 1", "--d"),
+        ("alpha --case real --d 5 --beta 3", "--beta"),
+        ("alpha --case complex --eps-re 0 --eps-im 1 --pairing same-branch", "--pairing"),
+        ("scan --imaginary --limit 20 --powers 5", "--powers"),
+        ("scan --imaginary --limit 20 --by-radicand", "--by-radicand"),
+        ("scan --imaginary --limit 20 --pairing same-branch", "--pairing"),
+    ])
+    def test_a_flag_of_the_other_case_is_a_usage_error(self, argv, flag):
+        # the case set would ignore the flag: no output, and the flag named
+        code, out, err = _run_captured(argv.split())
+        assert (code, out) == (64, "")
+        assert f"usage error: {flag} applies" in err
+
+
+class TestRealUnitWithImaginaryPart:
+    @pytest.mark.parametrize("argv", [
+        "alpha --case real --eps-re 3 --eps-im 1",
+        "alpha --case real --log-eps-re 1.2 --log-eps-im 0.5",
+        "verify --case real --alpha-re 0 --eps-re 3 --eps-im 1",
+        "verify --case real --alpha-re 0 --log-eps-re 1 --log-eps-im 0.5",
+    ])
+    def test_is_a_domain_error(self, argv):
+        # a real unit is real: its imaginary part is not dropped
+        code, out, err = _run_captured(argv.split())
+        assert (code, out) == (2, "")
+        assert "real" in err and ("(3+1j)" in err or "real log_value" in err)
+
+    @pytest.mark.parametrize("flag", ["--eps-im", "--log-eps-im"])
+    def test_a_zero_imaginary_part_keeps_the_bits(self, flag):
+        base = ("alpha --case real --eps-re 3" if flag == "--eps-im" else "alpha --case real --log-eps-re 1.2").split()
+        want = _run_captured(base)
+        assert want[0] == 0
+        for zero in ("0", "-0.0"):
+            assert _run_captured([*base, flag, zero]) == want
+
 
 class TestSolveCommand:
     def test_exp_fixed_point(self, capsys):

@@ -153,22 +153,34 @@ class TestScanImaginary:
 
     @pytest.mark.parametrize("branch, log_branch", [(0, 0), (-1, 1), (2, -2)])
     def test_each_label_names_the_unit_of_its_root(self, branch, log_branch):
-        # the unit each label names, written out here, gives the alpha of the
-        # next root in the root array, unless it is 1 on the principal log
+        # the unit each label names, written out here, gives the alpha of its
+        # record in the field's group rows, unless it is 1 on the principal log
         b = scan_imaginary(200, branch=branch, log_branch=log_branch).batch
-        width = lgw.survey._ROOT_FLOATS
-        roots = iter(zip(b.roots[0::width], b.roots[1::width]))
         for D, n in zip(b.D[b.index].tolist(), b.torsion, strict=True):
-            labels = [label for label, _, _ in lgw.fields._TORSION_UNITS[n]]
-            assert sorted(labels) == sorted(
+            group = b.groups[n]
+            assert sorted(r["unit"] for r in group) == sorted(
                 label for label, eps in TORSION_UNIT_LABELS.items() if eps in roots_of_unity(D).elements
             )
-            for label in labels:
+            for r in group:
+                label = r["unit"]
                 if label == "1" and log_branch == 0:
+                    assert r["alpha_re"] is None
                     continue
                 rep = alpha_complex_case(UnitInput.complex_unit(TORSION_UNIT_LABELS[label], log_branch), branch)
-                assert next(roots) == (rep.alpha.real, rep.alpha.imag), (D, label)
-        assert next(roots, None) is None
+                assert (r["alpha_re"], r["alpha_im"]) == (rep.alpha.real, rep.alpha.imag), (D, label)
+
+    def test_each_group_is_solved_once(self, monkeypatch):
+        # the nine h = 1 fields share three torsion groups, of 5, 3 and 1
+        # units with a root: 9 root computations for their 15 rooted records
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return alpha_complex_case(*args, **kwargs)
+
+        monkeypatch.setattr(lgw.survey, "alpha_complex_case", counting)
+        s = scan_imaginary(200)
+        assert (s.count_h1, len(rooted(s)), len(calls)) == (9, 15, 9)
 
     @pytest.mark.parametrize("branch, log_branch", [(0, 0), (-1, 1), (2, -2)])
     def test_lazy_rows_match_eager_rows(self, branch, log_branch):
@@ -539,6 +551,8 @@ class TestSerialization:
         (scan_real, 60, {"unit_powers": 3, "pairing": Pairing.SAME_BRANCH}),
         (scan_imaginary, 2, {}),
         (scan_imaginary, 20000, {}),
+        # the first fields of the group orders 6, 4 and 2, and the last h = 1 field
+        *[(scan_imaginary, limit, {"log_branch": lb}) for limit in (3, 4, 7, 163) for lb in (0, 1)],
         *[(scan_imaginary, 2000, {"branch": j, "log_branch": lb}) for lb in (0, 1) for j in (0, -1, 2)],
         *[(scan_real, 1000, {"pairing": p, "unit_powers": 3}) for p in Pairing],
         (scan_real, 600, {"unit_powers": 2, "by_radicand": True}),
@@ -574,9 +588,8 @@ class TestSerialization:
             assert_same_text("".join(iter_summary_json(s, trailer=trailer)), texts[1])
             assert_same_text("".join(iter_summary_csv(s)), texts[2])
             assert_same_text("".join(iter_summary_plain(s)), texts[3])
-        at = set(s.batch.index.tolist())
-        if at and 7 in chunks:  # among the chunks of 7 that hold a bare row, one starts and one ends with an attached row
-            n = len(s.batch.D)
+        at, n = set(s.batch.index.tolist()), len(s.batch.D)
+        if 0 < len(at) < n and 7 in chunks:  # among the chunks of 7 that hold a bare row, one starts and one ends with an attached row
             mixed = [c for c in (range(i, min(i + 7, n)) for i in range(0, n, 7)) if not at.issuperset(c)]
             assert any(c[0] in at for c in mixed) and any(c[-1] in at for c in mixed)
 
