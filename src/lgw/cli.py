@@ -80,9 +80,9 @@ def _build_parser() -> _Parser:
     def add_unit(sp):  # the unit that alpha and verify read through _unit_input
         sp.add_argument("--case", choices=("complex", "real"), required=True)
         sp.add_argument("--eps-re", type=float, default=None)
-        sp.add_argument("--eps-im", type=float, default=0.0)
+        sp.add_argument("--eps-im", type=float, default=None)
         sp.add_argument("--log-eps-re", type=float, default=None)
-        sp.add_argument("--log-eps-im", type=float, default=0.0)
+        sp.add_argument("--log-eps-im", type=float, default=None)
         sp.add_argument("--d", type=int, default=None,
                         help="real case: use the fundamental unit of Q(sqrt(d))")
 
@@ -172,26 +172,21 @@ def _emit(obj, ns) -> None:
 
 
 def _unit_input(ns) -> solver.UnitInput:
-    """The unit of alpha and verify; a real one keeps its imaginary part, for
-    UnitInput to reject. run has rejected --d with the complex case."""
+    """The unit of alpha and verify, from exactly one of its three sources (a
+    part not given reads 0), checked by UnitInput as every unit is."""
     from . import solver
 
-    case = solver.Case(ns.case)
+    eps, log = (None if re is None and im is None else complex(0.0 if re is None else re, 0.0 if im is None else im)
+                for re, im in ((ns.eps_re, ns.eps_im), (ns.log_eps_re, ns.log_eps_im)))
+    sources = {"--eps-re/--eps-im": eps, "--log-eps-re/--log-eps-im": log, "--d": ns.d}
+    given = [flags for flags, value in sources.items() if value is not None]
+    if len(given) != 1:
+        raise UsageError(f"need exactly one of {', '.join(sources)}; got {' and '.join(given) or 'none'}")
     if ns.d is not None:
         from . import fields
 
-        return solver.UnitInput.from_log(fields.fundamental_unit(ns.d).regulator, case=case)
-    if ns.log_eps_re is not None:
-        val = complex(ns.log_eps_re, ns.log_eps_im)
-        if case is solver.Case.REAL:
-            return solver.UnitInput.from_log(val, case=case)
-        return solver.UnitInput(epsilon=None, log_branch=ns.log_branch, case=case, log_value=val)
-    if ns.eps_re is None:
-        raise UsageError("need --eps-re/--eps-im, --log-eps-re/--log-eps-im, or --d")
-    eps = complex(ns.eps_re, ns.eps_im)
-    if case is solver.Case.REAL:
-        return solver.UnitInput(eps, case=case)
-    return solver.UnitInput.complex_unit(eps, ns.log_branch)
+        log = fields.fundamental_unit(ns.d).regulator
+    return solver.UnitInput(eps, ns.log_branch, solver.Case(ns.case), log)
 
 
 def _cmd_w(ns) -> int:

@@ -19,8 +19,10 @@ evaluation: W_-j(2*pi*i*L) is the conjugate of W_j(-2*pi*i*L), bit for bit
 split residual need a second exp: it equals the first, bit for bit. The
 sum alpha is then real, and its two residuals take one real cosine.
 
-The records are immutable named tuples; the two input records validate
-their fields when built.
+The records are immutable named tuples. ExpLinearEquation checks its
+coefficients when built, and every UnitInput, whichever constructor builds
+it, passes one rule (_unit). Each defining equation has one residual, which
+the root finders and verify_fixed_point share.
 """
 
 from __future__ import annotations
@@ -115,10 +117,7 @@ class ExpLinearEquation(_ExpLinearFields):
         try:
             return abs(z - self.a - self.b * _cexp(self.c * z))
         except (OverflowError, ValueError):
-            product = _exp_of_sum_with_log(self.c * z, self.b)
-            if product is None:
-                raise NonFinite(f"residual overflows at z = {z!r}") from None
-            return abs(z - self.a - product)
+            return abs(z - self.a - _exp_of_sum_with_log(self.c * z, self.b, f"residual at z = {z!r}"))
 
 
 class _UnitFields(NamedTuple):
@@ -147,23 +146,7 @@ class UnitInput(_UnitFields):
         case: Case = Case.COMPLEX,
         log_value: complex | None = None,
     ) -> "UnitInput":
-        if type(log_branch) is not int:
-            log_branch = _integer(log_branch, "log_branch")
-        if epsilon is None:
-            if log_value is None:
-                raise DomainError("need epsilon or log_value")
-        else:
-            epsilon = _require_finite(epsilon, "epsilon")
-            if case is _REAL:
-                if epsilon.imag != 0.0:
-                    raise DomainError(f"real-case unit must be real, got {epsilon!r}")
-                if epsilon.real == 1.0:
-                    raise ZeroLogUnit("epsilon = 1 has log 0")
-                if epsilon.real <= 1.0:
-                    raise DomainError(f"real-case unit must exceed 1, got {epsilon!r}")
-            elif epsilon == 0:
-                raise DomainError("complex case needs |epsilon| > 0")
-        return tuple.__new__(cls, (epsilon, log_branch, case, log_value))
+        return _unit(cls, epsilon, log_branch, case, log_value)
 
     @classmethod
     def _make(cls, iterable) -> "UnitInput":  # _replace builds through it too
@@ -171,49 +154,53 @@ class UnitInput(_UnitFields):
 
     @classmethod
     def complex_unit(cls, epsilon: complex, log_branch: int = 0) -> "UnitInput":
-        if type(log_branch) is not int:
-            log_branch = _integer(log_branch, "log_branch")
-        # __new__'s complex-case checks, without the call and its keywords
-        epsilon = _require_finite(epsilon, "epsilon")
-        if epsilon == 0:
-            raise DomainError("complex case needs |epsilon| > 0")
-        return _tuple_new(cls, (epsilon, log_branch, _COMPLEX, None))
+        return _unit(cls, epsilon, log_branch, _COMPLEX, None)
 
     @classmethod
     def real_unit(cls, epsilon: float) -> "UnitInput":
-        return cls(epsilon=complex(float(epsilon)), case=_REAL)
+        return _unit(cls, epsilon, 0, _REAL, None)
 
     @classmethod
     def from_log(cls, log_value: complex, case: Case = Case.COMPLEX) -> "UnitInput":
-        """Build a synthetic unit whose log is forced to log_value exactly."""
+        """A synthetic unit known by its log alone: epsilon is None, and no exp is formed."""
+        return _unit(cls, None, 0, case, log_value)
+
+
+def _unit(cls, epsilon, log_branch, case, log_value) -> UnitInput:
+    """The one rule of a UnitInput, which every constructor builds through.
+
+    The log branch is integral; epsilon or log_value is given, and each one
+    given is finite; a complex-case epsilon is not 0; a real-case epsilon is
+    real and above 1, its log_value real and above 0 (1 and 0 raise
+    ZeroLogUnit), and its log branch 0. Positional, and built through
+    tuple.__new__, so the per-query constructors make no keyword call.
+    """
+    if type(log_branch) is not int:
+        log_branch = _integer(log_branch, "log_branch")
+    if epsilon is not None:
+        epsilon = _require_finite(epsilon, "epsilon")
+    elif log_value is None:
+        raise DomainError("need epsilon or log_value")
+    if log_value is not None:
         log_value = _require_finite(log_value, "log_value")
-        if case is _REAL:
-            if log_value.imag != 0.0:
-                raise DomainError("real case needs a real log_value")
-            if log_value.real == 0.0:
-                raise ZeroLogUnit("log(epsilon) = 0")
-            if log_value.real < 0.0:
-                raise DomainError("real case needs log_value > 0")
-            eps: complex | None
-            eps = complex(math.exp(log_value.real)) if log_value.real < 700.0 else None
-            if eps == 1.0:  # e^L rounded to 1.0, which would read as the unit 1
-                eps = None
-            # eps is None or a real e^L > 1: what __new__ checks holds already
-            return _tuple_new(cls, (eps, 0, _REAL, log_value))
-        return cls(epsilon=_cexp(log_value), case=case, log_value=log_value)
+    if case is _REAL:
+        if log_branch:
+            raise DomainError(f"a real-case unit has log branch 0, got {log_branch}")
+        for value, one, name in ((epsilon, 1.0, "epsilon"), (log_value, 0.0, "log_value")):
+            if value is not None and not (value.imag == 0.0 and value.real > one):
+                if value == one:
+                    raise ZeroLogUnit(f"real case: {name} = {one:g}, so log(epsilon) = 0")
+                raise DomainError(f"real case needs a real {name} above {one:g}, got {value!r}")
+    elif epsilon == 0:
+        raise DomainError("complex case needs |epsilon| > 0")
+    return _tuple_new(cls, (epsilon, log_branch, case, log_value))
 
 
 def unit_log(u: UnitInput) -> complex:
-    """The chosen logarithm of the unit; raises ZeroLogUnit when it is 0."""
-    epsilon, log_branch, case, log_value = u
-    if log_value is not None:
-        base = complex(log_value)
-    else:
-        base = cmath.log(epsilon)
-    if case is _REAL:
-        value = complex(base.real)
-    else:
-        value = base + _TWO_PI_I * log_branch
+    """log_value, or else Log(epsilon), plus 2*pi*i*log_branch; raises
+    ZeroLogUnit when it is 0."""
+    epsilon, log_branch, _, log_value = u
+    value = (cmath.log(epsilon) if log_value is None else log_value) + _TWO_PI_I * log_branch
     if value == 0:
         raise ZeroLogUnit("log(epsilon) = 0 under the chosen branch (epsilon = 1?)")
     return value
@@ -273,13 +260,21 @@ def solve_exp_linear(eq: ExpLinearEquation, k: int = 0) -> complex:
     return _exp_linear_root(eq.a, eq.b, eq.c, k)
 
 
-def _exp_of_sum_with_log(x: complex, y: complex) -> complex | None:
+def _exp_of_sum_with_log(x: complex, y: complex, what: str) -> complex:
     """y*exp(x) formed as exp(x + log(y)), for an exp(x) beyond float range
-    times a small y; None when that overflows too (or y is 0)."""
+    times a small y; NonFinite naming `what` when that overflows too (or y is 0)."""
     try:
         return _cexp(x + cmath.log(y))
     except (OverflowError, ValueError):
-        return None
+        raise NonFinite(f"{what} overflows") from None
+
+
+def _complex_residual(alpha: complex, log_eps: complex) -> float:
+    """|i*alpha - exp(2*pi*i*alpha)*log(eps)|, the complex case's defining residual."""
+    try:
+        return abs(1j * alpha - _cexp(_TWO_PI_I * alpha) * log_eps)
+    except (OverflowError, ValueError):  # exp(2*pi*i*alpha) beyond float range: a tiny log(eps), or a huge Im alpha
+        return abs(1j * alpha - _exp_of_sum_with_log(_TWO_PI_I * alpha, log_eps, f"residual at alpha = {alpha!r}"))
 
 
 def _exp_linear_root(a: complex, b: complex, c: complex, k: int) -> complex:
@@ -287,9 +282,7 @@ def _exp_linear_root(a: complex, b: complex, c: complex, k: int) -> complex:
     try:
         arg = -b * c * _cexp(a * c)
     except (OverflowError, ValueError):  # exp of a huge or an infinite A*C
-        arg = _exp_of_sum_with_log(a * c, -b * c)
-        if arg is None:
-            raise NonFinite(f"Lambert argument -B*C*exp(A*C) overflows: A*C = {a * c!r}") from None
+        arg = _exp_of_sum_with_log(a * c, -b * c, f"Lambert argument -B*C*exp(A*C) at A*C = {a * c!r}")
     # |arg| is taken only where Re arg is tiny, so it cannot pass the float range
     if k and -_TINY_Z < arg.real < _TINY_Z and abs(arg) < _TINY_Z:
         # A subnormal argument keeps only a few digits: pass its log instead.
@@ -330,15 +323,8 @@ def alpha_complex_case(u: UnitInput, j: int = 0, beta: float = 0.0) -> FixedPoin
         ) from None
     z = _exp_linear_root(*_coefficients(beta, log_eps * scale, _TWO_PI), j)
     alpha = (z - beta) / 1j
-    try:
-        residual = abs(1j * alpha - _cexp(_TWO_PI_I * alpha) * log_eps)
-    except OverflowError:  # a tiny log(eps) puts exp(2*pi*i*alpha) beyond float range
-        product = _exp_of_sum_with_log(_TWO_PI_I * alpha, log_eps)
-        if product is None:
-            raise NonFinite(f"residual overflows at alpha = {alpha!r}") from None
-        residual = abs(1j * alpha - product)
     return _tuple_new(FixedPointReport, (
-        alpha, j, beta, residual, None, None, None,
+        alpha, j, beta, _complex_residual(alpha, log_eps), None, None, None,
         {"log_branch": u.log_branch, "case": u.case._value_},
     ))
 
@@ -405,11 +391,8 @@ def _alpha_real(L: float, j: int, same_branch: bool) -> tuple[complex, float, fl
             r2, r_sum, r_def = r1, abs(2.0 * a - L * c - L * c), abs(a - c * L)
     except OverflowError:  # a tiny L puts exp(+-2*pi*i*alpha) beyond float range
         # each L*exp(x) as exp(x + log L); cos(2*pi*alpha)*L as the mean of two
-        x = _TWO_PI_I * alpha
-        products = [_exp_of_sum_with_log(y, L) for y in (_TWO_PI_I * alpha1, -_TWO_PI_I * alpha2, x, -x)]
-        if None in products:
-            raise NonFinite(f"residual overflows at alpha = {alpha!r}") from None
-        p1, p2, p, q = products
+        x, what = _TWO_PI_I * alpha, f"residual at alpha = {alpha!r}"
+        p1, p2, p, q = (_exp_of_sum_with_log(y, L, what) for y in (_TWO_PI_I * alpha1, -_TWO_PI_I * alpha2, x, -x))
         r1, r2 = abs(alpha1 - p1), abs(alpha2 - p2)
         r_sum, r_def = abs(2.0 * alpha - p - q), abs(alpha - (p + q) / 2)
     return alpha, r_def, r1, r2, r_sum
@@ -425,7 +408,7 @@ def verify_fixed_point(alpha: complex, u: UnitInput) -> float:
     log_eps = unit_log(u)
     try:
         if u.case is _COMPLEX:
-            return abs(1j * alpha - _cexp(_TWO_PI_I * alpha) * log_eps)
+            return _complex_residual(alpha, log_eps)
         return abs(alpha - cmath.cos(_TWO_PI * alpha) * log_eps.real)
-    except (OverflowError, ValueError):  # exp or cos of a huge Im alpha
+    except (OverflowError, ValueError):  # cos of a huge Im alpha, or a residual past the float range
         raise NonFinite(f"residual overflows at alpha = {alpha!r}") from None

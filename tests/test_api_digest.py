@@ -25,6 +25,7 @@ from lgw.solver import (
     alpha_complex_case,
     alpha_real_case,
     solve_exp_linear,
+    verify_fixed_point,
 )
 from lgw.wfunc import BRANCH_POINT_Z, lambert_w, lambert_w_real
 
@@ -169,3 +170,18 @@ class TestApiDigest:
     )
     def test_digest(self, fn, arguments, count, digest):
         assert _digest(fn, arguments(random.Random(30))) == (count, digest)
+
+
+def test_verify_gives_every_root_its_residual_defining():
+    # one residual a defining equation: verify_fixed_point at each root the
+    # digest's arguments give returns the report's residual_defining, bit for bit
+    for fn, arguments in ((alpha_complex_case, _alpha_complex_arguments), (alpha_real_case, _alpha_real_arguments)):
+        roots = 0
+        for u, *args in arguments(random.Random(30)):
+            try:
+                rep = fn(u, *args)
+            except LgwError:
+                continue
+            assert repr(verify_fixed_point(rep.alpha, u)) == repr(rep.residual_defining), (u, args)
+            roots += 1
+        assert roots > 7900

@@ -156,6 +156,33 @@ class TestRealUnitWithImaginaryPart:
             assert _run_captured([*base, flag, zero]) == want
 
 
+class TestOneUnitSource:
+    @pytest.mark.parametrize("argv, given", [
+        ("alpha --case real --d 5 --eps-re 3", "--eps-re/--eps-im and --d"),
+        ("alpha --case complex --eps-re 0 --eps-im 1 --log-eps-re 0.3", "--eps-re/--eps-im and --log-eps-re/--log-eps-im"),
+        ("alpha --case real --d 5 --eps-im 1", "--eps-re/--eps-im and --d"),
+        ("verify --case real --alpha-re 0 --log-eps-im 0 --d 5", "--log-eps-re/--log-eps-im and --d"),
+    ])
+    def test_two_sources_are_a_usage_error(self, argv, given):
+        # the other source would be ignored: no output, and both named
+        code, out, err = _run_captured(argv.split())
+        assert (code, out) == (64, "")
+        assert f"; got {given}\n" in err
+
+
+class TestRealUnitLogBranch:
+    @pytest.mark.parametrize("argv", [
+        "alpha --case real --d 5 --log-branch 4",
+        "alpha --case real --eps-re 3 --log-branch -1",
+        "verify --case real --alpha-re 0 --log-eps-re 1 --log-branch 2",
+    ])
+    def test_is_a_domain_error(self, argv):
+        # a real unit's log is real: a log branch would be echoed, and not used
+        code, out, err = _run_captured(argv.split())
+        assert (code, out) == (2, "")
+        assert "log branch" in err
+
+
 class TestSolveCommand:
     def test_exp_fixed_point(self, capsys):
         code, obj = run_json(
@@ -419,6 +446,17 @@ class TestVerifyCommand:
         )
         assert code == 3
 
+    def test_alphas_root_verifies_with_alphas_residual(self, capsys):
+        # a tiny log(eps): exp(2*pi*i*alpha) alone is past the float range,
+        # and verify forms the residual as alpha does
+        unit = ["--case", "complex", "--log-eps-re", "1e-310"]
+        code, rep = run_json(capsys, ["alpha", *unit, "--branch", "1"])
+        assert code == 0
+        code, obj = run_json(capsys, ["verify", *unit, "--alpha-re", repr(rep["alpha_re"]),
+                                      "--alpha-im", repr(rep["alpha_im"])])
+        assert code == 0
+        assert obj["residual"] == rep["residual_defining"]
+
     def test_bad_tolerance_exits_before_output(self, capsys):
         code = run(["verify", "--case", "complex", "--alpha-re", "0.1", "--eps-re", "0",
                     "--eps-im", "1", "--tolerance", "1e-3"])
@@ -607,11 +645,21 @@ def _draw_argv(draw, command, value=_flag_value):
     return argv
 
 
+_UNIT_SOURCES = (("--eps-re", "--eps-im"), ("--log-eps-re", "--log-eps-im"), ("--d",))
+
+
 @st.composite
 def _point_argv(draw):
-    """argv for a point command, from that subparser's own flags."""
+    """argv for a point command, from that subparser's own flags; alpha and
+    verify mostly keep the flags of one unit source, which is what they take."""
     command = draw(st.sampled_from(("w", "solve", "alpha", "verify", "unit", "classno")))
-    return _draw_argv(draw, command)
+    argv = _draw_argv(draw, command)
+    given = [flags for flags in _UNIT_SOURCES if any(arg.partition("=")[0] in flags for arg in argv)]
+    if len(given) > 1 and draw(st.integers(0, 3)):
+        kept = draw(st.sampled_from(given))
+        dropped = {flag for flags in given if flags is not kept for flag in flags}
+        argv = [arg for arg in argv if arg.partition("=")[0] not in dropped]
+    return argv
 
 
 def _scan_flag_value(action):

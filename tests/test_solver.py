@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lgw import solver, wfunc
-from lgw.errors import DegenerateCoefficients, DomainError, NonFinite, ZeroLogUnit
+from lgw.errors import DegenerateCoefficients, DomainError, LgwError, NonFinite, ZeroLogUnit
 from lgw.solver import (
     Case,
     ExpLinearEquation,
@@ -419,7 +419,7 @@ def _split_residual_2(L: float, w2: complex) -> float:
     try:
         return abs(alpha2 - L * cmath.exp(x))
     except OverflowError:
-        return abs(alpha2 - solver._exp_of_sum_with_log(x, L))
+        return abs(alpha2 - solver._exp_of_sum_with_log(x, L, "split residual 2"))
 
 
 def test_injectivity_probe_reports_but_never_fails():
@@ -552,3 +552,66 @@ class TestUnitInput:
         assert unit_log(u) == 1000.0
         rep = alpha_real_case(u, 0, Pairing.CONJUGATE_BRANCH)
         assert rep.residual_split_1 <= 1e-10
+
+
+def _ways_to_build(epsilon, log_branch, case, log_value):
+    """Each constructor that can express these fields, as a call building them."""
+    ways = [lambda: UnitInput(epsilon, log_branch, case, log_value),
+            lambda: UnitInput.from_log(2.0, case)._replace(epsilon=epsilon, log_branch=log_branch, log_value=log_value)]
+    if log_value is None and case is Case.COMPLEX:
+        ways.append(lambda: UnitInput.complex_unit(epsilon, log_branch))
+    if log_value is None and case is Case.REAL and log_branch == 0:
+        ways.append(lambda: UnitInput.real_unit(epsilon))
+    if epsilon is None and log_branch == 0:
+        ways.append(lambda: UnitInput.from_log(log_value, case))
+    return ways
+
+
+class TestUnitRule:
+    """Every UnitInput constructor passes the one rule: a bad unit raises the
+    same error class whichever constructor is given it."""
+
+    BAD = [  # epsilon, log_branch, case, log_value, and the error of each constructor
+        (None, 0, Case.REAL, -1.0, DomainError),
+        (None, 0, Case.REAL, 2 + 1j, DomainError),
+        (None, 0, Case.REAL, math.nan, NonFinite),
+        (None, 0, Case.REAL, 0.0, ZeroLogUnit),
+        (None, 0, Case.REAL, -0.0, ZeroLogUnit),
+        (1.0, 0, Case.REAL, None, ZeroLogUnit),
+        (0.5, 0, Case.REAL, None, DomainError),
+        (3 + 1j, 0, Case.REAL, None, DomainError),
+        (3.0, 4, Case.REAL, None, DomainError),
+        (None, -1, Case.REAL, 1.0, DomainError),
+        (math.inf, 0, Case.REAL, None, NonFinite),
+        (None, 0, Case.REAL, None, DomainError),
+        (0, 0, Case.COMPLEX, None, DomainError),
+        (complex(1, math.inf), 0, Case.COMPLEX, None, NonFinite),
+        (None, 0, Case.COMPLEX, complex(math.nan, 1), NonFinite),
+        (None, 0, Case.COMPLEX, None, DomainError),
+        (1j, 0.5, Case.COMPLEX, None, DomainError),
+        (None, 0.5, Case.COMPLEX, 1.0, DomainError),
+    ]
+
+    def test_each_constructor_raises_the_same_class(self):
+        for *fields, error in self.BAD:
+            ways = _ways_to_build(*fields)
+            assert len(ways) >= 2, fields
+            for build in ways:
+                with pytest.raises(error) as info:
+                    build()
+                assert type(info.value) is error, fields
+
+    @pytest.mark.parametrize("L", [800.0, -800.0])
+    def test_from_log_keeps_the_log_alone(self, L):
+        u = UnitInput.from_log(L)
+        assert u == (None, 0, Case.COMPLEX, complex(L))
+        assert unit_log(u) == L
+
+    def test_a_log_past_exp_range_gives_a_report_or_a_domain_error(self):
+        for L in (800.0, -800.0, 1e308, -1e308):
+            for j in (0, 1, -3):
+                try:
+                    rep = alpha_complex_case(UnitInput.from_log(L), j)
+                except LgwError:
+                    continue
+                assert rep.residual_defining <= 1e-10
