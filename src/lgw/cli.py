@@ -186,7 +186,7 @@ def _unit_input(ns) -> solver.UnitInput:
         from . import fields
 
         log = fields.fundamental_unit(ns.d).regulator
-    return solver.UnitInput(eps, ns.log_branch, solver.Case(ns.case), log)
+    return solver.UnitInput(eps, ns.log_branch, ns.case, log)
 
 
 def _cmd_w(ns) -> int:
@@ -232,7 +232,7 @@ def _cmd_alpha(ns) -> int:
         rep = solver.alpha_complex_case(u, j=ns.branch, beta=ns.beta)
         checked = rep.residual_defining
     else:
-        rep = solver.alpha_real_case(u, j=ns.branch, pairing=solver.Pairing(ns.pairing))
+        rep = solver.alpha_real_case(u, j=ns.branch, pairing=ns.pairing)
         checked = max(rep.residual_split_1, rep.residual_split_2)
     out = {
         "alpha_re": rep.alpha.real,
@@ -273,7 +273,7 @@ def _cmd_classno(ns) -> int:
     out: dict = {"D": D, "h": h}
     if ns.narrow:
         out["h_narrow"] = h_narrow
-    out["d"] = fields.radicand_of_discriminant(D)
+    out["d"] = fields._radicand_rule(D)  # D checked by _class_numbers
     _emit(out, ns)
     return 0
 

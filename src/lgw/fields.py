@@ -25,10 +25,10 @@ Fundamental units come from the continued fraction of sqrt(d) or
 one set of formulas, one loop over the rows (_units_from_middle): one d at
 a time in Python ints (_cf_unit, behind fundamental_unit), or batched over
 the radicands of every positive D whose class number is asked for
-(_unit_columns). The batch runs in a fixed set of numpy lanes, each of
-which takes the next radicand as soon as its row reaches the middle; the
-convergents stay in int64, in pieces multiplied into Python ints as they
-grow, all rows that pass the int64 bound at a step at once.
+(_unit_columns). The batch runs a block of radicands at a time, all its
+rows at once in numpy until the last reaches its middle; the convergents
+stay in int64, in pieces multiplied into Python ints as they grow, all rows
+that pass the int64 bound at a step at once.
 
 Negative D go down to -_MAX_IMAG_D = -10^7. class_number(D < 0) counts the
 reduced definite forms of one D in a walk over b, one divisor count per b,
@@ -52,7 +52,7 @@ import math
 import sys
 from dataclasses import dataclass
 from math import isqrt
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .errors import (
     DegenerateD,
@@ -133,6 +133,11 @@ def _sized_discriminant_of_radicand(d: int) -> int:
 def radicand_of_discriminant(D: int) -> int:
     """Squarefree radicand d of the field with fundamental discriminant D."""
     _check_fundamental(D)
+    return _radicand_rule(D)
+
+
+def _radicand_rule(D: int) -> int:
+    """The radicand a fundamental discriminant D gives, unchecked."""
     return D if D % 4 == 1 else D // 4
 
 
@@ -430,60 +435,48 @@ class _UnitColumns(NamedTuple):
 
 # A batched continued fraction holds a product of the matrices of its
 # partial quotients in int64 while its entries stay at most this over 2^b,
-# b the bit length of 2*isqrt(d) for the largest d, which bounds every
-# partial quotient: one more step then stays at most 2^62. b = 15 for
+# b the bit length of 2*isqrt(d) for the largest d of its block, which bounds
+# every partial quotient: one more step then stays at most 2^62. b = 15 for
 # d <= _MAX_REAL_D.
 _CF_INT64_BOUND = 1 << 62
 
-# Lanes of the batched continued fraction, the radicands it expands at once,
-# and the rows of the runs it hands to the finish.
-_CF_BATCH_ROWS = 4096
+# Radicands a block of the batched continued fraction expands at once: the
+# units of a scan to 1e6 took 3.6 s of CPU in blocks of 4,096, 2.8 s in these.
+_CF_BATCH_ROWS = 65536
 
 
 def _unit_columns(d: np.ndarray) -> _UnitColumns:
     """The fields of _unit_of_squarefree(d) for every d of an int64 array of
-    squarefree radicands 1 < d <= _MAX_REAL_D: the middles of one batched
-    continued fraction over all of them (_cf_units), finished a run of
-    _CF_BATCH_ROWS rows at a time (_units_from_middle), so the middles of
-    only one run are held as Python ints beside the columns."""
+    squarefree radicands 1 < d <= _MAX_REAL_D, a block of _CF_BATCH_ROWS at a
+    time: the middles of its batched continued fraction (_cf_units), finished
+    together (_units_from_middle), so only one block's middles are held."""
     columns = _UnitColumns([], [], [], [], [])
-    for i, middles in zip(range(0, len(d), _CF_BATCH_ROWS), _cf_units(d)):
-        for column, part in zip(columns, _units_from_middle(d[i : i + _CF_BATCH_ROWS].tolist(), *middles)):
+    for block in (d[i : i + _CF_BATCH_ROWS] for i in range(0, len(d), _CF_BATCH_ROWS)):
+        for column, part in zip(columns, _units_from_middle(block.tolist(), *_cf_units(block))):
             column += part
     return columns
 
 
-def _cf_units(d: np.ndarray) -> Iterator[list[list[int]]]:
+def _cf_units(d: np.ndarray) -> list[list[int]]:
     """_cf_unit(d) for every d of an int64 array, as the seven columns
-    (odd, a_m, q, q_, P, Q, Q_) of each run of _CF_BATCH_ROWS radicands in
-    turn.
+    (odd, a_m, q, q_, P, Q, Q_): all rows start together and advance at once
+    in numpy, for at most _CF_STEP_LIMIT steps, and the arrays shed the rows
+    at their middles once they are half of them.
 
-    Every row runs the continued fraction of _cf_unit to the middle of its
-    period. With complete quotients (P_k + sqrt(d))/Q_k and partial
-    quotients a_k, the a_1 ... a_{l-1} of a period of length l read the same
-    both ways, and the middle shows as Q_{m+1} = Q_m for l = 2m + 1 and as
-    P_{m+1} = P_m for l = 2m (Jacobson & Williams, Solving the Pell
-    Equation, 2009; Cohen, GTM 138, section 5.7). The denominators q at m
-    and q_ at m - 1 of the convergents p/q, with a_m and the complete
-    quotients there, then give the unit (_units_from_middle).
-
-    The rows run in _CF_BATCH_ROWS lanes that all advance at once in numpy.
-    When a lane's row reaches its middle, its result is written back by the
-    row's index and the lane takes the next radicand, so every lane stays
-    busy until the radicands run out; then the lanes drain, and the arrays
-    shed finished lanes once they are half of them. _CF_STEP_LIMIT caps the
-    steps of each row, counted from the step its lane took it.
-
-    The state (P, Q, a) stays below 2*sqrt(d) < 2^15, so float64 holds it,
-    and its division exactly. The convergents are the product
-    M = [[p, p_], [q, q_]] of the matrices A_k = [[a_k, 1], [1, 0]], in
-    int64: once p passes _CF_INT64_BOUND over the largest partial quotient,
-    M is multiplied into the row's Python-int product B and starts again
-    from the identity, so the convergents are B M. Only the bottom row of B
-    is kept, since the unit needs only the q of the convergents. The rows
-    that pass the bound at one step are multiplied in together, as one
-    product of that row by M over numpy object arrays, and so are the rows
-    past it at their middles, a run at a time.
+    With complete quotients (P_k + sqrt(d))/Q_k and partial quotients a_k,
+    the a_1 ... a_{l-1} of a period of length l read the same both ways, and
+    the middle shows as Q_{m+1} = Q_m for l = 2m + 1 and as P_{m+1} = P_m
+    for l = 2m (Jacobson & Williams, Solving the Pell Equation, 2009; Cohen,
+    GTM 138, section 5.7). The denominators q at m and q_ at m - 1 of the
+    convergents p/q, with a_m and the complete quotients there, give the
+    unit (_units_from_middle). P, Q and a stay below 2*sqrt(d) < 2^15, so
+    float64 holds them, and their division exactly. The convergents are
+    M = [[p, p_], [q, q_]] = A_0 ... A_k, A_k = [[a_k, 1], [1, 0]], in int64:
+    once p passes _CF_INT64_BOUND over the largest partial quotient, M is
+    multiplied into the bottom row of the row's Python-int product B (the
+    unit needs only the q) and starts again from 1, so the convergents are
+    B M. The rows that pass the bound at one step are multiplied in together
+    over numpy object arrays, and so are those past it at the end.
     """
     import numpy as np
 
@@ -491,24 +484,19 @@ def _cf_units(d: np.ndarray) -> Iterator[list[list[int]]]:
     s = np.sqrt(d).astype(np.int64)
     s -= s * s > d
     s += (s + 1) * (s + 1) <= d
-    d_all, root_all = d.astype(np.float64), s.astype(np.float64)
-    P_all = (d % 4 == 1).astype(np.float64)  # sqrt(d) starts at (0, 1), (1 + sqrt(d))/2 at (1, 2)
-    Q_all = P_all + 1.0
-    a_all = np.floor((P_all + root_all) / Q_all)
+    dd, root = d.astype(np.float64), s.astype(np.float64)
+    P = (d % 4 == 1).astype(np.float64)  # sqrt(d) starts at (0, 1), (1 + sqrt(d))/2 at (1, 2)
+    Q = P + 1.0
+    a = np.floor((P + root) / Q)
     bound = _CF_INT64_BOUND >> int(2 * s.max(initial=0)).bit_length()
-    w = min(_CF_BATCH_ROWS, n)
-    dd, root, P, Q, a = (v[:w].copy() for v in (d_all, root_all, P_all, Q_all, a_all))
-    # p1/q1 the current convergent, p0/q0 the one before: M = [[p1, p0], [q1, q0]].
-    # A lane takes a row with M = 1, and its first step makes M = A_0.
-    p1, p0, q1, q0 = (np.full(w, v, dtype=np.int64) for v in (1, 0, 0, 1))
-    idx, start, live = np.arange(w), np.zeros(w, dtype=np.int64), np.ones(w, dtype=bool)
-    n_live, loaded = w, w
-    # per radicand, at its middle: odd period, M's q, q_, p, p_, and a_m, P, Q at
-    # m + 1 and Q at m
+    # M = [[p1, p0], [q1, q0]], the current convergent and the one before; 1 before A_0
+    p1, p0, q1, q0 = (np.full(n, v, dtype=np.int64) for v in (1, 0, 0, 1))
+    idx, live, n_live = np.arange(n), np.ones(n, dtype=bool), n
+    # at each row's middle: odd period, M's q, q_, p, p_; a_m, P, Q at m + 1, Q at m
     middle, state = np.zeros((5, n), dtype=np.int64), np.zeros((4, n), dtype=np.int32)
-    b = None  # per radicand, the bottom row of B as Python ints, once a row passes the bound
-    steps = oldest = 0  # oldest: a lower bound on the start of every live lane
-    while n_live:
+    b = np.array([[0], [1]], dtype=object).repeat(n, axis=1)  # per row, B's bottom row as Python ints
+    crossed = np.zeros(n, dtype=bool)  # the rows whose B is not 1
+    for _ in range(_CF_STEP_LIMIT):
         ai = a.astype(np.int64)
         p0 += ai * p1
         q0 += ai * q1
@@ -516,23 +504,11 @@ def _cf_units(d: np.ndarray) -> Iterator[list[list[int]]]:
         over = p1 > bound
         if over.any():
             j = np.flatnonzero(over)
-            if b is None:
-                b = np.zeros((2, n), dtype=object)
-                b[1] = 1
-                crossed = np.zeros(n, dtype=bool)
             r = idx[j]
             b[:, r] = _bottom_row(*b[:, r], p1[j], p0[j], q1[j], q0[j])
             crossed[r] = True
             p1[j] = q0[j] = 1
             p0[j] = q1[j] = 0
-        steps += 1
-        if steps - oldest > _CF_STEP_LIMIT:
-            oldest = int(start[live].min())
-            if steps - oldest > _CF_STEP_LIMIT:
-                i = idx[np.flatnonzero(live & (start == oldest))[0]]
-                raise TermLimitExceeded(
-                    f"continued fraction of d={int(d[i])} did not close within {_CF_STEP_LIMIT} steps"
-                )
         P_, Q_, a_ = P, Q, a
         P = a * Q - P
         Q = (dd - P * P) / Q
@@ -545,40 +521,24 @@ def _cf_units(d: np.ndarray) -> Iterator[list[list[int]]]:
         i = idx[j]
         middle[:, i] = odd[j], q1[j], q0[j], p1[j], p0[j]
         state[:, i] = a_[j], P[j], Q[j], Q_[j]
-        k = min(len(j), n - loaded)
-        new, j = j[:k], j[k:]
-        if k:  # the next radicands, at their start, with M = 1
-            rows = slice(loaded, loaded + k)
-            dd[new], root[new], P[new], Q[new], a[new] = (
-                v[rows] for v in (d_all, root_all, P_all, Q_all, a_all)
+        live[j] = False
+        p0[j] = p1[j] = q0[j] = q1[j] = 0  # zeros stay zero, below the bound
+        n_live -= len(j)
+        if not n_live:
+            break
+        if 2 * n_live <= len(live):
+            keep = np.flatnonzero(live)
+            dd, root, P, Q, a, p0, p1, q0, q1, idx, live = (
+                v[keep] for v in (dd, root, P, Q, a, p0, p1, q0, q1, idx, live)
             )
-            p1[new] = q0[new] = 1
-            p0[new] = q1[new] = 0
-            idx[new] = np.arange(loaded, loaded + k)
-            start[new] = steps
-            loaded += k
-        if len(j):  # no radicand left for these lanes
-            live[j] = False
-            p0[j] = p1[j] = q0[j] = q1[j] = 0  # zeros stay zero, below the bound
-            n_live -= len(j)
-            if 2 * n_live <= len(live):
-                keep = np.flatnonzero(live)
-                dd, root, P, Q, a, p0, p1, q0, q1, idx, start, live = (
-                    v[keep] for v in (dd, root, P, Q, a, p0, p1, q0, q1, idx, start, live)
-                )
-    del d_all, root_all, P_all, Q_all, a_all  # not held while the runs are handed out
-    for i in range(0, n, _CF_BATCH_ROWS):
-        j = min(i + _CF_BATCH_ROWS, n)
-        (odd, q, q_), (a_m, P, Q, Q_) = middle[:3, i:j].tolist(), state[:, i:j].tolist()
-        if b is not None:  # the q of B M for the rows past the bound
-            k = np.flatnonzero(crossed[i:j])
-            r = k + i
-            _, q1, q0, p1, p0 = middle[:, r]
-            for column, values in zip((q, q_), _bottom_row(*b[:, r], p1, p0, q1, q0)):
-                for at, v in zip(k.tolist(), values.tolist()):
-                    column[at] = v
-            b[:, r] = 0
-        yield [odd, a_m, q, q_, P, Q, Q_]
+    else:  # the first row still running names the block
+        raise TermLimitExceeded(
+            f"continued fraction of d={int(d[idx[live][0]])} did not close within {_CF_STEP_LIMIT} steps"
+        )
+    q = middle[1:3].astype(object)  # M's q, and the q of B M for the rows past the bound
+    q[:, crossed] = _bottom_row(*b[:, crossed], *middle[[3, 4, 1, 2]][:, crossed])
+    (odd,), (q, q_), (a_m, P, Q, Q_) = middle[:1].tolist(), q.tolist(), state.tolist()
+    return [odd, a_m, q, q_, P, Q, Q_]
 
 
 def _bottom_row(b10, b11, m00, m01, m10, m11):

@@ -79,7 +79,16 @@ class Pairing(str, Enum):
 
 # Each Case.REAL is a class attribute lookup through the enum metaclass;
 # the per-query paths compare against these instead.
-_REAL, _COMPLEX, _SAME_BRANCH = Case.REAL, Case.COMPLEX, Pairing.SAME_BRANCH
+_REAL, _COMPLEX = Case.REAL, Case.COMPLEX
+_SAME_BRANCH, _CONJUGATE_BRANCH = Pairing.SAME_BRANCH, Pairing.CONJUGATE_BRANCH
+
+
+def _member(kind: type[Enum], value, name: str):
+    """The member of the enum kind (Case or Pairing) that value is or names; else DomainError."""
+    try:
+        return kind(value)
+    except ValueError:
+        raise DomainError(f"{name} must be one of {', '.join(m._value_ for m in kind)}, got {value!r}") from None
 
 
 def _coefficients(a: complex, b: complex, c: complex) -> tuple[complex, complex, complex]:
@@ -117,7 +126,11 @@ class ExpLinearEquation(_ExpLinearFields):
         try:
             return abs(z - self.a - self.b * _cexp(self.c * z))
         except (OverflowError, ValueError):
-            return abs(z - self.a - _exp_of_sum_with_log(self.c * z, self.b, f"residual at z = {z!r}"))
+            what = f"residual at z = {z!r}"
+        try:  # B*exp(C*z) past the float range, or the residual itself
+            return abs(z - self.a - _exp_of_sum_with_log(self.c * z, self.b, what))
+        except OverflowError:
+            raise NonFinite(f"{what} overflows") from None
 
 
 class _UnitFields(NamedTuple):
@@ -170,10 +183,11 @@ def _unit(cls, epsilon, log_branch, case, log_value) -> UnitInput:
     """The one rule of a UnitInput, which every constructor builds through.
 
     The log branch is integral; epsilon or log_value is given, and each one
-    given is finite; a complex-case epsilon is not 0; a real-case epsilon is
-    real and above 1, its log_value real and above 0 (1 and 0 raise
-    ZeroLogUnit), and its log branch 0. Positional, and built through
-    tuple.__new__, so the per-query constructors make no keyword call.
+    given is finite; the case is a Case or its value; a complex-case epsilon
+    is not 0; a real-case epsilon is real and above 1, its log_value real and
+    above 0 (1 and 0 raise ZeroLogUnit), and its log branch 0. Positional,
+    built through tuple.__new__, and with no call for a Case member, so the
+    per-query constructors stay lean.
     """
     if type(log_branch) is not int:
         log_branch = _integer(log_branch, "log_branch")
@@ -183,6 +197,8 @@ def _unit(cls, epsilon, log_branch, case, log_value) -> UnitInput:
         raise DomainError("need epsilon or log_value")
     if log_value is not None:
         log_value = _require_finite(log_value, "log_value")
+    if case is not _REAL and case is not _COMPLEX:
+        case = _member(Case, case, "case")
     if case is _REAL:
         if log_branch:
             raise DomainError(f"a real-case unit has log branch 0, got {log_branch}")
@@ -348,8 +364,8 @@ def alpha_real_case(
         raise DomainError("alpha_real_case needs a real-case unit")
     if type(j) is not int:
         j = _integer(j, "branch index j")
-    if not isinstance(pairing, Pairing):
-        pairing = Pairing(pairing)
+    if pairing is not _CONJUGATE_BRANCH and pairing is not _SAME_BRANCH:
+        pairing = _member(Pairing, pairing, "pairing")
     alpha, r_def, r1, r2, r_sum = _alpha_real(unit_log(u).real, j, pairing is _SAME_BRANCH)
     return _tuple_new(FixedPointReport, (
         alpha, j, 0.0, r_def, r1, r2, r_sum,

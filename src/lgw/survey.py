@@ -54,7 +54,7 @@ from .fields import (
     _UnitColumns,
     roots_of_unity,
 )
-from .solver import Pairing, UnitInput, _alpha_real, alpha_complex_case
+from .solver import Pairing, UnitInput, _alpha_real, _member, alpha_complex_case
 from .wfunc import _integer
 
 __all__ = [
@@ -336,8 +336,8 @@ def scan_imaginary(limit: int, *, branch: int = 0, log_branch: int = 0) -> Surve
 # -- real scan ---------------------------------------------------------------------
 
 # Largest limit of a real scan, set by time: `lgw scan --real --limit 2000000
-# --format csv` took 19-21 s at a 280 MB peak RSS on a 2-vCPU VM, and the
-# work grows as limit^1.5.
+# --format csv` took 17.7-20.8 s at a 268-276 MB peak RSS on a 2-vCPU VM, and
+# the work grows as limit^1.5.
 _MAX_REAL_SCAN = 2 * 10**6
 
 # Most roots a real scan may attach, counted before any work as unit_powers
@@ -373,15 +373,15 @@ def scan_real(
     root array. limit may be at most _MAX_REAL_SCAN (2*10^6), a quarter of it
     with by_radicand=True; a larger one raises TermLimitExceeded at once.
     So does unit_powers times the number of fields above _MAX_REAL_ROOTS
-    (2*10^6), right after the sieve. A negative limit or unit_powers, or a
-    limit, unit_powers, branch or log_branch that is not integral, raises
-    DomainError.
+    (2*10^6), right after the sieve. A negative limit or unit_powers, a
+    limit, unit_powers, branch or log_branch that is not integral, or a
+    pairing that is no Pairing, raises DomainError.
     """
     import numpy as np
 
     limit, unit_powers = _integer(limit, "limit"), _integer(unit_powers, "unit_powers")
     branch, log_branch = _integer(branch, "branch"), _integer(log_branch, "log_branch")
-    pairing = Pairing(pairing)
+    pairing = _member(Pairing, pairing, "pairing")
     if min(limit, unit_powers) < 0:
         raise DomainError(f"limit {limit} and unit_powers {unit_powers} may not be negative")
     top = _MAX_REAL_SCAN // 4 if by_radicand else _MAX_REAL_SCAN

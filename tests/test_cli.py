@@ -288,6 +288,22 @@ class TestClassnoCommand:
         assert (obj["h"], obj["h_narrow"]) == (4, 8)
         assert calls == [[1365]]
 
+    @pytest.mark.parametrize("argv, tested", [
+        (["--discriminant", "1365"], [1365]), (["--discriminant", "40"], [10]),
+        # the test of d itself, then that of D, which _class_numbers makes
+        (["--d", "1365"], [1365, 1365]), (["--d", "10"], [10, 10]),
+    ])
+    def test_d_is_read_from_the_checked_D(self, capsys, monkeypatch, argv, tested):
+        import lgw.fields
+
+        calls = []
+        real_test = lgw.fields.is_squarefree
+        monkeypatch.setattr(lgw.fields, "is_squarefree", lambda n: calls.append(n) or real_test(n))
+        code, obj = run_json(capsys, ["classno", *argv])
+        assert code == 0
+        assert (obj["D"], obj["d"]) in ((1365, 1365), (40, 10))
+        assert calls == tested
+
     def test_mutually_exclusive(self, capsys):
         assert run(["classno", "--discriminant", "5", "--d", "5"]) == 64
 

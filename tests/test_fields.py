@@ -320,10 +320,10 @@ class TestFundamentalUnit:
 
 class TestBatchedUnits:
     """fields._unit_columns runs _cf_unit's continued fraction for many d at
-    once, in lanes that take the next radicand as soon as a row reaches the
-    middle of its period. Both stop at that middle and share one finish, so
-    both are checked against the walk over the whole period and the
-    regulator formula of the oracles."""
+    once, a block of _CF_BATCH_ROWS radicands at a time, every row of a block
+    to the middle of its period. Both stop at that middle and share one
+    finish, so both are checked against the walk over the whole period and
+    the regulator formula of the oracles."""
 
     LARGE = [99_999_989, 99_999_971, 94_418_953, 12_345_679, 9_699_691]
 
@@ -341,7 +341,7 @@ class TestBatchedUnits:
                              ids=["default", "tiny-bound-and-batch"])
     def test_matches_scalar_continued_fraction(self, monkeypatch, bound, rows):
         # a tiny int64 bound hands the convergents to Python ints after every
-        # step; seven lanes are refilled hundreds of times
+        # step; blocks of seven rows split the radicands hundreds of times
         if bound is not None:
             monkeypatch.setattr(lgw.fields, "_CF_INT64_BOUND", bound)
             monkeypatch.setattr(lgw.fields, "_CF_BATCH_ROWS", rows)
@@ -360,9 +360,9 @@ class TestBatchedUnits:
 
     @pytest.mark.parametrize("bound", [None, 1 << 6], ids=["default", "tiny-bound"])
     def test_two_lanes_keep_input_order(self, monkeypatch, bound):
-        # short and long periods mixed, so the two lanes finish their rows out
-        # of order and are refilled at different steps; each result still
-        # lands on its own row
+        # short and long periods mixed, so the two rows of a block reach
+        # their middles at different steps, the second often first; each
+        # result still lands on its own row
         monkeypatch.setattr(lgw.fields, "_CF_BATCH_ROWS", 2)
         if bound is not None:
             monkeypatch.setattr(lgw.fields, "_CF_INT64_BOUND", bound)
@@ -383,9 +383,9 @@ class TestBatchedUnits:
             lgw.fields._unit_columns(np.array([2, 94], dtype=np.int64))
 
     def test_step_cap_counts_each_rows_own_steps(self, monkeypatch):
-        # two lanes take hundreds of rows in turn, far more steps than the
-        # cap in all, but every row closes within the cap on its own steps,
-        # as it does for the scalar continued fraction
+        # hundreds of blocks of two rows, far more steps than the cap in all,
+        # but every row closes within the cap on its own steps, as it does
+        # for the scalar continued fraction
         monkeypatch.setattr(lgw.fields, "_CF_STEP_LIMIT", 5)
         monkeypatch.setattr(lgw.fields, "_CF_BATCH_ROWS", 2)
         short = []
@@ -430,8 +430,8 @@ class TestWideClassNumber:
         assert calls == []
 
     def test_h_above_1e5_against_analytic(self, monkeypatch):
-        # h = 4 and 2 (seeded D near 6.7e5) from one sieve call whose single
-        # lane is refilled, against the character sum over a regulator from
+        # h = 4 and 2 (seeded D near 6.7e5) from one sieve call whose units
+        # run in blocks of one row, against the character sum over a regulator from
         # the full-period oracle. A regulator wrong by an integer factor still
         # rounds to an integer h, but not to this one.
         rng = np.random.default_rng(20261019)

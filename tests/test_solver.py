@@ -58,6 +58,14 @@ class TestSolveExpLinear:
         rep = alpha_complex_case(UnitInput.complex_unit(eps), 1)
         assert rep.residual_defining <= 1e-10
 
+    def test_residual_past_the_float_range_is_non_finite(self):
+        # exp(C*z) underflows, so the residual is |z|, whose parts are finite
+        # and whose modulus is not
+        eq = ExpLinearEquation(0, 1, -1)
+        with pytest.raises(NonFinite, match=r"residual at z = \(1\.7e\+308\+1\.7e\+308j\)"):
+            eq.residual(1.7e308 + 1.7e308j)
+        assert eq.residual(1.7e308) == 1.7e308
+
     def test_degenerate_coefficients(self):
         with pytest.raises(DegenerateCoefficients):
             ExpLinearEquation(0, 1, 0)
@@ -314,6 +322,13 @@ class TestAlphaRealCase:
     def test_case_mismatch(self):
         with pytest.raises(DomainError):
             alpha_real_case(UnitInput.complex_unit(1j), 0)
+
+    def test_pairing_is_a_pairing_or_its_value(self):
+        u = UnitInput.real_unit(3.0)
+        assert alpha_real_case(u, 1, "same-branch") == alpha_real_case(u, 1, Pairing.SAME_BRANCH)
+        for pairing in ("bogus", None, Case.REAL):
+            with pytest.raises(DomainError, match="pairing"):
+                alpha_real_case(u, 1, pairing)
 
     @pytest.mark.parametrize("log_eps", [0.05, math.log(1 + math.sqrt(2)), 2.5, 50.0])
     @pytest.mark.parametrize("j", range(-3, 4))
@@ -590,6 +605,12 @@ class TestUnitRule:
         (None, 0, Case.COMPLEX, None, DomainError),
         (1j, 0.5, Case.COMPLEX, None, DomainError),
         (None, 0.5, Case.COMPLEX, 1.0, DomainError),
+        # a case is a Case or its value, and its checks apply either way
+        (2 + 1j, 0, "real", None, DomainError),
+        (None, 0, "real", 0.0, ZeroLogUnit),
+        (2.0, 0, "bogus", None, DomainError),
+        (2.0, 0, None, None, DomainError),
+        (None, 0, Pairing.SAME_BRANCH, 1.0, DomainError),
     ]
 
     def test_each_constructor_raises_the_same_class(self):
@@ -600,6 +621,11 @@ class TestUnitRule:
                 with pytest.raises(error) as info:
                     build()
                 assert type(info.value) is error, fields
+
+    def test_a_case_value_builds_its_member(self):
+        for case in Case:
+            assert UnitInput(3.0, 0, case.value) == UnitInput(3.0, 0, case)
+            assert UnitInput(3.0, 0, case.value).case is case
 
     @pytest.mark.parametrize("L", [800.0, -800.0])
     def test_from_log_keeps_the_log_alone(self, L):

@@ -300,6 +300,11 @@ class TestScanReal:
         with pytest.raises(DomainError, match="log_branch"):
             scan_real(100, log_branch=branch)
 
+    @pytest.mark.parametrize("pairing", ["bogus", None, "real"])
+    def test_unknown_pairing_is_a_domain_error(self, pairing):
+        with pytest.raises(DomainError, match="pairing"):
+            scan_real(100, pairing=pairing)
+
     @pytest.mark.parametrize("limit, unit_powers, what", [
         (100.9, 1, "limit"), (math.inf, 1, "limit"), ("100", 1, "limit"),
         (20, 1.5, "unit_powers"), (20, math.nan, "unit_powers"),
